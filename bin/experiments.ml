@@ -107,7 +107,8 @@ let synthesize_cmd =
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:"Parallel speculative-lookahead width for phase 2: up to $(docv) \
                    consecutive proposals are evaluated concurrently, one replica engine \
-                   per domain.  The realized walk (and every checkpoint byte) is \
+                   per domain ($(docv) = 1 evaluates on the fit's own engine, with no \
+                   replica).  The realized walk (and every checkpoint byte) is \
                    bit-identical for every width; only wall-clock time changes.  \
                    Defaults to the machine's recommended domain count.")
   in

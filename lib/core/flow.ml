@@ -66,16 +66,22 @@ end
 
 module Target = struct
   (* The distance is maintained over a growing "tracked" set: the records
-     the measurement materialized, plus any record that has ever appeared in
-     the synthetic output.  A record entering the tracked set lazily (its
-     observation drawn on first sight) shifts the distance by the constant
+     the measurement materialized at measurement time (its support), plus
+     any record that has ever appeared in the synthetic output.  Any other
+     record entering the tracked set shifts the distance by the constant
      [-|m x|] relative to the mathematical ‖Q(A) − m‖₁ over that record;
      constants cancel in energy differences, which is all MCMC consumes.
-     [recompute] re-derives the same convention from scratch. *)
+     [recompute] re-derives the same convention from scratch.
+
+     The baseline is the support alone — never the records some walk has
+     drawn lazily since — and it is seeded in the support's canonical
+     order.  So every target over one measurement follows the same
+     convention however late it is built (a replica, a checkpoint rebase,
+     an audit's batch replica): two targets whose sinks agree read the same
+     distance, up to rounding from their different update histories. *)
   type t = {
     epsilon : float;
     distance : unit -> float;
-    audit_distance : unit -> float;
     recompute : unit -> unit;
     inject : float -> unit;
   }
@@ -103,10 +109,10 @@ module Target = struct
         status := s
       end
     in
-    (* [from_scratch] and [audit_distance] must not iterate the sink's
-       state directly: its entry order keeps residue from aborted
-       speculations, which would make the recomputed distance's rounding
-       order depend on abort history.  The dense [order] array records
+    (* [from_scratch] must not iterate the sink's state directly: its
+       entry order keeps residue from aborted speculations, which would
+       make the recomputed distance's rounding order depend on abort
+       history.  The dense [order] array records
        committed first-seen order of ids instead; the speculative undo
        pops it exactly. *)
     let order = ref ([||] : int array) in
@@ -131,7 +137,7 @@ module Target = struct
         Bytes.set !status id '\001';
         note id;
         distance := !distance +. Float.abs v)
-      (Measurement.observed m);
+      (Measurement.support m);
     Dataflow.Sink.on_change_id sink (fun id x ~old_weight ~new_weight ->
         ensure id;
         let obs_x =
@@ -177,21 +183,6 @@ module Target = struct
       !d
     in
     let recompute () = distance := from_scratch () in
-    (* The convention-free ‖Q(A) − m‖₁ over the tracked set, for comparing
-       two *different* target instances over the same measurement: the
-       lazy-record [-|m x|] shift depends on which records were observed at
-       construction, so maintained distances of a live target and a freshly
-       attached replica differ by a constant even when their sinks agree.
-       Every tracked record is memoized in [m], so both instances track the
-       same set and this sum is directly comparable. *)
-    let audit_distance () =
-      let d = ref 0.0 in
-      for i = 0 to !tracked_n - 1 do
-        let id = !order.(i) in
-        d := !d +. Float.abs (Dataflow.Sink.weight_id sink id -. !obs.(id))
-      done;
-      !d
-    in
     (* Enroll the maintained distance in the engine's self-audit: the hook
        re-derives it from the sink without mutating anything, so a clean
        audit leaves the walk bit-identical. *)
@@ -206,14 +197,12 @@ module Target = struct
     {
       epsilon = Measurement.epsilon m;
       distance = (fun () -> !distance);
-      audit_distance;
       recompute;
       inject = (fun dw -> distance := !distance +. dw);
     }
 
   let of_plan ctx p m = create (Plans.lower ctx p) m
   let distance t = t.distance ()
-  let audit_distance t = t.audit_distance ()
   let weighted_distance t = t.epsilon *. t.distance ()
   let epsilon t = t.epsilon
   let recompute t = t.recompute ()

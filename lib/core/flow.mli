@@ -73,10 +73,16 @@ module Target : sig
       pipeline over the (discarded) protected input. *)
 
   val create : 'a collection -> 'a Measurement.t -> t
-  (** [create q m] attaches a scoring sink under [q].  Records [m] observed
-      at measurement time contribute immediately; records that first appear
-      in the synthetic output draw (and memoize) their noisy observation
-      lazily, exactly as {!Measurement.value} specifies.
+  (** [create q m] attaches a scoring sink under [q].  The records of
+      {!Measurement.support} — those materialized at measurement time —
+      contribute [|m x|] immediately, summed in the support's canonical
+      order; any other record that appears in the synthetic output reads
+      its noisy observation through {!Measurement.value} (drawing and
+      memoizing it on first request) and is scored relative to it.  The
+      baseline never includes records drawn lazily since measurement, so
+      targets over one measurement share one energy convention however
+      late they are built: two targets whose sinks hold the same records
+      read the same distance, up to rounding.
 
       The maintained distance participates in speculative evaluation: when
       the engine is speculating (see
@@ -93,22 +99,13 @@ module Target : sig
 
   val distance : t -> float
   (** Current [‖Q(A) − m‖₁] over all tracked records, up to a constant
-      offset per lazily-observed record (constant offsets cancel in the
-      MCMC acceptance ratio; see the implementation note). *)
+      offset [-|m x|] per record outside the measurement-time support
+      (constant offsets cancel in the MCMC acceptance ratio; see the
+      implementation note). *)
 
   val weighted_distance : t -> float
   (** [epsilon m × distance t] — this target's term in the posterior energy
       [Σ_i ε_i ‖Q_i(A) − m_i‖₁]. *)
-
-  val audit_distance : t -> float
-  (** The convention-free [‖Q(A) − m‖₁] over every tracked record,
-      re-derived from the sink on each call.  Unlike {!distance}, this sum
-      carries no per-lazy-record offset, so it is directly comparable
-      between two target instances attached to the {e same} measurement —
-      a live incrementally-maintained target and a from-scratch batch
-      replica — which is exactly what the fit-level audit cross-validates.
-      Read-only and draws no noise (every tracked record is already
-      memoized in the measurement). *)
 
   val epsilon : t -> float
 

@@ -21,10 +21,11 @@ val epsilon : 'a t -> float
     noise).  This is the ε the posterior weighs this measurement by. *)
 
 val copy : 'a t -> 'a t
-(** An independent deep copy: same released values, same private noise
-    cursor.  A replica fit built over copies draws bit-identical lazy
-    observations to the original as long as both replay the same record
-    sequence — the invariant the parallel lookahead pool maintains. *)
+(** An independent deep copy: same released values (the measurement-time
+    {!support} included), same private noise cursor.  A replica fit built
+    over copies draws bit-identical lazy observations to the original as
+    long as both replay the same record sequence — the invariant the
+    parallel lookahead pool maintains. *)
 
 type mark
 (** A snapshot of the private noise stream's cursor. *)
@@ -36,24 +37,34 @@ val undo_draw : 'a t -> 'a -> mark -> unit
     drops the cached observation for [x] and rewinds the noise cursor, so a
     record re-encountered after a speculative abort re-draws identical
     noise.  This keeps the measurement a pure function of the committed walk
-    prefix. *)
+    prefix.  A no-op when nothing was drawn since [mk] (the {!value} call
+    being undone found [x] already memoized): a released observation is
+    never forgotten. *)
 
 val value : 'a t -> 'a -> float
 (** [value m x] is the released noisy count for [x]; memoized fresh noise if
     [x] had zero weight and has not been asked before. *)
 
+val support : 'a t -> ('a * float) list
+(** The records materialized at measurement time, with their noisy counts,
+    in canonical (sorted-record) order.  Fixed at {!create}: lazy draws
+    never join it, and {!copy}, {!save} and {!load} preserve it.  This is
+    the baseline every scorer over the measurement seeds
+    ({!Flow.Target.create}), so two scorers built at different points of a
+    walk agree on it. *)
+
 val observed : 'a t -> ('a * float) list
-(** All records materialized so far (eager support plus any lazily-drawn
+(** All records materialized so far (the {!support}, then any lazily-drawn
     records), with their noisy counts. *)
 
 val observed_size : 'a t -> int
 
 val save : (Buffer.t -> 'a -> unit) -> 'a t -> Buffer.t -> unit
 (** [save write_key m buf] serializes the measurement for checkpointing:
-    epsilon, the private noise stream's exact state, and every materialized
-    [(record, noisy count)] pair.  Only {e released} values are written —
-    the protected data was consumed at creation and cannot be recovered
-    from a checkpoint. *)
+    epsilon, the private noise stream's exact state, the {!support} in
+    order, and every lazily-drawn [(record, noisy count)] pair.  Only
+    {e released} values are written — the protected data was consumed at
+    creation and cannot be recovered from a checkpoint. *)
 
 val load : (Wpinq_persist.Persist.Codec.reader -> 'a) -> Wpinq_persist.Persist.Codec.reader -> 'a t
 (** Rebuilds a measurement written by {!save}.  The restored measurement

@@ -46,43 +46,15 @@ let plan_replicate ~source ~measured () =
   plan_builder ~source
     ~measured:(List.map (fun (Measured (p, m)) -> Measured (p, Measurement.copy m)) measured)
 
-let create_multi ?replicate ~rng ~seed_graph ~builder () =
-  let engine = Dataflow.Engine.create () in
-  let handle, sym = Flow.input engine in
-  (* Targets attach before any data flows, so their initial distances
-     account for every observed record. *)
-  let built = builder sym in
-  Flow.feed handle (List.map (fun e -> (e, 1.0)) (Graph.directed_edges seed_graph));
-  let t =
-    {
-      rng;
-      engine;
-      handle;
-      graph = Graph.Mutable.of_graph seed_graph;
-      targets = built;
-      builder;
-      replicate;
-      energy = 0.0;
-    }
-  in
-  t.energy <- Flow.Target.energy built;
-  t
-
-let create ~rng ~seed_graph ~targets () =
-  create_multi ~rng ~seed_graph ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
-
-let create_shared ~rng ~seed_graph ~source ~measured () =
-  create_multi
-    ~replicate:(plan_replicate ~source ~measured)
-    ~rng ~seed_graph
-    ~builder:(plan_builder ~source ~measured)
-    ()
-
-(* Engine state rebuilt from an explicit, order-significant edge array: the
-   shared deterministic path under [restore] (resume from a checkpoint
-   file) and [rebuild] (in-place rebase at a checkpoint boundary).  Both
-   feed the symmetric records in edge-array order, so a resumed chain and a
-   live rebased chain compute bit-identical energies. *)
+(* Engine state built from an explicit, order-significant edge array: the
+   one deterministic construction under [create] (the seed graph's edge
+   array), [restore] (resume from a checkpoint file), [rebuild] (in-place
+   rebase at a checkpoint boundary, audit recovery) and the replica pool.
+   Targets attach before any data flows, so their initial distances account
+   for every observed record; then the symmetric records are fed in
+   edge-array order.  Every fit over the same edge array and measurements
+   therefore reads bit-identical energies, which is what lets a resumed
+   chain, a live rebased chain and the replicas of a parallel walk agree. *)
 let attach ~builder mg =
   let engine = Dataflow.Engine.create () in
   let handle, sym = Flow.input engine in
@@ -95,8 +67,7 @@ let attach ~builder mg =
   Flow.feed handle records;
   (engine, handle, built)
 
-let restore_multi ?replicate ~rng ~n ~edges ~builder () =
-  let mg = Graph.Mutable.of_edge_array ~n edges in
+let of_mutable ?replicate ~rng ~builder mg =
   let engine, handle, built = attach ~builder mg in
   {
     rng;
@@ -108,6 +79,22 @@ let restore_multi ?replicate ~rng ~n ~edges ~builder () =
     replicate;
     energy = Flow.Target.energy built;
   }
+
+let create_multi ?replicate ~rng ~seed_graph ~builder () =
+  of_mutable ?replicate ~rng ~builder (Graph.Mutable.of_graph seed_graph)
+
+let create ~rng ~seed_graph ~targets () =
+  create_multi ~rng ~seed_graph ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
+
+let create_shared ~rng ~seed_graph ~source ~measured () =
+  create_multi
+    ~replicate:(plan_replicate ~source ~measured)
+    ~rng ~seed_graph
+    ~builder:(plan_builder ~source ~measured)
+    ()
+
+let restore_multi ?replicate ~rng ~n ~edges ~builder () =
+  of_mutable ?replicate ~rng ~builder (Graph.Mutable.of_edge_array ~n edges)
 
 let restore ~rng ~n ~edges ~targets () =
   restore_multi ~rng ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
@@ -200,11 +187,13 @@ let refresh t =
 (* Cross-validate the live incremental state two ways: the engine's own
    registered hooks (join norms, each target's maintained distance vs. its
    live sink), and a from-scratch batch replica of the whole fit — a
-   throwaway engine fed the same edge array, whose target distances the
-   live ones must match.  The replica draws no new noise: every record it
-   can see, the live engine has already seen, so every observation is
-   already memoized in the shared measurements.  Read-only; a clean audit
-   leaves the walk bit-identical. *)
+   throwaway engine fed the same edge array, whose recomputed target
+   distances the live maintained ones must match.  Every target over a
+   measurement seeds the same baseline (its measurement-time support), so
+   the two distances are directly comparable.  The replica draws no new
+   noise: every record it can see, the live engine has already seen, so
+   every observation is already memoized in the shared measurements.
+   Read-only; a clean audit leaves the walk bit-identical. *)
 let audit ?(tolerance = 1e-6) t =
   let live = Dataflow.Engine.audit ~tolerance t.engine in
   let _, _, batch_targets = attach ~builder:t.builder t.graph in
@@ -212,8 +201,9 @@ let audit ?(tolerance = 1e-6) t =
   let divs = ref (List.rev live.Dataflow.Audit.divergences) in
   List.iteri
     (fun i batch ->
-      let maintained = Flow.Target.audit_distance (List.nth t.targets i) in
-      let recomputed = Flow.Target.audit_distance batch in
+      Flow.Target.recompute batch;
+      let maintained = Flow.Target.distance (List.nth t.targets i) in
+      let recomputed = Flow.Target.distance batch in
       incr cells;
       let cell = Printf.sprintf "target#%d.batch-distance" i in
       match Dataflow.Audit.check ~tolerance ~cell ~maintained ~recomputed with
@@ -233,21 +223,21 @@ let audit_and_recover ?tolerance t =
       ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder;
   report
 
-(* ---- The replica pool: engine clones for parallel lookahead ----------- *)
+(* ---- The lookahead pool: owner evaluation, or replicas per domain ---- *)
 
 module Pool = struct
   type fit = t
 
-  (* One worker owns one replica and is the only domain that ever touches
-     it; the scheduler (main domain) hands closures across a
-     mutex/condition mailbox, so every access is ordered by a
-     happens-before edge.  The mailbox carries a whole batch slice per
-     publication — one lock acquisition (and at most one futex wakeup)
-     per worker per batch, however deep the lookahead — and completion is
-     collected the same way, so the handshake cost is amortized over the
-     slice instead of paid per proposal.  With [jobs = 1] no domain is
-     spawned and the single replica is driven inline — the serial
-     reference walk. *)
+  (* With [jobs = 1] the pool evaluates on the owner fit itself: no
+     domain, no replica, no measurement copy.  With [jobs > 1] one worker
+     owns one replica and is the only domain that ever touches it; the
+     scheduler (main domain) hands closures across a mutex/condition
+     mailbox, so every access is ordered by a happens-before edge.  The
+     mailbox carries a whole batch slice per publication — one lock
+     acquisition (and at most one futex wakeup) per worker per batch,
+     however deep the lookahead — and completion is collected the same
+     way, so the handshake cost is amortized over the slice instead of
+     paid per proposal. *)
   type worker = {
     mutex : Mutex.t;
     has_job : Condition.t;
@@ -261,15 +251,15 @@ module Pool = struct
   type t = {
     owner : fit;
     jobs : int;
-    replicas : fit array;
-    workers : worker array; (* length [jobs] when jobs > 1, else empty *)
+    replicas : fit array; (* one per worker; empty when jobs = 1 *)
+    workers : worker array;
     domains : unit Domain.t array;
     counters : Mcmc.counters option;
-    (* The committed-delta log: every winning swap, in commit order, with
-       its post-commit energy.  The owner applies a winning swap
-       immediately (it is the canonical state checkpoints and audits
-       read); each replica absorbs its backlog lazily, piggybacked on the
-       next batch publication to its worker — so a commit costs the
+    (* The committed-delta log ([jobs > 1] only): every winning swap, in
+       commit order, with its post-commit energy.  The owner applies a
+       winning swap immediately (it is the canonical state checkpoints and
+       audits read); each replica absorbs its backlog lazily, piggybacked
+       on the next batch publication to its worker — so a commit costs the
        scheduler exactly one O(delta) owner feed and {e zero} worker
        handshakes.  [applied.(i)] counts the log prefix replica [i] has
        absorbed; the log is compacted once every replica has caught up.
@@ -323,23 +313,17 @@ module Pool = struct
     Mutex.unlock w.mutex;
     match failed with Some e -> raise e | None -> ()
 
-  (* Run [f i] for every replica index and wait for all of them: on the
-     owning worker domain when the pool is parallel, inline otherwise. *)
+  (* Run [f i] for every replica index on its owning worker domain, and
+     wait for all of them.  Nothing to do when the pool has no replicas. *)
   let on_replicas pool f =
-    if Array.length pool.workers = 0 then
-      for i = 0 to pool.jobs - 1 do
-        f i
-      done
-    else begin
-      Array.iteri (fun i w -> post w (fun () -> f i)) pool.workers;
-      Array.iter await pool.workers
-    end
+    Array.iteri (fun i w -> post w (fun () -> f i)) pool.workers;
+    Array.iter await pool.workers
 
   (* A replica is a full fit clone rebuilt from the owner's current edge
      array through the shared deterministic [attach] path, over
      deep-copied measurements.  Every replica is therefore bit-identical
-     to every other — for any pool width — which is what makes the
-     realized chain invariant to [jobs]. *)
+     to the owner it was built from — for any pool width — which is what
+     makes the realized chain invariant to [jobs]. *)
   let replica_builder owner =
     match owner.replicate with
     | Some factory -> factory ()
@@ -348,22 +332,14 @@ module Pool = struct
           "Fit.Pool: fit is not replicable (build it with create_shared / restore_shared)"
 
   let fresh_replica ~builder owner =
-    let mg =
-      Graph.Mutable.of_edge_array ~n:(Graph.Mutable.n owner.graph)
-        (Graph.Mutable.edge_array owner.graph)
-    in
-    let engine, handle, built = attach ~builder mg in
-    {
-      rng = Prng.copy owner.rng (* never drawn from: evaluation uses per-step streams *);
-      engine;
-      handle;
-      graph = mg;
-      targets = built;
-      builder;
-      replicate = None;
-      energy = Flow.Target.energy built;
-    }
+    of_mutable ~builder
+      ~rng:(Prng.copy owner.rng) (* never drawn from: evaluation uses per-step streams *)
+      (Graph.Mutable.of_edge_array ~n:(Graph.Mutable.n owner.graph)
+         (Graph.Mutable.edge_array owner.graph))
 
+  (* Stop the workers, and drop a winner the owner still holds open when
+     the walk was cut short between [eval] and [commit] (a hook raised):
+     the owner is left at its last committed state. *)
   let shutdown pool =
     Array.iter
       (fun w ->
@@ -372,42 +348,40 @@ module Pool = struct
         Condition.broadcast w.has_job;
         Mutex.unlock w.mutex)
       pool.workers;
-    Array.iter Domain.join pool.domains
+    Array.iter Domain.join pool.domains;
+    if Dataflow.Engine.speculating pool.owner.engine then Dataflow.Engine.abort pool.owner.engine
 
   let create ?counters owner ~jobs =
     if jobs < 1 then invalid_arg "Fit.Pool.create: jobs must be at least 1";
-    (match owner.replicate with
-    | Some _ -> ()
-    | None ->
-        invalid_arg
-          "Fit.Pool.create: fit is not replicable (build it with create_shared / \
-           restore_shared)");
+    if jobs > 1 && owner.replicate = None then
+      invalid_arg
+        "Fit.Pool.create: fit is not replicable (build it with create_shared / \
+         restore_shared)";
     let workers =
-      if jobs = 1 then [||]
-      else
-        Array.init jobs (fun _ ->
-            {
-              mutex = Mutex.create ();
-              has_job = Condition.create ();
-              job_done = Condition.create ();
-              job = None;
-              pending = false;
-              stopping = false;
-              failed = None;
-            })
+      Array.init (if jobs = 1 then 0 else jobs) (fun _ ->
+          {
+            mutex = Mutex.create ();
+            has_job = Condition.create ();
+            job_done = Condition.create ();
+            job = None;
+            pending = false;
+            stopping = false;
+            failed = None;
+          })
     in
+    let replicas = Array.length workers in
     let domains = Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers in
     let pool =
       {
         owner;
         jobs;
-        replicas = Array.make jobs owner;
+        replicas = Array.make replicas owner;
         workers;
         domains;
         counters;
         log = [||];
         log_len = 0;
-        applied = Array.make jobs 0;
+        applied = Array.make replicas 0;
       }
     in
     (* Builders (and their measurement copies) are made in the scheduler
@@ -417,7 +391,7 @@ module Pool = struct
        stopped and joined before the exception escapes — [create] never
        leaks a domain. *)
     (try
-       let builders = Array.init jobs (fun _ -> replica_builder owner) in
+       let builders = Array.init replicas (fun _ -> replica_builder owner) in
        on_replicas pool (fun i -> pool.replicas.(i) <- fresh_replica ~builder:builders.(i) owner)
      with e ->
        shutdown pool;
@@ -431,8 +405,7 @@ module Pool = struct
   (* Absorb replica [i]'s backlog of committed deltas: apply every log
      entry it has not yet seen, in commit order, through the same
      non-speculative feed the owner used — byte-identical state, O(delta)
-     per entry.  Runs on the replica's owning domain (worker, or the
-     scheduler when inline / resyncing). *)
+     per entry.  Runs on the replica's owning worker domain. *)
   let flush_replica pool i =
     let upto = pool.log_len in
     if pool.applied.(i) < upto then begin
@@ -453,12 +426,13 @@ module Pool = struct
     let lo = (j * q) + min j r in
     (lo, lo + q + if j < r then 1 else 0)
 
-  (* Evaluate one per-step stream per batch position, speculatively,
-     against the shared committed state.  Every evaluation aborts before
-     reporting — rollback includes the undo-logged lazy measurement draws
-     — so the pool is back at the base state whatever the verdicts say,
-     and the scheduler is free to commit any prefix of them. *)
-  let eval_replica r stream ~pow ~energy =
+  (* Evaluate one per-step stream speculatively against the fit's committed
+     state.  A loser is aborted — rollback includes the undo-logged lazy
+     measurement draws — so the fit is back at the base state.  A winner
+     is left open when [keep] (the owner: [commit] keeps it in place), and
+     aborted otherwise (a replica: the scheduler commits it through the
+     owner and the log). *)
+  let eval_one ~keep r stream ~pow ~energy =
     match Graph.Mutable.propose_swap r.graph stream with
     | None -> Mcmc.Invalid
     | Some swap ->
@@ -466,78 +440,112 @@ module Pool = struct
         let proposed = Flow.Target.energy r.targets in
         if Float.is_finite proposed then begin
           let delta = proposed -. energy in
-          let accept = delta <= 0.0 || Prng.uniform stream < exp (-.pow *. delta) in
-          abort_swap r swap;
-          if accept then Mcmc.Accepted { swap; proposed } else Mcmc.Rejected
+          if delta <= 0.0 || Prng.uniform stream < exp (-.pow *. delta) then begin
+            if keep then
+              (* Only the O(1) graph edit is undone, so hooks that run for the
+                 steps before the winner still read the pre-batch graph;
+                 [commit] re-applies it. *)
+              Graph.Mutable.apply r.graph (Graph.Mutable.invert swap)
+            else abort_swap r swap;
+            Mcmc.Accepted { swap; proposed }
+          end
+          else begin
+            abort_swap r swap;
+            Mcmc.Rejected
+          end
         end
         else begin
           abort_swap r swap;
           Mcmc.Nonfinite
         end
 
-  let eval pool ~pow ~energy streams =
+  (* [jobs = 1]: evaluate the batch in order on the owner and stop at the
+     first winner or non-finite reading.  The scheduler consumes exactly
+     that prefix, so the positions after it are never read: evaluating
+     them would be wasted work. *)
+  let eval_owner pool ~pow ~energy streams verdicts =
+    let rec go i =
+      if i < Array.length streams then
+        match eval_one ~keep:true pool.owner streams.(i) ~pow ~energy with
+        | (Mcmc.Invalid | Mcmc.Rejected) as v ->
+            verdicts.(i) <- v;
+            go (i + 1)
+        | (Mcmc.Accepted _ | Mcmc.Nonfinite) as v -> verdicts.(i) <- v
+    in
+    go 0
+
+  (* [jobs > 1]: one publication per worker — its contiguous slice of the
+     batch, prefixed by its backlog flush.  Workers whose slice is empty
+     (k < jobs) are not woken; their backlog waits for a wider batch.
+     Verdict writes are disjoint by index, and each is ordered before the
+     scheduler's read by the worker's own completion handshake.  Returns
+     the time the last publication went out. *)
+  let eval_replicas pool ~pow ~energy streams verdicts =
     let k = Array.length streams in
-    let verdicts = Array.make k Mcmc.Invalid in
-    if Array.length pool.workers = 0 then begin
-      let t0 = match pool.counters with Some _ -> now () | None -> 0.0 in
-      flush_replica pool 0;
-      let r = pool.replicas.(0) in
-      for i = 0 to k - 1 do
-        verdicts.(i) <- eval_replica r streams.(i) ~pow ~energy
-      done;
-      match pool.counters with
-      | Some c -> c.Mcmc.eval_us <- c.Mcmc.eval_us +. (1e6 *. (now () -. t0))
-      | None -> ()
-    end
-    else begin
-      (* One publication per worker: its contiguous slice of the batch,
-         prefixed by its backlog flush.  Workers whose slice is empty
-         (k < jobs) are not woken; their backlog waits for a wider batch.
-         Verdict writes are disjoint by index, and each is ordered before
-         the scheduler's read by the worker's own completion handshake. *)
-      let t0 = match pool.counters with Some _ -> now () | None -> 0.0 in
-      for j = 0 to pool.jobs - 1 do
-        let lo, hi = slice pool k j in
-        if hi > lo then
-          post pool.workers.(j) (fun () ->
-              flush_replica pool j;
-              let r = pool.replicas.(j) in
-              for i = lo to hi - 1 do
-                verdicts.(i) <- eval_replica r streams.(i) ~pow ~energy
-              done)
-      done;
-      let t1 = match pool.counters with Some _ -> now () | None -> 0.0 in
-      for j = 0 to pool.jobs - 1 do
-        let lo, hi = slice pool k j in
-        if hi > lo then await pool.workers.(j)
-      done;
-      match pool.counters with
-      | Some c ->
-          c.Mcmc.dispatch_us <- c.Mcmc.dispatch_us +. (1e6 *. (t1 -. t0));
-          c.Mcmc.eval_us <- c.Mcmc.eval_us +. (1e6 *. (now () -. t1))
-      | None -> ()
-    end;
+    for j = 0 to pool.jobs - 1 do
+      let lo, hi = slice pool k j in
+      if hi > lo then
+        post pool.workers.(j) (fun () ->
+            flush_replica pool j;
+            let r = pool.replicas.(j) in
+            for i = lo to hi - 1 do
+              verdicts.(i) <- eval_one ~keep:false r streams.(i) ~pow ~energy
+            done)
+    done;
+    let t1 = match pool.counters with Some _ -> now () | None -> 0.0 in
+    for j = 0 to pool.jobs - 1 do
+      let lo, hi = slice pool k j in
+      if hi > lo then await pool.workers.(j)
+    done;
+    t1
+
+  let eval pool ~pow ~energy streams =
+    let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
+    let t0 = match pool.counters with Some _ -> now () | None -> 0.0 in
+    let t1 =
+      if pool.jobs = 1 then begin
+        eval_owner pool ~pow ~energy streams verdicts;
+        t0
+      end
+      else eval_replicas pool ~pow ~energy streams verdicts
+    in
+    (match pool.counters with
+    | Some c ->
+        c.Mcmc.dispatch_us <- c.Mcmc.dispatch_us +. (1e6 *. (t1 -. t0));
+        c.Mcmc.eval_us <- c.Mcmc.eval_us +. (1e6 *. (now () -. t1))
+    | None -> ());
     verdicts
 
-  (* Commit a winning swap: the owner — the canonical fit checkpoints and
-     audits read — absorbs it immediately as an O(delta) committed delta;
-     replicas only get a log entry to absorb at their next dispatch.  No
-     worker handshake, no speculative re-evaluation, no undo log. *)
+  (* Commit a winning swap.  [jobs = 1]: the owner still holds the winner's
+     speculation open from [eval]; re-apply the graph edit and keep the
+     engine state in place ([Engine.commit] discards the undo log).
+     [jobs > 1]: the owner — the canonical fit checkpoints and audits read
+     — absorbs it immediately as an O(delta) committed delta; replicas only
+     get a log entry to absorb at their next dispatch.  No worker
+     handshake, no speculative re-evaluation, no undo log. *)
   let commit pool swap ~proposed =
-    (* Compact once every replica has caught up — between batches the log
-       is usually empty again, so it stays a few entries long. *)
-    if pool.log_len > 0 && Array.for_all (fun a -> a = pool.log_len) pool.applied then begin
-      pool.log_len <- 0;
-      Array.fill pool.applied 0 pool.jobs 0
-    end;
-    if pool.log_len = Array.length pool.log then begin
-      let grown = Array.make (max 16 (2 * pool.log_len)) (swap, proposed) in
-      Array.blit pool.log 0 grown 0 pool.log_len;
-      pool.log <- grown
-    end;
-    pool.log.(pool.log_len) <- (swap, proposed);
-    pool.log_len <- pool.log_len + 1;
-    delta_commit pool.owner swap ~proposed
+    let owner = pool.owner in
+    if pool.jobs = 1 then begin
+      Graph.Mutable.apply owner.graph swap;
+      commit_swap owner;
+      owner.energy <- proposed
+    end
+    else begin
+      (* Compact once every replica has caught up — between batches the
+         log is usually empty again, so it stays a few entries long. *)
+      if pool.log_len > 0 && Array.for_all (fun a -> a = pool.log_len) pool.applied then begin
+        pool.log_len <- 0;
+        Array.fill pool.applied 0 pool.jobs 0
+      end;
+      if pool.log_len = Array.length pool.log then begin
+        let grown = Array.make (max 16 (2 * pool.log_len)) (swap, proposed) in
+        Array.blit pool.log 0 grown 0 pool.log_len;
+        pool.log <- grown
+      end;
+      pool.log.(pool.log_len) <- (swap, proposed);
+      pool.log_len <- pool.log_len + 1;
+      delta_commit owner swap ~proposed
+    end
 
   let refresh_pool pool =
     on_replicas pool (fun i ->
@@ -546,16 +554,16 @@ module Pool = struct
     refresh pool.owner;
     energy pool
 
-  (* Rebuild every replica from the owner's current state — after a
-     checkpoint rebase or an audit recovery replaced the owner's engine —
-     through the same deterministic path [create] used, so a live rebased
-     walk and a future resume land on byte-identical replicas.  The
-     rebuilt replicas embody every committed delta, so the log restarts
-     empty. *)
+  (* After a checkpoint rebase or an audit recovery replaced the owner's
+     engine: rebuild every replica from the owner's current state through
+     the same deterministic path [create] used, so a live rebased walk and
+     a future resume land on byte-identical replicas.  The rebuilt
+     replicas embody every committed delta, so the log restarts empty.
+     With no replicas this only re-reads the owner's energy. *)
   let resync pool =
     pool.log_len <- 0;
-    Array.fill pool.applied 0 pool.jobs 0;
-    let builders = Array.init pool.jobs (fun _ -> replica_builder pool.owner) in
+    Array.fill pool.applied 0 (Array.length pool.applied) 0;
+    let builders = Array.map (fun _ -> replica_builder pool.owner) pool.replicas in
     on_replicas pool (fun i ->
         pool.replicas.(i) <- fresh_replica ~builder:builders.(i) pool.owner);
     energy pool
@@ -596,11 +604,12 @@ let run t ~steps ?start ?(pow = 1.0) ?(refresh_every = 100_000) ?audit_every ?au
       t.energy <- stats.Mcmc.final_energy;
       stats
   | Some jobs ->
-      (* Parallel speculative lookahead: all evaluation happens on replica
-         engines (never on [t] itself, so jobs = 1 and jobs = K walk
-         byte-identical state), and [t] — the canonical state that
-         checkpoints, audits and callers read — only ever replays committed
-         moves. *)
+      (* Speculative lookahead.  At jobs = 1 every proposal is evaluated
+         on [t] itself and the first winner kept in place; at jobs = K the
+         replicas evaluate and [t] — the canonical state that checkpoints,
+         audits and callers read — only replays committed moves.  Both
+         start from the same attach-built state, so they walk the same
+         chain (DESIGN.md, "Parallel speculative lookahead"). *)
       let pool = Pool.create ?counters t ~jobs in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)

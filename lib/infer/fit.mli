@@ -34,7 +34,9 @@ val create :
   t
 (** [create ~rng ~seed_graph ~targets ()] builds the engine, instantiates
     each target query over the synthetic symmetric-directed edge input, and
-    loads [seed_graph].  Each element of [targets] typically pairs a
+    loads [seed_graph] in edge-array order — the same construction as
+    {!restore} at [seed_graph]'s edge array, so both read identical energy
+    bits.  Each element of [targets] typically pairs a
     {!Wpinq_queries} pipeline with a {!Wpinq_core.Measurement}, e.g.
     [fun sym -> Flow.Target.create (Q.tbi sym) m]. *)
 
@@ -118,9 +120,10 @@ val targets : t -> Wpinq_core.Flow.Target.t list
 
 val replicable : t -> bool
 (** Whether this fit can stand up independent replicas for the parallel
-    lookahead pool: [true] for plan-reified fits ({!create_shared},
-    {!restore_shared}), [false] for fits built from opaque target closures
-    (which share measurement state across instances). *)
+    lookahead pool ([jobs > 1]): [true] for plan-reified fits
+    ({!create_shared}, {!restore_shared}), [false] for fits built from
+    opaque target closures (which share measurement state across
+    instances). *)
 
 val step : ?pow:float -> t -> bool
 (** A single Metropolis–Hastings step (default [pow] 1.0); returns whether
@@ -131,8 +134,8 @@ val audit : ?tolerance:float -> t -> Wpinq_dataflow.Dataflow.Audit.report
     engine's registered self-audit hooks (Join norms, each target's
     maintained distance against its live sink), and a throwaway {e batch
     replica} — a fresh engine fed the current edge array from scratch,
-    whose target distances the live ones must match within [tolerance]
-    (default [1e-6]).  Read-only, and draws no new noise (every record the
+    whose recomputed target distances the live maintained ones must match
+    within [tolerance] (default [1e-6]).  Read-only, and draws no new noise (every record the
     replica sees is already memoized in the shared measurements), so a
     clean audit leaves the walk bit-identical. *)
 
@@ -171,13 +174,17 @@ val run :
 
     [jobs] selects the walk implementation.  Omitted: the legacy in-place
     serial walk (proposals drawn directly from the fit's rng, evaluated on
-    the fit itself).  [Some k] with [k >= 1]: the {e parallel speculative
-    lookahead} walk ({!Mcmc.run_lookahead}) over a pool of [k] replica
-    engines, one per domain when [k > 1] — requires a {!replicable} fit
+    the fit itself).  [Some k] with [k >= 1]: the {e speculative
+    lookahead} walk ({!Mcmc.run_lookahead}).  With [k = 1] every proposal
+    is evaluated speculatively on this fit's own engine and the first
+    winner of each batch kept in place: no replica, no measurement copy.
+    With [k > 1] a pool of [k] replica engines evaluates, one per domain,
+    and this fit absorbs the winners — requires a {!replicable} fit
     (raises [Invalid_argument] otherwise).  The pool is torn down (worker
-    domains joined) on every exit path, including exceptions raised by
-    hooks or pool construction.  The realized chain under [Some k] is
-    bit-identical for every [k] {e and} every [width] policy (the
+    domains joined, an open winner aborted) on every exit path, including
+    exceptions raised by hooks or pool construction.  The realized chain
+    under [Some k] is bit-identical for every [k] {e and} every [width]
+    policy (the
     per-step split-stream discipline; default width [Fixed jobs]), but
     differs from the legacy [None] walk, whose rng-draw order is
     data-dependent; checkpoints record which discipline a chain uses.
@@ -185,4 +192,6 @@ val run :
     consumed prefix, for throughput/efficiency accounting.  [counters]
     (lookahead only) accumulates per-phase wall time — dispatch/eval in
     the pool, resolve/commit in the driver — and the realized width
-    trajectory. *)
+    trajectory.  At [k = 1] nothing is dispatched, [eval_us] covers
+    propose, speculate and abort on this fit, and [commit_us] the
+    in-place commit of each winner. *)

@@ -18,23 +18,23 @@ type stats = {
 (* The outcome of evaluating one lookahead position against the shared
    base state: the proposal was structurally invalid, rejected by the
    Metropolis test, produced a non-finite energy, or was accepted (with
-   the proposed energy read off the speculating replica before its
-   abort). *)
+   the proposed energy read off the speculating engine). *)
 type 'swap verdict =
   | Invalid
   | Rejected
   | Nonfinite
   | Accepted of { swap : 'swap; proposed : float }
 
-(* The replica-pool interface the lookahead scheduler drives.  [eval]
-   evaluates one stream per replica, speculatively and concurrently, and
-   reports per-position verdicts with every replica back at the base
-   state (evaluations always abort; commits are replayed separately).
-   [commit] replays an accepted swap on every replica (and the canonical
-   fit).  [refresh] recomputes maintained state from scratch everywhere
-   and returns the pool's energy.  [resync] rebuilds the replicas from
-   the canonical fit (after a checkpoint rebase or audit recovery) and
-   returns the pool's energy. *)
+(* The evaluation-pool interface the lookahead scheduler drives.  [eval]
+   evaluates the batch's streams speculatively against the base state and
+   reports per-position verdicts; it must evaluate every position up to
+   the first accept or non-finite reading, and may skip the rest (they
+   are never read).  Losers leave no trace; the first winner may be held
+   open.  [commit] commits an accepted swap to the canonical fit (and
+   queues it for any replicas).  [refresh] recomputes maintained state
+   from scratch everywhere and returns the pool's energy.  [resync]
+   rebuilds any replicas from the canonical fit (after a checkpoint
+   rebase or audit recovery) and returns the pool's energy. *)
 type 'swap lookahead = {
   la_jobs : int;
   la_energy : unit -> float;
@@ -220,7 +220,7 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
               incr accepted
           | Nonfinite ->
               (* Same policy as the serial walk: discard the move (already
-                 aborted on the replicas), rebuild the maintained state,
+                 aborted by the evaluator), rebuild the maintained state,
                  and re-read rather than letting NaN corrupt the walk. *)
               incr nonfinite;
               current := la.la_refresh ());

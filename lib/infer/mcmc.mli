@@ -34,26 +34,30 @@ type 'swap verdict =
   | Nonfinite  (** proposed energy was not finite; triggers a refresh *)
   | Accepted of { swap : 'swap; proposed : float }
       (** passed the Metropolis test; [proposed] is the energy read off the
-          speculating replica before its abort *)
+          speculating engine *)
 (** The outcome of evaluating one lookahead position against the shared
     base state. *)
 
 type 'swap lookahead = {
-  la_jobs : int;  (** maximum lookahead width (= replica count) *)
+  la_jobs : int;  (** worker count; the default lookahead width *)
   la_energy : unit -> float;  (** current committed energy *)
   la_eval : pow:float -> energy:float -> Wpinq_prng.Prng.t array -> 'swap verdict array;
-      (** evaluate one per-step stream per replica, speculatively and
-          concurrently, leaving every replica back at the base state *)
+      (** evaluate the per-step streams speculatively against the base
+          state.  Every position up to the first [Accepted] or [Nonfinite]
+          verdict must be evaluated; later ones are never read.  State
+          stays at the base, except that an evaluator may hold the first
+          winner open for [la_commit] *)
   la_commit : 'swap -> proposed:float -> unit;
-      (** replay an accepted swap on every replica and the canonical fit *)
+      (** commit an accepted swap to the canonical fit (and, with replicas,
+          queue it for them) *)
   la_refresh : unit -> float;
       (** recompute maintained state from scratch everywhere; returns the
           refreshed energy *)
   la_resync : unit -> float;
-      (** rebuild the replicas from the canonical fit (after a checkpoint
+      (** rebuild any replicas from the canonical fit (after a checkpoint
           rebase or audit recovery); returns the pool energy *)
 }
-(** The replica-pool interface {!run_lookahead} drives — implemented by
+(** The evaluation-pool interface {!run_lookahead} drives — implemented by
     [Fit.Pool]. *)
 
 type width =
@@ -76,13 +80,14 @@ type counters = {
   mutable dispatch_us : float;
       (** publishing batches to the worker mailboxes (scheduler side) *)
   mutable eval_us : float;
-      (** waiting for the workers' verdicts (or inline evaluation when
-          [jobs = 1]) *)
+      (** waiting for the workers' verdicts (at [jobs = 1]: propose,
+          speculate and abort on the canonical fit) *)
   mutable resolve_us : float;
       (** verdict prefix scan, rng advance, cadence hooks *)
   mutable commit_us : float;
       (** committing winning swaps to the canonical fit (the owner's
-          O(delta) feed; replicas absorb theirs into the next dispatch) *)
+          O(delta) feed, replicas absorbing theirs into the next dispatch;
+          at [jobs = 1] the in-place commit of the open winner) *)
   mutable batches : int;
   mutable k_min : int;  (** narrowest realized batch ([max_int] if none) *)
   mutable k_max : int;  (** widest realized batch *)

@@ -165,17 +165,18 @@ exception Corrupt_checkpoint of string
 
 let ckpt_magic = "wpinq-checkpoint\n"
 
-(* Version 7: the plan optimizer.  A snapshot now records the canonical
-   hash of each optimized fit plan, in target order; a resume re-reifies
-   and re-optimizes the plans from [ck_qms] and *verifies* the hashes
-   match before continuing — catching a changed optimizer or query
-   definition that would silently walk a different dataflow than the
-   checkpointed chain.  (Version 6 added the stream position: epoch index
-   and ingest-journal sequence, [-1]/[0] for non-stream runs.  Version 5
-   introduced the per-step split-stream discipline of the parallel
-   speculative lookahead and [ck_jobs].)  Older snapshots are refused by
-   the version gate. *)
-let ckpt_version = 7
+(* Version 8: the canonical energy baseline.  Each saved measurement
+   keeps its measurement-time support apart from its lazy draws, so a
+   resumed or rebased fit seeds its targets from the support alone; a v7
+   payload would decode its lazy draws as support.  (Version 7 added the
+   canonical hash of each optimized fit plan, in target order, which a
+   resume re-derives and verifies — catching a changed optimizer or query
+   definition that would silently walk a different dataflow.  Version 6
+   added the stream position: epoch index and ingest-journal sequence,
+   [-1]/[0] for non-stream runs.  Version 5 introduced the per-step
+   split-stream discipline of the parallel speculative lookahead and
+   [ck_jobs].)  Older snapshots are refused by the version gate. *)
+let ckpt_version = 8
 
 (* Everything a resumed chain needs, and nothing protected: the released
    query measurement (noisy counts + noise-stream cursor), the public seed

@@ -142,6 +142,30 @@ let test_corrupt_checkpoint_detected () =
       | exception W.Corrupt_checkpoint _ -> ()
       | _ -> Alcotest.fail "corrupt checkpoint accepted")
 
+(* Version 8 stores each measurement's support apart from its lazy draws;
+   a version 7 payload would decode its draws as support.  A snapshot
+   carrying the old version number must be refused, not mis-decoded. *)
+let test_old_version_refused () =
+  with_ckpt (fun path ->
+      Fault.arm ~site:"mcmc.step" ~after:600;
+      (match run_checkpointed path with
+      | exception Fault.Injected _ -> ()
+      | _ -> Alcotest.fail "kill did not fire");
+      let magic = "wpinq-checkpoint\n" in
+      let payload =
+        match Persist.File.load ~path ~magic ~version:8 with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "v8 snapshot unreadable: %s" (Persist.File.error_to_string e)
+      in
+      Persist.File.save ~path ~magic ~version:7 payload;
+      match W.resume ~path () with
+      | exception W.Corrupt_checkpoint msg ->
+          Alcotest.(check bool)
+            ("names the version: " ^ msg)
+            true
+            (Test_audit.contains msg "version 7")
+      | _ -> Alcotest.fail "version 7 checkpoint accepted")
+
 let test_interrupted_checkpoint_write () =
   (* A crash during the *second* snapshot write must leave the first one
      valid, and resuming from it must still reproduce the reference. *)
@@ -293,6 +317,7 @@ let suite =
     Alcotest.test_case "kill twice, resume twice" `Slow test_double_kill;
     Alcotest.test_case "corrupt checkpoint detected" `Slow test_corrupt_checkpoint_detected;
     Alcotest.test_case "interrupted snapshot write" `Slow test_interrupted_checkpoint_write;
+    Alcotest.test_case "version 7 checkpoint refused" `Slow test_old_version_refused;
     Alcotest.test_case "store sink matches single-file run" `Slow
       test_store_sink_matches_single;
     Alcotest.test_case "store falls back past corrupt newest" `Slow

@@ -210,6 +210,43 @@ let test_target_distance () =
   Flow.Target.recompute target;
   check_close ~tol:1e-5 "recompute agrees" 0.5 (Flow.Target.distance target)
 
+(* A target built after a record was drawn lazily scores it against the
+   memoized observation, and an aborted speculation that first shows the
+   record to that target must not forget it: a released observation is
+   fixed forever.  The baseline is the measurement-time support alone, so
+   the late target's energy agrees with the early one's. *)
+let test_target_late_build_keeps_draws () =
+  let b = Budget.create ~name:"d" 1e12 in
+  let m = Batch.noisy_count ~rng:(Prng.create 5) ~epsilon:2.0 (Batch.source ~budget:b [ (1, 2.0) ]) in
+  let early =
+    let engine = Dataflow.Engine.create () in
+    let handle, c = Flow.input engine in
+    let t = Flow.Target.create c m in
+    Flow.feed handle [ (7, 1.0) ];
+    Flow.feed handle [ (7, -1.0) ];
+    t
+  in
+  let v7 = Measurement.value m 7 in
+  Alcotest.(check int) "support + one lazy draw" 2 (Measurement.observed_size m);
+  let engine = Dataflow.Engine.create () in
+  let handle, c = Flow.input engine in
+  let late = Flow.Target.create c m in
+  Alcotest.(check int64) "same baseline energy"
+    (Int64.bits_of_float (Flow.Target.energy [ early ]))
+    (Int64.bits_of_float (Flow.Target.energy [ late ]));
+  Dataflow.Engine.begin_speculation engine;
+  Flow.feed handle [ (7, 1.0) ];
+  Dataflow.Engine.abort engine;
+  Alcotest.(check int) "nothing forgotten" 2 (Measurement.observed_size m);
+  Alcotest.(check int64) "same observation" (Int64.bits_of_float v7)
+    (Int64.bits_of_float (Measurement.value m 7));
+  (* A record nobody drew before is forgotten again on abort. *)
+  Dataflow.Engine.begin_speculation engine;
+  Flow.feed handle [ (8, 1.0) ];
+  Alcotest.(check int) "fresh draw" 3 (Measurement.observed_size m);
+  Dataflow.Engine.abort engine;
+  Alcotest.(check int) "fresh draw undone" 2 (Measurement.observed_size m)
+
 let test_noisy_sum () =
   let b = Budget.create ~name:"d" 1e9 in
   let c = Batch.source ~budget:b [ (1, 2.0); (5, 1.0); (100, 1.0) ] in
@@ -453,4 +490,5 @@ let suite =
     Alcotest.test_case "mechanisms respect budget" `Quick test_mechanisms_respect_budget;
     Alcotest.test_case "target distance" `Quick test_target_distance;
     Alcotest.test_case "target energy" `Quick test_target_energy;
+    Alcotest.test_case "late target keeps lazy draws" `Quick test_target_late_build_keeps_draws;
   ]

@@ -50,12 +50,16 @@ let measure secret =
   let m_jdd = Batch.noisy_count ~rng ~epsilon:50.0 (Qb.jdd sym) in
   (m_ccdf, m_jdd)
 
-let shared_fit ~rng_seed ~seed_graph (mc, mj) =
-  let mc = clone wr_int rd_int mc and mj = clone wr_pair rd_pair mj in
+let plans_over source (mc, mj) =
+  [ Fit.Measured (Qp.degree_ccdf source, mc); Fit.Measured (Qp.jdd source, mj) ]
+
+(* The fit plans over fresh clones of the measurements. *)
+let shared_measured (mc, mj) =
   let source = Plan.source ~name:"sym" () in
-  let measured =
-    [ Fit.Measured (Qp.degree_ccdf source, mc); Fit.Measured (Qp.jdd source, mj) ]
-  in
+  (source, plans_over source (clone wr_int rd_int mc, clone wr_pair rd_pair mj))
+
+let shared_fit ~rng_seed ~seed_graph ms =
+  let source, measured = shared_measured ms in
   Fit.create_shared ~rng:(Prng.create rng_seed) ~seed_graph ~source ~measured ()
 
 let problem () =
@@ -275,36 +279,48 @@ let test_schedule_invariance () =
     schedules
 
 (* Counters sanity: phases accumulate, the width trajectory is recorded,
-   and the accepted-swap commit path is O(delta) cheap relative to a full
-   speculative evaluation (per-event, commit must not dwarf eval). *)
+   and the accepted-swap commit path is cheap relative to a full
+   speculative evaluation (per-event, commit must not dwarf eval).  At
+   jobs = 1 nothing is dispatched: eval is propose + speculate + abort on
+   the owner, and commit is the in-place [Engine.commit] of the winner. *)
 let test_counters_recorded () =
   let seed, ms = problem () in
-  let a =
-    run_arm ~steps:200 ~jobs:2
-      ~width:(Mcmc.Adaptive { max_width = 8 })
-      (shared_fit ~rng_seed:7 ~seed_graph:seed ms)
-  in
-  let c = a.counters in
-  Alcotest.(check int) "batches counted" a.batches c.Mcmc.batches;
-  Alcotest.(check int) "k_sum = dispatched" a.dispatched c.Mcmc.k_sum;
-  Alcotest.(check bool) "k_min >= 1" true (c.Mcmc.k_min >= 1);
-  Alcotest.(check bool) "k_min <= k_max" true (c.Mcmc.k_min <= c.Mcmc.k_max);
-  Alcotest.(check bool) "eval time recorded" true (c.Mcmc.eval_us > 0.0);
-  Alcotest.(check bool) "resolve time recorded" true (c.Mcmc.resolve_us > 0.0);
-  Alcotest.(check bool) "dispatch time recorded" true (c.Mcmc.dispatch_us > 0.0);
-  Alcotest.(check bool) "commit time non-negative" true (c.Mcmc.commit_us >= 0.0);
-  Alcotest.(check bool) "walk accepted something" true (a.stats.Mcmc.accepted > 0);
-  (* The tentpole's point: committing an accepted swap (one 8-record delta
-     feed) costs far less than speculatively evaluating a proposal (the
-     same propagation plus undo logging, commit/abort drain, and Metropolis
-     bookkeeping).  Give it 3x headroom against timer noise. *)
-  let commit_per_event = c.Mcmc.commit_us /. float (max 1 a.stats.Mcmc.accepted) in
-  let eval_per_event = c.Mcmc.eval_us /. float (max 1 a.dispatched) in
-  Alcotest.(check bool)
-    (Printf.sprintf "commit O(delta) cheap (%.1fus/commit vs %.1fus/eval)" commit_per_event
-       eval_per_event)
-    true
-    (commit_per_event < 3.0 *. eval_per_event)
+  List.iter
+    (fun jobs ->
+      let name fmt = Printf.sprintf ("jobs=%d: " ^^ fmt) jobs in
+      let a =
+        run_arm ~steps:200 ~jobs
+          ~width:(Mcmc.Adaptive { max_width = 8 })
+          (shared_fit ~rng_seed:7 ~seed_graph:seed ms)
+      in
+      let c = a.counters in
+      Alcotest.(check int) (name "batches counted") a.batches c.Mcmc.batches;
+      Alcotest.(check int) (name "k_sum = dispatched") a.dispatched c.Mcmc.k_sum;
+      Alcotest.(check bool) (name "k_min >= 1") true (c.Mcmc.k_min >= 1);
+      Alcotest.(check bool) (name "k_min <= k_max") true (c.Mcmc.k_min <= c.Mcmc.k_max);
+      Alcotest.(check bool) (name "eval time recorded") true (c.Mcmc.eval_us > 0.0);
+      Alcotest.(check bool) (name "resolve time recorded") true (c.Mcmc.resolve_us > 0.0);
+      if jobs = 1 then
+        Alcotest.(check (float 0.0)) (name "nothing dispatched") 0.0 c.Mcmc.dispatch_us
+      else
+        Alcotest.(check bool) (name "dispatch time recorded") true (c.Mcmc.dispatch_us > 0.0);
+      Alcotest.(check bool) (name "commit time non-negative") true (c.Mcmc.commit_us >= 0.0);
+      Alcotest.(check bool) (name "walk accepted something") true (a.stats.Mcmc.accepted > 0);
+      (* Committing an accepted swap (one 8-record delta feed, or keeping
+         an open speculation) costs far less than speculatively evaluating
+         a proposal (the same propagation plus undo logging, commit/abort
+         drain, and Metropolis bookkeeping).  Give it 3x headroom against
+         timer noise. *)
+      let commit_per_event = c.Mcmc.commit_us /. float (max 1 a.stats.Mcmc.accepted) in
+      (* Every dispatched position is evaluated on replicas; on the owner,
+         evaluation stops at the consumed prefix. *)
+      let evaluated = if jobs = 1 then a.consumed else a.dispatched in
+      let eval_per_event = c.Mcmc.eval_us /. float (max 1 evaluated) in
+      Alcotest.(check bool)
+        (name "commit cheap (%.1fus/commit vs %.1fus/eval)" commit_per_event eval_per_event)
+        true
+        (commit_per_event < 3.0 *. eval_per_event))
+    [ 1; 2 ]
 
 (* Exception safety: a hook that raises mid-walk must propagate out of
    [Fit.run ~jobs] with the worker domains joined — a leaked domain would
@@ -331,6 +347,138 @@ let test_hook_exception_joins_workers () =
   let again = run_arm ~steps:50 ~jobs:2 fit in
   Alcotest.(check bool) "fit usable after teardown" true
     (Float.is_finite again.stats.Mcmc.final_energy)
+
+(* At jobs = 1 the walk runs on the owner fit's own engine: no replica is
+   built, every valid proposal is one speculation on that engine, and each
+   accepted one is kept in place by a commit.  At jobs = 2 the owner only
+   absorbs committed deltas and never speculates. *)
+let test_one_engine_at_jobs_1 () =
+  let seed, ms = problem () in
+  let fit = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
+  let engine = Fit.engine fit in
+  let a = run_arm ~steps:200 ~jobs:1 fit in
+  Alcotest.(check bool) "same engine after the walk" true (Fit.engine fit == engine);
+  Alcotest.(check int) "commits = accepted" a.stats.Mcmc.accepted
+    (Dataflow.Engine.commits engine);
+  Alcotest.(check int) "commits + aborts = valid proposals evaluated"
+    (a.stats.Mcmc.steps - a.stats.Mcmc.invalid)
+    (Dataflow.Engine.commits engine + Dataflow.Engine.aborts engine);
+  Alcotest.(check bool) "walk accepted and rejected" true
+    (a.stats.Mcmc.accepted > 0 && Dataflow.Engine.aborts engine > 0);
+  let fit2 = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
+  let a2 = run_arm ~steps:200 ~jobs:2 fit2 in
+  check_same_walk "owner vs replicas" a a2;
+  Alcotest.(check int) "jobs=2 owner commits" 0 (Dataflow.Engine.commits (Fit.engine fit2));
+  Alcotest.(check int) "jobs=2 owner aborts" 0 (Dataflow.Engine.aborts (Fit.engine fit2))
+
+(* [create_shared] builds through the same edge-array path as
+   [restore_shared], so a fresh fit and one restored at its edge array read
+   the same energy bits — the state replicas are built from. *)
+let test_create_matches_restore () =
+  let seed, ms = problem () in
+  let fit = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
+  let source, measured = shared_measured ms in
+  let restored =
+    Fit.restore_shared ~rng:(Prng.create 7) ~n:(Graph.n seed) ~edges:(Fit.edge_array fit)
+      ~source ~measured ()
+  in
+  Alcotest.(check int64) "energy bits"
+    (Int64.bits_of_float (Fit.energy fit))
+    (Int64.bits_of_float (Fit.energy restored))
+
+(* The canonical energy baseline: a target seeds only the measurement-time
+   support, so lazy draws made by an earlier walk over the same measurement
+   do not move the energy of a fit built later at the same edge array. *)
+let test_baseline_ignores_lazy_draws () =
+  let seed, (mc, mj) = problem () in
+  let mc = clone wr_int rd_int mc and mj = clone wr_pair rd_pair mj in
+  let source = Plan.source ~name:"sym" () in
+  let edges = Graph.Mutable.edge_array (Graph.Mutable.of_graph seed) in
+  let build () =
+    Fit.restore_shared ~rng:(Prng.create 7) ~n:(Graph.n seed) ~edges ~source
+      ~measured:(plans_over source (mc, mj))
+      ()
+  in
+  let e_before = Fit.energy (build ()) in
+  let support = Measurement.observed_size mj in
+  ignore (Fit.run (build ()) ~steps:300 ~jobs:1 ());
+  let drawn = Measurement.observed_size mj in
+  Alcotest.(check bool)
+    (Printf.sprintf "the walk drew lazily (%d > %d records)" drawn support)
+    true (drawn > support);
+  Alcotest.(check int64) "energy bits before and after lazy draws"
+    (Int64.bits_of_float e_before)
+    (Int64.bits_of_float (Fit.energy (build ())))
+
+(* A checkpoint rebase rebuilds the fit over the snapshot's copies of the
+   live measurements.  Their lazy draws stay outside the baseline, so the
+   energy carries over within audit tolerance instead of jumping by
+   ε·Σ|m x| over them. *)
+let test_rebase_keeps_energy () =
+  let seed, (mc, mj) = problem () in
+  let mc = clone wr_int rd_int mc and mj = clone wr_pair rd_pair mj in
+  let source = Plan.source ~name:"sym" () in
+  let fit =
+    Fit.create_shared ~rng:(Prng.create 7) ~seed_graph:seed ~source
+      ~measured:(plans_over source (mc, mj))
+      ()
+  in
+  let support = Measurement.observed_size mj in
+  ignore (Fit.run fit ~steps:300 ~jobs:1 ());
+  Alcotest.(check bool) "the walk drew lazily" true (Measurement.observed_size mj > support);
+  let walked = Fit.energy fit in
+  Fit.rebuild_shared fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source
+    ~measured:(plans_over source (clone wr_int rd_int mc, clone wr_pair rd_pair mj));
+  let rebased = Fit.energy fit in
+  Alcotest.(check bool)
+    (Printf.sprintf "energy carried over the rebase (%.17g vs %.17g)" walked rebased)
+    true
+    (Float.abs (walked -. rebased) <= 1e-6)
+
+(* The owner keeps a winner's speculation open until the scheduler commits
+   it.  A hook that raises in between (here: on a step before the winner,
+   under a wide batch) must leave the fit at its last committed state:
+   engine quiescent, audit clean, and ready for another walk. *)
+let test_hook_exception_at_jobs_1 () =
+  let seed, ms = problem () in
+  let fit = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
+  let raised =
+    try
+      ignore
+        (Fit.run fit ~steps:200 ~jobs:1
+           ~width:(Mcmc.Fixed 8)
+           ~on_step:(fun ~step ~energy:_ -> if step = 57 then raise Boom)
+           ());
+      false
+    with Boom -> true
+  in
+  Alcotest.(check bool) "hook exception propagated" true raised;
+  Alcotest.(check bool) "no speculation left open" false
+    (Dataflow.Engine.speculating (Fit.engine fit));
+  Alcotest.(check int) "audit clean after teardown" 0
+    (List.length (Fit.audit fit).Dataflow.Audit.divergences);
+  let again = run_arm ~steps:50 ~jobs:1 fit in
+  Alcotest.(check bool) "fit usable after teardown" true
+    (Float.is_finite again.stats.Mcmc.final_energy)
+
+(* Hooks for the steps before a batch's winner read the pre-batch graph:
+   a trace sampled at every step is the same whether the owner evaluates
+   wide batches (jobs = 1, adaptive width) or the replicas do (jobs = 2). *)
+let test_trace_inside_wide_batches () =
+  let secret = Gen.clustered ~n:40 ~community:8 ~p_in:0.7 ~extra:20 (Prng.create 5) in
+  let run ~jobs ?width () =
+    W.synthesize ~steps:300 ~trace_every:1 ~jobs ?width ~rng:(Prng.create 123) ~epsilon:0.5
+      ~query:(Some W.Tbi) ~queries:[ W.Jdd ] ~secret ()
+  in
+  let point (p : W.trace_point) =
+    (p.W.step, p.W.triangles, Int64.bits_of_float p.W.assortativity,
+     Int64.bits_of_float p.W.energy)
+  in
+  let owner = run ~jobs:1 ~width:(Mcmc.Adaptive { max_width = 16 }) () in
+  let replicas = run ~jobs:2 () in
+  Alcotest.(check int) "trace length" 301 (List.length owner.W.trace);
+  Alcotest.(check bool) "identical traces" true
+    (List.map point owner.W.trace = List.map point replicas.W.trace)
 
 (* Fits built from opaque target closures share measurement state across
    instances and cannot be replicated: the pool must refuse them. *)
@@ -368,4 +516,13 @@ let suite =
       test_workflow_width_invariance;
     Alcotest.test_case "resume at a different width" `Quick test_resume_across_widths;
     Alcotest.test_case "non-replicable fits refused" `Quick test_non_replicable_refused;
+    Alcotest.test_case "one engine at jobs = 1" `Quick test_one_engine_at_jobs_1;
+    Alcotest.test_case "create = restore at the seed edge array" `Quick
+      test_create_matches_restore;
+    Alcotest.test_case "energy baseline ignores lazy draws" `Quick
+      test_baseline_ignores_lazy_draws;
+    Alcotest.test_case "energy carries over a rebase" `Quick test_rebase_keeps_energy;
+    Alcotest.test_case "hook exception at jobs = 1" `Quick test_hook_exception_at_jobs_1;
+    Alcotest.test_case "trace inside wide owner batches" `Quick
+      test_trace_inside_wide_batches;
   ]
