@@ -55,6 +55,8 @@ module Engine = struct
      in reverse is a bit-identical rollback with no float arithmetic. *)
   let nop () = ()
 
+  type intern_stats = { ids : int; slots : int; displacement : int; pair_cache : int }
+
   type t = {
     mutable state_records : int;
     mutable work : int;
@@ -89,6 +91,8 @@ module Engine = struct
     (* self-audit: operators with redundantly-maintained state register a
        hook that recomputes it from scratch and reports divergences *)
     mutable audit_hooks_rev : (tolerance:float -> int * Audit.divergence list) list;
+    (* interns and join pair caches, registered when built *)
+    mutable intern_hooks : (unit -> intern_stats) list;
     mutable next_op_id : int;
   }
 
@@ -118,6 +122,7 @@ module Engine = struct
       s_arena_reuses = 0;
       s_records_propagated = 0;
       audit_hooks_rev = [];
+      intern_hooks = [];
       next_op_id = 0;
     }
 
@@ -146,6 +151,15 @@ module Engine = struct
     id
 
   let register_audit t hook = t.audit_hooks_rev <- hook :: t.audit_hooks_rev
+  let register_intern_stats t hook = t.intern_hooks <- hook :: t.intern_hooks
+
+  let intern_stats t =
+    let add a b =
+      let s = b () in
+      { ids = a.ids + s.ids; slots = a.slots + s.slots; displacement = a.displacement + s.displacement;
+        pair_cache = a.pair_cache + s.pair_cache }
+    in
+    List.fold_left add { ids = 0; slots = 0; displacement = 0; pair_cache = 0 } t.intern_hooks
 
   let audit ?(tolerance = 1e-6) t =
     if t.speculating then invalid_arg "Dataflow.Engine.audit: cannot audit mid-speculation";
@@ -220,17 +234,28 @@ end
    which is unobservable because no emission or iteration order anywhere
    follows id order (state tables iterate in committed insertion order;
    measurement/grouping emissions sort canonically).  Keeping interning
-   monotone is what lets every other structure be plain int arrays. *)
+   monotone is what lets every other structure be plain int arrays.
+
+   Placement must stay decorrelated from arrival order: batches arrive
+   sorted by [Hashtbl.hash] (e.g. from [coalesce]), so slots are placed by
+   [Hashtbl.seeded_hash] under a fixed non-zero seed, and each slot packs
+   the hash above the id so probes and [rehash] never touch a value whose
+   tag differs (DESIGN.md, "Record interning"). *)
 module Intern = struct
   type 'a t = {
     mutable xs : 'a array; (* id -> value *)
     mutable len : int;
-    (* open-addressing index over [xs]: 0 = empty, else id + 1.  Linear
-       probing; capacity is a power of two kept under 3/4 full. *)
+    (* open-addressing index over [xs]: 0 = empty, else
+       [(hash lsl id_bits) lor (id + 1)].  Linear probing; capacity is a
+       power of two kept under 3/4 full. *)
     mutable slots : int array;
     mutable mask : int;
   }
 
+  let id_bits = 31
+  let id_mask = (1 lsl id_bits) - 1
+  let seed = 0x5EED_1D5
+  let hash x = Hashtbl.seeded_hash seed x
   let create () = { xs = [||]; len = 0; slots = Array.make 16 0; mask = 15 }
   let size t = t.len
   let value t id = t.xs.(id)
@@ -239,37 +264,42 @@ module Intern = struct
     let cap = 2 * (t.mask + 1) in
     let slots = Array.make cap 0 in
     let mask = cap - 1 in
-    for id = 0 to t.len - 1 do
-      let i = ref (Hashtbl.hash t.xs.(id) land mask) in
-      while slots.(!i) <> 0 do
-        i := (!i + 1) land mask
-      done;
-      slots.(!i) <- id + 1
-    done;
+    Array.iter
+      (fun s ->
+        if s <> 0 then begin
+          let i = ref ((s lsr id_bits) land mask) in
+          while slots.(!i) <> 0 do
+            i := (!i + 1) land mask
+          done;
+          slots.(!i) <- s
+        end)
+      t.slots;
     t.slots <- slots;
     t.mask <- mask
 
-  (* Returns the slot holding [x], or the empty slot where it belongs. *)
-  let probe t x =
+  (* Returns the slot holding [x] (whose hash is [h]), or the empty slot
+     where it belongs. *)
+  let probe t x h =
     let mask = t.mask in
-    let i = ref (Hashtbl.hash x land mask) in
+    let i = ref (h land mask) in
     let s = ref t.slots.(!i) in
-    while !s <> 0 && t.xs.(!s - 1) <> x do
+    while !s <> 0 && (!s lsr id_bits <> h || t.xs.((!s land id_mask) - 1) <> x) do
       i := (!i + 1) land mask;
       s := t.slots.(!i)
     done;
     !i
 
-  let find t x =
-    let s = t.slots.(probe t x) in
-    s - 1
+  let find t x = (t.slots.(probe t x (hash x)) land id_mask) - 1
 
   let intern t x =
-    let i = probe t x in
+    let h = hash x in
+    let i = probe t x h in
     let s = t.slots.(i) in
-    if s <> 0 then s - 1
+    if s <> 0 then (s land id_mask) - 1
     else begin
       let id = t.len in
+      if id = id_mask then
+        failwith (Printf.sprintf "Dataflow.Intern: more than %d distinct records" id_mask);
       if id = Array.length t.xs then begin
         let xs = Array.make (max 16 (2 * id)) x in
         Array.blit t.xs 0 xs 0 id;
@@ -277,10 +307,23 @@ module Intern = struct
       end;
       t.xs.(id) <- x;
       t.len <- id + 1;
-      t.slots.(i) <- id + 1;
+      t.slots.(i) <- (h lsl id_bits) lor (id + 1);
       if 4 * t.len > 3 * (t.mask + 1) then rehash t;
       id
     end
+
+  let stats t =
+    let mask = t.mask and displacement = ref 0 in
+    Array.iteri
+      (fun i s -> if s <> 0 then displacement := !displacement + ((i - (s lsr id_bits)) land mask))
+      t.slots;
+    { Engine.ids = t.len; slots = mask + 1; displacement = !displacement; pair_cache = 0 }
+
+  (* An intern whose {!stats} count towards [Engine.intern_stats]. *)
+  let tracked engine =
+    let t = create () in
+    Engine.register_intern_stats engine (fun () -> stats t);
+    t
 end
 
 (* A weight table over dense interned ids: the struct-of-arrays successor
@@ -416,7 +459,7 @@ end
 module Wtbl = struct
   type 'a t = { intern : 'a Intern.t; it : Itbl.t }
 
-  let create engine = { intern = Intern.create (); it = Itbl.create engine }
+  let create engine = { intern = Intern.tracked engine; it = Itbl.create engine }
   let bump t x dw = Itbl.bump t.it (Intern.intern t.intern x) dw
 
   let to_list t =
@@ -500,7 +543,7 @@ module Scratch = struct
   }
 
   let create ?intern engine =
-    let intern = match intern with Some i -> i | None -> Intern.create () in
+    let intern = match intern with Some i -> i | None -> Intern.tracked engine in
     {
       engine;
       intern;
@@ -708,7 +751,7 @@ let except a b =
 let merge_node fop a b =
   let engine = same_engine a b in
   let out = make engine in
-  let intern = Intern.create () in
+  let intern = Intern.tracked engine in
   let wa = Itbl.create engine and wb = Itbl.create engine in
   let scratch = Scratch.create ~intern engine in
   let handle mine other flip xs ws len =
@@ -752,7 +795,7 @@ type 'r kside = {
 }
 
 let kside_create engine =
-  { ri = Intern.create (); w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
+  { ri = Intern.tracked engine; w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
 
 let grow_int_array arr n fill =
   let cap = Array.length arr in
@@ -930,7 +973,7 @@ let join ~kl ~kr ~reduce a b =
   let engine = same_engine a b in
   let out = make engine in
   let sa = kside_create engine and sb = kside_create engine in
-  let kintern = Intern.create () in
+  let kintern = Intern.tracked engine in
   (* Each key's [norm] is maintained incrementally alongside the member
      array; the audit recomputes it as Σ|w| over the part's records and
      flags drift. *)
@@ -967,6 +1010,8 @@ let join ~kl ~kr ~reduce a b =
   let pv = ref (Array.make 16 0) in
   let pmask = ref 15 in
   let plen = ref 0 in
+  Engine.register_intern_stats engine (fun () ->
+      { Engine.ids = 0; slots = 0; displacement = 0; pair_cache = !plen });
   let pair_hash ra rb = ((ra * 0x9E3779B1) lxor rb) land max_int in
   let pair_rehash () =
     let cap = 2 * (!pmask + 1) in
@@ -1149,7 +1194,7 @@ let group_by ~key ~reduce up =
   let engine = up.engine in
   let out = make engine in
   let side = kside_create engine in
-  let kintern = Intern.create () in
+  let kintern = Intern.tracked engine in
   let scratch = Scratch.create engine in
   let gb = gbatch_create () in
   let emit_part sign kid part =
@@ -1205,7 +1250,7 @@ let distinct ?(bound = 1.0) up =
   if bound <= 0.0 then invalid_arg "Dataflow.distinct: bound must be positive";
   let engine = up.engine in
   let out = make engine in
-  let intern = Intern.create () in
+  let intern = Intern.tracked engine in
   let state = Itbl.create engine in
   let scratch = Scratch.create ~intern engine in
   let cap w = Float.max 0.0 (Float.min bound w) in
@@ -1224,7 +1269,7 @@ let distinct ?(bound = 1.0) up =
 let shave f up =
   let engine = up.engine in
   let out = make engine in
-  let intern = Intern.create () in
+  let intern = Intern.tracked engine in
   let state = Itbl.create engine in
   let scratch = Scratch.create engine in
   subscribe up (fun xs ws len ->
@@ -1265,7 +1310,7 @@ module Sink = struct
     let t =
       {
         engine = e;
-        intern = Intern.create ();
+        intern = Intern.tracked e;
         state = Itbl.create e;
         callbacks_rev = [];
         callbacks = [||];

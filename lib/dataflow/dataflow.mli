@@ -139,6 +139,22 @@ module Engine : sig
   (** Output batches retired entirely through an already-allocated scratch
       buffer (the steady-state, allocation-light path). *)
 
+  (** {2 Interning} *)
+
+  type intern_stats = {
+    ids : int;  (** distinct records interned *)
+    slots : int;  (** open-addressing slot capacity *)
+    displacement : int;
+        (** Σ over interned ids of slots past the home slot; [displacement
+            / ids] is the mean extra probes per lookup (healthy: about 1) *)
+    pair_cache : int;  (** entries in the joins' (left id, right id) pair caches *)
+  }
+
+  val intern_stats : t -> intern_stats
+  (** Sums over every interning map and join pair cache built in this
+      engine; they register at build time, so the propagation path does no
+      counting.  Costs one pass over their slot arrays. *)
+
   (** {2 Speculation}
 
       At most one speculation can be in progress per engine.  All three
@@ -218,7 +234,10 @@ module Intern : sig
   val size : 'a t -> int
 
   val intern : 'a t -> 'a -> int
-  (** Returns the id of [x], assigning the next dense id at first sight. *)
+  (** Returns the id of [x], assigning the next dense id at first sight.
+      Where [x] is placed in the index never depends on the order records
+      arrive in.  Raises [Failure] beyond [2^31 - 1] distinct records
+      (ids are packed into 31 bits). *)
 
   val find : 'a t -> 'a -> int
   (** The id of [x], or [-1] if it was never interned (never assigns). *)

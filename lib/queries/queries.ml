@@ -25,48 +25,44 @@ let bucket_reduce bucket =
           Hashtbl.add bucket_reduce_tbl bucket f;
           f)
 
+(* A memo entry keeps its pipeline as long as its input lives and never
+   keeps the input alive; [alive] lets entries with a dead input be pruned. *)
+type ('k, 'v) memo_entry = { alive : 'k Weak.t; eph : ('k, 'v) Ephemeron.K1.t }
+
 module Make (L : Wpinq_core.Lang.S) = struct
   type edge = int * int
 
   (* Cross-query sharing: every pipeline builder is memoized on the
-     *physical identity* of its input collection (bounded per-builder
-     caches), so [tbd sym] and [jdd sym] over the same [sym] return
-     pipelines built from the same intermediate values — the same
-     [degrees], the same [paths2], the same path-degree join.  Over
-     {!Wpinq_core.Plan} a reused value *is* a shared DAG node, so a
-     multi-measurement fit lowers the common prefixes once; over the
-     direct interpreters reuse was already harmless (Batch diamonds
-     evaluate once; Flow nodes accept many subscribers). *)
-  let cache_limit = 16
-
+     *physical identity* of its input collection, so [tbd sym] and
+     [jdd sym] over the same [sym] return pipelines built from the same
+     intermediate values — the same [degrees], the same [paths2], the same
+     path-degree join.  Over {!Wpinq_core.Plan} a reused value *is* a
+     shared DAG node, so a multi-measurement fit lowers the common
+     prefixes once; over the direct interpreters reuse was already
+     harmless (Batch diamonds evaluate once; Flow nodes accept many
+     subscribers). *)
   let memo1 f =
     let cache = ref [] in
     fun x ->
-      match List.assq_opt x !cache with
+      match List.find_map (fun e -> Ephemeron.K1.query e.eph x) !cache with
       | Some v -> v
       | None ->
           let v = f x in
-          let keep =
-            if List.length !cache >= cache_limit then
-              List.filteri (fun i _ -> i < cache_limit - 1) !cache
-            else !cache
-          in
-          cache := (x, v) :: keep;
+          let alive = Weak.create 1 in
+          Weak.set alive 0 (Some x);
+          let live = List.filter (fun e -> Weak.check e.alive 0) !cache in
+          cache := { alive; eph = Ephemeron.K1.make x v } :: live;
           v
 
   let memo_bucket f =
-    let cache = ref [] in
+    let by_input = memo1 (fun _ -> ref []) in
     fun ~bucket x ->
-      match List.find_opt (fun (b, k, _) -> b = bucket && k == x) !cache with
-      | Some (_, _, v) -> v
+      let cache = by_input x in
+      match List.assoc_opt bucket !cache with
+      | Some v -> v
       | None ->
           let v = f ~bucket x in
-          let keep =
-            if List.length !cache >= cache_limit then
-              List.filteri (fun i _ -> i < cache_limit - 1) !cache
-            else !cache
-          in
-          cache := (bucket, x, v) :: keep;
+          cache := (bucket, v) :: !cache;
           v
 
   let symmetrize = memo1 (fun edges -> L.concat (L.select (fun (a, b) -> (b, a)) edges) edges)

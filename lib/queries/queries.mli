@@ -22,7 +22,14 @@
     (e.g. [tbd sym == tbd sym]), so measurements built from the same
     collection share intermediates — over {!Wpinq_core.Plan} the shared
     values are shared DAG nodes, and a multi-target fit propagates each
-    MCMC delta through the common prefix once per step. *)
+    MCMC delta through the common prefix once per step.
+
+    Memo lifetime: a cached pipeline lives exactly as long as its input
+    and never keeps the input alive.  The caches are keyed by ephemeron,
+    so once the caller drops a collection (e.g. the secret-derived [sym]
+    after a release), it, every pipeline built from it, and anything those
+    reach (datasets, engines) become collectable; dead entries are pruned
+    on the next insert. *)
 
 module Make (L : Wpinq_core.Lang.S) : sig
   type edge = int * int

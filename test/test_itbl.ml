@@ -145,15 +145,15 @@ let test_interleaved_blocks =
       Alcotest.(check (list (pair int (float 0.0)))) "final order" !model (Itbl.to_list tbl);
       true)
 
-let test_intern_model =
-  QCheck2.Test.make ~name:"intern assigns dense first-sight ids" ~count:200
-    QCheck2.Gen.(list_size (int_bound 200) (int_bound 40))
-    (fun values ->
+(* Model: first-sight order of distinct values.  [valid] is a
+   precondition every generated value must meet. *)
+let intern_model ~name ?(valid = fun _ -> true) ~missing gen =
+  QCheck2.Test.make ~name ~count:200 QCheck2.Gen.(list_size (int_bound 200) gen) (fun values ->
       let intern = Intern.create () in
-      (* Model: first-sight order of distinct values. *)
       let seen = ref [] in
       List.iter
         (fun v ->
+          Alcotest.(check bool) "generated value is valid" true (valid v);
           (match List.assoc_opt v !seen with
           | Some id -> Alcotest.(check int) "find hits known value" id (Intern.find intern v)
           | None -> Alcotest.(check int) "find misses new value" (-1) (Intern.find intern v));
@@ -169,10 +169,63 @@ let test_intern_model =
         values;
       Alcotest.(check int) "size = distinct count" (List.length !seen) (Intern.size intern);
       List.iter
-        (fun (v, id) -> Alcotest.(check bool) "value roundtrip" true (Intern.value intern id = v))
+        (fun (v, id) ->
+          Alcotest.(check bool) "value roundtrip" true (Intern.value intern id = v);
+          Alcotest.(check int) "find after every rehash" id (Intern.find intern v))
         !seen;
-      Alcotest.(check int) "find misses" (-1) (Intern.find intern 4096);
+      Alcotest.(check int) "find misses" (-1) (Intern.find intern missing);
       true)
+
+let test_intern_model =
+  intern_model ~name:"intern assigns dense first-sight ids" ~missing:4096
+    QCheck2.Gen.(int_bound 40)
+
+(* Values whose hashes all collide: int lists sharing a 12-element prefix
+   hash alike (the polymorphic hash stops after 10 meaningful words), so
+   every lookup walks slots whose tag matches but whose value differs,
+   and every rehash moves such slots. *)
+let colliding_prefix = List.init 12 (fun i -> 1000 + i)
+
+let test_intern_colliding_model =
+  intern_model ~name:"intern model under full hash collisions"
+    ~valid:(fun v -> Hashtbl.hash v = Hashtbl.hash colliding_prefix)
+    ~missing:(colliding_prefix @ [ 9; 9; 9; 9 ])
+    QCheck2.Gen.(map (fun sfx -> colliding_prefix @ sfx) (list_size (int_bound 3) (int_bound 5)))
+
+(* Probe displacement stays flat however records arrive.  [Input.feed]
+   coalesces a delta through a stdlib [Hashtbl], so a batch reaches the
+   interns sorted by [Hashtbl.hash].  An intern that placed records by
+   that same hash saw every prefix of the batch land in one contiguous
+   run of its slots, packed as densely as the coalescing table, and the
+   run piled into one long cluster until the next doubling spread it out.
+   Under linear probing the total displacement of a finished table does
+   not depend on insertion order, so the pile-up shows only mid-batch: a
+   sink straight on the input interns the batch in feed order, and its
+   change callback samples the engine's intern stats as the batch
+   arrives. *)
+let mean_displacement_bound = 4.0
+
+let mean_displacement engine =
+  let s = Engine.intern_stats engine in
+  float_of_int s.Engine.displacement /. float_of_int (max 1 s.Engine.ids)
+
+let test_feed_displacement () =
+  let engine = Engine.create () in
+  let input = Dataflow.Input.create engine in
+  let sink = Dataflow.Sink.attach (Dataflow.Input.node input) in
+  let seen = ref 0 and worst = ref 0.0 in
+  Dataflow.Sink.on_change_id sink (fun _ _ ~old_weight:_ ~new_weight:_ ->
+      incr seen;
+      if !seen land 1023 = 0 then worst := Float.max !worst (mean_displacement engine));
+  let side = 256 in
+  Dataflow.Input.feed input (List.init (side * side) (fun i -> ((i / side, i mod side), 1.0)));
+  let worst = Float.max !worst (mean_displacement engine) in
+  let s = Engine.intern_stats engine in
+  Alcotest.(check int) "input and sink intern every record" (2 * side * side) s.Engine.ids;
+  Alcotest.(check bool)
+    (Printf.sprintf "worst mean displacement %.2f < %.1f" worst mean_displacement_bound)
+    true
+    (worst < mean_displacement_bound)
 
 let test_negative_id () =
   let engine = Engine.create () in
@@ -190,5 +243,7 @@ let suite =
     QCheck_alcotest.to_alcotest test_abort_residue;
     QCheck_alcotest.to_alcotest test_interleaved_blocks;
     QCheck_alcotest.to_alcotest test_intern_model;
+    QCheck_alcotest.to_alcotest test_intern_colliding_model;
+    Alcotest.test_case "feed keeps probe displacement flat" `Quick test_feed_displacement;
     Alcotest.test_case "negative ids rejected" `Quick test_negative_id;
   ]

@@ -1,6 +1,5 @@
 module Isotonic = Wpinq_postprocess.Isotonic
 module Gridpath = Wpinq_postprocess.Gridpath
-module Pqueue = Wpinq_postprocess.Pqueue
 module Prng = Wpinq_prng.Prng
 open Helpers
 
@@ -72,24 +71,6 @@ let test_pava_weighted () =
   Alcotest.(check bool) "pooled" true (Float.abs (fit.(0) -. fit.(1)) < 1e-9);
   check_close ~tol:1e-6 "weighted mean" 9.9 fit.(0)
 
-(* ---- priority queue ---- *)
-
-let test_pqueue_sorts () =
-  let q = Pqueue.create () in
-  let rng = Prng.create 3 in
-  let items = List.init 500 (fun i -> (Prng.float rng 100.0, i)) in
-  List.iter (fun (p, x) -> Pqueue.push q p x) items;
-  Alcotest.(check int) "size" 500 (Pqueue.size q);
-  let rec drain last acc =
-    match Pqueue.pop q with
-    | None -> acc
-    | Some (p, _) ->
-        Alcotest.(check bool) "non-decreasing pops" true (p >= last);
-        drain p (acc + 1)
-  in
-  Alcotest.(check int) "all popped" 500 (drain neg_infinity 0);
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
-
 (* ---- grid path ---- *)
 
 let exact_inputs degrees =
@@ -122,6 +103,84 @@ let test_gridpath_output_monotone =
          let fit = Gridpath.fit ~v:(Array.of_list vl) ~h:(Array.of_list hl) in
          is_monotone ( >= ) fit))
 
+(* Oracle: every monotone staircase from (0, ymax) to (xmax, 0), its cost
+   summed step by step from the start, as a shortest-path search sums it.
+   Returns the minimum cost, how many paths attain it bit for bit, and the
+   sequence of one of them. *)
+let enumerate_paths ~v ~h =
+  let xmax = Array.length v and ymax = Array.length h in
+  let best = ref infinity and ties = ref 0 and best_seq = ref [||] in
+  let seq = Array.make xmax 0 in
+  let rec go x y cost =
+    if x = xmax && y = 0 then begin
+      if cost < !best then begin
+        best := cost;
+        ties := 1;
+        best_seq := Array.copy seq
+      end
+      else if cost = !best then incr ties
+    end
+    else begin
+      if x < xmax then begin
+        seq.(x) <- y;
+        go (x + 1) y (cost +. Float.abs (v.(x) -. float_of_int y))
+      end;
+      if y > 0 then go x (y - 1) (cost +. Float.abs (h.(y - 1) -. float_of_int x))
+    end
+  in
+  go 0 ymax 0.0;
+  (!best, !ties, !best_seq)
+
+let path_cost ~v ~h seq =
+  (* Replays a fitted sequence as a staircase and sums it in path order. *)
+  let xmax = Array.length v and ymax = Array.length h in
+  let cost = ref 0.0 and y = ref ymax in
+  for x = 0 to xmax do
+    let target = if x < xmax then seq.(x) else 0 in
+    while !y > target do
+      cost := !cost +. Float.abs (h.(!y - 1) -. float_of_int x);
+      decr y
+    done;
+    if x < xmax then cost := !cost +. Float.abs (v.(x) -. float_of_int !y)
+  done;
+  !cost
+
+let gen_grid ~integer =
+  QCheck2.Gen.(
+    let* xmax = int_range 1 7 and* ymax = int_range 1 6 in
+    let value bound =
+      if integer then map float_of_int (int_bound bound) else float_range 0.0 (float_of_int bound)
+    in
+    let* v = array_size (return xmax) (value (ymax + 1)) in
+    let* h = array_size (return ymax) (value (xmax + 1)) in
+    return (v, h))
+
+let print_grid (v, h) =
+  let show a = String.concat "; " (Array.to_list (Array.map string_of_float a)) in
+  Printf.sprintf "v = [|%s|], h = [|%s|]" (show v) (show h)
+
+(* Continuous inputs: a unique optimum, so the DP must return exactly the
+   enumerated sequence, at a bit-equal cost. *)
+let test_gridpath_matches_enumeration =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"gridpath = exhaustive enumeration (continuous)"
+       ~print:print_grid (gen_grid ~integer:false) (fun (v, h) ->
+         let seq, cost = Gridpath.fit_cost ~v ~h in
+         let best, ties, best_seq = enumerate_paths ~v ~h in
+         Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float best)
+         && (ties > 1 || seq = best_seq)))
+
+(* Integer inputs tie often; the cost must still be bit-equal and the
+   returned sequence must be one of the optimal staircases. *)
+let test_gridpath_optimal_on_ties =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"gridpath optimal on integer ties" ~print:print_grid
+       (gen_grid ~integer:true) (fun (v, h) ->
+         let seq, cost = Gridpath.fit_cost ~v ~h in
+         let best, _, _ = enumerate_paths ~v ~h in
+         Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float best)
+         && Int64.equal (Int64.bits_of_float (path_cost ~v ~h seq)) (Int64.bits_of_float best)))
+
 let test_gridpath_denoises () =
   (* With moderate noise on both views, the joint fit lands closer to the
      truth than the raw noisy sequence. *)
@@ -146,8 +205,9 @@ let suite =
     Alcotest.test_case "pava idempotent" `Quick test_pava_idempotent_on_sorted;
     Alcotest.test_case "pava preserves mean" `Quick test_pava_mean_preserved;
     Alcotest.test_case "pava weighted" `Quick test_pava_weighted;
-    Alcotest.test_case "pqueue heap order" `Quick test_pqueue_sorts;
     Alcotest.test_case "gridpath exact recovery" `Quick test_gridpath_recovers_exact;
     test_gridpath_output_monotone;
+    test_gridpath_matches_enumeration;
+    test_gridpath_optimal_on_ties;
     Alcotest.test_case "gridpath denoises" `Quick test_gridpath_denoises;
   ]

@@ -348,8 +348,26 @@ let test_flow_queries_under_swaps () =
     "tbd tracks swaps" expected_tbd
     (Dataflow.Sink.current s_tbd)
 
+(* Pipeline builders memoize on the physical identity of their input but
+   hold it weakly: once a source is dropped, the collector takes it even
+   though every builder below cached pipelines built from it. *)
+let[@inline never] build_and_drop weak =
+  let _, sym = sym_source (clustered_graph 11) in
+  Weak.set weak 0 (Some sym);
+  Alcotest.(check bool) "tbd memoized" true (Qb.tbd sym == Qb.tbd sym);
+  Alcotest.(check bool) "bucketed tbd memoized" true (Qb.tbd ~bucket:2 sym == Qb.tbd ~bucket:2 sym);
+  Alcotest.(check bool) "jdd memoized" true (Qb.jdd sym == Qb.jdd sym);
+  ignore (Sys.opaque_identity (eval (Qb.tbi sym)))
+
+let test_memo_releases_source () =
+  let weak = Weak.create 1 in
+  build_and_drop weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "source collected" false (Weak.check weak 0)
+
 let suite =
   [
+    Alcotest.test_case "memo caches release their inputs" `Quick test_memo_releases_source;
     Alcotest.test_case "privacy costs (use counts)" `Quick test_privacy_costs;
     Alcotest.test_case "degrees" `Quick test_degrees_weights;
     Alcotest.test_case "degree ccdf" `Quick test_degree_ccdf_matches_graph;

@@ -204,8 +204,36 @@ let test_multi_query_checkpoint_resume () =
       let got = W.resume ~path () in
       Test_checkpoint.check_result "multi-query kill/resume" expect got)
 
+(* The interns of a paper-shaped JDD fit sit as close to their home slots
+   as the feed-level bound demands.  A finished table's total displacement
+   does not depend on insertion order, so this guards placement quality on
+   real records (tuples, nested pairs) rather than the arrival-order
+   pile-up, which only the mid-batch feed test can see. *)
+let test_jdd_fit_displacement () =
+  let secret = Gen.epinions_like ~n:1000 ~m:10_000 (Prng.create 0xe91) in
+  let budget = Budget.create ~name:"edges" 1e9 in
+  let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
+  let m_jdd = Batch.noisy_count ~rng:(Prng.create 42) ~epsilon:0.1 (Qb.jdd sym) in
+  let source = Plan.source ~name:"sym" () in
+  let fit =
+    Fit.create_shared ~rng:(Prng.create 5)
+      ~seed_graph:(Rewire.randomize secret (Prng.create 4))
+      ~source
+      ~measured:[ Fit.Measured (Qp.jdd source, m_jdd) ]
+      ()
+  in
+  let s = Dataflow.Engine.intern_stats (Fit.engine fit) in
+  Alcotest.(check bool) "interns registered" true (s.Dataflow.Engine.ids > 20_000);
+  Alcotest.(check bool) "pair caches registered" true (s.Dataflow.Engine.pair_cache > 0);
+  let mean = Test_itbl.mean_displacement (Fit.engine fit) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean displacement %.2f < %.1f" mean Test_itbl.mean_displacement_bound)
+    true
+    (mean < Test_itbl.mean_displacement_bound)
+
 let suite =
   [
+    Alcotest.test_case "jdd fit intern displacement" `Quick test_jdd_fit_displacement;
     Alcotest.test_case "shared = unshared, bit for bit" `Quick test_bit_identity;
     Alcotest.test_case "shared propagates fewer records" `Quick
       test_shared_propagates_less;
