@@ -3,25 +3,28 @@ module Wdata = Wpinq_weighted.Wdata
 
 let clip clamp v = Float.max (-.clamp) (Float.min clamp v)
 
+(* Sums run in sorted-record order: table order is not canonical. *)
+let clipped_sum ~clamp ~f rows =
+  List.fold_left (fun acc (x, w) -> acc +. (w *. clip clamp (f x))) 0.0 rows
+
 let noisy_sum ~rng ~epsilon ~clamp ~f c =
   if clamp <= 0.0 then invalid_arg "Mechanisms.noisy_sum: clamp must be positive";
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
     invalid_arg "Mechanisms.noisy_sum: epsilon must be finite and positive";
   Batch.charge ~label:"noisy_sum" ~epsilon c;
-  let data = Batch.unsafe_value c in
-  let total = Wdata.fold (fun x w acc -> acc +. (w *. clip clamp (f x))) data 0.0 in
-  total +. Prng.laplace rng ~scale:(clamp /. epsilon)
+  let rows = Wdata.to_sorted_list (Batch.unsafe_value c) in
+  clipped_sum ~clamp ~f rows +. Prng.laplace rng ~scale:(clamp /. epsilon)
 
 let noisy_average ~rng ~epsilon ~clamp ~f c =
   if clamp <= 0.0 then invalid_arg "Mechanisms.noisy_average: clamp must be positive";
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
     invalid_arg "Mechanisms.noisy_average: epsilon must be finite and positive";
   Batch.charge ~label:"noisy_average" ~epsilon c;
-  let data = Batch.unsafe_value c in
+  let rows = Wdata.to_sorted_list (Batch.unsafe_value c) in
   let half = epsilon /. 2.0 in
-  let sum = Wdata.fold (fun x w acc -> acc +. (w *. clip clamp (f x))) data 0.0 in
-  let noisy_sum = sum +. Prng.laplace rng ~scale:(clamp /. half) in
-  let noisy_weight = Wdata.total data +. Prng.laplace rng ~scale:(1.0 /. half) in
+  let noisy_sum = clipped_sum ~clamp ~f rows +. Prng.laplace rng ~scale:(clamp /. half) in
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 rows in
+  let noisy_weight = total +. Prng.laplace rng ~scale:(1.0 /. half) in
   noisy_sum /. Float.max 1.0 noisy_weight
 
 let exponential ~rng ~epsilon ~candidates ~score c =

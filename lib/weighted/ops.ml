@@ -1,18 +1,17 @@
 let select f a =
-  Wdata.of_list (Wdata.fold (fun x w acc -> (f x, w) :: acc) a [])
+  Wdata.build (Wdata.support_size a) (fun emit -> Wdata.iter (fun x w -> emit (f x) w) a)
 
 let where p a = Wdata.filter (fun x _ -> p x) a
 
 let select_many f a =
-  let out = ref [] in
-  Wdata.iter
-    (fun x w ->
-      let produced = f x in
-      let n = List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 produced in
-      let scale = w /. Float.max 1.0 n in
-      List.iter (fun (y, wy) -> out := (y, wy *. scale) :: !out) produced)
-    a;
-  Wdata.of_list !out
+  Wdata.build (Wdata.support_size a) (fun emit ->
+      Wdata.iter
+        (fun x w ->
+          let produced = f x in
+          let n = List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 produced in
+          let scale = w /. Float.max 1.0 n in
+          List.iter (fun (y, wy) -> emit y (wy *. scale)) produced)
+        a)
 
 let select_many_list f a = select_many (fun x -> List.map (fun y -> (y, 1.0)) (f x)) a
 
@@ -20,113 +19,94 @@ let select_many_list f a = select_many (fun x -> List.map (fun y -> (y, 1.0)) (f
    weight (record order breaking ties, for determinism), each prefix emitted
    with half the drop in weight at its boundary. *)
 let group_emissions part =
-  let sorted =
-    List.sort (fun (x, wx) (y, wy) -> match compare wy wx with 0 -> compare x y | c -> c) part
+  let rec go prefix = function
+    | [] -> []
+    | (x, w) :: rest ->
+        let prefix = x :: prefix in
+        let w_next = match rest with (_, w') :: _ -> w' | [] -> 0.0 in
+        let emitted = (w -. w_next) /. 2.0 and tail = go prefix rest in
+        if emitted > Wdata.epsilon_weight then (List.rev prefix, emitted) :: tail else tail
   in
-  let arr = Array.of_list sorted in
-  let n = Array.length arr in
-  let out = ref [] in
-  let prefix = ref [] in
-  for i = 0 to n - 1 do
-    let x, w = arr.(i) in
-    prefix := x :: !prefix;
-    let w_next = if i + 1 < n then snd arr.(i + 1) else 0.0 in
-    let emitted = (w -. w_next) /. 2.0 in
-    if emitted > Wdata.epsilon_weight then out := (List.rev !prefix, emitted) :: !out
-  done;
-  List.rev !out
+  go [] (List.sort (fun (x, wx) (y, wy) -> match compare wy wx with 0 -> compare x y | c -> c) part)
+
+(* The records of [d] kept by [keep w], grouped by [key] into parts listed
+   in table order, in one table pre-sized to the support. *)
+let index ~key ~keep d =
+  let parts = Hashtbl.create (max 8 (Wdata.support_size d)) in
+  Wdata.iter
+    (fun x w ->
+      if keep w then
+        let k = key x in
+        match Hashtbl.find_opt parts k with
+        | Some part -> part := (x, w) :: !part
+        | None -> Hashtbl.add parts k (ref [ (x, w) ]))
+    d;
+  parts
 
 let group_by ~key ~reduce a =
-  let parts : ('k, ('a * float) list) Hashtbl.t = Hashtbl.create 16 in
-  Wdata.iter
-    (fun x w ->
-      if w > 0.0 then
-        let k = key x in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt parts k) in
-        Hashtbl.replace parts k ((x, w) :: cur))
-    a;
-  let out = ref [] in
-  Hashtbl.iter
-    (fun k part ->
-      List.iter (fun (members, w) -> out := ((k, reduce members), w) :: !out) (group_emissions part))
-    parts;
-  Wdata.of_list !out
+  let parts = index ~key ~keep:(fun w -> w > 0.0) a in
+  Wdata.build (Hashtbl.length parts) (fun emit ->
+      Hashtbl.iter
+        (fun k part ->
+          List.iter (fun (members, w) -> emit (k, reduce members) w) (group_emissions !part))
+        parts)
 
-let merge_with f a b =
-  let out = ref [] in
-  Wdata.iter (fun x wa -> out := (x, f wa (Wdata.weight b x)) :: !out) a;
-  Wdata.iter (fun x wb -> if not (Wdata.mem a x) then out := (x, f 0.0 wb) :: !out) b;
-  Wdata.of_list !out
-
-let union a b = merge_with Float.max a b
-let intersect a b = merge_with Float.min a b
-let concat a b = merge_with ( +. ) a b
-let except a b = merge_with ( -. ) a b
+let union a b = Wdata.merge Float.max a b
+let intersect a b = Wdata.merge Float.min a b
+let concat a b = Wdata.merge ( +. ) a b
+let except a b = Wdata.merge ( -. ) a b
 
 let join ~kl ~kr ~reduce a b =
-  (* Per-key norms are summed over the canonically-sorted part, not in
-     table-iteration order: like [Wdata.of_list]'s sort, this makes the
-     denominator (and so every emitted weight) a function of the part's
-     multiset, so structurally different but equivalent plans agree bit
-     for bit. *)
-  let index key d =
-    let parts = Hashtbl.create 16 in
-    Wdata.iter
-      (fun x w ->
-        let k = key x in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt parts k) in
-        Hashtbl.replace parts k ((x, w) :: cur))
-      d;
-    let normed = Hashtbl.create (Hashtbl.length parts) in
-    Hashtbl.iter
-      (fun k part ->
-        let part = List.sort compare part in
-        let n = List.fold_left (fun acc (_, w) -> acc +. Float.abs w) 0.0 part in
-        Hashtbl.replace normed k (n, part))
-      parts;
-    normed
+  (* A part is sorted, and its norm summed, once its key matches (which
+     happens at most once).  Summing over the sorted part, not in table
+     order, makes the denominator, and so every emitted weight, a function
+     of the part's multiset: equivalent plans agree bit for bit. *)
+  let all _ = true in
+  let pa = index ~key:kl ~keep:all a and pb = index ~key:kr ~keep:all b in
+  let canonical part =
+    let part = List.sort compare !part in
+    (List.fold_left (fun acc (_, w) -> acc +. Float.abs w) 0.0 part, part)
   in
-  let pa = index kl a and pb = index kr b in
-  let out = ref [] in
+  let matched = ref [] and size = ref 0 in
   Hashtbl.iter
-    (fun k (na, xs) ->
-      match Hashtbl.find_opt pb k with
-      | None -> ()
-      | Some (nb, ys) ->
-          let denom = na +. nb in
-          if denom > Wdata.epsilon_weight then
-            List.iter
-              (fun (x, wx) ->
-                List.iter (fun (y, wy) -> out := (reduce x y, wx *. wy /. denom) :: !out) ys)
-              xs)
+    (fun k xs ->
+      Option.iter
+        (fun ys ->
+          let (na, xs), (nb, ys) = (canonical xs, canonical ys) in
+          if na +. nb > Wdata.epsilon_weight then begin
+            matched := (na +. nb, xs, ys) :: !matched;
+            size := !size + (List.length xs * List.length ys)
+          end)
+        (Hashtbl.find_opt pb k))
     pa;
-  Wdata.of_list !out
+  Wdata.build !size (fun emit ->
+      List.iter
+        (fun (denom, xs, ys) ->
+          List.iter
+            (fun (x, wx) -> List.iter (fun (y, wy) -> emit (reduce x y) (wx *. wy /. denom)) ys)
+            xs)
+        !matched)
 
-(* Emissions of Shave for a single record of weight [w]: indexed slabs drawn
-   from [seq], clipped to the remaining weight.  Stops on exhaustion of
-   either the sequence, the weight, or at a non-positive slab. *)
-let shave_emissions seq w =
+(* Shave's emissions for a single record of weight [w], folded with [f]:
+   indexed slabs drawn from [seq], clipped to the remaining weight.  Stops on
+   exhaustion of either the sequence, the weight, or at a non-positive slab. *)
+let shave_fold f seq w acc =
   let rec go i remaining seq acc =
-    if remaining <= Wdata.epsilon_weight then List.rev acc
-    else
-      match Seq.uncons seq with
-      | None -> List.rev acc
-      | Some (slab, rest) ->
-          if slab <= 0.0 then List.rev acc
-          else
-            let emitted = Float.min slab remaining in
-            go (i + 1) (remaining -. emitted) rest ((i, emitted) :: acc)
+    match Seq.uncons seq with
+    | Some (slab, rest) when remaining > Wdata.epsilon_weight && slab > 0.0 ->
+        let emitted = Float.min slab remaining in
+        go (i + 1) (remaining -. emitted) rest (f i emitted acc)
+    | _ -> acc
   in
-  go 0 w seq []
+  go 0 w seq acc
+
+let shave_emissions seq w = List.rev (shave_fold (fun i wi acc -> (i, wi) :: acc) seq w [])
 
 let shave f a =
-  let out = ref [] in
-  Wdata.iter
-    (fun x w ->
-      if w > 0.0 then
-        List.iter (fun (i, wi) -> out := ((x, i), wi) :: !out) (shave_emissions (f x) w))
-    a;
-  Wdata.of_list !out
+  Wdata.build (Wdata.support_size a) (fun emit ->
+      Wdata.iter
+        (fun x w -> if w > 0.0 then shave_fold (fun i wi () -> emit (x, i) wi) (f x) w ())
+        a)
 
 let distinct ?(bound = 1.0) a =
   if bound <= 0.0 then invalid_arg "Ops.distinct: bound must be positive";

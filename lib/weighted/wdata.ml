@@ -1,7 +1,6 @@
 type 'a t = ('a, float) Hashtbl.t
-(* Internally a hashtable, but never mutated after construction: every
-   operation copies.  All construction goes through [normalize]-style
-   filtering so the support never contains ~zero weights. *)
+(* A hashtable, never mutated after construction (every operation copies);
+   constructors drop ~zero weights, so the support never holds them. *)
 
 let epsilon_weight = 1e-12
 
@@ -9,39 +8,51 @@ let is_zero w = Float.abs w < epsilon_weight
 
 let empty () = Hashtbl.create 1
 
-let singleton x w =
-  let h = Hashtbl.create 4 in
-  if not (is_zero w) then Hashtbl.replace h x w;
-  h
+(* Canonical accumulation: float addition is not associative, so each
+   record's emissions are summed in ascending weight order (a partial sum
+   at ~zero restarting from the next weight), making its weight a function
+   of their *multiset*, and plan rewrites keep released bits.  Only records
+   emitted more than once sort: the first weight waits in [first], all of
+   them in [more]. *)
+let build size produce =
+  let first = Hashtbl.create (max 8 size) and more = Hashtbl.create 8 in
+  produce (fun x w ->
+      match Hashtbl.find_opt first x with
+      | None -> Hashtbl.add first x w
+      | Some w0 -> (
+          match Hashtbl.find_opt more x with
+          | Some ws -> ws := w :: !ws
+          | None -> Hashtbl.add more x (ref [ w; w0 ])));
+  let sum s w = if is_zero (s +. w) then 0.0 else s +. w in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> Float.compare a b <= 0 && ascending rest
+    | _ -> true
+  in
+  let sum_sorted ws =
+    if ascending ws then List.fold_left sum 0.0 ws
+    else
+      let a = Array.of_list ws in
+      Array.stable_sort Float.compare a;
+      Array.fold_left sum 0.0 a
+  in
+  Hashtbl.iter (fun x ws -> Hashtbl.replace first x (sum_sorted !ws)) more;
+  Hashtbl.filter_map_inplace (fun _ w -> if is_zero w then None else Some w) first;
+  first
 
-let bump h x w =
-  match Hashtbl.find_opt h x with
-  | None -> if not (is_zero w) then Hashtbl.replace h x w
-  | Some w0 ->
-      let w' = w0 +. w in
-      if is_zero w' then Hashtbl.remove h x else Hashtbl.replace h x w'
+let of_list assoc = build (List.length assoc) (fun emit -> List.iter (fun (x, w) -> emit x w) assoc)
+let of_records xs = build (List.length xs) (fun emit -> List.iter (fun x -> emit x 1.0) xs)
+let singleton x w = of_list [ (x, w) ]
 
-(* Canonical construction: the emission list is sorted (by record, then
-   weight bits) before accumulation, so the resulting record -> weight
-   mapping is a function of the *multiset* of emissions alone — not of
-   the order an operator happened to produce them in.  Float addition is
-   commutative but not associative, so without the sort two pipelines
-   computing the same multiset in different orders would disagree in the
-   last ulps; with it, any semantics-preserving plan rewrite yields
-   bit-identical weights, which is what lets the optimizer promise
-   bit-identical released measurements. *)
-let of_list assoc =
-  let assoc = List.sort compare assoc in
-  let h = Hashtbl.create (max 8 (List.length assoc)) in
-  List.iter (fun (x, w) -> bump h x w) assoc;
-  h
+let update a delta =
+  build (Hashtbl.length a) (fun emit ->
+      Hashtbl.iter emit a;
+      List.iter (fun (x, w) -> emit x w) delta)
 
-let of_records xs = of_list (List.map (fun x -> (x, 1.0)) xs)
+let add a x w = update a [ (x, w) ]
 
 let to_list h = Hashtbl.fold (fun x w acc -> (x, w) :: acc) h []
 
-let to_sorted_list h =
-  List.sort (fun (x, _) (y, _) -> compare x y) (to_list h)
+let to_sorted_list h = List.sort (fun (x, _) (y, _) -> compare x y) (to_list h)
 
 let weight h x = match Hashtbl.find_opt h x with Some w -> w | None -> 0.0
 let mem h x = Hashtbl.mem h x
@@ -53,31 +64,31 @@ let dist a b =
   let d = Hashtbl.fold (fun x wa acc -> acc +. Float.abs (wa -. weight b x)) a 0.0 in
   Hashtbl.fold (fun x wb acc -> if Hashtbl.mem a x then acc else acc +. Float.abs wb) b d
 
-let copy = Hashtbl.copy
-
-let add a x w =
-  let h = copy a in
-  bump h x w;
-  h
-
-let update a delta =
-  let h = copy a in
-  List.iter (fun (x, w) -> bump h x w) delta;
-  h
-
-let scale c a =
-  let h = Hashtbl.create (max 8 (Hashtbl.length a)) in
-  Hashtbl.iter (fun x w -> let w' = c *. w in if not (is_zero w') then Hashtbl.replace h x w') a;
-  h
-
+(* One value per record: copy the table (hashing nothing) and rewrite it. *)
 let map_weights f a =
-  let h = Hashtbl.create (max 8 (Hashtbl.length a)) in
-  Hashtbl.iter (fun x w -> let w' = f x w in if not (is_zero w') then Hashtbl.replace h x w') a;
+  let h = Hashtbl.copy a in
+  Hashtbl.filter_map_inplace
+    (fun x w ->
+      let w' = f x w in
+      if is_zero w' then None else Some w')
+    h;
   h
+
+let scale c a = map_weights (fun _ w -> c *. w) a
 
 let filter p a =
   let h = Hashtbl.create (max 8 (Hashtbl.length a)) in
-  Hashtbl.iter (fun x w -> if p x w then Hashtbl.replace h x w) a;
+  Hashtbl.iter (fun x w -> if p x w then Hashtbl.add h x w) a;
+  h
+
+let merge f a b =
+  let h = map_weights (fun x wa -> f wa (weight b x)) a in
+  Hashtbl.iter
+    (fun x wb ->
+      if not (Hashtbl.mem a x) then
+        let w = f 0.0 wb in
+        if not (is_zero w) then Hashtbl.add h x w)
+    b;
   h
 
 let fold f a init = Hashtbl.fold f a init
@@ -86,11 +97,6 @@ let iter f a = Hashtbl.iter f a
 let equal ?(tol = 1e-9) a b = dist a b <= tol
 
 let pp pp_record fmt a =
-  let items = to_sorted_list a in
-  Format.fprintf fmt "@[<hov 1>{";
-  List.iteri
-    (fun i (x, w) ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      Format.fprintf fmt "(%a, %g)" pp_record x w)
-    items;
-  Format.fprintf fmt "}@]"
+  let item fmt (x, w) = Format.fprintf fmt "(%a, %g)" pp_record x w in
+  let sep fmt () = Format.fprintf fmt ";@ " in
+  Format.fprintf fmt "@[<hov 1>{%a}@]" (Format.pp_print_list ~pp_sep:sep item) (to_sorted_list a)

@@ -28,14 +28,22 @@ val singleton : 'a -> float -> 'a t
 
 val of_list : ('a * float) list -> 'a t
 (** [of_list assoc] accumulates the weights of duplicate records, as wPINQ
-    does implicitly everywhere: [(x, 1.); (x, 0.5)] yields [x ↦ 1.5]. *)
+    does implicitly everywhere: [(x, 1.); (x, 0.5)] yields [x ↦ 1.5].  A
+    record's weights are summed in ascending order, a partial sum below
+    {!epsilon_weight} dropping to zero, so its weight is a function of the
+    multiset of its emissions, bit for bit. *)
 
 val of_records : 'a list -> 'a t
 (** [of_records xs] gives each listed occurrence weight [1.0] (so duplicates
     accumulate), matching the encoding of an input multiset. *)
 
+val build : int -> (('a -> float -> unit) -> unit) -> 'a t
+(** [build size produce] accumulates, as {!of_list} does, every [emit x w]
+    that [produce emit] makes; [size] hints at the support size. *)
+
 val to_list : 'a t -> ('a * float) list
-(** The support with its weights, in unspecified order. *)
+(** The support with its weights, in unspecified order (as for {!fold} and
+    {!iter}): it is not canonical, so no released value may depend on it. *)
 
 val to_sorted_list : 'a t -> ('a * float) list
 (** Like {!to_list} but sorted by record (polymorphic compare), for stable
@@ -72,6 +80,9 @@ val scale : float -> 'a t -> 'a t
 
 val map_weights : ('a -> float -> float) -> 'a t -> 'a t
 (** [map_weights f a] replaces each weight [w] of record [x] by [f x w]. *)
+
+val merge : (float -> float -> float) -> 'a t -> 'a t -> 'a t
+(** [merge f a b] maps each record [x] of either support to [f (A x) (B x)]. *)
 
 val filter : ('a -> float -> bool) -> 'a t -> 'a t
 (** Keeps the records (with their weights) satisfying the predicate. *)

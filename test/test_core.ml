@@ -295,6 +295,31 @@ let test_noisy_average () =
   check_close ~tol:1e-3 "average" 2.5 v;
   check_close "full epsilon charged" 1e6 (Budget.spent b)
 
+let test_mechanisms_ignore_row_order () =
+  (* Weights spanning sixty binades, with repeated records, so that any
+     regrouping of the weighted sum or the total moves low bits: the released
+     values must be a function of the source multiset, not its row order. *)
+  let rng = Prng.create 31 in
+  let rows =
+    Array.init 600 (fun _ ->
+        (Prng.int rng 400, Float.ldexp (0.5 +. Prng.uniform rng) (Prng.int rng 60 - 30)))
+  in
+  let release rows =
+    let b = Budget.create ~name:"d" 1e9 in
+    let c = Batch.source ~budget:b (Array.to_list rows) in
+    let f x = float_of_int (x mod 13) -. 6.5 in
+    let s = Wpinq_core.Mechanisms.noisy_sum ~rng:(Prng.create 32) ~epsilon:1.0 ~clamp:6.0 ~f c in
+    let a =
+      Wpinq_core.Mechanisms.noisy_average ~rng:(Prng.create 33) ~epsilon:1.0 ~clamp:6.0 ~f c
+    in
+    (Int64.bits_of_float s, Int64.bits_of_float a)
+  in
+  let expected = release rows in
+  for _ = 1 to 5 do
+    Prng.shuffle rng rows;
+    Alcotest.(check (pair int64 int64)) "permuted rows" expected (release rows)
+  done
+
 let test_exponential_mechanism () =
   let b = Budget.create ~name:"d" 1e9 in
   let c = Batch.source ~budget:b [ ("x", 5.0); ("y", 1.0) ] in
@@ -486,6 +511,7 @@ let suite =
     Alcotest.test_case "noisy_sum" `Quick test_noisy_sum;
     Alcotest.test_case "noisy_sum noise scale" `Quick test_noisy_sum_noise_scale;
     Alcotest.test_case "noisy_average" `Quick test_noisy_average;
+    Alcotest.test_case "mechanisms ignore row order" `Quick test_mechanisms_ignore_row_order;
     Alcotest.test_case "exponential mechanism" `Quick test_exponential_mechanism;
     Alcotest.test_case "mechanisms respect budget" `Quick test_mechanisms_respect_budget;
     Alcotest.test_case "target distance" `Quick test_target_distance;

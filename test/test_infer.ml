@@ -293,6 +293,61 @@ let test_synthesize_end_to_end () =
   check_close "seed-only epsilon" 1.5 r1.Workflow.total_epsilon;
   Alcotest.(check int) "no steps" 0 r1.Workflow.stats.Mcmc.steps
 
+(* ---- Released measurement bits ---- *)
+
+(* MD5 of a measurement's released support as (record, weight bits) pairs.
+   Supports are in sorted-record order, so the digest pins both the released
+   values and the order their noise was drawn in. *)
+let support_digest m =
+  Measurement.support m
+  |> List.map (fun (x, v) -> (x, Int64.bits_of_float v))
+  |> (fun l -> Marshal.to_string l [ Marshal.No_sharing ])
+  |> Digest.string |> Digest.to_hex
+
+(* Every Phase-0 release over a small fixed graph: the three seed
+   measurements, then the five query measurements in target order. *)
+let released_digests edges =
+  let budget = Budget.create ~name:"g" 1e12 in
+  let sym = Batch.source_records ~budget edges in
+  let rng = Prng.create 2024 in
+  let ms = Workflow.measure_seed ~rng ~epsilon:0.5 ~sym in
+  let qms =
+    Workflow.measure_queries ~rng ~epsilon:0.5 ~sym
+      Workflow.[ Tbd 1; Tbd 20; Tbi; Sbi; Jdd ]
+  in
+  let _, measured = Workflow.shared_measured qms in
+  [ support_digest ms.deg_seq; support_digest ms.ccdf; support_digest ms.node_count ]
+  @ List.map (fun (Fit.Measured (_, m)) -> support_digest m) measured
+
+let pinned_edges () =
+  Graph.directed_edges (Wpinq_data.Datasets.load ~scale:0.1 Wpinq_data.Datasets.grqc)
+
+(* Pinned across implementations of the batch operators: a change to how
+   [Wdata]/[Ops] accumulate must not move a single released bit. *)
+let pinned_release_digests =
+  [
+    "9f91c2d7e6604ed3093b35146625a8f2";
+    "5dd28cc62d4ca27c7ed7270ef57ae487";
+    "eeb9bb5eb337f93551575a2aacf47603";
+    "60daf79469ddb1ec14643bc01a0fd06f";
+    "9cd21a0da92ec04738354ef0bbac6240";
+    "d271b9f76552401ff67222be4452669f";
+    "ad1b5a0d89380e0e6ef62699ce38434a";
+    "3be4aae4a671d9aeb13520f28c42e303";
+  ]
+
+let test_release_bits_pinned () =
+  Alcotest.(check (list string))
+    "released supports" pinned_release_digests
+    (released_digests (pinned_edges ()))
+
+let test_release_bits_row_order () =
+  let edges = Array.of_list (pinned_edges ()) in
+  Prng.shuffle (Prng.create 77) edges;
+  Alcotest.(check (list string))
+    "permuted edge list" pinned_release_digests
+    (released_digests (Array.to_list edges))
+
 let suite =
   [
     Alcotest.test_case "mcmc greedy descends" `Quick test_mcmc_greedy_descends;
@@ -312,5 +367,7 @@ let suite =
     Alcotest.test_case "seed graph realizes degrees" `Quick test_seed_graph_degrees;
     Alcotest.test_case "jdd fit recovers assortativity" `Slow test_jdd_fit_recovers_assortativity;
     Alcotest.test_case "jdd/sbi costs" `Quick test_workflow_jdd_and_sbi_costs;
+    Alcotest.test_case "released bits pinned" `Quick test_release_bits_pinned;
+    Alcotest.test_case "released bits ignore row order" `Quick test_release_bits_row_order;
     Alcotest.test_case "synthesize end-to-end" `Slow test_synthesize_end_to_end;
   ]

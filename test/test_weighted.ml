@@ -219,6 +219,159 @@ let stability_suite =
       (Ops.join ~kl:(fun x -> x mod 2) ~kr:(fun y -> y mod 2) ~reduce:(fun x y -> (x, y)));
   ]
 
+(* ---- Differential: the accumulator against the sort-then-add oracle ---- *)
+
+(* The reference accumulation: sort the emissions by (record, weight), then
+   add them in that order, a sum that falls below [epsilon_weight] removing
+   its record until the next weight.  Returns the support sorted by record,
+   with weight bits. *)
+let oracle emissions =
+  let h = Hashtbl.create 8 in
+  List.iter
+    (fun (x, w) ->
+      match Hashtbl.find_opt h x with
+      | None -> if Float.abs w >= Wdata.epsilon_weight then Hashtbl.replace h x w
+      | Some w0 ->
+          let w' = w0 +. w in
+          if Float.abs w' < Wdata.epsilon_weight then Hashtbl.remove h x
+          else Hashtbl.replace h x w')
+    (List.sort compare emissions);
+  List.sort compare (Hashtbl.fold (fun x w acc -> (x, Int64.bits_of_float w) :: acc) h [])
+
+let bits d = List.map (fun (x, w) -> (x, Int64.bits_of_float w)) (Wdata.to_sorted_list d)
+
+(* Weights that stress the summation order: both sides of ±epsilon_weight,
+   signed zeros, and mixed magnitudes whose partial sums cancel mid-fold
+   (0.1 + 0.2 − 0.3, 1e16 + 1 − 1e16). *)
+let weight_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        float_range (-3.0) 3.0;
+        oneofl
+          [
+            0.0; -0.0; 1e-12; -1e-12; 5e-13; -5e-13; 1.5e-12; -1.5e-12; 0.1; 0.2; -0.3; 1.0;
+            -1.0; 1e16; -1e16; 3.0;
+          ];
+      ])
+
+(* Emission lists with heavy duplication: up to 40 emissions over
+   [records] records. *)
+let emissions_arb records =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map (fun (x, w) -> Printf.sprintf "(%d, %h)" x w) l))
+    QCheck.Gen.(list_size (int_range 0 40) (pair (int_range 0 (records - 1)) weight_gen))
+
+let test_of_list_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"of_list = sort-then-add oracle, bit for bit"
+       (emissions_arb 6) (fun l -> bits (Wdata.of_list l) = oracle l))
+
+(* Reference emissions of each operator, as the operator emitted them into
+   the sort-based accumulator; [oracle] of these is the reference output. *)
+let ref_select f a = Wdata.fold (fun x w acc -> (f x, w) :: acc) a []
+
+let ref_select_many f a =
+  Wdata.fold
+    (fun x w acc ->
+      let produced = f x in
+      let n = List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 produced in
+      let scale = w /. Float.max 1.0 n in
+      List.fold_left (fun acc (y, wy) -> (y, wy *. scale) :: acc) acc produced)
+    a []
+
+let ref_group_by ~key ~reduce a =
+  let parts = Hashtbl.create 16 in
+  Wdata.iter
+    (fun x w ->
+      if w > 0.0 then
+        Hashtbl.replace parts (key x)
+          ((x, w) :: Option.value ~default:[] (Hashtbl.find_opt parts (key x))))
+    a;
+  Hashtbl.fold
+    (fun k part acc ->
+      List.fold_left
+        (fun acc (members, w) -> ((k, reduce members), w) :: acc)
+        acc (Ops.group_emissions part))
+    parts []
+
+let ref_merge f a b =
+  Wdata.fold (fun x wa acc -> (x, f wa (Wdata.weight b x)) :: acc) a []
+  @ Wdata.fold (fun x wb acc -> if Wdata.mem a x then acc else (x, f 0.0 wb) :: acc) b []
+
+let ref_join ~kl ~kr ~reduce a b =
+  let index key d =
+    let parts = Hashtbl.create 16 in
+    Wdata.iter
+      (fun x w ->
+        Hashtbl.replace parts (key x)
+          ((x, w) :: Option.value ~default:[] (Hashtbl.find_opt parts (key x))))
+      d;
+    Hashtbl.fold
+      (fun k part acc ->
+        let part = List.sort compare part in
+        (k, (List.fold_left (fun acc (_, w) -> acc +. Float.abs w) 0.0 part, part)) :: acc)
+      parts []
+  in
+  let pb = index kr b in
+  List.concat_map
+    (fun (k, (na, xs)) ->
+      match List.assoc_opt k pb with
+      | None -> []
+      | Some (nb, ys) ->
+          let denom = na +. nb in
+          if denom > Wdata.epsilon_weight then
+            List.concat_map
+              (fun (x, wx) -> List.map (fun (y, wy) -> (reduce x y, wx *. wy /. denom)) ys)
+              xs
+          else [])
+    (index kl a)
+
+let ref_shave f a =
+  Wdata.fold
+    (fun x w acc ->
+      if w > 0.0 then List.map (fun (i, wi) -> ((x, i), wi)) (Ops.shave_emissions (f x) w) @ acc
+      else acc)
+    a []
+
+(* Inputs span 16 records, and the operators below fold them onto fewer, so
+   output records collect enough emissions for the summation order to show. *)
+let differential name op reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:("differential: " ^ name)
+       (QCheck.pair (emissions_arb 16) (emissions_arb 16)) (fun (la, lb) ->
+         let a = Wdata.of_list la and b = Wdata.of_list lb in
+         bits (op a b) = oracle (reference a b)))
+
+let produce x = [ (x mod 2, 0.1 *. float_of_int x); (x mod 3, -0.3); (x mod 2, 1e-12) ]
+let slabs x = List.to_seq [ 0.5; 1e-12 *. float_of_int x; 2.0 ]
+let sum_mod3 l = List.fold_left ( + ) 0 l mod 3
+
+let differential_suite =
+  [
+    differential "select" (fun a _ -> Ops.select (fun x -> x mod 3) a) (fun a _ ->
+        ref_select (fun x -> x mod 3) a);
+    differential "where"
+      (fun a _ -> Ops.where (fun x -> x mod 2 = 0) a)
+      (fun a _ -> List.filter (fun (x, _) -> x mod 2 = 0) (Wdata.to_list a));
+    differential "select_many" (fun a _ -> Ops.select_many produce a) (fun a _ ->
+        ref_select_many produce a);
+    differential "group_by"
+      (fun a _ -> Ops.group_by ~key:(fun x -> x mod 2) ~reduce:sum_mod3 a)
+      (fun a _ -> ref_group_by ~key:(fun x -> x mod 2) ~reduce:sum_mod3 a);
+    differential "union" Ops.union (ref_merge Float.max);
+    differential "intersect" Ops.intersect (ref_merge Float.min);
+    differential "concat" Ops.concat (ref_merge ( +. ));
+    differential "except" Ops.except (ref_merge ( -. ));
+    differential "join"
+      (Ops.join ~kl:(fun x -> x mod 2) ~kr:(fun y -> y mod 3) ~reduce:(fun x y -> (x + y) mod 4))
+      (ref_join ~kl:(fun x -> x mod 2) ~kr:(fun y -> y mod 3) ~reduce:(fun x y -> (x + y) mod 4));
+    differential "shave" (fun a _ -> Ops.shave slabs a) (fun a _ -> ref_shave slabs a);
+    differential "distinct"
+      (fun a _ -> Ops.distinct ~bound:0.7 a)
+      (fun a _ -> List.map (fun (x, w) -> (x, Float.max 0.0 (Float.min 0.7 w))) (Wdata.to_list a));
+  ]
+
 let suite =
   [
     Alcotest.test_case "wdata basics" `Quick test_basics;
@@ -243,3 +396,4 @@ let suite =
     Alcotest.test_case "distinct" `Quick test_distinct;
   ]
   @ stability_suite
+  @ (test_of_list_matches_oracle :: differential_suite)
