@@ -89,12 +89,6 @@ let synthesize_cmd =
              ~doc:"Checkpoint generations to retain in $(b,--checkpoint-dir) (fallback \
                    depth when the newest is corrupted).")
   in
-  let refresh_every =
-    Arg.(value & opt int 100_000
-         & info [ "refresh-every" ] ~docv:"N"
-             ~doc:"Steps between full recomputations of the incrementally maintained \
-                   target distances (drift control; persisted in checkpoints).")
-  in
   let audit_every =
     Arg.(value & opt int 0
          & info [ "audit-every" ] ~docv:"N"
@@ -144,7 +138,7 @@ let synthesize_cmd =
                    falling back past them.")
   in
   let run cfg input dataset query also_query bucket output checkpoint_dir checkpoint_every
-      keep_checkpoints refresh_every audit_every jobs lookahead deadline resume resume_latest
+      keep_checkpoints audit_every jobs lookahead deadline resume resume_latest
       =
     let module Graph = Wpinq_graph.Graph in
     let module Io = Wpinq_graph.Io in
@@ -231,7 +225,7 @@ let synthesize_cmd =
             | None -> None
             | Some _ -> Some { W.every = checkpoint_every; sink = W.Store (store ()) }
           in
-          W.synthesize ~pow:cfg.E.pow ~steps:cfg.E.steps ~refresh_every ~audit_every ~jobs
+          W.synthesize ~pow:cfg.E.pow ~steps:cfg.E.steps ~audit_every ~jobs
             ?width
             ?checkpoint ~stop ?deadline ~rng:(Wpinq_prng.Prng.create cfg.E.seed)
             ~epsilon:cfg.E.epsilon ~query ~queries ~secret ()
@@ -266,7 +260,7 @@ let synthesize_cmd =
        ~doc:"Run the full measure-and-synthesize workflow on an edge-list file.")
     Term.(
       const run $ config_term $ input $ dataset $ query $ also_query $ bucket $ output $ checkpoint_dir
-      $ checkpoint_every $ keep_checkpoints $ refresh_every $ audit_every $ jobs
+      $ checkpoint_every $ keep_checkpoints $ audit_every $ jobs
       $ lookahead $ deadline
       $ resume $ resume_latest)
 

@@ -65,20 +65,24 @@ module Plans = struct
 end
 
 module Target = struct
+  module Grid = Dataflow.Grid
+  module Wide = Grid.Wide
+
   (* The distance is maintained over a growing "tracked" set: the records
      the measurement materialized at measurement time (its support), plus
-     any record that has ever appeared in the synthetic output.  Any other
+     any record that has appeared in the synthetic output.  Any other
      record entering the tracked set shifts the distance by the constant
      [-|m x|] relative to the mathematical ‖Q(A) − m‖₁ over that record;
      constants cancel in energy differences, which is all MCMC consumes.
-     [recompute] re-derives the same convention from scratch.
 
-     The baseline is the support alone — never the records some walk has
-     drawn lazily since — and it is seeded in the support's canonical
-     order.  So every target over one measurement follows the same
-     convention however late it is built (a replica, a checkpoint rebase,
-     an audit's batch replica): two targets whose sinks agree read the same
-     distance, up to rounding from their different update histories. *)
+     Each record's term [|w − m x|] is rounded to the grid and the terms
+     are summed exactly, so a record back at weight zero adds exactly
+     nothing and the distance is a pure function of the sink's contents
+     and the measurement's memoized values — whatever the walk, the
+     aborts, or the order records arrived in.  The baseline is the support
+     alone, so every target over one measurement agrees bit for bit
+     however late it is built (a resume, a compaction rebuild, an audit's
+     batch replica). *)
   type t = {
     epsilon : float;
     distance : unit -> float;
@@ -89,13 +93,11 @@ module Target = struct
   let create (type a) (q : a collection) (m : a Measurement.t) =
     let sink = Dataflow.Sink.attach q in
     let engine = Dataflow.Sink.engine sink in
-    (* Tracked state is indexed by the sink's interned record ids —
-       struct-of-arrays instead of a record-keyed hashtable: [obs] holds
-       the drawn observation, [status] distinguishes untracked (0),
+    (* Tracked state is indexed by the sink's interned record ids: [obs]
+       holds the drawn observation, [status] distinguishes untracked (0),
        baseline (1: observed at measurement time, whose |0 - m x| is part
-       of the initial distance) and lazily-drawn (2) records.  Intern ids
-       are monotone and never recycled, so direct indexing needs no
-       hashing and leaves no abort residue to iterate over. *)
+       of the initial distance), lazily-drawn (2) and first seen in the
+       delivery being retired (3) records. *)
     let obs = ref [||] in
     let status = ref Bytes.empty in
     let ensure id =
@@ -109,96 +111,96 @@ module Target = struct
         status := s
       end
     in
-    (* [from_scratch] must not iterate the sink's state directly: its
-       entry order keeps residue from aborted speculations, which would
-       make the recomputed distance's rounding order depend on abort
-       history.  The dense [order] array records
-       committed first-seen order of ids instead; the speculative undo
-       pops it exactly. *)
-    let order = ref ([||] : int array) in
-    let tracked_n = ref 0 in
-    let note id =
-      let n = !tracked_n in
-      let cap = Array.length !order in
-      if n = cap then begin
-        let arr = Array.make (if cap = 0 then 64 else 2 * cap) 0 in
-        Array.blit !order 0 arr 0 n;
-        order := arr
-      end;
-      !order.(n) <- id;
-      tracked_n := n + 1
-    in
-    let distance = ref 0.0 in
+    let term w v = Grid.of_float (Float.abs (Grid.to_float w -. v)) in
+    let distance = Wide.create () in
     List.iter
       (fun (x, v) ->
         let id = Dataflow.Sink.intern_id sink x in
         ensure id;
         !obs.(id) <- v;
         Bytes.set !status id '\001';
-        note id;
-        distance := !distance +. Float.abs v)
+        Wide.add distance (term 0 v))
       (Measurement.support m);
-    Dataflow.Sink.on_change_id sink (fun id x ~old_weight ~new_weight ->
-        ensure id;
-        let obs_x =
-          if Bytes.get !status id <> '\000' then !obs.(id)
-          else begin
-            (* A record first seen during a speculative propagation draws
-               its observation under the undo log: an abort removes it
-               from the tracked set and rewinds the measurement's private
-               noise cursor, so the tracked set and the noise stream are
-               pure functions of the committed walk prefix.  (A replica
-               engine evaluating a discarded lookahead speculation
-               therefore leaves no trace, which is what keeps K replicas
-               bit-identical to each other and to the serial walk.) *)
-            (if Dataflow.Engine.speculating engine then
-               let mk = Measurement.mark m in
-               Dataflow.Engine.log_undo engine (fun () ->
-                   Bytes.set !status id '\000';
-                   decr tracked_n;
-                   Measurement.undo_draw m x mk));
-            let v = Measurement.value m x in
-            !obs.(id) <- v;
-            Bytes.set !status id '\002';
-            note id;
-            v
-          end
-        in
-        (* Enroll the maintained distance in the speculative rollback: the
-           undo log restores the pre-speculation value directly instead of
-           reversing the arithmetic, so an abort is bit-exact. *)
-        (if Dataflow.Engine.speculating engine then
-           let d0 = !distance in
-           Dataflow.Engine.log_undo engine (fun () -> distance := d0));
-        distance := !distance +. Float.abs (new_weight -. obs_x) -. Float.abs (old_weight -. obs_x));
-    let from_scratch () =
-      let d = ref 0.0 in
-      for i = 0 to !tracked_n - 1 do
-        let id = !order.(i) in
-        let v = !obs.(id) in
-        let q = Dataflow.Sink.weight_id sink id in
-        d := !d +. Float.abs (q -. v);
-        if Bytes.get !status id = '\002' then d := !d -. Float.abs v
-      done;
-      !d
+    (* A first-seen record draws its observation under the undo log: an
+       abort removes it from the tracked set and rewinds the measurement's
+       private noise cursor, so the tracked set and the noise stream are
+       pure functions of the committed walk prefix.  (A replica engine
+       evaluating a discarded lookahead speculation therefore leaves no
+       trace, which is what keeps K replicas bit-identical to each other
+       and to the serial walk.) *)
+    let draw id =
+      let x = Dataflow.Sink.record_of_id sink id in
+      (if Dataflow.Engine.speculating engine then
+         let mk = Measurement.mark m in
+         Dataflow.Engine.log_undo engine (fun () ->
+             Bytes.set !status id '\000';
+             Measurement.undo_draw m x mk));
+      !obs.(id) <- Measurement.value m x;
+      Bytes.set !status id '\002'
     in
-    let recompute () = distance := from_scratch () in
+    let by_record a b =
+      compare (Dataflow.Sink.record_of_id sink a) (Dataflow.Sink.record_of_id sink b)
+    in
+    (* Which records a delivery carries is history-free, but their order
+       is not (operator state keeps swap-last member order).  So a
+       delivery's first-seen records draw in ascending record order, and a
+       resumed or rebuilt engine assigns every record the noise the live
+       one did. *)
+    let first_seen = ref [] in
+    Dataflow.Sink.on_delivery sink (fun ids olds news len ->
+        for i = 0 to len - 1 do
+          let id = ids.(i) in
+          ensure id;
+          if Bytes.get !status id = '\000' then begin
+            Bytes.set !status id '\003';
+            first_seen := id :: !first_seen
+          end
+        done;
+        if !first_seen <> [] then begin
+          let fresh = List.sort by_record !first_seen in
+          first_seen := [];
+          List.iter draw fresh
+        end;
+        (* Enroll the maintained distance in the speculative rollback: the
+           undo log restores the pre-delivery value directly. *)
+        if Dataflow.Engine.speculating engine then
+          Dataflow.Engine.log_undo engine (Wide.restorer distance);
+        for i = 0 to len - 1 do
+          let v = !obs.(ids.(i)) in
+          Wide.add distance (Grid.sub (term news.(i) v) (term olds.(i) v))
+        done);
+    let from_scratch () =
+      let d = Wide.create () in
+      let st = !status in
+      for id = 0 to Bytes.length st - 1 do
+        match Bytes.get st id with
+        | '\000' -> ()
+        | s ->
+            let v = !obs.(id) in
+            Wide.add d (term (Dataflow.Sink.weight_id sink id) v);
+            if s = '\002' then Wide.add d (-term 0 v)
+      done;
+      d
+    in
     (* Enroll the maintained distance in the engine's self-audit: the hook
        re-derives it from the sink without mutating anything, so a clean
        audit leaves the walk bit-identical. *)
     let op = Dataflow.Engine.fresh_op_id engine in
-    Dataflow.Engine.register_audit engine (fun ~tolerance ->
-        let cell = Printf.sprintf "target#%d.distance" op in
-        match
-          Dataflow.Audit.check ~tolerance ~cell ~maintained:!distance ~recomputed:(from_scratch ())
-        with
-        | None -> (1, [])
-        | Some d -> (1, [ d ]));
+    Dataflow.Engine.register_audit engine (fun () ->
+        let recomputed = from_scratch () in
+        if Wide.equal distance recomputed then (1, [])
+        else
+          ( 1,
+            [
+              Dataflow.Audit.divergence
+                ~cell:(Printf.sprintf "target#%d.distance" op)
+                ~maintained:(Wide.to_float distance) ~recomputed:(Wide.to_float recomputed);
+            ] ));
     {
       epsilon = Measurement.epsilon m;
-      distance = (fun () -> !distance);
-      recompute;
-      inject = (fun dw -> distance := !distance +. dw);
+      distance = (fun () -> Wide.to_float distance);
+      recompute = (fun () -> Wide.assign distance (from_scratch ()));
+      inject = (fun dw -> Wide.add distance (Grid.of_float dw));
     }
 
   let of_plan ctx p m = create (Plans.lower ctx p) m

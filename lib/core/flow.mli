@@ -75,14 +75,23 @@ module Target : sig
   val create : 'a collection -> 'a Measurement.t -> t
   (** [create q m] attaches a scoring sink under [q].  The records of
       {!Measurement.support} — those materialized at measurement time —
-      contribute [|m x|] immediately, summed in the support's canonical
-      order; any other record that appears in the synthetic output reads
-      its noisy observation through {!Measurement.value} (drawing and
-      memoizing it on first request) and is scored relative to it.  The
-      baseline never includes records drawn lazily since measurement, so
-      targets over one measurement share one energy convention however
-      late they are built: two targets whose sinks hold the same records
-      read the same distance, up to rounding.
+      contribute [|m x|] immediately; any other record that appears in the
+      synthetic output reads its noisy observation through
+      {!Measurement.value} (drawing and memoizing it on first request) and
+      is scored relative to it.  The records first seen in one sink
+      delivery draw in ascending [compare] order, so which noise a record
+      gets does not depend on the order the engine delivers records in.
+
+      Each record's term [|w − m x|] is rounded to the
+      {!Wpinq_dataflow.Dataflow.Grid} and the terms are summed exactly, so
+      the distance is a pure function of the sink's contents and the
+      measurement's memoized values.  The baseline never includes records
+      drawn lazily since measurement, so targets over one measurement
+      share one energy convention however late they are built: two
+      targets whose sinks hold the same records read bit-identical
+      distances.  A term outside the grid's range (an observation beyond
+      [±2{^22}], i.e. Laplace noise at ε below about [1e-5]) raises
+      {!Wpinq_dataflow.Dataflow.Grid.Overflow}.
 
       The maintained distance participates in speculative evaluation: when
       the engine is speculating (see
@@ -110,17 +119,19 @@ module Target : sig
   val epsilon : t -> float
 
   val recompute : t -> unit
-  (** Recomputes the distance from the sink's current state, discarding any
-      floating-point drift accumulated by incremental updates.  Cheap; call
-      it every ~10⁵ steps on long MCMC runs.
+  (** Recomputes the distance from the sink's current state.  On a healthy
+      target this changes no bit (the maintained distance is exact); the
+      walk calls it only to recover from a non-finite energy reading.
 
       {!create} also enrolls the maintained distance in the engine's
       self-audit ({!Wpinq_dataflow.Dataflow.Engine.audit}): the audit
-      compares it against the same from-scratch derivation without mutating
-      anything, so a clean audit leaves the walk bit-identical. *)
+      compares it bit for bit against the same from-scratch derivation
+      without mutating anything, so a clean audit leaves the walk
+      bit-identical. *)
 
   val inject_drift : t -> float -> unit
-  (** [inject_drift t dw] corrupts the maintained distance by [dw] {e
+  (** [inject_drift t dw] corrupts the maintained distance by [dw] (rounded
+      to the grid) {e
       without} touching the underlying sink — a fault-injection hook for
       testing that {!Wpinq_dataflow.Dataflow.Engine.audit} detects the
       divergence and that recovery repairs it.  Never call it outside

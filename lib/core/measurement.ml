@@ -6,19 +6,26 @@ module Prng = Wpinq_prng.Prng
    records (private per copy).  [support] keeps the measurement-time
    records in canonical sorted order, so every scorer built over this
    measurement — whenever it is built, and however many lazy draws
-   happened before — seeds the same baseline in the same order. *)
+   happened before — seeds the same baseline in the same order.  The
+   lazy draws are also kept newest first ([drawn_rev]), and {!save} writes
+   them in draw order: draw order is a function of the committed walk, so
+   a live measurement and one loaded from its snapshot serialize to the
+   same bytes. *)
 type 'a t = {
   epsilon : float;
   rng : Prng.t; (* private stream for lazily-drawn records *)
   support : ('a * float) array;
   index : ('a, float) Hashtbl.t; (* [support], for lookup *)
   drawn : ('a, float) Hashtbl.t;
+  mutable drawn_rev : ('a * float) list;
 }
 
 let of_support ~epsilon ~rng support drawn =
   let index = Hashtbl.create (max 16 (Array.length support)) in
   Array.iter (fun (x, v) -> Hashtbl.replace index x v) support;
-  { epsilon; rng; support; index; drawn }
+  let table = Hashtbl.create (max 16 (List.length drawn)) in
+  List.iter (fun (x, v) -> Hashtbl.replace table x v) drawn;
+  { epsilon; rng; support; index; drawn = table; drawn_rev = List.rev drawn }
 
 let create ~rng ~epsilon ~true_data =
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
@@ -35,7 +42,7 @@ let create ~rng ~epsilon ~true_data =
          (fun (x, w) -> (x, w +. Prng.laplace rng ~scale:(1.0 /. epsilon)))
          (Wdata.to_sorted_list true_data))
   in
-  of_support ~epsilon ~rng support (Hashtbl.create 16)
+  of_support ~epsilon ~rng support []
 
 let epsilon t = t.epsilon
 
@@ -62,7 +69,9 @@ let mark t = Prng.mark t.rng
 
 let undo_draw t x m =
   if Prng.mark t.rng <> m then begin
+    (* Undo entries replay newest first, so [x] is the newest draw. *)
     Hashtbl.remove t.drawn x;
+    t.drawn_rev <- List.tl t.drawn_rev;
     Prng.rewind t.rng m
   end
 
@@ -75,14 +84,12 @@ let value t x =
       | None ->
           let v = Prng.laplace t.rng ~scale:(1.0 /. t.epsilon) in
           Hashtbl.replace t.drawn x v;
+          t.drawn_rev <- (x, v) :: t.drawn_rev;
           v)
 
 let support t = Array.to_list t.support
 
-let observed t =
-  Array.fold_right (fun xv acc -> xv :: acc) t.support
-    (Hashtbl.fold (fun x v acc -> (x, v) :: acc) t.drawn [])
-
+let observed t = Array.fold_right (fun xv acc -> xv :: acc) t.support (List.rev t.drawn_rev)
 let observed_size t = Array.length t.support + Hashtbl.length t.drawn
 
 module Codec = Wpinq_persist.Persist.Codec
@@ -90,9 +97,9 @@ module Codec = Wpinq_persist.Persist.Codec
 (* Only released values cross this boundary: the noisy counts, the noise
    parameter, and the private noise stream's cursor (so lazily-drawn
    records keep drawing the same sequence after a resume).  The support
-   and the lazy draws are written apart, so a restored measurement seeds
-   the same baseline as the original.  The protected [true_data] was
-   consumed by [create] and is not part of the state. *)
+   and the lazy draws (in draw order) are written apart, so a restored
+   measurement seeds the same baseline as the original.  The protected
+   [true_data] was consumed by [create] and is not part of the state. *)
 let save write_key t buf =
   let write_entry buf (x, v) =
     write_key buf x;
@@ -101,7 +108,7 @@ let save write_key t buf =
   Codec.write_float buf t.epsilon;
   Codec.write_string buf (Prng.save t.rng);
   Codec.write_array write_entry buf t.support;
-  Codec.write_list write_entry buf (Hashtbl.fold (fun x v acc -> (x, v) :: acc) t.drawn [])
+  Codec.write_list write_entry buf (List.rev t.drawn_rev)
 
 let load read_key r =
   let read_entry r =
@@ -115,6 +122,4 @@ let load read_key r =
   let drawn = Codec.read_list read_entry r in
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
     raise (Codec.Decode_error "Measurement.load: epsilon must be finite and positive");
-  let table = Hashtbl.create (max 16 (List.length drawn)) in
-  List.iter (fun (x, v) -> Hashtbl.replace table x v) drawn;
-  of_support ~epsilon ~rng support table
+  of_support ~epsilon ~rng support drawn

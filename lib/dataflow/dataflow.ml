@@ -1,7 +1,73 @@
 module Wdata = Wpinq_weighted.Wdata
 module Ops = Wpinq_weighted.Ops
 
-let near_zero w = Float.abs w < Wdata.epsilon_weight
+(* Every weight the engine keeps is an integer count of 2^-40 units, one
+   native int.  Integer sums are exact and order-free, so each cell holds
+   the exact sum of its current contributions whatever history of feeds,
+   commits and aborts produced it.  Floats appear only at the edges: the
+   public feed/read API, and the float math inside an operator, which
+   rounds each contribution to the grid once (DESIGN.md, "Speculative
+   evaluation & the undo log"). *)
+module Grid = struct
+  exception Overflow of string
+
+  let scale = 0x1p40
+  let ulp = 0x1p-40
+  let limit = 0x1p22
+
+  let out_of_range x =
+    raise (Overflow (Printf.sprintf "Dataflow.Grid: %h is outside the grid's range (+-2^22)" x))
+
+  (* Rounds half away from zero, as [Float.round] does, without its C call:
+     [y - trunc y] is exact.  [|x| < 2^22] bounds [|x * 2^40|] below 2^62,
+     so [Float.to_int] never sees an out-of-range float; NaN fails the
+     comparison too. *)
+  let[@inline] of_float x =
+    if Float.abs x < limit then begin
+      let y = x *. scale in
+      let i = Float.to_int y in
+      let f = y -. Float.of_int i in
+      if f >= 0.5 then i + 1 else if f <= -0.5 then i - 1 else i
+    end
+    else out_of_range x
+
+  let[@inline] to_float w = Float.of_int w *. ulp
+  let overflow () = raise (Overflow "Dataflow.Grid: sum outside the native int range")
+
+  (* [min_int] is refused too, so every stored value can be negated. *)
+  let[@inline] add a b =
+    let s = a + b in
+    if (a lxor s) land (b lxor s) < 0 || s = min_int then overflow () else s
+
+  let[@inline] sub a b = add a (-b)
+
+  (* A sum wider than one native int: [hi * 2^60 + lo] with [0 <= lo < 2^60]. *)
+  module Wide = struct
+    type t = { mutable hi : int; mutable lo : int }
+
+    let low_bits = 60
+    let low_mask = (1 lsl low_bits) - 1
+    let create () = { hi = 0; lo = 0 }
+
+    let[@inline] add t w =
+      let lo = t.lo + (w land low_mask) in
+      t.hi <- add t.hi ((w asr low_bits) + (lo lsr low_bits));
+      t.lo <- lo land low_mask
+
+    let equal a b = a.hi = b.hi && a.lo = b.lo
+    let to_float t = ((Float.of_int t.hi *. 0x1p60) +. Float.of_int t.lo) *. ulp
+
+    let assign dst src =
+      dst.hi <- src.hi;
+      dst.lo <- src.lo
+
+    let restorer t =
+      let hi = t.hi and lo = t.lo in
+      fun () ->
+        t.hi <- hi;
+        t.lo <- lo
+  end
+end
 
 module Audit = struct
   type divergence = {
@@ -27,19 +93,20 @@ module Audit = struct
     let d = Int64.sub hi lo in
     if Int64.compare d 0L < 0 then Int64.max_int else d
 
-  (* Incremental maintenance is allowed to differ from a batch
-     recomputation only by float summation-order noise: bit-equal is
-     always clean, finite values compare by absolute drift against the
-     tolerance, and any non-finite disagreement is a divergence. *)
-  let check ~tolerance ~cell ~maintained ~recomputed =
+  let divergence ~cell ~maintained ~recomputed =
+    {
+      cell;
+      maintained;
+      recomputed;
+      abs_drift = Float.abs (maintained -. recomputed);
+      ulp_drift = ulp_distance maintained recomputed;
+    }
+
+  (* Every maintained cell is an exact sum on the grid, so a healthy cell
+     is bit-equal to its recomputation and any difference is corruption. *)
+  let check ~cell ~maintained ~recomputed =
     if Int64.equal (Int64.bits_of_float maintained) (Int64.bits_of_float recomputed) then None
-    else
-      let both_finite = Float.is_finite maintained && Float.is_finite recomputed in
-      let abs_drift = Float.abs (maintained -. recomputed) in
-      if both_finite && abs_drift <= tolerance then None
-      else
-        Some
-          { cell; maintained; recomputed; abs_drift; ulp_drift = ulp_distance maintained recomputed }
+    else Some (divergence ~cell ~maintained ~recomputed)
 
   let divergence_to_string d =
     Printf.sprintf "%s: maintained %h vs recomputed %h (abs drift %g, ulp drift %Ld)" d.cell
@@ -90,9 +157,11 @@ module Engine = struct
     mutable s_records_propagated : int;
     (* self-audit: operators with redundantly-maintained state register a
        hook that recomputes it from scratch and reports divergences *)
-    mutable audit_hooks_rev : (tolerance:float -> int * Audit.divergence list) list;
+    mutable audit_hooks_rev : (unit -> int * Audit.divergence list) list;
     (* interns and join pair caches, registered when built *)
     mutable intern_hooks : (unit -> intern_stats) list;
+    (* ids ever assigned by the engine's interns; monotone, never undone *)
+    mutable interned : int;
     mutable next_op_id : int;
   }
 
@@ -123,6 +192,7 @@ module Engine = struct
       s_records_propagated = 0;
       audit_hooks_rev = [];
       intern_hooks = [];
+      interned = 0;
       next_op_id = 0;
     }
 
@@ -135,10 +205,25 @@ module Engine = struct
   let nodes_built t = t.nodes_built
   let nodes_shared t = t.nodes_shared
   let records_propagated t = t.records_propagated
+  let interned_ids t = t.interned
 
   let add_shared_nodes t n =
     if n < 0 then invalid_arg "Dataflow.Engine.add_shared_nodes: negative count";
     t.nodes_shared <- t.nodes_shared + n
+
+  (* The traffic and speculation counters keep counting across a reset;
+     everything that describes the dropped DAG starts over. *)
+  let reset t =
+    if t.speculating || t.in_feed then
+      invalid_arg "Dataflow.Engine.reset: engine is speculating or propagating";
+    t.state_records <- 0;
+    t.nodes_built <- 0;
+    t.nodes_shared <- 0;
+    t.audit_hooks_rev <- [];
+    t.intern_hooks <- [];
+    t.interned <- 0;
+    t.next_op_id <- 0;
+    t.undo <- Array.make 64 nop
 
   let commits t = t.commits
   let aborts t = t.aborts
@@ -161,12 +246,12 @@ module Engine = struct
     in
     List.fold_left add { ids = 0; slots = 0; displacement = 0; pair_cache = 0 } t.intern_hooks
 
-  let audit ?(tolerance = 1e-6) t =
+  let audit t =
     if t.speculating then invalid_arg "Dataflow.Engine.audit: cannot audit mid-speculation";
     let cells = ref 0 and divs = ref [] in
     List.iter
       (fun hook ->
-        let n, ds = hook ~tolerance in
+        let n, ds = hook () in
         cells := !cells + n;
         divs := List.rev_append ds !divs)
       (List.rev t.audit_hooks_rev);
@@ -250,13 +335,15 @@ module Intern = struct
        power of two kept under 3/4 full. *)
     mutable slots : int array;
     mutable mask : int;
+    owner : Engine.t option; (* counts new ids into [Engine.interned_ids] *)
   }
 
   let id_bits = 31
   let id_mask = (1 lsl id_bits) - 1
   let seed = 0x5EED_1D5
   let hash x = Hashtbl.seeded_hash seed x
-  let create () = { xs = [||]; len = 0; slots = Array.make 16 0; mask = 15 }
+  let make owner = { xs = [||]; len = 0; slots = Array.make 16 0; mask = 15; owner }
+  let create () = make None
   let size t = t.len
   let value t id = t.xs.(id)
 
@@ -307,6 +394,7 @@ module Intern = struct
       end;
       t.xs.(id) <- x;
       t.len <- id + 1;
+      (match t.owner with Some e -> e.Engine.interned <- e.Engine.interned + 1 | None -> ());
       t.slots.(i) <- (h lsl id_bits) lor (id + 1);
       if 4 * t.len > 3 * (t.mask + 1) then rehash t;
       id
@@ -319,9 +407,9 @@ module Intern = struct
       t.slots;
     { Engine.ids = t.len; slots = mask + 1; displacement = !displacement; pair_cache = 0 }
 
-  (* An intern whose {!stats} count towards [Engine.intern_stats]. *)
+  (* An intern whose ids and {!stats} count towards the engine's. *)
   let tracked engine =
-    let t = create () in
+    let t = make (Some engine) in
     Engine.register_intern_stats engine (fun () -> stats t);
     t
 end
@@ -329,19 +417,18 @@ end
 (* A weight table over dense interned ids: the struct-of-arrays successor
    of the old record-keyed [Wtbl].  [pos] is a direct-index array (id ->
    dense slot), so lookups touch no hash function at all; entries live in
-   [ids]/[ws] in committed insertion order, which makes every derived
-   float accumulation order a pure function of the committed operation
-   sequence.  Under speculation each mutation logs its exact structural
-   inverse; removal swaps the last entry down exactly as the old table
-   did, and the undo replays in reverse order so captured slot indices
-   stay valid.  Backing-array growth needs no undo: contents beyond [len]
-   (or [pos] cells holding -1) are invisible. *)
+   [ids]/[ws] in committed insertion order.  Weights are grid ints, so a
+   value never depends on that order.  Under speculation each mutation
+   logs its exact structural inverse; removal swaps the last entry down,
+   and the undo replays in reverse order so captured slot indices stay
+   valid.  Backing-array growth needs no undo: contents beyond [len] (or
+   [pos] cells holding -1) are invisible. *)
 module Itbl = struct
   type t = {
     engine : Engine.t;
     mutable pos : int array; (* id -> dense slot, -1 when absent *)
     mutable ids : int array;
-    mutable ws : float array;
+    mutable ws : int array;
     mutable len : int;
   }
 
@@ -356,8 +443,8 @@ module Itbl = struct
     if id < 0 then invalid_arg "Dataflow.Itbl: negative id";
     if id < Array.length t.pos then
       let p = t.pos.(id) in
-      if p >= 0 then t.ws.(p) else 0.0
-    else 0.0
+      if p >= 0 then t.ws.(p) else 0
+    else 0
 
   let ensure_pos t id =
     let cap = Array.length t.pos in
@@ -372,7 +459,7 @@ module Itbl = struct
     if t.len = Array.length t.ids then begin
       let cap = Array.length t.ids in
       let cap' = if cap = 0 then 8 else 2 * cap in
-      let ids = Array.make cap' 0 and ws = Array.make cap' 0.0 in
+      let ids = Array.make cap' 0 and ws = Array.make cap' 0 in
       Array.blit t.ids 0 ids 0 t.len;
       Array.blit t.ws 0 ws 0 t.len;
       t.ids <- ids;
@@ -385,7 +472,7 @@ module Itbl = struct
     ensure_pos t id;
     let p = t.pos.(id) in
     if p < 0 then begin
-      if not (near_zero w) then begin
+      if w <> 0 then begin
         ensure_dense t;
         let i = t.len in
         t.ids.(i) <- id;
@@ -399,7 +486,7 @@ module Itbl = struct
               t.len <- i)
       end
     end
-    else if near_zero w then begin
+    else if w = 0 then begin
       (* Remove by swapping the last entry into the vacated slot; the
          logged inverse puts both entries back in their exact slots. *)
       let last = t.len - 1 in
@@ -434,20 +521,8 @@ module Itbl = struct
   (* Adds [dw] and returns the old weight. *)
   let bump t id dw =
     let old = get t id in
-    set t id (old +. dw);
+    set t id (Grid.add old dw);
     old
-
-  let iter f t =
-    for i = 0 to t.len - 1 do
-      f t.ids.(i) t.ws.(i)
-    done
-
-  let fold f t acc =
-    let acc = ref acc in
-    for i = 0 to t.len - 1 do
-      acc := f t.ids.(i) t.ws.(i) !acc
-    done;
-    !acc
 
   let to_list t =
     let rec go i acc = if i < 0 then acc else go (i - 1) ((t.ids.(i), t.ws.(i)) :: acc) in
@@ -463,22 +538,22 @@ module Wtbl = struct
   let bump t x dw = Itbl.bump t.it (Intern.intern t.intern x) dw
 
   let to_list t =
-    List.map (fun (id, w) -> (Intern.value t.intern id, w)) (Itbl.to_list t.it)
+    List.map (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w)) (Itbl.to_list t.it)
 end
 
 type 'a delta = ('a * float) list
 
 (* Internally deltas travel as borrowed parallel-array slices
-   ([xs]/[ws]/[len]) instead of [('a * float) list]: no pair or list-cell
-   allocation per propagated record.  A subscriber must fully retire the
-   slice before returning and must not mutate it (several subscribers may
-   receive the same arrays); both hold because propagation is a
-   synchronous walk of an acyclic DAG.  The list type survives only at
-   the public [Input.feed]/[coalesce] boundary. *)
+   ([xs]/[ws]/[len], weights on the grid) instead of [('a * float) list]:
+   no pair or list-cell allocation per propagated record.  A subscriber
+   must fully retire the slice before returning and must not mutate it
+   (several subscribers may receive the same arrays); both hold because
+   propagation is a synchronous walk of an acyclic DAG.  The list type
+   survives only at the public [Input.feed]/[coalesce] boundary. *)
 type 'a node = {
   engine : Engine.t;
-  mutable subs_rev : ('a array -> float array -> int -> unit) list;
-  mutable subs : ('a array -> float array -> int -> unit) array;
+  mutable subs_rev : ('a array -> int array -> int -> unit) list;
+  mutable subs : ('a array -> int array -> int -> unit) array;
 }
 
 let engine_of n = n.engine
@@ -506,40 +581,65 @@ let emit n xs ws len =
     done
   end
 
-let coalesce d =
+(* Each entry is rounded to the grid before netting, so the net is exact.
+   The [Hashtbl] fold order fixes first-sight order downstream (DESIGN.md,
+   "Record interning"). *)
+let coalesce_grid d =
   match d with
   | [] -> []
-  | [ (_, w) ] -> if near_zero w then [] else d
+  | [ (x, w) ] ->
+      let g = Grid.of_float w in
+      if g = 0 then [] else [ (x, g) ]
   | _ ->
       let h = Hashtbl.create (List.length d) in
       List.iter
         (fun (x, w) ->
+          let g = Grid.of_float w in
           match Hashtbl.find_opt h x with
-          | None -> Hashtbl.replace h x w
-          | Some w0 -> Hashtbl.replace h x (w0 +. w))
+          | None -> Hashtbl.replace h x g
+          | Some g0 -> Hashtbl.replace h x (Grid.add g0 g))
         d;
-      Hashtbl.fold (fun x w acc -> if near_zero w then acc else (x, w) :: acc) h []
+      Hashtbl.fold (fun x g acc -> if g = 0 then acc else (x, g) :: acc) h []
 
+let coalesce d = List.map (fun (x, g) -> (x, Grid.to_float g)) (coalesce_grid d)
 let count_work (engine : Engine.t) len = engine.work <- engine.work + len
 
+let grow_int_array arr n fill =
+  let cap = Array.length arr in
+  if n <= cap then arr
+  else begin
+    let arr' = Array.make (max 16 (max (2 * cap) n)) fill in
+    Array.blit arr 0 arr' 0 cap;
+    arr'
+  end
+
+let grow_bool_array arr n =
+  let cap = Array.length arr in
+  if n <= cap then arr
+  else begin
+    let arr' = Array.make (max 16 (max (2 * cap) n)) false in
+    Array.blit arr 0 arr' 0 cap;
+    arr'
+  end
+
 (* Reusable per-operator output accumulator — the scratch arena.  Output
-   changes accumulate by *output intern id* in a direct-index float array
+   changes accumulate by *output intern id* in a direct-index int array
    ([acc], membership in [inacc], first-touch order in [touched]);
-   [flush] walks the touched ids once, drops net-~zero entries, converts
-   ids back to values and emits one parallel-array slice.  Safe to reuse
-   across a DAG propagation because every handler fully drains its
-   scratch before emitting downstream, and the DAG is acyclic, so a
-   handler can never be re-entered while its scratch is live. *)
+   [flush] walks the touched ids once, drops entries that net to exactly
+   zero, converts ids back to values and emits one parallel-array slice.
+   Safe to reuse across a DAG propagation because every handler fully
+   drains its scratch before emitting downstream, and the DAG is acyclic,
+   so a handler can never be re-entered while its scratch is live. *)
 module Scratch = struct
   type 'a t = {
     engine : Engine.t;
     intern : 'a Intern.t;
-    mutable acc : float array; (* out-id -> accumulated weight this batch *)
+    mutable acc : int array; (* out-id -> accumulated weight this batch *)
     mutable inacc : bool array; (* out-id -> currently in [touched] *)
     mutable touched : int array; (* out-ids in first-touch order *)
     mutable tlen : int;
     mutable out_xs : 'a array;
-    mutable out_ws : float array;
+    mutable out_ws : int array;
   }
 
   let create ?intern engine =
@@ -559,26 +659,19 @@ module Scratch = struct
     let cap = Array.length t.acc in
     if id >= cap then begin
       t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
-      let cap' = max 64 (max (2 * cap) (id + 1)) in
-      let acc = Array.make cap' 0.0 and inacc = Array.make cap' false in
-      Array.blit t.acc 0 acc 0 cap;
-      Array.blit t.inacc 0 inacc 0 cap;
-      t.acc <- acc;
-      t.inacc <- inacc
+      t.acc <- grow_int_array t.acc (max 64 (id + 1)) 0;
+      t.inacc <- grow_bool_array t.inacc (Array.length t.acc)
     end
 
   let push_id t id w =
     ensure_id t id;
-    if t.inacc.(id) then t.acc.(id) <- t.acc.(id) +. w
+    if t.inacc.(id) then t.acc.(id) <- Grid.add t.acc.(id) w
     else begin
       t.inacc.(id) <- true;
       t.acc.(id) <- w;
       if t.tlen = Array.length t.touched then begin
         t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
-        let cap' = max 64 (2 * t.tlen) in
-        let touched = Array.make cap' 0 in
-        Array.blit t.touched 0 touched 0 t.tlen;
-        t.touched <- touched
+        t.touched <- grow_int_array t.touched (max 64 (2 * t.tlen)) 0
       end;
       t.touched.(t.tlen) <- id;
       t.tlen <- t.tlen + 1
@@ -597,17 +690,15 @@ module Scratch = struct
         let id = t.touched.(i) in
         let w = t.acc.(id) in
         t.inacc.(id) <- false;
-        if not (near_zero w) then begin
+        if w <> 0 then begin
           let j = !k in
           if j >= Array.length t.out_xs then begin
             t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
             let cap' = max 64 (2 * Array.length t.out_xs) in
             let xs = Array.make cap' (Intern.value t.intern id) in
-            let ws = Array.make cap' 0.0 in
             Array.blit t.out_xs 0 xs 0 j;
-            Array.blit t.out_ws 0 ws 0 j;
             t.out_xs <- xs;
-            t.out_ws <- ws
+            t.out_ws <- grow_int_array t.out_ws cap' 0
           end;
           t.out_xs.(j) <- Intern.value t.intern id;
           t.out_ws.(j) <- w;
@@ -625,7 +716,7 @@ module Buf = struct
   type 'a t = {
     engine : Engine.t;
     mutable xs : 'a array;
-    mutable ws : float array;
+    mutable ws : int array;
     mutable len : int;
   }
 
@@ -637,11 +728,10 @@ module Buf = struct
     if b.len = cap then begin
       b.engine.Engine.arena_grows <- b.engine.Engine.arena_grows + 1;
       let cap' = if cap = 0 then 64 else 2 * cap in
-      let xs = Array.make cap' x and ws = Array.make cap' 0.0 in
+      let xs = Array.make cap' x in
       Array.blit b.xs 0 xs 0 b.len;
-      Array.blit b.ws 0 ws 0 b.len;
       b.xs <- xs;
-      b.ws <- ws
+      b.ws <- grow_int_array b.ws cap' 0
     end;
     b.xs.(b.len) <- x;
     b.ws.(b.len) <- w;
@@ -662,7 +752,7 @@ module Input = struct
     Fun.protect
       ~finally:(fun () -> engine.Engine.in_feed <- false)
       (fun () ->
-        let delta = coalesce delta in
+        let delta = coalesce_grid delta in
         Buf.clear t.buf;
         List.iter
           (fun (x, w) ->
@@ -697,16 +787,29 @@ let where p up =
       emit out buf.Buf.xs buf.Buf.ws buf.Buf.len);
   out
 
+(* The only stateless nonlinear operator: a record's contributions are
+   rounded to the grid, so they are not linear in its weight.  Keeping the
+   input weights lets every change emit [q(new) - q(old)] per produced
+   record, both recomputed from state. *)
 let select_many f up =
-  let out = make up.engine in
-  let scratch = Scratch.create up.engine in
+  let engine = up.engine in
+  let out = make engine in
+  let intern = Intern.tracked engine in
+  let state = Itbl.create engine in
+  let scratch = Scratch.create engine in
   subscribe up (fun xs ws len ->
-      count_work up.engine len;
+      count_work engine len;
       for i = 0 to len - 1 do
-        let ys = f xs.(i) in
-        let n = List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 ys in
-        let scale = ws.(i) /. Float.max 1.0 n in
-        List.iter (fun (y, wy) -> Scratch.push scratch y (wy *. scale)) ys
+        let x = xs.(i) in
+        let old = Itbl.bump state (Intern.intern intern x) ws.(i) in
+        let w = Grid.to_float (old + ws.(i)) and w0 = Grid.to_float old in
+        let ys = f x in
+        let n = Float.max 1.0 (List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 ys) in
+        List.iter
+          (fun (y, wy) ->
+            Scratch.push scratch y
+              (Grid.sub (Grid.of_float (wy *. (w /. n))) (Grid.of_float (wy *. (w0 /. n)))))
+          ys
       done;
       Scratch.flush scratch out);
   out
@@ -739,7 +842,7 @@ let except a b =
       count_work engine len;
       Buf.clear buf;
       for i = 0 to len - 1 do
-        Buf.push buf xs.(i) (-.ws.(i))
+        Buf.push buf xs.(i) (-ws.(i))
       done;
       emit out buf.Buf.xs buf.Buf.ws buf.Buf.len);
   out
@@ -748,7 +851,7 @@ let except a b =
    change to max/min when either side moves.  One shared intern serves
    both side tables and the output scratch, so each incoming record is
    hashed exactly once. *)
-let merge_node fop a b =
+let merge_node (fop : int -> int -> int) a b =
   let engine = same_engine a b in
   let out = make engine in
   let intern = Intern.tracked engine in
@@ -762,10 +865,9 @@ let merge_node fop a b =
       let old_mine = Itbl.bump mine id dw in
       let v_other = Itbl.get other id in
       let old_out = if flip then fop v_other old_mine else fop old_mine v_other in
-      let new_mine = old_mine +. dw in
+      let new_mine = old_mine + dw in
       let new_out = if flip then fop v_other new_mine else fop new_mine v_other in
-      let diff = new_out -. old_out in
-      if not (near_zero diff) then Scratch.push_id scratch id diff
+      if new_out <> old_out then Scratch.push_id scratch id (Grid.sub new_out old_out)
     done;
     Scratch.flush scratch out
   in
@@ -773,8 +875,8 @@ let merge_node fop a b =
   subscribe b (handle wb wa true);
   out
 
-let union a b = merge_node Float.max a b
-let intersect a b = merge_node Float.min a b
+let union a b = merge_node (fun x y -> if x >= y then x else y) a b
+let intersect a b = merge_node (fun x y -> if x <= y then x else y) a b
 
 (* Keyed-operator side state (Join inputs, GroupBy), fully
    struct-of-arrays.  Every record belongs to exactly one key (the key
@@ -784,7 +886,7 @@ let intersect a b = merge_node Float.min a b
    known record never hash its key again, and [mpos] gives O(1) swap-last
    removal with exact structural undo — the same abort-residue guarantee
    the old record-keyed tables gave. *)
-type kpart = { mutable members : int array; mutable mlen : int; mutable norm : float }
+type kpart = { mutable members : int array; mutable mlen : int; mutable norm : int }
 
 type 'r kside = {
   ri : 'r Intern.t;
@@ -796,15 +898,6 @@ type 'r kside = {
 
 let kside_create engine =
   { ri = Intern.tracked engine; w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
-
-let grow_int_array arr n fill =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let arr' = Array.make (max 16 (max (2 * cap) n)) fill in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
 
 let kside_ensure_rid side rid =
   side.key_of <- grow_int_array side.key_of (rid + 1) (-1);
@@ -823,7 +916,7 @@ let kside_part side kid =
   match side.parts.(kid) with
   | Some p -> p
   | None ->
-      let p = { members = [||]; mlen = 0; norm = 0.0 } in
+      let p = { members = [||]; mlen = 0; norm = 0 } in
       side.parts.(kid) <- Some p;
       p
 
@@ -871,18 +964,13 @@ let kside_set (engine : Engine.t) side part rid w =
   else if was && not now then member_remove engine side part rid
 
 let part_add_norm (engine : Engine.t) p dn =
-  if engine.Engine.speculating then begin
-    let n0 = p.norm in
-    Engine.log_undo engine (fun () -> p.norm <- n0)
-  end;
-  p.norm <- p.norm +. dn
-
-let part_set_norm (engine : Engine.t) p n =
-  if engine.Engine.speculating then begin
-    let n0 = p.norm in
-    Engine.log_undo engine (fun () -> p.norm <- n0)
-  end;
-  p.norm <- n
+  if dn <> 0 then begin
+    if engine.Engine.speculating then begin
+      let n0 = p.norm in
+      Engine.log_undo engine (fun () -> p.norm <- n0)
+    end;
+    p.norm <- Grid.add p.norm dn
+  end
 
 (* Per-batch grouping buffers: incoming slice entries are chained per
    interned key id in plain int arrays (no per-batch hashtable, no list
@@ -890,11 +978,11 @@ let part_set_norm (engine : Engine.t) p n =
    carry raw entries for GroupBy.  Shared by both handlers of one
    operator — they never overlap because propagation is synchronous. *)
 type gbatch = {
-  mutable dacc : float array; (* rid -> net weight change this batch *)
+  mutable dacc : int array; (* rid -> net weight change this batch *)
   mutable din : bool array; (* rid -> has a chain node this batch *)
   mutable khead : int array; (* kid -> chain head, -1 *)
   mutable crid : int array; (* chain nodes: record id *)
-  mutable cdw : float array; (* chain nodes: raw weight change (GroupBy) *)
+  mutable cdw : int array; (* chain nodes: raw weight change (GroupBy) *)
   mutable cnext : int array;
   mutable clen : int;
   mutable keys : int array; (* kids touched, first-touch order *)
@@ -920,9 +1008,7 @@ let gbatch_chain gb kid rid dw =
     let cap' = max 64 (2 * gb.clen) in
     gb.crid <- grow_int_array gb.crid cap' 0;
     gb.cnext <- grow_int_array gb.cnext cap' 0;
-    let cdw = Array.make cap' 0.0 in
-    Array.blit gb.cdw 0 cdw 0 gb.clen;
-    gb.cdw <- cdw
+    gb.cdw <- grow_int_array gb.cdw cap' 0
   end;
   let node = gb.clen in
   gb.crid.(node) <- rid;
@@ -951,34 +1037,16 @@ let gbatch_reset gb =
   gb.klen <- 0;
   gb.clen <- 0
 
-let grow_float_array arr n =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let arr' = Array.make (max 16 (max (2 * cap) n)) 0.0 in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
-
-let grow_bool_array arr n =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let arr' = Array.make (max 16 (max (2 * cap) n)) false in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
-
 let join ~kl ~kr ~reduce a b =
   let engine = same_engine a b in
   let out = make engine in
   let sa = kside_create engine and sb = kside_create engine in
   let kintern = Intern.tracked engine in
   (* Each key's [norm] is maintained incrementally alongside the member
-     array; the audit recomputes it as Σ|w| over the part's records and
-     flags drift. *)
+     array; the audit recomputes it as Σ|w| over the part's records.  The
+     cell name is formatted only for a divergence. *)
   let op = Engine.fresh_op_id engine in
-  let audit_side name side ~tolerance =
+  let audit_side name side =
     let n = ref 0 and ds = ref [] in
     Array.iteri
       (fun kid part ->
@@ -986,20 +1054,22 @@ let join ~kl ~kr ~reduce a b =
         | None -> ()
         | Some p ->
             incr n;
-            let recomputed = ref 0.0 in
+            let recomputed = ref 0 in
             for i = 0 to p.mlen - 1 do
-              recomputed := !recomputed +. Float.abs (Itbl.get side.w p.members.(i))
+              recomputed := Grid.add !recomputed (abs (Itbl.get side.w p.members.(i)))
             done;
-            let cell = Printf.sprintf "join#%d.%s.norm[key#%d]" op name kid in
-            (match Audit.check ~tolerance ~cell ~maintained:p.norm ~recomputed:!recomputed with
-            | None -> ()
-            | Some d -> ds := d :: !ds))
+            if p.norm <> !recomputed then
+              ds :=
+                Audit.divergence
+                  ~cell:(Printf.sprintf "join#%d.%s.norm[key#%d]" op name kid)
+                  ~maintained:(Grid.to_float p.norm) ~recomputed:(Grid.to_float !recomputed)
+                :: !ds)
       side.parts;
     (!n, !ds)
   in
-  Engine.register_audit engine (fun ~tolerance ->
-      let nl, dl = audit_side "left" sa ~tolerance in
-      let nr, dr = audit_side "right" sb ~tolerance in
+  Engine.register_audit engine (fun () ->
+      let nl, dl = audit_side "left" sa in
+      let nr, dr = audit_side "right" sb in
       (nl + nr, dl @ dr));
   let scratch = Scratch.create engine in
   (* Output pairs are interned by (left rid, right rid) in an insert-only
@@ -1056,13 +1126,17 @@ let join ~kl ~kr ~reduce a b =
     end
   in
   let gb = gbatch_create () in
-  let eps = Wdata.epsilon_weight in
+  (* One pair's output weight [wx * wy / d], rounded to the grid.  Every
+     emission is a difference of two such contributions recomputed from
+     state, never a float delta, so the output is the exact sum of the
+     current contributions. *)
+  let contribution wx wy d =
+    if wx = 0 then 0 else Grid.of_float (Grid.to_float wx *. Grid.to_float wy /. d)
+  in
   (* Retire a batch arriving on one side.  [epair changed_rid other_rid w]
-     orients the output pair correctly for whichever side changed.  The
-     per-key protocol — net the batch per record, decide fast vs. full
-     path on whether the key's normalizer moves, fold sub-threshold dust
-     into the stored norm exactly once per branch — is unchanged from the
-     record-keyed implementation; only the representation is flat now. *)
+     orients the output pair correctly for whichever side changed.  Per
+     key: net the batch per record, then take the fast path when the key's
+     normalizer does not move, else rescale the key's whole output. *)
   let handle mine other epair keyf xs ws len =
     count_work engine len;
     (* Net the batch per record and chain distinct records per key. *)
@@ -1070,9 +1144,9 @@ let join ~kl ~kr ~reduce a b =
       let x = xs.(i) in
       let rid = Intern.intern mine.ri x in
       kside_ensure_rid mine rid;
-      gb.dacc <- grow_float_array gb.dacc (rid + 1);
+      gb.dacc <- grow_int_array gb.dacc (rid + 1) 0;
       gb.din <- grow_bool_array gb.din (rid + 1);
-      if gb.din.(rid) then gb.dacc.(rid) <- gb.dacc.(rid) +. ws.(i)
+      if gb.din.(rid) then gb.dacc.(rid) <- Grid.add gb.dacc.(rid) ws.(i)
       else begin
         gb.din.(rid) <- true;
         gb.dacc.(rid) <- ws.(i);
@@ -1085,103 +1159,83 @@ let join ~kl ~kr ~reduce a b =
             k
           end
         in
-        gbatch_chain gb kid rid 0.0
+        gbatch_chain gb kid rid 0
       end
     done;
     for ki = 0 to gb.klen - 1 do
       let kid = gb.keys.(ki) in
       let mine_p = kside_part mine kid in
       let other_p = kside_peek other kid in
-      let other_norm = match other_p with Some p -> p.norm | None -> 0.0 in
-      (* Σ (|old+dw| − |old|) over the key's netted records; near-zero
-         nets are skipped exactly as [coalesce] used to drop them. *)
-      let norm_change = ref 0.0 in
+      let other_norm = match other_p with Some p -> p.norm | None -> 0 in
+      (* Σ (|old+dw| − |old|) over the key's netted records. *)
+      let norm_change = ref 0 in
       let node = ref gb.khead.(kid) in
       while !node >= 0 do
         let rid = gb.crid.(!node) in
         let dw = gb.dacc.(rid) in
-        if not (near_zero dw) then begin
+        if dw <> 0 then begin
           let old = Itbl.get mine.w rid in
-          norm_change := !norm_change +. (Float.abs (old +. dw) -. Float.abs old)
+          norm_change := Grid.add !norm_change (abs (Grid.add old dw) - abs old)
         end;
         node := gb.cnext.(!node)
       done;
       let norm_change = !norm_change in
-      let denom_old = mine_p.norm +. other_norm in
-      let denom_new = denom_old +. norm_change in
-      (* [norm] is updated exactly once on every path: the fast path
-         folds the sub-threshold dust in directly, the full path applies
-         the real change — so a sub-threshold change on an
-         empty-normalizer key (which takes the full path) is not
-         accumulated twice. *)
-      (if Float.abs norm_change < eps && denom_old > eps then begin
-         (* Appendix B optimization: the normalizer is unchanged, so only
-            pairs involving changed records move. *)
-         engine.Engine.join_fast <- engine.Engine.join_fast + 1;
-         let node = ref gb.khead.(kid) in
-         while !node >= 0 do
-           let rid = gb.crid.(!node) in
-           let dw = gb.dacc.(rid) in
-           (if not (near_zero dw) then begin
-              let old = Itbl.get mine.w rid in
-              kside_set engine mine mine_p rid (old +. dw);
-              match other_p with
-              | Some op ->
-                  for mi = 0 to op.mlen - 1 do
-                    let ry = op.members.(mi) in
-                    epair rid ry (dw *. Itbl.get other.w ry /. denom_old)
-                  done
-              | None -> ()
-            end);
-           node := gb.cnext.(!node)
-         done;
-         part_add_norm engine mine_p norm_change
-       end
-       else begin
-         (* The normalizer moved: every pair under this key is rescaled. *)
-         engine.Engine.join_full <- engine.Engine.join_full + 1;
-         (if denom_old > eps then
+      let denom_old = Grid.add mine_p.norm other_norm in
+      if norm_change = 0 && denom_old > 0 then begin
+        (* Appendix B optimization: the normalizer is unchanged, so only
+           pairs involving changed records move. *)
+        engine.Engine.join_fast <- engine.Engine.join_fast + 1;
+        let d = Grid.to_float denom_old in
+        let node = ref gb.khead.(kid) in
+        while !node >= 0 do
+          let rid = gb.crid.(!node) in
+          let dw = gb.dacc.(rid) in
+          (if dw <> 0 then begin
+             let old = Itbl.get mine.w rid in
+             let w = Grid.add old dw in
+             kside_set engine mine mine_p rid w;
+             match other_p with
+             | Some op ->
+                 for mi = 0 to op.mlen - 1 do
+                   let ry = op.members.(mi) in
+                   let wy = Itbl.get other.w ry in
+                   let c = Grid.sub (contribution w wy d) (contribution old wy d) in
+                   if c <> 0 then epair rid ry c
+                 done
+             | None -> ()
+           end);
+          node := gb.cnext.(!node)
+        done
+      end
+      else begin
+        (* The normalizer moved: every pair under this key is rescaled. *)
+        engine.Engine.join_full <- engine.Engine.join_full + 1;
+        let emit_all sign denom =
+          if denom > 0 then
             match other_p with
             | Some op ->
+                let d = Grid.to_float denom in
                 for xi = 0 to mine_p.mlen - 1 do
                   let rx = mine_p.members.(xi) in
                   let wx = Itbl.get mine.w rx in
                   for yi = 0 to op.mlen - 1 do
                     let ry = op.members.(yi) in
-                    epair rx ry (-.(wx *. Itbl.get other.w ry) /. denom_old)
+                    epair rx ry (sign * contribution wx (Itbl.get other.w ry) d)
                   done
                 done
-            | None -> ());
-         let node = ref gb.khead.(kid) in
-         while !node >= 0 do
-           let rid = gb.crid.(!node) in
-           let dw = gb.dacc.(rid) in
-           if not (near_zero dw) then begin
-             let old = Itbl.get mine.w rid in
-             kside_set engine mine mine_p rid (old +. dw)
-           end;
-           node := gb.cnext.(!node)
-         done;
-         part_add_norm engine mine_p norm_change;
-         if denom_new > eps then
-           match other_p with
-           | Some op ->
-               for xi = 0 to mine_p.mlen - 1 do
-                 let rx = mine_p.members.(xi) in
-                 let wx = Itbl.get mine.w rx in
-                 for yi = 0 to op.mlen - 1 do
-                   let ry = op.members.(yi) in
-                   epair rx ry (wx *. Itbl.get other.w ry /. denom_new)
-                 done
-               done
-           | None -> ()
-       end);
-      (* Retire a drained key: an empty part whose norm is dust resets to
-         exactly 0.0, so the key's next delta sees a genuinely empty
-         normalizer (and takes the full path), as dropping the part from
-         the old key index used to guarantee. *)
-      if mine_p.mlen = 0 && Float.abs mine_p.norm < eps && mine_p.norm <> 0.0 then
-        part_set_norm engine mine_p 0.0
+            | None -> ()
+        in
+        emit_all (-1) denom_old;
+        let node = ref gb.khead.(kid) in
+        while !node >= 0 do
+          let rid = gb.crid.(!node) in
+          let dw = gb.dacc.(rid) in
+          if dw <> 0 then kside_set engine mine mine_p rid (Grid.add (Itbl.get mine.w rid) dw);
+          node := gb.cnext.(!node)
+        done;
+        part_add_norm engine mine_p norm_change;
+        emit_all 1 (Grid.add mine_p.norm other_norm)
+      end
     done;
     gbatch_reset gb;
     Scratch.flush scratch out
@@ -1197,19 +1251,19 @@ let group_by ~key ~reduce up =
   let kintern = Intern.tracked engine in
   let scratch = Scratch.create engine in
   let gb = gbatch_create () in
+  (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
+     function of its members' weights, and the retraction of a part's old
+     emissions cancels exactly what was emitted for it. *)
   let emit_part sign kid part =
     let k = Intern.value kintern kid in
-    (* Reverse-insertion-order fold, as the old [Wtbl.fold] gave;
-       [Ops.group_emissions] sorts canonically, so any order that is a
-       pure function of committed state preserves the released bits. *)
     let positive = ref [] in
     for i = part.mlen - 1 downto 0 do
       let rid = part.members.(i) in
       let w = Itbl.get side.w rid in
-      if w > 0.0 then positive := (Intern.value side.ri rid, w) :: !positive
+      if w > 0 then positive := (Intern.value side.ri rid, Grid.to_float w) :: !positive
     done;
     List.iter
-      (fun (members, w) -> Scratch.push scratch (k, reduce members) (sign *. w))
+      (fun (members, w) -> Scratch.push scratch (k, reduce members) (sign * Grid.of_float w))
       (Ops.group_emissions !positive)
   in
   subscribe up (fun xs ws len ->
@@ -1232,15 +1286,14 @@ let group_by ~key ~reduce up =
       for ki = 0 to gb.klen - 1 do
         let kid = gb.keys.(ki) in
         let part = kside_part side kid in
-        emit_part (-1.0) kid part;
+        emit_part (-1) kid part;
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
-          let old = Itbl.get side.w rid in
-          kside_set engine side part rid (old +. gb.cdw.(!node));
+          kside_set engine side part rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
           node := gb.cnext.(!node)
         done;
-        emit_part 1.0 kid part
+        emit_part 1 kid part
       done;
       gbatch_reset gb;
       Scratch.flush scratch out);
@@ -1253,15 +1306,16 @@ let distinct ?(bound = 1.0) up =
   let intern = Intern.tracked engine in
   let state = Itbl.create engine in
   let scratch = Scratch.create ~intern engine in
-  let cap w = Float.max 0.0 (Float.min bound w) in
+  let bound = Grid.of_float bound in
+  let cap w = if w <= 0 then 0 else if w >= bound then bound else w in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
         let dw = ws.(i) in
         let id = Intern.intern intern xs.(i) in
         let old = Itbl.bump state id dw in
-        let diff = cap (old +. dw) -. cap old in
-        if not (near_zero diff) then Scratch.push_id scratch id diff
+        let diff = cap (old + dw) - cap old in
+        if diff <> 0 then Scratch.push_id scratch id diff
       done;
       Scratch.flush scratch out);
   out
@@ -1272,22 +1326,20 @@ let shave f up =
   let intern = Intern.tracked engine in
   let state = Itbl.create engine in
   let scratch = Scratch.create engine in
+  let slabs sign x w =
+    if w > 0 then
+      List.iter
+        (fun (slab, wi) -> Scratch.push scratch (x, slab) (sign * Grid.of_float wi))
+        (Ops.shave_emissions (f x) (Grid.to_float w))
+  in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
         let x = xs.(i) in
         let dw = ws.(i) in
-        let id = Intern.intern intern x in
-        let old = Itbl.bump state id dw in
-        let w = old +. dw in
-        if old > 0.0 then
-          List.iter
-            (fun (slab, wi) -> Scratch.push scratch (x, slab) (-.wi))
-            (Ops.shave_emissions (f x) old);
-        if w > 0.0 then
-          List.iter
-            (fun (slab, wi) -> Scratch.push scratch (x, slab) wi)
-            (Ops.shave_emissions (f x) w)
+        let old = Itbl.bump state (Intern.intern intern x) dw in
+        slabs (-1) x old;
+        slabs 1 x (old + dw)
       done;
       Scratch.flush scratch out);
   out
@@ -1303,6 +1355,12 @@ module Sink = struct
     state : Itbl.t;
     mutable callbacks_rev : (int -> 'a -> old_weight:float -> new_weight:float -> unit) list;
     mutable callbacks : (int -> 'a -> old_weight:float -> new_weight:float -> unit) array;
+    mutable deliveries_rev : (int array -> int array -> int array -> int -> unit) list;
+    mutable deliveries : (int array -> int array -> int array -> int -> unit) array;
+    (* the delivery being retired: sink id, old and new grid weight *)
+    mutable d_ids : int array;
+    mutable d_old : int array;
+    mutable d_new : int array;
   }
 
   let attach node =
@@ -1314,33 +1372,56 @@ module Sink = struct
         state = Itbl.create e;
         callbacks_rev = [];
         callbacks = [||];
+        deliveries_rev = [];
+        deliveries = [||];
+        d_ids = [||];
+        d_old = [||];
+        d_new = [||];
       }
     in
     subscribe node (fun xs ws len ->
+        let record = Array.length t.deliveries > 0 in
+        if record && len > Array.length t.d_ids then begin
+          t.d_ids <- grow_int_array t.d_ids len 0;
+          t.d_old <- grow_int_array t.d_old len 0;
+          t.d_new <- grow_int_array t.d_new len 0
+        end;
         for i = 0 to len - 1 do
           let x = xs.(i) in
-          let dw = ws.(i) in
           let id = Intern.intern t.intern x in
-          let old = Itbl.bump t.state id dw in
-          let nw = old +. dw in
-          let nw = if near_zero nw then 0.0 else nw in
+          let old = Itbl.bump t.state id ws.(i) in
+          let nw = old + ws.(i) in
+          if record then begin
+            t.d_ids.(i) <- id;
+            t.d_old.(i) <- old;
+            t.d_new.(i) <- nw
+          end;
           for c = 0 to Array.length t.callbacks - 1 do
-            t.callbacks.(c) id x ~old_weight:old ~new_weight:nw
+            t.callbacks.(c) id x ~old_weight:(Grid.to_float old) ~new_weight:(Grid.to_float nw)
           done
-        done);
+        done;
+        if record then
+          for c = 0 to Array.length t.deliveries - 1 do
+            t.deliveries.(c) t.d_ids t.d_old t.d_new len
+          done);
     t
 
   let engine t = t.engine
 
   let weight t x =
     let id = Intern.find t.intern x in
-    if id < 0 then 0.0 else Itbl.get t.state id
+    if id < 0 then 0.0 else Grid.to_float (Itbl.get t.state id)
 
   let weight_id t id = Itbl.get t.state id
   let intern_id t x = Intern.intern t.intern x
   let record_of_id t id = Intern.value t.intern id
   let support_size t = Itbl.size t.state
-  let to_list t = List.map (fun (id, w) -> (Intern.value t.intern id, w)) (Itbl.to_list t.state)
+
+  let to_list t =
+    List.map
+      (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w))
+      (Itbl.to_list t.state)
+
   let current t = Wdata.of_list (to_list t)
 
   let on_change_id t f =
@@ -1349,4 +1430,8 @@ module Sink = struct
 
   let on_change t f =
     on_change_id t (fun _id x ~old_weight ~new_weight -> f x ~old_weight ~new_weight)
+
+  let on_delivery t f =
+    t.deliveries_rev <- f :: t.deliveries_rev;
+    t.deliveries <- Array.of_list (List.rev t.deliveries_rev)
 end

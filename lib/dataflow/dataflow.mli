@@ -11,10 +11,20 @@
     (e.g. one edge swap) in time proportional to the records the change
     touches, instead of re-running the query from scratch.
 
-    Operator semantics match {!module:Wpinq_weighted.Ops} exactly: after any
+    Operator semantics match {!module:Wpinq_weighted.Ops}: after any
     sequence of deltas, a {!Sink} below a pipeline holds the same weighted
-    dataset as the batch operators applied to the accumulated input (this is
-    property-tested).
+    dataset as the batch operators applied to the accumulated input, up to
+    one {!Grid} unit per contribution (this is property-tested).
+
+    {2 Exact accumulation}
+
+    Every weight the engine keeps is an integer on the {!Grid} (2{^-40}
+    units, one native int), and every operator emits the difference of a
+    record's new and old contribution, both recomputed from state and each
+    rounded to the grid once — never a float delta.  Integer sums are exact
+    and order-free, so every operator's state, and every sink, is a pure
+    function of the current input: whatever history of feeds, commits and
+    aborts led there, it is bit-equal to a fresh build over the same input.
 
     Correctness does not depend on delta granularity, but performance does:
     all entries of one [feed] batch that share an operator key are processed
@@ -42,9 +52,42 @@
     the scoring layer's incremental distances, enrolled via
     {!Engine.register_audit}) can be cross-validated at any quiescent
     point: {!Engine.audit} recomputes each such cell from scratch and
-    returns a typed divergence report.  A clean audit costs one pass over
-    the audited state and mutates nothing; see DESIGN.md, "Defense in
-    depth". *)
+    returns a typed divergence report.  Cells are exact, so a healthy cell
+    is bit-equal to its recomputation.  A clean audit costs one pass over
+    the audited state, mutates nothing and formats no strings; see
+    DESIGN.md, "Defense in depth". *)
+
+(** Fixed-point weights. *)
+module Grid : sig
+  exception Overflow of string
+  (** Raised by {!of_float} on a value outside [±2{^22}] (or NaN), and by
+      {!add} on a sum outside the native int range.  Nothing wraps. *)
+
+  val of_float : float -> int
+  (** The nearest grid value: [round (x × 2{^40})]. *)
+
+  val to_float : int -> float
+  val add : int -> int -> int
+  val sub : int -> int -> int
+
+  (** An exact sum of grid values two native ints wide, for totals (a
+      target's distance) that can outgrow one int. *)
+  module Wide : sig
+    type t
+
+    val create : unit -> t
+    val add : t -> int -> unit
+    val equal : t -> t -> bool
+    val to_float : t -> float
+
+    val assign : t -> t -> unit
+    (** [assign dst src] copies [src]'s value into [dst]. *)
+
+    val restorer : t -> unit -> unit
+    (** A closure that puts back the value [t] holds now — an undo-log
+        entry ({!Engine.log_undo}). *)
+  end
+end
 
 module Audit : sig
   type divergence = {
@@ -61,11 +104,12 @@ module Audit : sig
 
   val ulp_distance : float -> float -> int64
 
-  val check :
-    tolerance:float -> cell:string -> maintained:float -> recomputed:float -> divergence option
-  (** The shared divergence rule: bit-equal is clean; finite values within
-      [tolerance] absolute drift are clean (float summation-order noise);
-      everything else — including any non-finite disagreement — diverges. *)
+  val divergence : cell:string -> maintained:float -> recomputed:float -> divergence
+  (** The report for a cell found to differ from its recomputation. *)
+
+  val check : cell:string -> maintained:float -> recomputed:float -> divergence option
+  (** The divergence rule: bit-equal is clean, anything else diverges.
+      Maintained cells are exact sums, so there is no drift to forgive. *)
 
   val divergence_to_string : divergence -> string
 end
@@ -118,6 +162,15 @@ module Engine : sig
       layers (e.g. {!Wpinq_core.Flow.Plans}); raises [Invalid_argument] on a
       negative count. *)
 
+  val reset : t -> unit
+  (** Drops every operator, input and sink built in [t] — their state,
+      interns and audit hooks — so a new DAG can be built into the same
+      engine; a node or input of the dropped DAG must not be used again.
+      {!state_records}, {!nodes_built}, {!nodes_shared} and
+      {!interned_ids} start over; the traffic, arena and speculation
+      counters keep counting.  Raises [Invalid_argument] mid-speculation
+      or mid-propagation. *)
+
   val records_propagated : t -> int
   (** Total record deliveries: at every internal emission, the delta's
       length times the number of subscribers it is delivered to.  Unlike
@@ -154,6 +207,12 @@ module Engine : sig
   (** Sums over every interning map and join pair cache built in this
       engine; they register at build time, so the propagation path does no
       counting.  Costs one pass over their slot arrays. *)
+
+  val interned_ids : t -> int
+  (** Ids ever assigned by the engine's interns (the [ids] of
+      {!intern_stats}, kept as a running count).  Interning is monotone, so
+      this only grows; a fit rebuilds its engine when it has doubled since
+      the build (DESIGN.md, "Record interning"). *)
 
   (** {2 Speculation}
 
@@ -197,17 +256,17 @@ module Engine : sig
 
   (** {2 Self-audit} *)
 
-  val register_audit : t -> (tolerance:float -> int * Audit.divergence list) -> unit
-  (** [register_audit t hook] enrolls a read-only validator: [hook
-      ~tolerance] recomputes some redundantly-maintained state from scratch
-      and returns [(cells checked, divergences found)].  Operators with
-      such state (Join) register themselves at build time; derived layers
+  val register_audit : t -> (unit -> int * Audit.divergence list) -> unit
+  (** [register_audit t hook] enrolls a read-only validator: [hook ()]
+      recomputes some redundantly-maintained state from scratch and
+      returns [(cells checked, divergences found)].  Operators with such
+      state (Join) register themselves at build time; derived layers
       (scoring) use this to join the audit. *)
 
-  val audit : ?tolerance:float -> t -> Audit.report
+  val audit : t -> Audit.report
   (** [audit t] runs every registered hook and merges their reports.
       Read-only; raises [Invalid_argument] mid-speculation (audit only at
-      quiescent points).  Default [tolerance] is [1e-6] absolute. *)
+      quiescent points). *)
 
   val fresh_op_id : t -> int
   (** A unique id for naming an operator's audit cells. *)
@@ -258,23 +317,22 @@ module Itbl : sig
   val create : Engine.t -> t
 
   val size : t -> int
-  (** Number of entries (records with non-negligible weight). *)
+  (** Number of entries (records with nonzero weight). *)
 
   val mem : t -> int -> bool
-  val get : t -> int -> float
 
-  val set : t -> int -> float -> unit
-  (** [set t id w] stores [w]; a near-zero [w] removes the entry.  All
+  val get : t -> int -> int
+  (** The {!Grid} weight of an id, [0] when absent. *)
+
+  val set : t -> int -> int -> unit
+  (** [set t id w] stores the grid weight [w]; [0] removes the entry.  All
       functions raise [Invalid_argument] on a negative id. *)
 
-  val bump : t -> int -> float -> float
-  (** Adds the change and returns the {e old} weight. *)
+  val bump : t -> int -> int -> int
+  (** Adds the change ({!Grid.add}) and returns the {e old} weight. *)
 
-  val iter : (int -> float -> unit) -> t -> unit
-  (** Insertion-order iteration. *)
-
-  val fold : (int -> float -> 'acc -> 'acc) -> t -> 'acc -> 'acc
-  val to_list : t -> (int * float) list
+  val to_list : t -> (int * int) list
+  (** Entries in insertion order. *)
 end
 
 type 'a node
@@ -297,7 +355,9 @@ module Input : sig
 
   val feed : 'a t -> 'a delta -> unit
   (** [feed input delta] applies the batch and synchronously propagates all
-      consequences through the DAG.  Must not be called re-entrantly from a
+      consequences through the DAG.  Each weight is rounded to the {!Grid}
+      before duplicates are netted; a weight outside [±2{^22}] raises
+      {!Grid.Overflow}.  Must not be called re-entrantly from a
       sink callback: a re-entrant call raises [Invalid_argument] (enforced,
       not just documented). *)
 
@@ -311,9 +371,9 @@ val select : ('a -> 'b) -> 'a node -> 'b node
 val where : ('a -> bool) -> 'a node -> 'a node
 
 val select_many : ('a -> ('b * float) list) -> 'a node -> 'b node
-(** Stateless: SelectMany's output is linear in each input record's
-    weight, because the produced dataset and its normalization depend only
-    on the record, not its weight. *)
+(** SelectMany's output is linear in each input record's weight, but its
+    contributions are rounded to the grid, so the operator keeps its input
+    weights and emits [q(new) − q(old)] per produced record. *)
 
 val select_many_list : ('a -> 'b list) -> 'a node -> 'b node
 val concat : 'a node -> 'a node -> 'a node
@@ -328,13 +388,13 @@ val join :
   'a node ->
   'b node ->
   'c node
-(** Indexes both inputs by key.  A delta that leaves a key's total absolute
-    weight unchanged is retired with the bilinear update
-    [δa × B / (‖A_k‖+‖B_k‖)] touching only matched records; a delta that
-    changes the norm rescales the key's whole output (old cross product
-    out, new cross product in), as wPINQ's normalization requires.
-    Sub-threshold norm residue is folded into the key's stored norm exactly
-    once per batch, so norms stay exact without double-counting dust. *)
+(** Indexes both inputs by key; a pair's output weight is
+    [q(wa × wb / (‖A_k‖+‖B_k‖))].  A delta that leaves a key's norm
+    exactly unchanged takes the Appendix B fast path: for each changed
+    record and partner it emits [q(new pair weight) − q(old pair weight)],
+    touching only matched records.  A delta that changes the norm rescales
+    the key's whole output (old cross product out, new cross product in),
+    as wPINQ's normalization requires.  Norms are exact grid sums. *)
 
 val group_by : key:('a -> 'k) -> reduce:('a list -> 'r) -> 'a node -> ('k * 'r) node
 (** Maintains each part's records; on change, re-derives the part's prefix
@@ -376,20 +436,31 @@ module Sink : sig
       ids before the walk starts). *)
 
   val record_of_id : 'a t -> int -> 'a
-  val weight_id : 'a t -> int -> float
+
+  val weight_id : 'a t -> int -> int
+  (** The {!Grid} weight of a sink id. *)
 
   val on_change : 'a t -> ('a -> old_weight:float -> new_weight:float -> unit) -> unit
   (** Registers a callback fired on every record weight change reaching the
-      sink (after the sink's own state is updated).  This is the hook the
-      scoring layer uses to maintain [‖Q(A) − m‖₁] incrementally.
-      Callbacks fire during speculative propagation too (and are {e not}
+      sink (after the sink's own state is updated).  Callbacks fire during
+      speculative propagation too (and are {e not}
       re-fired on abort — state a callback derives must be enrolled in the
       undo log via {!Engine.log_undo} to survive rollback). *)
 
   val on_change_id : 'a t -> (int -> 'a -> old_weight:float -> new_weight:float -> unit) -> unit
   (** Like {!on_change}, with the record's sink id passed first. *)
+
+  val on_delivery : 'a t -> (int array -> int array -> int array -> int -> unit) -> unit
+  (** [on_delivery t f] calls [f ids olds news len] once per delivery (one
+      upstream emission) after the sink has absorbed all of it: entry [i]
+      is sink id [ids.(i)], changed from grid weight [olds.(i)] to
+      [news.(i)].  The arrays are borrowed for the call.  A layer that must
+      act on a delivery as a whole (the scoring targets draw first-seen
+      records in a canonical order) uses this instead of {!on_change};
+      the same undo-log rule applies. *)
 end
 
 val coalesce : 'a delta -> 'a delta
-(** Combines duplicate records and drops ~zero entries.  Exposed for
-    tests and for callers assembling composite deltas. *)
+(** Rounds each weight to the {!Grid}, combines duplicate records exactly
+    and drops entries that net to zero.  Exposed for tests and for callers
+    assembling composite deltas. *)

@@ -7,12 +7,13 @@ module Dataflow = Wpinq_dataflow.Dataflow
 
 type measured = Measured : 'a Plan.t * 'a Measurement.t -> measured
 
-(* The engine-side fields are mutable so a checkpoint rebase can swap in a
-   state rebuilt from the serialized snapshot while the MCMC driver's
-   closures (which capture [t]) keep working. *)
+(* The engine-side fields are mutable so a rebuild (compaction, audit
+   recovery) can swap in a fresh state while the MCMC driver's closures
+   (which capture [t]) keep working.  The engine itself is kept: a rebuild
+   resets it and builds the new DAG into it. *)
 type t = {
   rng : Prng.t;
-  mutable engine : Dataflow.Engine.t;
+  engine : Dataflow.Engine.t;
   mutable handle : (int * int) Flow.handle;
   mutable graph : Graph.Mutable.t;
   mutable targets : Flow.Target.t list;
@@ -29,6 +30,7 @@ type t = {
      be replicated across domains. *)
   mutable replicate : (unit -> (int * int) Flow.t -> Flow.Target.t list) option;
   mutable energy : float;
+  mutable built_ids : int; (* the engine's interned ids right after its build *)
 }
 
 (* Every invocation creates a fresh lowering context over the input's
@@ -47,16 +49,16 @@ let plan_replicate ~source ~measured () =
     ~measured:(List.map (fun (Measured (p, m)) -> Measured (p, Measurement.copy m)) measured)
 
 (* Engine state built from an explicit, order-significant edge array: the
-   one deterministic construction under [create] (the seed graph's edge
-   array), [restore] (resume from a checkpoint file), [rebuild] (in-place
-   rebase at a checkpoint boundary, audit recovery) and the replica pool.
-   Targets attach before any data flows, so their initial distances account
-   for every observed record; then the symmetric records are fed in
-   edge-array order.  Every fit over the same edge array and measurements
-   therefore reads bit-identical energies, which is what lets a resumed
-   chain, a live rebased chain and the replicas of a parallel walk agree. *)
-let attach ~builder mg =
-  let engine = Dataflow.Engine.create () in
+   one construction under [create] (the seed graph's edge array), [restore]
+   (resume from a checkpoint file), [rebuild] (compaction, audit recovery)
+   and the replica pool.  Targets attach before any data flows, so their
+   initial distances account for every observed record; then the
+   symmetric records are fed in edge-array order.  Accumulation is exact,
+   so any fit over the same edge multiset and measurements reads
+   bit-identical energies — which is what lets a resumed chain, a live
+   chain and the replicas of a parallel walk agree. *)
+let attach ?(engine = Dataflow.Engine.create ()) ~builder mg =
+  Dataflow.Engine.reset engine;
   let handle, sym = Flow.input engine in
   let built = builder sym in
   let records =
@@ -78,6 +80,7 @@ let of_mutable ?replicate ~rng ~builder mg =
     builder;
     replicate;
     energy = Flow.Target.energy built;
+    built_ids = Dataflow.Engine.interned_ids engine;
   }
 
 let create_multi ?replicate ~rng ~seed_graph ~builder () =
@@ -106,16 +109,22 @@ let restore_shared ~rng ~n ~edges ~source ~measured () =
     ~builder:(plan_builder ~source ~measured)
     ()
 
+(* The rebuilt DAG goes into the fit's own engine, so the engine's
+   lifetime counters (commits, aborts, traffic) span every rebuild. *)
 let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
   let mg = Graph.Mutable.of_edge_array ~n edges in
-  let engine, handle, built = attach ~builder mg in
-  t.engine <- engine;
+  (* Let go of the old DAG before the new one is built, so the collector
+     can reuse its memory during the build. *)
+  t.targets <- [];
+  t.handle <- fst (Flow.input t.engine);
+  let engine, handle, built = attach ~engine:t.engine ~builder mg in
   t.handle <- handle;
   t.graph <- mg;
   t.targets <- built;
   t.builder <- builder;
   t.replicate <- replicate;
-  t.energy <- Flow.Target.energy built
+  t.energy <- Flow.Target.energy built;
+  t.built_ids <- Dataflow.Engine.interned_ids engine
 
 let rebuild t ~n ~edges ~targets =
   rebuild_multi t ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets)
@@ -126,6 +135,19 @@ let rebuild_shared t ~n ~edges ~source ~measured =
     t ~n ~edges
     ~builder:(plan_builder ~source ~measured)
 
+(* Interning is monotone: an engine keeps every record any proposal ever
+   touched, aborted ones included.  A rebuild is bit-neutral (exact
+   accumulation), so once the engine's interned ids have doubled since its
+   last build, the fit rebuilds itself from its own edge array over the
+   live measurements.  O(1) amortized per id; called at the lookahead
+   walk's batch boundaries, where every fit is quiescent. *)
+let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max 1 t.built_ids
+
+let compact t =
+  if grown t then
+    rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
+      ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder
+
 let graph t = Graph.Mutable.to_graph t.graph
 let edge_array t = Graph.Mutable.edge_array t.graph
 let nodes t = Graph.Mutable.n t.graph
@@ -133,6 +155,7 @@ let rng t = t.rng
 let energy t = t.energy
 let engine t = t.engine
 let targets t = t.targets
+let built_ids t = t.built_ids
 let replicable t = t.replicate <> None
 
 (* A proposal is installed speculatively: the graph edit is applied and the
@@ -188,14 +211,14 @@ let refresh t =
    registered hooks (join norms, each target's maintained distance vs. its
    live sink), and a from-scratch batch replica of the whole fit — a
    throwaway engine fed the same edge array, whose recomputed target
-   distances the live maintained ones must match.  Every target over a
-   measurement seeds the same baseline (its measurement-time support), so
-   the two distances are directly comparable.  The replica draws no new
-   noise: every record it can see, the live engine has already seen, so
-   every observation is already memoized in the shared measurements.
-   Read-only; a clean audit leaves the walk bit-identical. *)
-let audit ?(tolerance = 1e-6) t =
-  let live = Dataflow.Engine.audit ~tolerance t.engine in
+   distances the live maintained ones must match bit for bit.  Every
+   target over a measurement seeds the same baseline (its measurement-time
+   support), so the two distances are directly comparable.  The replica
+   draws no new noise: every record it can see, the live engine has
+   already seen, so every observation is already memoized in the shared
+   measurements.  Read-only; a clean audit leaves the walk bit-identical. *)
+let audit t =
+  let live = Dataflow.Engine.audit t.engine in
   let _, _, batch_targets = attach ~builder:t.builder t.graph in
   let cells = ref live.Dataflow.Audit.cells_checked in
   let divs = ref (List.rev live.Dataflow.Audit.divergences) in
@@ -206,19 +229,18 @@ let audit ?(tolerance = 1e-6) t =
       let recomputed = Flow.Target.distance batch in
       incr cells;
       let cell = Printf.sprintf "target#%d.batch-distance" i in
-      match Dataflow.Audit.check ~tolerance ~cell ~maintained ~recomputed with
+      match Dataflow.Audit.check ~cell ~maintained ~recomputed with
       | None -> ()
       | Some d -> divs := d :: !divs)
     batch_targets;
   { Dataflow.Audit.cells_checked = !cells; divergences = List.rev !divs }
 
-let audit_and_recover ?tolerance t =
-  let report = audit ?tolerance t in
+let audit_and_recover t =
+  let report = audit t in
   if report.Dataflow.Audit.divergences <> [] then
-    (* Out-of-tolerance drift: quarantine is the caller's report; recovery
-       is a full rebuild from the edge array — the same deterministic path
-       a checkpoint resume takes — so the walk continues from batch
-       truth. *)
+    (* Corrupted state: quarantine is the caller's report; recovery is a
+       full rebuild from the edge array — the same path a checkpoint
+       resume takes — so the walk continues from batch truth. *)
     rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
       ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder;
   report
@@ -499,7 +521,27 @@ module Pool = struct
     done;
     t1
 
+  (* After an audit recovery replaced the owner's engine, or when the
+     replicas' interns have grown: rebuild every replica from the owner's
+     current state through the same path [create] used.  The rebuilt
+     replicas embody every committed delta, so the log restarts empty.
+     With no replicas this only re-reads the owner's energy. *)
+  let resync pool =
+    pool.log_len <- 0;
+    Array.fill pool.applied 0 (Array.length pool.applied) 0;
+    let builders = Array.map (fun _ -> replica_builder pool.owner) pool.replicas in
+    on_replicas pool (fun i ->
+        pool.replicas.(i) <- fresh_replica ~builder:builders.(i) pool.owner);
+    energy pool
+
+  (* A batch boundary: every fit is quiescent.  Replicas grow by their
+     speculations, the owner (at jobs > 1) by committed deltas only. *)
+  let compact_pool pool =
+    compact pool.owner;
+    if Array.exists grown pool.replicas then ignore (resync pool)
+
   let eval pool ~pow ~energy streams =
+    compact_pool pool;
     let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
     let t0 = match pool.counters with Some _ -> now () | None -> 0.0 in
     let t1 =
@@ -554,20 +596,6 @@ module Pool = struct
     refresh pool.owner;
     energy pool
 
-  (* After a checkpoint rebase or an audit recovery replaced the owner's
-     engine: rebuild every replica from the owner's current state through
-     the same deterministic path [create] used, so a live rebased walk and
-     a future resume land on byte-identical replicas.  The rebuilt
-     replicas embody every committed delta, so the log restarts empty.
-     With no replicas this only re-reads the owner's energy. *)
-  let resync pool =
-    pool.log_len <- 0;
-    Array.fill pool.applied 0 (Array.length pool.applied) 0;
-    let builders = Array.map (fun _ -> replica_builder pool.owner) pool.replicas in
-    on_replicas pool (fun i ->
-        pool.replicas.(i) <- fresh_replica ~builder:builders.(i) pool.owner);
-    energy pool
-
   let lookahead pool =
     {
       Mcmc.la_jobs = pool.jobs;
@@ -579,10 +607,10 @@ module Pool = struct
     }
 end
 
-let run t ~steps ?start ?(pow = 1.0) ?(refresh_every = 100_000) ?audit_every ?audit_tolerance
-    ?should_stop ?checkpoint_every ?on_checkpoint ?on_step ?jobs ?on_batch ?width ?counters () =
+let run t ~steps ?start ?(pow = 1.0) ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint
+    ?on_step ?jobs ?on_batch ?width ?counters () =
   let audit () =
-    let report = audit_and_recover ?tolerance:audit_tolerance t in
+    let report = audit_and_recover t in
     List.length report.Dataflow.Audit.divergences
   in
   match jobs with
@@ -592,8 +620,8 @@ let run t ~steps ?start ?(pow = 1.0) ?(refresh_every = 100_000) ?audit_every ?au
          the reference implementation the lookahead tests compare against
          indirectly (through identical committed statistics). *)
       let stats =
-        Mcmc.run ~rng:t.rng ~steps ?start ~pow ~refresh:(fun () -> refresh t) ~refresh_every
-          ~audit ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint ?on_step
+        Mcmc.run ~rng:t.rng ~steps ?start ~pow ~refresh:(fun () -> refresh t) ~audit ?audit_every
+          ?should_stop ?checkpoint_every ?on_checkpoint ?on_step
           ~energy:(fun () -> Flow.Target.energy t.targets)
           ~propose:(fun () -> Graph.Mutable.propose_swap t.graph t.rng)
           ~apply:(fun swap -> speculate_swap t swap)
@@ -616,8 +644,8 @@ let run t ~steps ?start ?(pow = 1.0) ?(refresh_every = 100_000) ?audit_every ?au
         (fun () ->
           let stats =
             Mcmc.run_lookahead ~rng:t.rng ~lookahead:(Pool.lookahead pool) ~steps ?start ~pow
-              ~refresh_every ~audit ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint
-              ?on_batch ?on_step ?width ?counters ()
+              ~audit ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint ?on_batch ?on_step
+              ?width ?counters ()
           in
           t.energy <- stats.Mcmc.final_energy;
           stats)

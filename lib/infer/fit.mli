@@ -11,11 +11,13 @@
     aborts, rolling the engine back in O(cells touched) instead of paying a
     second DAG propagation for the inverted swap.
 
-    For crash recovery, the engine side of a fit can be {!rebuild}t in
-    place from an explicit edge array (the checkpoint rebase), or a whole
-    fit can be {!restore}d from checkpointed state; both paths share one
-    deterministic construction, which is what makes a resumed chain retrace
-    an uninterrupted one exactly. *)
+    The engine accumulates exactly, so its energy is a pure function of the
+    current edge multiset and measurements: a fit {!restore}d from a
+    checkpoint, or {!rebuild}t in place, reads the same bits as the live
+    one, which is what makes a resumed chain retrace an uninterrupted one
+    exactly.  The walk also rebuilds its own engine, bit-neutrally, when
+    the engine's interned ids have doubled since its last build, so memory
+    stays bounded on any walk length. *)
 
 type t
 
@@ -51,7 +53,7 @@ val create_shared :
     [source] leaf, lowered through a single {!Wpinq_core.Flow.Plans}
     context: plan prefixes shared between measurements become one physical
     dataflow sub-DAG, so each MCMC delta propagates through the common
-    prefix once per step.  Rebuilds (audit recovery, checkpoint rebase,
+    prefix once per step.  Rebuilds (audit recovery, compaction,
     {!restore_shared}) reconstruct the same sharing deterministically.
     Observable behaviour — energies, acceptance decisions, the final
     synthetic graph — is bit-identical to the unshared construction
@@ -97,8 +99,9 @@ val rebuild_shared :
   source:(int * int) Wpinq_core.Plan.t ->
   measured:measured list ->
   unit
-(** In-place {!restore_shared} — the checkpoint-rebase path for plan-shared
-    fits. *)
+(** In-place {!restore_shared} for plan-shared fits.  Over the fit's own
+    edge array and measurements it is bit-neutral: energies, and so the
+    walk that follows, are unchanged. *)
 
 val graph : t -> Wpinq_graph.Graph.t
 (** A snapshot of the current synthetic graph (public; inspect freely). *)
@@ -118,6 +121,11 @@ val engine : t -> Wpinq_dataflow.Dataflow.Engine.t
 
 val targets : t -> Wpinq_core.Flow.Target.t list
 
+val built_ids : t -> int
+(** {!Wpinq_dataflow.Dataflow.Engine.interned_ids} right after the
+    engine's last build: the lookahead walk rebuilds the engine once its
+    interned ids reach twice this count. *)
+
 val replicable : t -> bool
 (** Whether this fit can stand up independent replicas for the parallel
     lookahead pool ([jobs > 1]): [true] for plan-reified fits
@@ -129,17 +137,17 @@ val step : ?pow:float -> t -> bool
 (** A single Metropolis–Hastings step (default [pow] 1.0); returns whether
     the proposal was accepted.  Exposed for fine-grained benchmarking. *)
 
-val audit : ?tolerance:float -> t -> Wpinq_dataflow.Dataflow.Audit.report
+val audit : t -> Wpinq_dataflow.Dataflow.Audit.report
 (** [audit t] cross-validates the live incremental state two ways: the
     engine's registered self-audit hooks (Join norms, each target's
     maintained distance against its live sink), and a throwaway {e batch
     replica} — a fresh engine fed the current edge array from scratch,
     whose recomputed target distances the live maintained ones must match
-    within [tolerance] (default [1e-6]).  Read-only, and draws no new noise (every record the
+    bit for bit.  Read-only, and draws no new noise (every record the
     replica sees is already memoized in the shared measurements), so a
     clean audit leaves the walk bit-identical. *)
 
-val audit_and_recover : ?tolerance:float -> t -> Wpinq_dataflow.Dataflow.Audit.report
+val audit_and_recover : t -> Wpinq_dataflow.Dataflow.Audit.report
 (** {!audit}, then — if any cell diverged — {!rebuild}s the fit in place
     from its own edge array (the same deterministic path a checkpoint
     resume takes), so the walk continues from batch truth rather than
@@ -150,9 +158,7 @@ val run :
   steps:int ->
   ?start:int ->
   ?pow:float ->
-  ?refresh_every:int ->
   ?audit_every:int ->
-  ?audit_tolerance:float ->
   ?should_stop:(unit -> bool) ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(step:int -> stats:Mcmc.stats -> unit) ->
@@ -164,13 +170,19 @@ val run :
   unit ->
   Mcmc.stats
 (** Runs the walk for iterations [start + 1 .. steps] (default [start] 0,
-    [pow] 1.0; the paper's experiments use 10⁴).  Incremental target
-    distances are refreshed every [refresh_every] steps (default 10⁵) to
-    discard floating-point drift.  [audit_every] (default off) runs
-    {!audit_and_recover} at that cadence, feeding divergence counts into
-    {!Mcmc.stats}.  [should_stop] is the graceful-shutdown poll (see
-    {!Mcmc.run}).  [checkpoint_every] / [on_checkpoint] pass through to
-    {!Mcmc.run}: the hook may call {!rebuild} on this fit.
+    [pow] 1.0; the paper's experiments use 10⁴).  [audit_every] (default
+    off) runs {!audit_and_recover} at that cadence, feeding divergence
+    counts into {!Mcmc.stats}.  [should_stop] is the graceful-shutdown poll
+    (see {!Mcmc.run}).  [checkpoint_every] / [on_checkpoint] pass through
+    to {!Mcmc.run}.
+
+    Between lookahead batches the fit compacts itself: once the engine's
+    interned ids reach twice their count after its last build, it
+    rebuilds in place from its own edge array (into the same engine) —
+    bit-neutral, so the chain does not move, and memory stays within
+    twice the post-build footprint plus one batch's growth.  At [jobs > 1]
+    the replicas are rebuilt from this fit when any of them has grown.
+    The legacy walk ([jobs] omitted) and {!step} do not compact.
 
     [jobs] selects the walk implementation.  Omitted: the legacy in-place
     serial walk (proposals drawn directly from the fit's rng, evaluated on

@@ -32,9 +32,9 @@ type 'swap verdict =
    are never read).  Losers leave no trace; the first winner may be held
    open.  [commit] commits an accepted swap to the canonical fit (and
    queues it for any replicas).  [refresh] recomputes maintained state
-   from scratch everywhere and returns the pool's energy.  [resync]
-   rebuilds any replicas from the canonical fit (after a checkpoint
-   rebase or audit recovery) and returns the pool's energy. *)
+   from scratch everywhere and returns the pool's energy (the nonfinite
+   guard).  [resync] rebuilds any replicas from the canonical fit (after
+   an audit recovery) and returns the pool's energy. *)
 type 'swap lookahead = {
   la_jobs : int;
   la_energy : unit -> float;
@@ -97,17 +97,15 @@ let counters () =
    run accept-free (deep lookahead is nearly free when almost everything
    is rejected) and halves it when an acceptance cuts a batch short;
    [Schedule] is the test hook — any width sequence whatsoever.  All
-   widths are clamped to cadence boundaries (refresh / audit /
-   checkpoint), and the stop poll and fault-injection points fire once
-   per batch, so interrupts, kills and snapshots only ever observe
-   committed, batch-aligned state. *)
-let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
-    ?(refresh_every = 100_000) ?audit ?(audit_every = 0) ?should_stop ?checkpoint_every
-    ?on_checkpoint ?on_batch ?on_step ?width ?counters:ctrs () =
+   widths are clamped to cadence boundaries (audit / checkpoint), and the
+   stop poll and fault-injection points fire once per batch, so
+   interrupts, kills and snapshots only ever observe committed,
+   batch-aligned state. *)
+let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(audit_every = 0)
+    ?should_stop ?checkpoint_every ?on_checkpoint ?on_batch ?on_step ?width ?counters:ctrs () =
   if start < 0 || start > steps then
     invalid_arg "Mcmc.run_lookahead: start must be within [0, steps]";
   if la.la_jobs < 1 then invalid_arg "Mcmc.run_lookahead: jobs must be at least 1";
-  if refresh_every < 1 then invalid_arg "Mcmc.run_lookahead: refresh_every must be positive";
   if audit_every < 0 then invalid_arg "Mcmc.run_lookahead: audit_every must be non-negative";
   let width = match width with Some w -> w | None -> Fixed la.la_jobs in
   (match width with
@@ -156,7 +154,6 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
         in
         incr batch_index;
         let k = min intent (steps - base) in
-        let k = min k (until_boundary base refresh_every) in
         let k = min k (until_boundary base audit_every) in
         let k =
           match checkpoint_every with Some c -> min k (until_boundary base c) | None -> k
@@ -224,7 +221,6 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
                  and re-read rather than letting NaN corrupt the walk. *)
               incr nonfinite;
               current := la.la_refresh ());
-          if step mod refresh_every = 0 then current := la.la_refresh ();
           (match audit with
           | Some f when audit_every > 0 && step mod audit_every = 0 ->
               Fault.point "mcmc.audit";
@@ -240,11 +236,7 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
           (match on_step with Some f -> f ~step ~energy:!current | None -> ());
           match (on_checkpoint, checkpoint_every) with
           | Some f, Some every when step mod every = 0 && step < steps ->
-              f ~step ~stats:(interim step);
-              (* The hook may rebase the canonical fit onto the snapshot
-                 bytes; rebuild the replicas from it so this run and any
-                 future resume continue from literally the same state. *)
-              current := la.la_resync ()
+              f ~step ~stats:(interim step)
           | _ -> ()
         done;
         (match ctrs with
@@ -252,16 +244,15 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0)
             c.commit_us <- c.commit_us +. (1e6 *. !commit_in_batch);
             (* Resolution = everything after the verdicts return that is not
                a commit: the prefix scan, rng advance, and the cadence hooks
-               (refresh/audit/checkpoint, when they fire). *)
+               (audit/checkpoint, when they fire). *)
             c.resolve_us <-
               c.resolve_us +. (1e6 *. (now () -. t_resolve -. !commit_in_batch))
         | None -> ())
   done;
   interim !step
 
-let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?(refresh_every = 100_000) ?audit
-    ?(audit_every = 0) ?should_stop ?checkpoint_every ?on_checkpoint ?on_step ~energy ~propose
-    ~apply ?commit ~revert () =
+let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?audit ?(audit_every = 0) ?should_stop
+    ?checkpoint_every ?on_checkpoint ?on_step ~energy ~propose ~apply ?commit ~revert () =
   if start < 0 || start > steps then invalid_arg "Mcmc.run: start must be within [0, steps]";
   if audit_every < 0 then invalid_arg "Mcmc.run: audit_every must be non-negative";
   let accepted = ref 0 and invalid = ref 0 and nonfinite = ref 0 in
@@ -310,7 +301,7 @@ let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?(refresh_every = 100_000
               else revert move
             end
             else begin
-              (* Incremental drift or overflow produced a non-finite energy.
+              (* Corruption or overflow produced a non-finite energy.
                  Discard the move, rebuild the incremental state, and re-read
                  rather than letting NaN corrupt the accept/reject decision. *)
               incr nonfinite;
@@ -318,11 +309,6 @@ let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?(refresh_every = 100_000
               (match refresh with Some f -> f () | None -> ());
               current := energy ()
             end);
-        (match refresh with
-        | Some f when step mod refresh_every = 0 ->
-            f ();
-            current := energy ()
-        | _ -> ());
         (match audit with
         | Some f when audit_every > 0 && step mod audit_every = 0 ->
             Fault.point "mcmc.audit";
@@ -339,10 +325,7 @@ let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?(refresh_every = 100_000
         (match on_step with Some f -> f ~step ~energy:!current | None -> ());
         (match (on_checkpoint, checkpoint_every) with
         | Some f, Some every when step mod every = 0 && step < steps ->
-            f ~step ~stats:(interim step);
-            (* The hook may rebuild the incremental state wholesale (the
-               checkpoint rebase); re-read the energy from the new state. *)
-            current := energy ()
+            f ~step ~stats:(interim step)
         | _ -> ())
   done;
   interim !step

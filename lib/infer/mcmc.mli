@@ -51,11 +51,11 @@ type 'swap lookahead = {
       (** commit an accepted swap to the canonical fit (and, with replicas,
           queue it for them) *)
   la_refresh : unit -> float;
-      (** recompute maintained state from scratch everywhere; returns the
-          refreshed energy *)
+      (** recompute maintained state from scratch everywhere (the
+          nonfinite guard); returns the refreshed energy *)
   la_resync : unit -> float;
-      (** rebuild any replicas from the canonical fit (after a checkpoint
-          rebase or audit recovery); returns the pool energy *)
+      (** rebuild any replicas from the canonical fit (after an audit
+          recovery); returns the pool energy *)
 }
 (** The evaluation-pool interface {!run_lookahead} drives — implemented by
     [Fit.Pool]. *)
@@ -106,7 +106,6 @@ val run_lookahead :
   steps:int ->
   ?start:int ->
   ?pow:float ->
-  ?refresh_every:int ->
   ?audit:(unit -> int) ->
   ?audit_every:int ->
   ?should_stop:(unit -> bool) ->
@@ -134,8 +133,8 @@ val run_lookahead :
 
     [width] (default [Fixed la_jobs]) chooses how many streams each batch
     dispatches; widths beyond [la_jobs] are evaluated by giving each
-    worker a slice of the batch.  Batches are clamped to refresh / audit /
-    checkpoint cadence boundaries, and the stop poll and fault-injection
+    worker a slice of the batch.  Batches are clamped to audit / checkpoint
+    cadence boundaries, and the stop poll and fault-injection
     points ("mcmc.signal", "mcmc.step") fire once per batch, so
     interrupts, kills and snapshots only ever observe committed,
     batch-aligned state.  [on_batch] reports each batch's dispatched width
@@ -149,7 +148,6 @@ val run :
   ?start:int ->
   ?pow:float ->
   ?refresh:(unit -> unit) ->
-  ?refresh_every:int ->
   ?audit:(unit -> int) ->
   ?audit_every:int ->
   ?should_stop:(unit -> bool) ->
@@ -175,18 +173,15 @@ val run :
     [apply]/[commit]/[revert] form a transaction: [apply] may install the
     move {e speculatively} (e.g. {!Wpinq_dataflow.Dataflow.Engine}'s
     undo-logged propagation); [commit] — invoked exactly once per accepted
-    move, before any [on_step]/[on_checkpoint]/refresh activity — finalizes
+    move, before any [on_step]/[on_checkpoint]/audit activity — finalizes
     it, and [revert] rolls it back.  When [commit] is omitted, acceptance
     simply keeps the applied state (the pre-speculation contract).
 
-    If the freshly-read energy is {e non-finite} (incremental drift or
-    overflow), the move is discarded ([revert]), [refresh] is invoked, the
-    energy re-read, and [refreshed_on_nonfinite] incremented — NaN never
-    reaches the accept/reject comparison.
-
-    [refresh] (with [refresh_every], default [100_000]) is called
-    periodically to let incrementally-maintained energies discard
-    floating-point drift; the energy is re-read afterwards.
+    If the freshly-read energy is {e non-finite} (corruption or overflow),
+    the move is discarded ([revert]), [refresh] is invoked, the energy
+    re-read, and [refreshed_on_nonfinite] incremented — NaN never reaches
+    the accept/reject comparison.  Maintained energies are exact, so there
+    is no periodic refresh.
 
     [audit] (with [audit_every]; [0], the default, disables) is the
     self-audit hook: every [audit_every]-th iteration it cross-validates the
@@ -205,6 +200,5 @@ val run :
 
     [on_checkpoint] (with [checkpoint_every]) fires after every
     [checkpoint_every]-th iteration (skipping the final one), {e after}
-    [on_step], receiving the interim [stats].  The hook may rebuild the
-    incremental state entirely — the checkpoint/resume rebase — so the
-    energy is re-read once it returns. *)
+    [on_step], receiving the interim [stats].  The hook must leave the
+    walk's state as it found it (a checkpoint only writes). *)

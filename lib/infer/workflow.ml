@@ -165,10 +165,13 @@ exception Corrupt_checkpoint of string
 
 let ckpt_magic = "wpinq-checkpoint\n"
 
-(* Version 8: the canonical energy baseline.  Each saved measurement
-   keeps its measurement-time support apart from its lazy draws, so a
-   resumed or rebased fit seeds its targets from the support alone; a v7
-   payload would decode its lazy draws as support.  (Version 7 added the
+(* Version 9: exact accumulation.  A checkpoint no longer rebuilds the
+   live engine, so the snapshot is written from the live measurements, with
+   their lazy draws in draw order; the drift-era fields (the refresh
+   cadence and the audit tolerance) are gone.  A v8 payload would decode
+   with its fields shifted.  (Version 8 kept each measurement's
+   measurement-time support apart from its lazy draws, so a resumed fit
+   seeds its targets from the support alone.  Version 7 added the
    canonical hash of each optimized fit plan, in target order, which a
    resume re-derives and verifies — catching a changed optimizer or query
    definition that would silently walk a different dataflow.  Version 6
@@ -176,7 +179,7 @@ let ckpt_magic = "wpinq-checkpoint\n"
    [-1]/[0] for non-stream runs.  Version 5 introduced the per-step
    split-stream discipline of the parallel speculative lookahead and
    [ck_jobs].)  Older snapshots are refused by the version gate. *)
-let ckpt_version = 8
+let ckpt_version = 9
 
 (* Everything a resumed chain needs, and nothing protected: the released
    query measurement (noisy counts + noise-stream cursor), the public seed
@@ -189,10 +192,8 @@ type ck = {
   ck_pow : float;
   ck_steps : int; (* total steps requested for the whole run *)
   ck_trace_every : int;
-  ck_refresh_every : int; (* incremental-drift refresh cadence *)
   ck_every : int; (* checkpoint cadence *)
   ck_audit_every : int; (* self-audit cadence; 0 = off *)
-  ck_audit_tolerance : float;
   ck_jobs : int;
       (* lookahead width the run was started with.  Informational default
          for a resume: the realized chain is invariant to the width, so a
@@ -212,10 +213,12 @@ type ck = {
   ck_divergences : int;
   ck_initial_energy : float;
   ck_trace : trace_point list; (* newest first, as accumulated *)
-  ck_qms : query_measurement list; (* fit targets, in target order *)
+  ck_qms : query_measurement list;
+      (* fit targets, in target order: the live measurements the walk draws
+         its lazy noise into *)
   ck_plan_hashes : string list;
       (* canonical hash of each optimized fit plan, in target order —
-         verified against the re-derived plans on every resume/rebase *)
+         verified against the re-derived plans on every resume *)
 }
 
 let write_edge buf (u, v) =
@@ -294,10 +297,8 @@ let encode_ck ck =
   Codec.write_float buf ck.ck_pow;
   Codec.write_int buf ck.ck_steps;
   Codec.write_int buf ck.ck_trace_every;
-  Codec.write_int buf ck.ck_refresh_every;
   Codec.write_int buf ck.ck_every;
   Codec.write_int buf ck.ck_audit_every;
-  Codec.write_float buf ck.ck_audit_tolerance;
   Codec.write_int buf ck.ck_jobs;
   Codec.write_int buf ck.ck_epoch;
   Codec.write_int buf ck.ck_stream_seq;
@@ -324,10 +325,8 @@ let decode_ck payload =
   let ck_pow = Codec.read_float r in
   let ck_steps = Codec.read_int r in
   let ck_trace_every = Codec.read_int r in
-  let ck_refresh_every = Codec.read_int r in
   let ck_every = Codec.read_int r in
   let ck_audit_every = Codec.read_int r in
-  let ck_audit_tolerance = Codec.read_float r in
   let ck_jobs = Codec.read_int r in
   if ck_jobs < 1 then
     raise (Codec.Decode_error "checkpoint: jobs must be at least 1");
@@ -360,10 +359,8 @@ let decode_ck payload =
     ck_pow;
     ck_steps;
     ck_trace_every;
-    ck_refresh_every;
     ck_every;
     ck_audit_every;
-    ck_audit_tolerance;
     ck_jobs;
     ck_epoch;
     ck_stream_seq;
@@ -389,16 +386,15 @@ let decode_ck payload =
    a different dataflow than the checkpointed chain — a changed rewrite
    rule, query definition, or estimate — so resuming would silently break
    the bit-identical-retrace guarantee; refuse instead. *)
-let shared_measured_verified ~origin ck =
+let shared_measured_verified ck =
   let source, measured = shared_measured ck.ck_qms in
   let got = plan_hashes measured in
   if got <> ck.ck_plan_hashes then
     raise
       (Corrupt_checkpoint
          (Printf.sprintf
-            "%s: optimized plan hashes diverge from checkpoint (recorded %s; re-derived %s) \
+            "resume: optimized plan hashes diverge from checkpoint (recorded %s; re-derived %s) \
              — the optimizer or query definitions changed since the snapshot was written"
-            origin
             (String.concat "," ck.ck_plan_hashes)
             (String.concat "," got)));
   (source, measured)
@@ -427,27 +423,23 @@ let combined_stop ?stop ?deadline () =
 
 (* Continue the walk described by [ck] on [fit] (whose state corresponds to
    [ck.ck_step] completed steps).  When [sink] is set, a snapshot is
-   written every [ck.ck_every] steps — and, crucially, the live state is
-   then thrown away and rebuilt from the snapshot's own bytes.  This
-   "rebase" makes the post-checkpoint state a pure function of the
-   checkpoint file, so a run killed and resumed from that file retraces the
-   uninterrupted run bit for bit.  A stop request ([should_stop], from a
-   signal or a deadline) additionally writes one final snapshot of the
-   stopped state, so the partial run is immediately resumable. *)
+   written every [ck.ck_every] steps, and the live walk carries on: the
+   engine's state is a pure function of the edge array and the
+   measurements it serializes, so a run killed and resumed from that file
+   (a fresh build) retraces the uninterrupted run bit for bit, and the
+   checkpoint cadence is not part of the chain.  A stop request
+   ([should_stop], from a signal or a deadline) additionally writes one
+   final snapshot of the stopped state, so the partial run is immediately
+   resumable. *)
 let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?width
     ?counters () =
   let trace = ref ck.ck_trace in
-  (* The measurements attached to the live fit: each rebase swaps them for
-     the copies decoded from the snapshot's own bytes, and the walk keeps
-     drawing lazy noise into whichever copies are live.  Snapshots must
-     serialize {e these} — the base [ck]'s list goes stale at the first
-     rebase, and persisting it would rewind the noise streams, so a resumed
-     run and the live run would rebase onto different bytes. *)
-  let live_qms = ref ck.ck_qms in
   let on_step ~step ~energy =
     if step mod ck.ck_trace_every = 0 then
       trace := trace_of ~step ~energy (Fit.graph fit) :: !trace
   in
+  (* [ck.ck_qms] are the measurements the fit's targets draw into, so the
+     snapshot carries every lazy draw made so far. *)
   let snapshot ~step ~(interim : Mcmc.stats) =
     {
       ck with
@@ -462,28 +454,16 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
       ck_initial_energy =
         (if ck.ck_step = 0 then interim.Mcmc.initial_energy else ck.ck_initial_energy);
       ck_trace = !trace;
-      ck_qms = !live_qms;
     }
   in
   let write_snapshot sink ck' =
     let payload = encode_ck ck' in
-    (match sink with
+    match sink with
     | Single path -> Persist.File.save ~path ~magic:ckpt_magic ~version:ckpt_version payload
     | Store store ->
         ignore
           (Persist.Store.save store ~step:ck'.ck_step ~magic:ckpt_magic ~version:ckpt_version
-             payload));
-    payload
-  in
-  (* Rebase: re-derive the continuation state from the snapshot bytes so
-     this run and any future resume from the file continue from literally
-     the same state. *)
-  let rebase payload =
-    let ck2 = decode_ck payload in
-    let source, measured = shared_measured_verified ~origin:"rebase" ck2 in
-    Fit.rebuild_shared fit ~n:ck2.ck_n ~edges:ck2.ck_edges ~source ~measured;
-    live_qms := ck2.ck_qms;
-    trace := ck2.ck_trace
+             payload)
   in
   (* A stream epoch snapshots its state *before* the first step: the
      measurement noise is spent the moment it is drawn, so the epoch must
@@ -491,9 +471,7 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
      measurement then re-reads the released values instead of re-drawing
      (same bytes either way, since the epoch rng is a pure function of
      (seed, epoch), but the snapshot makes it durable without re-touching
-     the secret).  Rebasing onto the step-0 snapshot keeps the
-     continuation a pure function of the file, exactly as at cadence
-     checkpoints. *)
+     the secret). *)
   (match sink with
   | Some sink when initial_snapshot ->
       let e = Fit.energy fit in
@@ -510,7 +488,7 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
           final_energy = e;
         }
       in
-      rebase (write_snapshot sink (snapshot ~step:ck.ck_step ~interim))
+      write_snapshot sink (snapshot ~step:ck.ck_step ~interim)
   | _ -> ());
   let checkpoint_every, on_checkpoint =
     match sink with
@@ -519,7 +497,7 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
         ( Some ck.ck_every,
           Some
             (fun ~step ~stats:(interim : Mcmc.stats) ->
-              rebase (write_snapshot sink (snapshot ~step ~interim))) )
+              write_snapshot sink (snapshot ~step ~interim)) )
   in
   let seg =
     (* Always the lookahead walk (jobs >= 1), so the realized chain — and
@@ -529,18 +507,17 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
        runtime tuning/observability only and are deliberately {e not}
        persisted: the chain is invariant to both. *)
     Fit.run fit ~steps:ck.ck_steps ~start:ck.ck_step ~pow:ck.ck_pow
-      ~refresh_every:ck.ck_refresh_every ~audit_every:ck.ck_audit_every
-      ~audit_tolerance:ck.ck_audit_tolerance ?should_stop ?checkpoint_every ?on_checkpoint
-      ~on_step ~jobs:ck.ck_jobs ?width ?counters ()
+      ~audit_every:ck.ck_audit_every ?should_stop ?checkpoint_every ?on_checkpoint ~on_step
+      ~jobs:ck.ck_jobs ?width ?counters ()
   in
   let completed = ck.ck_step + seg.Mcmc.steps in
   (match (seg.Mcmc.interrupted, sink) with
   | true, Some sink ->
       (* Graceful shutdown: persist the stopped state so resuming loses
          nothing.  At a cadence-aligned stop this re-encodes the state the
-         last rebase produced, so the file is byte-identical to the one
+         last snapshot recorded, so the file is byte-identical to the one
          already on disk. *)
-      ignore (write_snapshot sink (snapshot ~step:completed ~interim:seg))
+      write_snapshot sink (snapshot ~step:completed ~interim:seg)
   | _ -> ());
   let stats =
     {
@@ -564,8 +541,7 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
     total_epsilon = Budget.spent ck.ck_budget;
   }
 
-let synthesize ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every
-    ?(refresh_every = 100_000) ?(audit_every = 0) ?(audit_tolerance = 1e-6) ?(jobs = 1)
+let synthesize ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every ?(audit_every = 0) ?(jobs = 1)
     ?width ?counters ?checkpoint ?stop ?deadline ?(queries = []) ~rng ~epsilon ~query ~secret
     () =
   let trace_every =
@@ -615,10 +591,8 @@ let synthesize ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every
           ck_pow = pow;
           ck_steps = steps;
           ck_trace_every = trace_every;
-          ck_refresh_every = max 1 refresh_every;
           ck_every = (match checkpoint with Some c -> max 1 c.every | None -> 0);
           ck_audit_every = max 0 audit_every;
-          ck_audit_tolerance = audit_tolerance;
           ck_jobs = max 1 jobs;
           ck_epoch = -1;
           ck_stream_seq = 0;
@@ -662,7 +636,7 @@ let resume_fit ?jobs ?width ?counters ~ck ~sink ?should_stop () =
      is also recorded in subsequent snapshots. *)
   let ck = match jobs with Some j -> { ck with ck_jobs = max 1 j } | None -> ck in
   let rng = Prng.restore ck.ck_rng in
-  let source, measured = shared_measured_verified ~origin:"resume" ck in
+  let source, measured = shared_measured_verified ck in
   let fit = Fit.restore_shared ~rng ~n:ck.ck_n ~edges:ck.ck_edges ~source ~measured () in
   continue_fit ~fit ~rng ~ck ~sink ?should_stop ?width ?counters ()
 
@@ -721,13 +695,13 @@ let checkpoint_epsilon path = Budget.spent (load_ck path).ck_budget
    this runs the fit from [warm] — the previous epoch's synthetic graph
    adapted to the new degree sequence — instead of a cold
    configuration-model seed.  When a checkpoint sink is given, a step-0
-   snapshot is written (and rebased onto) before the walk, so a crash at
+   snapshot is written before the walk, so a crash at
    any point after measurement resumes from durable state; every snapshot
    records [epoch] and [stream_seq], landing a killed supervisor back
    mid-stream bit-identically. *)
-let fit_stream ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every ?(refresh_every = 100_000)
-    ?(audit_every = 0) ?(audit_tolerance = 1e-6) ?(jobs = 1) ?width ?counters ?checkpoint
-    ?stop ?deadline ~rng ~budget ~epsilon ~warm ~qms ~epoch ~stream_seq () =
+let fit_stream ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every ?(audit_every = 0) ?(jobs = 1)
+    ?width ?counters ?checkpoint ?stop ?deadline ~rng ~budget ~epsilon ~warm ~qms ~epoch
+    ~stream_seq () =
   let trace_every =
     match trace_every with Some t -> max 1 t | None -> max 1 (steps / 20)
   in
@@ -739,10 +713,8 @@ let fit_stream ?(pow = 10_000.0) ?(steps = 100_000) ?trace_every ?(refresh_every
       ck_pow = pow;
       ck_steps = steps;
       ck_trace_every = trace_every;
-      ck_refresh_every = max 1 refresh_every;
       ck_every = (match checkpoint with Some c -> max 1 c.every | None -> 0);
       ck_audit_every = max 0 audit_every;
-      ck_audit_tolerance = audit_tolerance;
       ck_jobs = max 1 jobs;
       ck_epoch = epoch;
       ck_stream_seq = stream_seq;

@@ -136,9 +136,7 @@ val synthesize :
   ?pow:float ->
   ?steps:int ->
   ?trace_every:int ->
-  ?refresh_every:int ->
   ?audit_every:int ->
-  ?audit_tolerance:float ->
   ?jobs:int ->
   ?width:Mcmc.width ->
   ?counters:Mcmc.counters ->
@@ -157,11 +155,7 @@ val synthesize :
     (default 100_000) MCMC iterations at [pow] (default 10_000, the
     paper's setting), tracing triangle count and assortativity of the
     public synthetic graph every [trace_every] steps (default
-    [steps / 20]).  [refresh_every] (default 100_000) is the cadence at
-    which incrementally-maintained target distances are recomputed to
-    discard floating-point drift; it is part of the walk's definition, so
-    it is persisted in checkpoints and honoured by {!resume}.
-    [query = None] stops after Phase 1 (the seed graph is returned as
+    [steps / 20]).  [query = None] stops after Phase 1 (the seed graph is returned as
     [synthetic], with an empty walk).
 
     [queries] (default [[]]) adds further motif queries: all of them —
@@ -176,18 +170,20 @@ val synthesize :
     [queries].
 
     With [checkpoint], Phase 2 snapshots its complete walk state every
-    [every] steps — and then {e rebases} onto the snapshot's own bytes, so
-    the continuation is a pure function of the file: a run killed at any
-    point and {!resume}d from the latest snapshot produces a bit-identical
-    final result.  Snapshots contain only released values (noisy
+    [every] steps and keeps walking: the engine accumulates exactly, so its
+    state is a pure function of what the snapshot records, and a run
+    killed at any point and {!resume}d from the latest snapshot produces a
+    bit-identical final result.  Checkpointing does not move the chain: a
+    run with any cadence, or none, releases the same bytes.  Snapshots
+    contain only released values (noisy
     measurements, budget audit log, public graphs, PRNG cursor) — never the
     protected graph.  [checkpoint] is ignored when [query = None] (no walk
     runs).
 
-    [audit_every] (with [audit_tolerance], default [1e-6]; [0], the
-    default, disables) runs the engine self-audit at that cadence during
-    Phase 2: incremental state is cross-validated against a from-scratch
-    batch recomputation, divergences are counted into {!Mcmc.stats} (and
+    [audit_every] ([0], the default, disables) runs the engine self-audit
+    at that cadence during Phase 2: incremental state is cross-validated,
+    bit for bit, against a from-scratch batch recomputation, divergences
+    are counted into {!Mcmc.stats} (and
     persisted in checkpoints), and divergent state is rebuilt from batch
     before the walk continues.  A clean audit is bit-neutral.
 
@@ -269,9 +265,7 @@ val fit_stream :
   ?pow:float ->
   ?steps:int ->
   ?trace_every:int ->
-  ?refresh_every:int ->
   ?audit_every:int ->
-  ?audit_tolerance:float ->
   ?jobs:int ->
   ?width:Mcmc.width ->
   ?counters:Mcmc.counters ->
@@ -297,8 +291,7 @@ val fit_stream :
     sequence — instead of a cold configuration-model seed.
 
     With [checkpoint], a step-0 snapshot is written {e before} the first
-    step (and the live state rebased onto it, exactly as at cadence
-    checkpoints): measurement noise is spent the moment it is drawn, so
+    step: measurement noise is spent the moment it is drawn, so
     the epoch must be resumable from durable state from that moment on —
     a supervisor crash after measurement re-reads the released values
     instead of re-touching the secret.  Every snapshot records [epoch]

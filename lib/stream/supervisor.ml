@@ -23,9 +23,7 @@ type config = {
   pow : float;
   jobs : int;
   trace_every : int option;
-  refresh_every : int;
   audit_every : int;
-  audit_tolerance : float;
   checkpoint_every : int;
   keep : int;
   fsync : bool;
@@ -39,8 +37,7 @@ type config = {
 }
 
 let config ?(queries = [ Workflow.Tbi ]) ?(steps = 2000) ?(pow = 100.0) ?(jobs = 1)
-    ?trace_every ?(refresh_every = 100_000) ?(audit_every = 0) ?(audit_tolerance = 1e-6)
-    ?(checkpoint_every = 500) ?(keep = 3) ?(fsync = true) ?(retries = 2) ?(backoff = 0.0)
+    ?trace_every ?(audit_every = 0) ?(checkpoint_every = 500) ?(keep = 3) ?(fsync = true) ?(retries = 2) ?(backoff = 0.0)
     ?(deadline = 0.0) ?(policy = Policy.Roll_forward) ?(seed = 1) ~per_epoch ~epochs () =
   if queries = [] then invalid_arg "Supervisor.config: queries must be non-empty";
   {
@@ -49,9 +46,7 @@ let config ?(queries = [ Workflow.Tbi ]) ?(steps = 2000) ?(pow = 100.0) ?(jobs =
     pow;
     jobs;
     trace_every;
-    refresh_every;
     audit_every;
-    audit_tolerance;
     checkpoint_every;
     keep;
     fsync;
@@ -484,8 +479,7 @@ let run_fit t ~epoch ~allowance ~head ~attempt =
       | None -> Workflow.seed_graph ~rng ~degrees
     in
     Workflow.fit_stream ~pow:cfg.pow ~steps:cfg.steps ?trace_every:cfg.trace_every
-      ~refresh_every:cfg.refresh_every ~audit_every:cfg.audit_every
-      ~audit_tolerance:cfg.audit_tolerance ~jobs:cfg.jobs
+      ~audit_every:cfg.audit_every ~jobs:cfg.jobs
       ~checkpoint:{ Workflow.every = cfg.checkpoint_every; sink = Workflow.Store store }
       ~stop:Shutdown.forced ?deadline ~rng ~budget ~epsilon:per_use ~warm ~qms ~epoch
       ~stream_seq:head ()

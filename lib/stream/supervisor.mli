@@ -52,9 +52,7 @@ type config = {
   pow : float;
   jobs : int;
   trace_every : int option;
-  refresh_every : int;
   audit_every : int;
-  audit_tolerance : float;
   checkpoint_every : int;  (** fit snapshot cadence, in steps *)
   keep : int;  (** snapshot generations retained, all stores *)
   fsync : bool;
@@ -73,9 +71,7 @@ val config :
   ?pow:float ->
   ?jobs:int ->
   ?trace_every:int ->
-  ?refresh_every:int ->
   ?audit_every:int ->
-  ?audit_tolerance:float ->
   ?checkpoint_every:int ->
   ?keep:int ->
   ?fsync:bool ->

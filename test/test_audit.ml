@@ -36,26 +36,28 @@ let test_ulp_distance () =
   Alcotest.(check int64) "across zero" 2L (Audit.ulp_distance (Float.succ 0.0) (-.Float.succ 0.0));
   Alcotest.(check bool) "far apart is huge" true (Audit.ulp_distance 1.0 2.0 > 1_000_000L)
 
+(* Maintained cells are exact, so the rule is bit equality: there is no
+   drift to forgive, and one ULP is already corruption. *)
 let test_divergence_rule () =
   let clean = function None -> true | Some _ -> false in
   Alcotest.(check bool) "bit-equal is clean" true
-    (clean (Audit.check ~tolerance:0.0 ~cell:"c" ~maintained:1.5 ~recomputed:1.5));
+    (clean (Audit.check ~cell:"c" ~maintained:1.5 ~recomputed:1.5));
   Alcotest.(check bool) "bit-equal nan is clean" true
-    (clean (Audit.check ~tolerance:1e-6 ~cell:"c" ~maintained:Float.nan ~recomputed:Float.nan));
-  Alcotest.(check bool) "within tolerance is clean" true
-    (clean (Audit.check ~tolerance:1e-6 ~cell:"c" ~maintained:1.0 ~recomputed:(1.0 +. 1e-9)));
-  (match Audit.check ~tolerance:1e-6 ~cell:"c" ~maintained:1.0 ~recomputed:1.5 with
+    (clean (Audit.check ~cell:"c" ~maintained:Float.nan ~recomputed:Float.nan));
+  Alcotest.(check bool) "one ulp apart diverges" false
+    (clean (Audit.check ~cell:"c" ~maintained:1.0 ~recomputed:(Float.succ 1.0)));
+  (match Audit.check ~cell:"c" ~maintained:1.0 ~recomputed:1.5 with
   | Some d ->
       Alcotest.(check string) "cell" "c" d.Audit.cell;
       check_close ~tol:1e-12 "abs drift" 0.5 d.Audit.abs_drift;
       Alcotest.(check bool) "ulp drift positive" true (d.Audit.ulp_drift > 0L)
   | None -> Alcotest.fail "real drift not flagged");
   Alcotest.(check bool) "nan vs finite diverges" true
-    (not (clean (Audit.check ~tolerance:1e-6 ~cell:"c" ~maintained:Float.nan ~recomputed:1.0)));
+    (not (clean (Audit.check ~cell:"c" ~maintained:Float.nan ~recomputed:1.0)));
   Alcotest.(check bool) "inf vs finite diverges" true
     (not
        (clean
-          (Audit.check ~tolerance:1e-6 ~cell:"c" ~maintained:Float.infinity ~recomputed:1.0)))
+          (Audit.check ~cell:"c" ~maintained:Float.infinity ~recomputed:1.0)))
 
 let test_audit_rejected_mid_speculation () =
   let engine = Dataflow.Engine.create () in

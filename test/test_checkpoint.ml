@@ -153,18 +153,18 @@ let test_old_version_refused () =
       | _ -> Alcotest.fail "kill did not fire");
       let magic = "wpinq-checkpoint\n" in
       let payload =
-        match Persist.File.load ~path ~magic ~version:8 with
+        match Persist.File.load ~path ~magic ~version:9 with
         | Ok p -> p
-        | Error e -> Alcotest.failf "v8 snapshot unreadable: %s" (Persist.File.error_to_string e)
+        | Error e -> Alcotest.failf "v9 snapshot unreadable: %s" (Persist.File.error_to_string e)
       in
-      Persist.File.save ~path ~magic ~version:7 payload;
+      Persist.File.save ~path ~magic ~version:8 payload;
       match W.resume ~path () with
       | exception W.Corrupt_checkpoint msg ->
           Alcotest.(check bool)
             ("names the version: " ^ msg)
             true
-            (Test_audit.contains msg "version 7")
-      | _ -> Alcotest.fail "version 7 checkpoint accepted")
+            (Test_audit.contains msg "version 8")
+      | _ -> Alcotest.fail "version 8 checkpoint accepted")
 
 let test_interrupted_checkpoint_write () =
   (* A crash during the *second* snapshot write must leave the first one
@@ -183,8 +183,7 @@ let test_interrupted_checkpoint_write () =
 
 let test_store_sink_matches_single () =
   (* Checkpointing into a generational store instead of a single file must
-     not perturb the walk: the snapshot bytes (and the rebase they drive)
-     are identical. *)
+     not perturb the walk: the snapshot bytes are identical. *)
   let expect = Lazy.force reference in
   with_store_dir (fun dir ->
       let store = Persist.Store.open_dir ~keep:3 dir in
@@ -257,7 +256,7 @@ let test_store_all_corrupt_raises () =
 
 let test_graceful_stop_cadence_aligned () =
   (* A stop observed exactly at a checkpoint boundary: the final snapshot
-     re-encodes the already-rebased state, so resuming reproduces the
+     re-encodes the state the last snapshot recorded, so resuming reproduces the
      uninterrupted reference bit-for-bit. *)
   let expect = Lazy.force reference in
   with_ckpt (fun path ->
@@ -317,7 +316,7 @@ let suite =
     Alcotest.test_case "kill twice, resume twice" `Slow test_double_kill;
     Alcotest.test_case "corrupt checkpoint detected" `Slow test_corrupt_checkpoint_detected;
     Alcotest.test_case "interrupted snapshot write" `Slow test_interrupted_checkpoint_write;
-    Alcotest.test_case "version 7 checkpoint refused" `Slow test_old_version_refused;
+    Alcotest.test_case "version 8 checkpoint refused" `Slow test_old_version_refused;
     Alcotest.test_case "store sink matches single-file run" `Slow
       test_store_sink_matches_single;
     Alcotest.test_case "store falls back past corrupt newest" `Slow

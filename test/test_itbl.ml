@@ -13,21 +13,19 @@ module Engine = Dataflow.Engine
 module Itbl = Dataflow.Itbl
 module Intern = Dataflow.Intern
 
-let eps = Wpinq_weighted.Wdata.epsilon_weight
-
-(* Reference model: insertion-ordered (id, weight) assoc list, dropping
-   entries whose weight lands within the near-zero dead band, exactly as
-   [Itbl.set] does — including swap-last removal, so the entry order is a
-   deterministic function of the committed operation history. *)
+(* Reference model: insertion-ordered (id, grid weight) assoc list,
+   dropping entries whose weight is exactly zero, as [Itbl.set] does —
+   including swap-last removal, so the entry order is a deterministic
+   function of the committed operation history. *)
 module Model = struct
-  type t = (int * float) list (* dense-slot order *)
+  type t = (int * int) list (* dense-slot order *)
 
   let empty : t = []
-  let get m id = match List.assoc_opt id m with Some w -> w | None -> 0.0
+  let get m id = match List.assoc_opt id m with Some w -> w | None -> 0
 
   let set m id w =
     let present = List.mem_assoc id m in
-    if Float.abs w < eps then
+    if w = 0 then
       if not present then m
       else begin
         let arr = Array.of_list m in
@@ -40,10 +38,10 @@ module Model = struct
     else if present then List.map (fun (i, w0) -> if i = id then (i, w) else (i, w0)) m
     else m @ [ (id, w) ]
 
-  let bump m id dw = set m id (get m id +. dw)
+  let bump m id dw = set m id (get m id + dw)
 end
 
-type op = Set of int * float | Bump of int * float
+type op = Set of int * int | Bump of int * int
 
 let apply_op tbl model op =
   match op with
@@ -52,7 +50,7 @@ let apply_op tbl model op =
       Model.set model id w
   | Bump (id, dw) ->
       let old = Itbl.bump tbl id dw in
-      Alcotest.(check (float 0.0)) "bump returns old weight" (Model.get model id) old;
+      Alcotest.(check int) "bump returns old weight" (Model.get model id) old;
       Model.bump model id dw
 
 let check_agrees ~msg tbl model =
@@ -60,24 +58,24 @@ let check_agrees ~msg tbl model =
   List.iter
     (fun (id, w) ->
       Alcotest.(check bool) (msg ^ ": mem") true (Itbl.mem tbl id);
-      Alcotest.(check (float 0.0)) (msg ^ ": weight") w (Itbl.get tbl id))
+      Alcotest.(check int) (msg ^ ": weight") w (Itbl.get tbl id))
     model;
   (* Probe a band of ids beyond the model to catch stale residue. *)
   for id = 0 to 80 do
     if not (List.mem_assoc id model) then begin
       Alcotest.(check bool) (msg ^ ": absent mem") false (Itbl.mem tbl id);
-      Alcotest.(check (float 0.0)) (msg ^ ": absent weight") 0.0 (Itbl.get tbl id)
+      Alcotest.(check int) (msg ^ ": absent weight") 0 (Itbl.get tbl id)
     end
   done
 
-(* Weight generator that exercises the dead band: exact zeros, sub-epsilon
-   dust, and ordinary magnitudes, both signs. *)
+(* Grid-weight generator: exact zeros (removals), single units, and
+   ordinary magnitudes, both signs. *)
 let gen_weight =
   QCheck2.Gen.oneof
     [
-      QCheck2.Gen.return 0.0;
-      QCheck2.Gen.map (fun w -> w *. 1e-14) (QCheck2.Gen.float_range (-1.0) 1.0);
-      QCheck2.Gen.float_range (-100.0) 100.0;
+      QCheck2.Gen.return 0;
+      QCheck2.Gen.int_range (-1) 1;
+      QCheck2.Gen.int_range (-(100 lsl 40)) (100 lsl 40);
     ]
 
 (* Ids are drawn wide enough (0..63) that op sequences trigger several
@@ -101,7 +99,7 @@ let test_model_agreement =
       check_agrees ~msg:"final" tbl model;
       (* Insertion order: [to_list] must equal the model exactly, not just
          as a set. *)
-      Alcotest.(check (list (pair int (float 0.0)))) "insertion order" model (Itbl.to_list tbl);
+      Alcotest.(check (list (pair int int))) "insertion order" model (Itbl.to_list tbl);
       true)
 
 let test_abort_residue =
@@ -119,7 +117,7 @@ let test_abort_residue =
          logged inverses restore every slot exactly). *)
       let _spec_model = List.fold_left (fun m op -> apply_op tbl m op) model speculative in
       Engine.abort engine;
-      Alcotest.(check (list (pair int (float 0.0))))
+      Alcotest.(check (list (pair int int)))
         "order and contents restored" snapshot (Itbl.to_list tbl);
       check_agrees ~msg:"post-abort" tbl model;
       true)
@@ -142,7 +140,7 @@ let test_interleaved_blocks =
           else Engine.abort engine)
         blocks;
       check_agrees ~msg:"after blocks" tbl !model;
-      Alcotest.(check (list (pair int (float 0.0)))) "final order" !model (Itbl.to_list tbl);
+      Alcotest.(check (list (pair int int))) "final order" !model (Itbl.to_list tbl);
       true)
 
 (* Model: first-sight order of distinct values.  [valid] is a
@@ -233,7 +231,7 @@ let test_negative_id () =
   Alcotest.check_raises "get" (Invalid_argument "Dataflow.Itbl: negative id") (fun () ->
       ignore (Itbl.get tbl (-1)));
   Alcotest.check_raises "set" (Invalid_argument "Dataflow.Itbl: negative id") (fun () ->
-      Itbl.set tbl (-3) 1.0);
+      Itbl.set tbl (-3) 1);
   Alcotest.check_raises "mem" (Invalid_argument "Dataflow.Itbl: negative id") (fun () ->
       ignore (Itbl.mem tbl (-2)))
 

@@ -410,10 +410,9 @@ let test_baseline_ignores_lazy_draws () =
     (Int64.bits_of_float e_before)
     (Int64.bits_of_float (Fit.energy (build ())))
 
-(* A checkpoint rebase rebuilds the fit over the snapshot's copies of the
-   live measurements.  Their lazy draws stay outside the baseline, so the
-   energy carries over within audit tolerance instead of jumping by
-   ε·Σ|m x| over them. *)
+(* A rebuild over the snapshot's copies of the live measurements (what a
+   resume does) keeps their lazy draws outside the baseline, so the energy
+   carries over bit for bit instead of jumping by ε·Σ|m x| over them. *)
 let test_rebase_keeps_energy () =
   let seed, (mc, mj) = problem () in
   let mc = clone wr_int rd_int mc and mj = clone wr_pair rd_pair mj in
@@ -430,10 +429,8 @@ let test_rebase_keeps_energy () =
   Fit.rebuild_shared fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source
     ~measured:(plans_over source (clone wr_int rd_int mc, clone wr_pair rd_pair mj));
   let rebased = Fit.energy fit in
-  Alcotest.(check bool)
-    (Printf.sprintf "energy carried over the rebase (%.17g vs %.17g)" walked rebased)
-    true
-    (Float.abs (walked -. rebased) <= 1e-6)
+  Alcotest.(check int64) "energy bits carried over the rebuild" (Int64.bits_of_float walked)
+    (Int64.bits_of_float rebased)
 
 (* The owner keeps a winner's speculation open until the scheduler commits
    it.  A hook that raises in between (here: on a step before the winner,

@@ -25,4 +25,5 @@ let () =
       ("experiments", Test_experiments.suite);
       ("ledger", Test_ledger.suite);
       ("stream", Test_stream.suite);
+      ("exact", Test_exact.suite);
     ]
