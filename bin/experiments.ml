@@ -16,7 +16,10 @@ let config_term =
   in
   let epsilon =
     Arg.(value & opt float E.default.E.epsilon
-         & info [ "epsilon" ] ~docv:"EPS" ~doc:"Per-query privacy parameter.")
+         & info [ "epsilon" ] ~docv:"EPS"
+             ~doc:
+               "Per-query privacy parameter.  Below about 1e-5 the Laplace noise can carry \
+                a released value past the fit engine's range (2^22), which stops the fit.")
   in
   let pow =
     Arg.(value & opt float E.default.E.pow
@@ -45,7 +48,12 @@ let command name doc run =
 let synthesize_cmd =
   let input =
     Arg.(value & opt (some file) None
-         & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Edge-list file (\"u v\" per line).")
+         & info [ "input"; "i" ] ~docv:"FILE"
+             ~doc:
+               "Edge-list file (\"u v\" per line).  The fit's fixed-point engine holds \
+                graphs with max(nodes, 2 x edges) below 2^21; the synthetic graph follows \
+                the input's measured degrees, so inputs past about 1.05M edges are refused \
+                before the fit is built.")
   in
   let dataset =
     Arg.(value & opt string "grqc"

@@ -88,6 +88,7 @@ module Target = struct
     distance : unit -> float;
     recompute : unit -> unit;
     inject : float -> unit;
+    noise_mark : unit -> Measurement.mark;
   }
 
   let create (type a) (q : a collection) (m : a Measurement.t) =
@@ -201,6 +202,7 @@ module Target = struct
       distance = (fun () -> Wide.to_float distance);
       recompute = (fun () -> Wide.assign distance (from_scratch ()));
       inject = (fun dw -> Wide.add distance (Grid.of_float dw));
+      noise_mark = (fun () -> Measurement.mark m);
     }
 
   let of_plan ctx p m = create (Plans.lower ctx p) m
@@ -209,5 +211,6 @@ module Target = struct
   let epsilon t = t.epsilon
   let recompute t = t.recompute ()
   let inject_drift t dw = t.inject dw
+  let noise_mark t = t.noise_mark ()
   let energy targets = List.fold_left (fun acc t -> acc +. weighted_distance t) 0.0 targets
 end

@@ -137,6 +137,12 @@ module Target : sig
       divergence and that recovery repairs it.  Never call it outside
       tests. *)
 
+  val noise_mark : t -> Measurement.mark
+  (** The measurement's private noise cursor ({!Measurement.mark}): it
+      moves exactly when this target, or another user of the measurement,
+      draws a lazy observation.  A build over measurements that already
+      hold every observation it can show must leave it where it was. *)
+
   val energy : t list -> float
   (** [energy targets] is [Σ weighted_distance] — the quantity
       Metropolis–Hastings exponentiates. *)

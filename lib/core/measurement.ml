@@ -7,25 +7,21 @@ module Prng = Wpinq_prng.Prng
    records in canonical sorted order, so every scorer built over this
    measurement — whenever it is built, and however many lazy draws
    happened before — seeds the same baseline in the same order.  The
-   lazy draws are also kept newest first ([drawn_rev]), and {!save} writes
-   them in draw order: draw order is a function of the committed walk, so
-   a live measurement and one loaded from its snapshot serialize to the
-   same bytes. *)
+   lazy draws are read out in sorted-record order ({!drawn_sorted}), so a
+   live measurement and one loaded from its snapshot serialize to the same
+   bytes whatever their tables' insertion history. *)
 type 'a t = {
   epsilon : float;
   rng : Prng.t; (* private stream for lazily-drawn records *)
   support : ('a * float) array;
   index : ('a, float) Hashtbl.t; (* [support], for lookup *)
   drawn : ('a, float) Hashtbl.t;
-  mutable drawn_rev : ('a * float) list;
 }
 
 let of_support ~epsilon ~rng support drawn =
   let index = Hashtbl.create (max 16 (Array.length support)) in
   Array.iter (fun (x, v) -> Hashtbl.replace index x v) support;
-  let table = Hashtbl.create (max 16 (List.length drawn)) in
-  List.iter (fun (x, v) -> Hashtbl.replace table x v) drawn;
-  { epsilon; rng; support; index; drawn = table; drawn_rev = List.rev drawn }
+  { epsilon; rng; support; index; drawn }
 
 let create ~rng ~epsilon ~true_data =
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
@@ -42,7 +38,7 @@ let create ~rng ~epsilon ~true_data =
          (fun (x, w) -> (x, w +. Prng.laplace rng ~scale:(1.0 /. epsilon)))
          (Wdata.to_sorted_list true_data))
   in
-  of_support ~epsilon ~rng support []
+  of_support ~epsilon ~rng support (Hashtbl.create 16)
 
 let epsilon t = t.epsilon
 
@@ -69,9 +65,7 @@ let mark t = Prng.mark t.rng
 
 let undo_draw t x m =
   if Prng.mark t.rng <> m then begin
-    (* Undo entries replay newest first, so [x] is the newest draw. *)
     Hashtbl.remove t.drawn x;
-    t.drawn_rev <- List.tl t.drawn_rev;
     Prng.rewind t.rng m
   end
 
@@ -84,12 +78,16 @@ let value t x =
       | None ->
           let v = Prng.laplace t.rng ~scale:(1.0 /. t.epsilon) in
           Hashtbl.replace t.drawn x v;
-          t.drawn_rev <- (x, v) :: t.drawn_rev;
           v)
 
 let support t = Array.to_list t.support
 
-let observed t = Array.fold_right (fun xv acc -> xv :: acc) t.support (List.rev t.drawn_rev)
+let drawn_sorted t =
+  List.sort
+    (fun (x, _) (y, _) -> compare x y)
+    (Hashtbl.fold (fun x v acc -> (x, v) :: acc) t.drawn [])
+
+let observed t = Array.fold_right (fun xv acc -> xv :: acc) t.support (drawn_sorted t)
 let observed_size t = Array.length t.support + Hashtbl.length t.drawn
 
 module Codec = Wpinq_persist.Persist.Codec
@@ -97,9 +95,10 @@ module Codec = Wpinq_persist.Persist.Codec
 (* Only released values cross this boundary: the noisy counts, the noise
    parameter, and the private noise stream's cursor (so lazily-drawn
    records keep drawing the same sequence after a resume).  The support
-   and the lazy draws (in draw order) are written apart, so a restored
-   measurement seeds the same baseline as the original.  The protected
-   [true_data] was consumed by [create] and is not part of the state. *)
+   and the lazy draws (in sorted-record order) are written apart, so a
+   restored measurement seeds the same baseline as the original.  The
+   protected [true_data] was consumed by [create] and is not part of the
+   state. *)
 let save write_key t buf =
   let write_entry buf (x, v) =
     write_key buf x;
@@ -108,7 +107,7 @@ let save write_key t buf =
   Codec.write_float buf t.epsilon;
   Codec.write_string buf (Prng.save t.rng);
   Codec.write_array write_entry buf t.support;
-  Codec.write_list write_entry buf (List.rev t.drawn_rev)
+  Codec.write_list write_entry buf (drawn_sorted t)
 
 let load read_key r =
   let read_entry r =
@@ -122,4 +121,6 @@ let load read_key r =
   let drawn = Codec.read_list read_entry r in
   if not (Float.is_finite epsilon) || epsilon <= 0.0 then
     raise (Codec.Decode_error "Measurement.load: epsilon must be finite and positive");
-  of_support ~epsilon ~rng support drawn
+  let table = Hashtbl.create (max 16 (List.length drawn)) in
+  List.iter (fun (x, v) -> Hashtbl.replace table x v) drawn;
+  of_support ~epsilon ~rng support table

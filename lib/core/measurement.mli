@@ -55,16 +55,16 @@ val support : 'a t -> ('a * float) list
 
 val observed : 'a t -> ('a * float) list
 (** All records materialized so far (the {!support}, then the lazily-drawn
-    records in draw order), with their noisy counts. *)
+    records in sorted-record order), with their noisy counts. *)
 
 val observed_size : 'a t -> int
 
 val save : (Buffer.t -> 'a -> unit) -> 'a t -> Buffer.t -> unit
 (** [save write_key m buf] serializes the measurement for checkpointing:
     epsilon, the private noise stream's exact state, the {!support} in
-    order, and every lazily-drawn [(record, noisy count)] pair in draw
-    order — so the bytes are a function of the values drawn and their
-    order, not of how the measurement got there.  Only
+    order, and every lazily-drawn [(record, noisy count)] pair in
+    sorted-record order — so the bytes are a function of the values drawn,
+    not of how the measurement got there.  Only
     {e released} values are written — the protected data was consumed at
     creation and cannot be recovered from a checkpoint. *)
 

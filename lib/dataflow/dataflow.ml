@@ -1353,8 +1353,6 @@ module Sink = struct
     engine : Engine.t;
     intern : 'a Intern.t;
     state : Itbl.t;
-    mutable callbacks_rev : (int -> 'a -> old_weight:float -> new_weight:float -> unit) list;
-    mutable callbacks : (int -> 'a -> old_weight:float -> new_weight:float -> unit) array;
     mutable deliveries_rev : (int array -> int array -> int array -> int -> unit) list;
     mutable deliveries : (int array -> int array -> int array -> int -> unit) array;
     (* the delivery being retired: sink id, old and new grid weight *)
@@ -1370,8 +1368,6 @@ module Sink = struct
         engine = e;
         intern = Intern.tracked e;
         state = Itbl.create e;
-        callbacks_rev = [];
-        callbacks = [||];
         deliveries_rev = [];
         deliveries = [||];
         d_ids = [||];
@@ -1387,18 +1383,13 @@ module Sink = struct
           t.d_new <- grow_int_array t.d_new len 0
         end;
         for i = 0 to len - 1 do
-          let x = xs.(i) in
-          let id = Intern.intern t.intern x in
+          let id = Intern.intern t.intern xs.(i) in
           let old = Itbl.bump t.state id ws.(i) in
-          let nw = old + ws.(i) in
           if record then begin
             t.d_ids.(i) <- id;
             t.d_old.(i) <- old;
-            t.d_new.(i) <- nw
-          end;
-          for c = 0 to Array.length t.callbacks - 1 do
-            t.callbacks.(c) id x ~old_weight:(Grid.to_float old) ~new_weight:(Grid.to_float nw)
-          done
+            t.d_new.(i) <- old + ws.(i)
+          end
         done;
         if record then
           for c = 0 to Array.length t.deliveries - 1 do
@@ -1424,14 +1415,18 @@ module Sink = struct
 
   let current t = Wdata.of_list (to_list t)
 
-  let on_change_id t f =
-    t.callbacks_rev <- f :: t.callbacks_rev;
-    t.callbacks <- Array.of_list (List.rev t.callbacks_rev)
-
-  let on_change t f =
-    on_change_id t (fun _id x ~old_weight ~new_weight -> f x ~old_weight ~new_weight)
-
   let on_delivery t f =
     t.deliveries_rev <- f :: t.deliveries_rev;
     t.deliveries <- Array.of_list (List.rev t.deliveries_rev)
+
+  let on_change_id t f =
+    on_delivery t (fun ids olds news len ->
+        for i = 0 to len - 1 do
+          let id = ids.(i) in
+          f id (Intern.value t.intern id) ~old_weight:(Grid.to_float olds.(i))
+            ~new_weight:(Grid.to_float news.(i))
+        done)
+
+  let on_change t f =
+    on_change_id t (fun _id x ~old_weight ~new_weight -> f x ~old_weight ~new_weight)
 end

@@ -63,6 +63,10 @@ module Grid : sig
   (** Raised by {!of_float} on a value outside [±2{^22}] (or NaN), and by
       {!add} on a sum outside the native int range.  Nothing wraps. *)
 
+  val limit : float
+  (** [2{^22}] (about 4.19M): every value, and every sum, must stay below
+      it in magnitude. *)
+
   val of_float : float -> int
   (** The nearest grid value: [round (x × 2{^40})]. *)
 
@@ -440,24 +444,20 @@ module Sink : sig
   val weight_id : 'a t -> int -> int
   (** The {!Grid} weight of a sink id. *)
 
-  val on_change : 'a t -> ('a -> old_weight:float -> new_weight:float -> unit) -> unit
-  (** Registers a callback fired on every record weight change reaching the
-      sink (after the sink's own state is updated).  Callbacks fire during
-      speculative propagation too (and are {e not}
-      re-fired on abort — state a callback derives must be enrolled in the
-      undo log via {!Engine.log_undo} to survive rollback). *)
-
-  val on_change_id : 'a t -> (int -> 'a -> old_weight:float -> new_weight:float -> unit) -> unit
-  (** Like {!on_change}, with the record's sink id passed first. *)
-
   val on_delivery : 'a t -> (int array -> int array -> int array -> int -> unit) -> unit
   (** [on_delivery t f] calls [f ids olds news len] once per delivery (one
       upstream emission) after the sink has absorbed all of it: entry [i]
       is sink id [ids.(i)], changed from grid weight [olds.(i)] to
-      [news.(i)].  The arrays are borrowed for the call.  A layer that must
-      act on a delivery as a whole (the scoring targets draw first-seen
-      records in a canonical order) uses this instead of {!on_change};
-      the same undo-log rule applies. *)
+      [news.(i)].  The arrays are borrowed for the call.  Callbacks fire
+      during speculative propagation too (and are {e not} re-fired on
+      abort — state a callback derives must be enrolled in the undo log via
+      {!Engine.log_undo} to survive rollback). *)
+
+  val on_change : 'a t -> ('a -> old_weight:float -> new_weight:float -> unit) -> unit
+  (** {!on_delivery} one entry at a time, with the weights as floats. *)
+
+  val on_change_id : 'a t -> (int -> 'a -> old_weight:float -> new_weight:float -> unit) -> unit
+  (** Like {!on_change}, with the record's sink id passed first. *)
 end
 
 val coalesce : 'a delta -> 'a delta

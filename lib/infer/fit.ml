@@ -48,29 +48,69 @@ let plan_replicate ~source ~measured () =
   plan_builder ~source
     ~measured:(List.map (fun (Measured (p, m)) -> Measured (p, Measurement.copy m)) measured)
 
+exception Build_drew_noise of string
+
+(* Over an n-node, m-edge graph, every weight, join norm and running sum
+   the shipped queries keep is at most max(n, 2m): a degree-keyed norm is
+   a degree, the symmetric input totals 2m and the queries' joins, shaves
+   and intersections keep each collection's total within their inputs',
+   degree_ccdf's slab 0 is n, and TbI's one record is below m.  A delta
+   (new minus old) is at most twice that.  So a graph with max(n, 2m) at
+   or past 2^21 is refused before anything is built, rather than partway
+   through a walk (DESIGN.md, "Exact accumulation on a grid"). *)
+let check_range mg =
+  let n = Graph.Mutable.n mg and m = Graph.Mutable.m mg in
+  if Float.of_int (2 * max n (2 * m)) >= Dataflow.Grid.limit then
+    raise
+      (Dataflow.Grid.Overflow
+         (Printf.sprintf
+            "Fit: a graph of %d nodes and %d edges is beyond the engine's fixed-point range \
+             (max(n, 2m) must stay below 2^21)"
+            n m))
+
 (* Engine state built from an explicit, order-significant edge array: the
    one construction under [create] (the seed graph's edge array), [restore]
-   (resume from a checkpoint file), [rebuild] (compaction, audit recovery)
-   and the replica pool.  Targets attach before any data flows, so their
-   initial distances account for every observed record; then the
-   symmetric records are fed in edge-array order.  Accumulation is exact,
-   so any fit over the same edge multiset and measurements reads
-   bit-identical energies — which is what lets a resumed chain, a live
-   chain and the replicas of a parallel walk agree. *)
-let attach ?(engine = Dataflow.Engine.create ()) ~builder mg =
-  Dataflow.Engine.reset engine;
-  let handle, sym = Flow.input engine in
+   (resume from a checkpoint file), [rebuild] (compaction, audit recovery),
+   the audit's batch replica and the replica pool.  Targets attach before
+   any data flows, so their initial distances account for every observed
+   record; then the symmetric records are fed in edge-array order.
+   Accumulation is exact, so any fit over the same edge multiset and
+   measurements reads bit-identical energies — which is what lets a
+   resumed chain, a live chain and the replicas of a parallel walk agree.
+
+   That agreement also needs the build to draw no noise the live engine
+   did not: a record a fresh build shows its sinks only in passing (one
+   delivery of the feed adds it, a later one retracts it) would take the
+   measurement's next lazy draw, shifting every later draw of the chain.
+   So every build but a [first] one, which materializes its measurements'
+   observations, checks that no target's noise cursor moved. *)
+let attach ~first ~builder (handle, sym) mg =
   let built = builder sym in
+  let marks = List.map Flow.Target.noise_mark built in
   let records =
     List.concat_map
       (fun (u, v) -> [ ((u, v), 1.0); ((v, u), 1.0) ])
       (Array.to_list (Graph.Mutable.edge_array mg))
   in
   Flow.feed handle records;
-  (engine, handle, built)
+  if not first then
+    List.iteri
+      (fun i (target, mark) ->
+        if Flow.Target.noise_mark target <> mark then
+          raise
+            (Build_drew_noise
+               (Printf.sprintf
+                  "Fit: target #%d drew fresh noise in a rebuild; its query shows a fresh \
+                   build a record that a later delivery retracts"
+                  i)))
+      (List.combine built marks);
+  built
 
-let of_mutable ?replicate ~rng ~builder mg =
-  let engine, handle, built = attach ~builder mg in
+let of_mutable ?replicate ~first ~rng ~builder mg =
+  check_range mg;
+  let engine = Dataflow.Engine.create () in
+  let ((handle, _) as input) = Flow.input engine in
+  let built = attach ~first ~builder input mg in
   {
     rng;
     engine;
@@ -84,7 +124,7 @@ let of_mutable ?replicate ~rng ~builder mg =
   }
 
 let create_multi ?replicate ~rng ~seed_graph ~builder () =
-  of_mutable ?replicate ~rng ~builder (Graph.Mutable.of_graph seed_graph)
+  of_mutable ?replicate ~first:true ~rng ~builder (Graph.Mutable.of_graph seed_graph)
 
 let create ~rng ~seed_graph ~targets () =
   create_multi ~rng ~seed_graph ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
@@ -97,7 +137,7 @@ let create_shared ~rng ~seed_graph ~source ~measured () =
     ()
 
 let restore_multi ?replicate ~rng ~n ~edges ~builder () =
-  of_mutable ?replicate ~rng ~builder (Graph.Mutable.of_edge_array ~n edges)
+  of_mutable ?replicate ~first:true ~rng ~builder (Graph.Mutable.of_edge_array ~n edges)
 
 let restore ~rng ~n ~edges ~targets () =
   restore_multi ~rng ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
@@ -110,21 +150,23 @@ let restore_shared ~rng ~n ~edges ~source ~measured () =
     ()
 
 (* The rebuilt DAG goes into the fit's own engine, so the engine's
-   lifetime counters (commits, aborts, traffic) span every rebuild. *)
+   lifetime counters (commits, aborts, traffic) span every rebuild.  The
+   fit lets go of the old DAG (its input handle and targets) before the new
+   one is built, so the collector can reuse its memory during the build. *)
 let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
   let mg = Graph.Mutable.of_edge_array ~n edges in
-  (* Let go of the old DAG before the new one is built, so the collector
-     can reuse its memory during the build. *)
-  t.targets <- [];
-  t.handle <- fst (Flow.input t.engine);
-  let engine, handle, built = attach ~engine:t.engine ~builder mg in
+  check_range mg;
+  Dataflow.Engine.reset t.engine;
+  let ((handle, _) as input) = Flow.input t.engine in
   t.handle <- handle;
+  t.targets <- [];
+  let built = attach ~first:false ~builder input mg in
   t.graph <- mg;
   t.targets <- built;
   t.builder <- builder;
   t.replicate <- replicate;
   t.energy <- Flow.Target.energy built;
-  t.built_ids <- Dataflow.Engine.interned_ids engine
+  t.built_ids <- Dataflow.Engine.interned_ids t.engine
 
 let rebuild t ~n ~edges ~targets =
   rebuild_multi t ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets)
@@ -155,7 +197,6 @@ let rng t = t.rng
 let energy t = t.energy
 let engine t = t.engine
 let targets t = t.targets
-let built_ids t = t.built_ids
 let replicable t = t.replicate <> None
 
 (* A proposal is installed speculatively: the graph edit is applied and the
@@ -216,10 +257,13 @@ let refresh t =
    support), so the two distances are directly comparable.  The replica
    draws no new noise: every record it can see, the live engine has
    already seen, so every observation is already memoized in the shared
-   measurements.  Read-only; a clean audit leaves the walk bit-identical. *)
+   measurements ([attach] checks it).  Read-only; a clean audit leaves the
+   walk bit-identical. *)
 let audit t =
   let live = Dataflow.Engine.audit t.engine in
-  let _, _, batch_targets = attach ~builder:t.builder t.graph in
+  let batch_targets =
+    attach ~first:false ~builder:t.builder (Flow.input (Dataflow.Engine.create ())) t.graph
+  in
   let cells = ref live.Dataflow.Audit.cells_checked in
   let divs = ref (List.rev live.Dataflow.Audit.divergences) in
   List.iteri
@@ -354,7 +398,7 @@ module Pool = struct
           "Fit.Pool: fit is not replicable (build it with create_shared / restore_shared)"
 
   let fresh_replica ~builder owner =
-    of_mutable ~builder
+    of_mutable ~first:false ~builder
       ~rng:(Prng.copy owner.rng) (* never drawn from: evaluation uses per-step streams *)
       (Graph.Mutable.of_edge_array ~n:(Graph.Mutable.n owner.graph)
          (Graph.Mutable.edge_array owner.graph))

@@ -82,6 +82,17 @@ val restore_shared :
 (** {!restore} for plan-shared fits: rebuilds the shared DAG from the plans
     (same path as {!create_shared}) over the checkpointed edge array. *)
 
+exception Build_drew_noise of string
+(** Raised when a build over measurements that should already hold every
+    observation it can show — a {!rebuild}, the batch replica of an
+    {!audit}, a lookahead replica, or a checkpoint resume — drew fresh
+    lazy noise.  That happens only for a query whose sinks, in a
+    from-scratch build, see a record that a later delivery of the same
+    feed retracts (a transient record the live engine never saw): the
+    draw would shift the measurement's noise stream, so the rebuilt chain
+    would silently leave the live one.  The measurements have already
+    drawn when this is raised. *)
+
 val rebuild :
   t ->
   n:int ->
@@ -90,7 +101,10 @@ val rebuild :
   unit
 (** In-place {!restore}: swaps a freshly-built engine, graph, and target
     set into [t] (the PRNG is kept — its state is already exact).  Closures
-    capturing [t] — the MCMC driver's — see the new state immediately. *)
+    capturing [t] — the MCMC driver's — see the new state immediately.
+    The measurements must already hold every observation the new build
+    shows (as they do at the fit's own edge array); raises
+    {!Build_drew_noise} if the build drew. *)
 
 val rebuild_shared :
   t ->
@@ -121,11 +135,6 @@ val engine : t -> Wpinq_dataflow.Dataflow.Engine.t
 
 val targets : t -> Wpinq_core.Flow.Target.t list
 
-val built_ids : t -> int
-(** {!Wpinq_dataflow.Dataflow.Engine.interned_ids} right after the
-    engine's last build: the lookahead walk rebuilds the engine once its
-    interned ids reach twice this count. *)
-
 val replicable : t -> bool
 (** Whether this fit can stand up independent replicas for the parallel
     lookahead pool ([jobs > 1]): [true] for plan-reified fits
@@ -144,8 +153,9 @@ val audit : t -> Wpinq_dataflow.Dataflow.Audit.report
     replica} — a fresh engine fed the current edge array from scratch,
     whose recomputed target distances the live maintained ones must match
     bit for bit.  Read-only, and draws no new noise (every record the
-    replica sees is already memoized in the shared measurements), so a
-    clean audit leaves the walk bit-identical. *)
+    replica sees is already memoized in the shared measurements; raises
+    {!Build_drew_noise} otherwise), so a clean audit leaves the walk
+    bit-identical. *)
 
 val audit_and_recover : t -> Wpinq_dataflow.Dataflow.Audit.report
 (** {!audit}, then — if any cell diverged — {!rebuild}s the fit in place

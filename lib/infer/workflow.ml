@@ -167,7 +167,7 @@ let ckpt_magic = "wpinq-checkpoint\n"
 
 (* Version 9: exact accumulation.  A checkpoint no longer rebuilds the
    live engine, so the snapshot is written from the live measurements, with
-   their lazy draws in draw order; the drift-era fields (the refresh
+   their lazy draws in sorted-record order; the drift-era fields (the refresh
    cadence and the audit tolerance) are gone.  A v8 payload would decode
    with its fields shifted.  (Version 8 kept each measurement's
    measurement-time support apart from its lazy draws, so a resumed fit
@@ -637,7 +637,13 @@ let resume_fit ?jobs ?width ?counters ~ck ~sink ?should_stop () =
   let ck = match jobs with Some j -> { ck with ck_jobs = max 1 j } | None -> ck in
   let rng = Prng.restore ck.ck_rng in
   let source, measured = shared_measured_verified ck in
+  (* The snapshot's measurements hold every observation its edge array
+     can show, so the rebuild must draw nothing. *)
+  let cursors () = List.map (fun (Fit.Measured (_, m)) -> Measurement.mark m) measured in
+  let before = cursors () in
   let fit = Fit.restore_shared ~rng ~n:ck.ck_n ~edges:ck.ck_edges ~source ~measured () in
+  if cursors () <> before then
+    raise (Fit.Build_drew_noise "Workflow.resume: rebuilding from the checkpoint drew fresh noise");
   continue_fit ~fit ~rng ~ck ~sink ?should_stop ?width ?counters ()
 
 let resume ?stop ?deadline ?jobs ?width ?counters ~path () =

@@ -255,15 +255,24 @@ let test_interned_ids_bounded () =
       ()
   in
   let engine = Fit.engine fit in
-  let prev = ref (Dataflow.Engine.interned_ids engine) in
+  let base = ref (Dataflow.Engine.interned_ids engine) in
+  let prev = ref !base in
   let rebuilds = ref 0 and worst = ref 0.0 in
   let on_batch ~dispatched:_ ~consumed:_ =
-    let ids = Dataflow.Engine.interned_ids engine and base = Fit.built_ids fit in
-    (* A drop means the batch began with a rebuild. *)
-    let start = if ids < !prev then (incr rebuilds; base) else !prev in
-    if start >= 2 * base then
-      Alcotest.failf "batch started at %d interned ids, post-build count %d" start base;
-    worst := Float.max !worst (float_of_int ids /. float_of_int base);
+    let ids = Dataflow.Engine.interned_ids engine in
+    (* A drop means the batch began with a rebuild; the post-build count is
+       then at most [ids], which includes this batch's own growth. *)
+    let start =
+      if ids < !prev then begin
+        incr rebuilds;
+        base := ids;
+        ids
+      end
+      else !prev
+    in
+    if start >= 2 * !base then
+      Alcotest.failf "batch started at %d interned ids, post-build count %d" start !base;
+    worst := Float.max !worst (float_of_int ids /. float_of_int !base);
     prev := ids
   in
   ignore (Fit.run fit ~steps:20_000 ~pow:100.0 ~jobs:1 ~width:(Mcmc.Fixed 4) ~on_batch ());
@@ -271,6 +280,44 @@ let test_interned_ids_bounded () =
   Alcotest.(check bool)
     (Printf.sprintf "ids stay near 2x the post-build count (worst %.2fx)" !worst)
     true (!worst < 2.5)
+
+(* A query whose fresh build shows its sink records that a later delivery
+   of the same feed retracts: a group_by over a concat sees the u < v half
+   of each group, emits its count, then sees the other half and retracts
+   it.  After a walk, the measurement never saw the half counts of the
+   current graph, so a rebuild (or an audit's batch replica) would draw
+   fresh noise for them; it must refuse instead.  A rebuild right after
+   the first build sees only records that build drew, and goes through. *)
+let test_transient_records_refused () =
+  let g = Gen.epinions_like ~n:60 ~m:200 (Prng.create 51) in
+  let walked () =
+    let m =
+      Measurement.create ~rng:(Prng.create 52) ~epsilon:1.0 ~true_data:(Wdata.of_list [])
+    in
+    let query sym =
+      Flow.group_by
+        ~key:(fun (u, v) -> (u + v) mod 5)
+        ~reduce:List.length
+        (Flow.concat (Flow.where (fun (u, v) -> u < v) sym) (Flow.where (fun (u, v) -> u > v) sym))
+    in
+    let targets = [ (fun sym -> Flow.Target.create (query sym) m) ] in
+    let fit = Fit.create ~rng:(Prng.create 53) ~seed_graph:g ~targets () in
+    Fit.rebuild fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~targets;
+    for _ = 1 to 50 do
+      ignore (Fit.step ~pow:0.0 fit)
+    done;
+    (fit, targets)
+  in
+  let refused name f =
+    match f () with
+    | exception Fit.Build_drew_noise _ -> ()
+    | _ -> Alcotest.failf "%s: no Fit.Build_drew_noise" name
+  in
+  let fit, targets = walked () in
+  refused "rebuild" (fun () ->
+      Fit.rebuild fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~targets);
+  let fit, _ = walked () in
+  refused "audit" (fun () -> Fit.audit fit)
 
 (* ---- measurements ---- *)
 
@@ -283,6 +330,12 @@ let test_measurement_roundtrip_keeps_drawing () =
   ignore (Measurement.value m 7);
   Measurement.undo_draw m 7 mk;
   let m' = clone Codec.write_int Codec.read_int m in
+  let bytes m =
+    let buf = Buffer.create 256 in
+    Measurement.save Codec.write_int m buf;
+    Buffer.contents buf
+  in
+  Alcotest.(check string) "same snapshot bytes" (bytes m) (bytes m');
   Alcotest.(check bool) "same observations" true
     (List.map (fun (x, v) -> (x, bits v)) (Measurement.observed m)
     = List.map (fun (x, v) -> (x, bits v)) (Measurement.observed m'));
@@ -318,7 +371,11 @@ let test_grid_overflow_raises () =
   raises "feed beyond the grid" (fun () -> Dataflow.Input.feed input [ (1, 1e7) ]);
   (* Records of 2^21 each sum past the native int range in one select output. *)
   raises "accumulated overflow" (fun () ->
-      Dataflow.Input.feed input (List.init 8192 (fun i -> (2 * i, 0x1p21))))
+      Dataflow.Input.feed input (List.init 8192 (fun i -> (2 * i, 0x1p21))));
+  (* A graph whose weights could reach the range is refused before the build. *)
+  let fit_over n = Fit.restore ~rng:(Prng.create 1) ~n ~edges:[||] ~targets:[] () in
+  ignore (fit_over ((1 lsl 21) - 1));
+  raises "graph beyond the range" (fun () -> fit_over (1 lsl 21))
 
 (* ---- audits ---- *)
 
@@ -352,6 +409,8 @@ let suite =
     Alcotest.test_case "checkpoints do not move the chain" `Slow
       test_checkpoints_do_not_move_the_chain;
     Alcotest.test_case "interned ids bounded by compaction" `Slow test_interned_ids_bounded;
+    Alcotest.test_case "transient records refused on rebuild" `Quick
+      test_transient_records_refused;
     Alcotest.test_case "measurement save/load keeps drawing" `Quick
       test_measurement_roundtrip_keeps_drawing;
     Alcotest.test_case "grid overflow raises" `Quick test_grid_overflow_raises;
