@@ -1078,9 +1078,9 @@ let walk_bench ~smoke ~json_path ?(fragments = []) () =
   let acc_us = 1e6 *. !acc_t /. float (max 1 !acc_n) in
   let rej_us = 1e6 *. !rej_t /. float (max 1 !rej_n) in
   let ratio = rej_us /. acc_us in
-  (* Cost of one defense-in-depth self-audit on the fitted state (a full
-     cross-validation against a from-scratch batch replica), and whether the
-     measured walk left any divergence behind. *)
+  (* Cost of one defense-in-depth self-audit on the fitted state (an
+     in-place fresh build checked against the live state digests), and
+     whether the measured walk left any divergence behind. *)
   let audit_t0 = Unix.gettimeofday () in
   let audit_report = Fit.audit fit in
   let audit_ms = 1e3 *. (Unix.gettimeofday () -. audit_t0) in

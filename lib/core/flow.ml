@@ -81,13 +81,11 @@ module Target = struct
      and the measurement's memoized values — whatever the walk, the
      aborts, or the order records arrived in.  The baseline is the support
      alone, so every target over one measurement agrees bit for bit
-     however late it is built (a resume, a compaction rebuild, an audit's
-     batch replica). *)
+     however late it is built (a resume, a compaction or audit rebuild). *)
   type t = {
     epsilon : float;
-    distance : unit -> float;
+    distance : Wide.t;
     recompute : unit -> unit;
-    inject : float -> unit;
     noise_mark : unit -> Measurement.mark;
   }
 
@@ -183,34 +181,20 @@ module Target = struct
       done;
       d
     in
-    (* Enroll the maintained distance in the engine's self-audit: the hook
-       re-derives it from the sink without mutating anything, so a clean
-       audit leaves the walk bit-identical. *)
-    let op = Dataflow.Engine.fresh_op_id engine in
-    Dataflow.Engine.register_audit engine (fun () ->
-        let recomputed = from_scratch () in
-        if Wide.equal distance recomputed then (1, [])
-        else
-          ( 1,
-            [
-              Dataflow.Audit.divergence
-                ~cell:(Printf.sprintf "target#%d.distance" op)
-                ~maintained:(Wide.to_float distance) ~recomputed:(Wide.to_float recomputed);
-            ] ));
     {
       epsilon = Measurement.epsilon m;
-      distance = (fun () -> Wide.to_float distance);
+      distance;
       recompute = (fun () -> Wide.assign distance (from_scratch ()));
-      inject = (fun dw -> Wide.add distance (Grid.of_float dw));
       noise_mark = (fun () -> Measurement.mark m);
     }
 
   let of_plan ctx p m = create (Plans.lower ctx p) m
-  let distance t = t.distance ()
-  let weighted_distance t = t.epsilon *. t.distance ()
+  let distance t = Wide.to_float t.distance
+  let exact_distance t = Wide.copy t.distance
+  let weighted_distance t = t.epsilon *. distance t
   let epsilon t = t.epsilon
   let recompute t = t.recompute ()
-  let inject_drift t dw = t.inject dw
+  let inject_drift t dw = Wide.add t.distance (Grid.of_float dw)
   let noise_mark t = t.noise_mark ()
   let energy targets = List.fold_left (fun acc t -> acc +. weighted_distance t) 0.0 targets
 end

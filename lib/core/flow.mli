@@ -41,9 +41,9 @@ val node : 'a t -> 'a Wpinq_dataflow.Dataflow.node
     plans through {e one} context and every shared plan prefix becomes one
     physical dataflow sub-DAG — each MCMC delta propagates through the
     common prefix once per step, feeding all the distance sinks below it.
-    Speculation/undo, audit enrollment, and checkpointing are unaffected:
+    Speculation/undo, state digests, and checkpointing are unaffected:
     sharing only changes {e which} nodes exist, and every stateful cell
-    still logs its own undo closures and audit hooks exactly once.
+    still logs its own undo closures and digest exactly once.
 
     Unlike the interpreter-agnostic {!Plan.Lower}, a context here is tied to
     an engine: memo hits are credited to the engine-wide
@@ -118,24 +118,19 @@ module Target : sig
 
   val epsilon : t -> float
 
+  val exact_distance : t -> Wpinq_dataflow.Dataflow.Grid.Wide.t
+  (** A copy of the maintained distance as its exact grid sum. *)
+
   val recompute : t -> unit
   (** Recomputes the distance from the sink's current state.  On a healthy
       target this changes no bit (the maintained distance is exact); the
-      walk calls it only to recover from a non-finite energy reading.
-
-      {!create} also enrolls the maintained distance in the engine's
-      self-audit ({!Wpinq_dataflow.Dataflow.Engine.audit}): the audit
-      compares it bit for bit against the same from-scratch derivation
-      without mutating anything, so a clean audit leaves the walk
-      bit-identical. *)
+      walk calls it only to recover from a non-finite energy reading. *)
 
   val inject_drift : t -> float -> unit
   (** [inject_drift t dw] corrupts the maintained distance by [dw] (rounded
-      to the grid) {e
-      without} touching the underlying sink — a fault-injection hook for
-      testing that {!Wpinq_dataflow.Dataflow.Engine.audit} detects the
-      divergence and that recovery repairs it.  Never call it outside
-      tests. *)
+      to the grid) {e without} touching the underlying sink — a
+      fault-injection hook for testing that the fit's self-audit detects
+      the divergence and repairs it.  Never call it outside tests. *)
 
   val noise_mark : t -> Measurement.mark
   (** The measurement's private noise cursor ({!Measurement.mark}): it

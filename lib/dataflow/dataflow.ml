@@ -55,6 +55,7 @@ module Grid = struct
       t.lo <- lo land low_mask
 
     let equal a b = a.hi = b.hi && a.lo = b.lo
+    let copy t = { hi = t.hi; lo = t.lo }
     let to_float t = ((Float.of_int t.hi *. 0x1p60) +. Float.of_int t.lo) *. ulp
 
     let assign dst src =
@@ -102,12 +103,6 @@ module Audit = struct
       ulp_drift = ulp_distance maintained recomputed;
     }
 
-  (* Every maintained cell is an exact sum on the grid, so a healthy cell
-     is bit-equal to its recomputation and any difference is corruption. *)
-  let check ~cell ~maintained ~recomputed =
-    if Int64.equal (Int64.bits_of_float maintained) (Int64.bits_of_float recomputed) then None
-    else Some (divergence ~cell ~maintained ~recomputed)
-
   let divergence_to_string d =
     Printf.sprintf "%s: maintained %h vs recomputed %h (abs drift %g, ulp drift %Ld)" d.cell
       d.maintained d.recomputed d.abs_drift d.ulp_drift
@@ -123,6 +118,10 @@ module Engine = struct
   let nop () = ()
 
   type intern_stats = { ids : int; slots : int; displacement : int; pair_cache : int }
+
+  (* A stateful cell's digest, named only when it diverges; [tamper] is
+     a join side's test hook ([corrupt_join]). *)
+  type cell = { name : unit -> string; digest : unit -> int; tamper : unit -> bool }
 
   type t = {
     mutable state_records : int;
@@ -155,9 +154,7 @@ module Engine = struct
     mutable s_arena_grows : int;
     mutable s_arena_reuses : int;
     mutable s_records_propagated : int;
-    (* self-audit: operators with redundantly-maintained state register a
-       hook that recomputes it from scratch and reports divergences *)
-    mutable audit_hooks_rev : (unit -> int * Audit.divergence list) list;
+    mutable cells_rev : cell list; (* every stateful cell, newest first *)
     (* interns and join pair caches, registered when built *)
     mutable intern_hooks : (unit -> intern_stats) list;
     (* ids ever assigned by the engine's interns; monotone, never undone *)
@@ -190,7 +187,7 @@ module Engine = struct
       s_arena_grows = 0;
       s_arena_reuses = 0;
       s_records_propagated = 0;
-      audit_hooks_rev = [];
+      cells_rev = [];
       intern_hooks = [];
       interned = 0;
       next_op_id = 0;
@@ -219,7 +216,7 @@ module Engine = struct
     t.state_records <- 0;
     t.nodes_built <- 0;
     t.nodes_shared <- 0;
-    t.audit_hooks_rev <- [];
+    t.cells_rev <- [];
     t.intern_hooks <- [];
     t.interned <- 0;
     t.next_op_id <- 0;
@@ -235,7 +232,10 @@ module Engine = struct
     t.next_op_id <- id + 1;
     id
 
-  let register_audit t hook = t.audit_hooks_rev <- hook :: t.audit_hooks_rev
+  let register_cell ?(tamper = fun () -> false) ?(part = "") t ~kind ~op digest =
+    let name () = Printf.sprintf "%s#%d%s" kind op part in
+    t.cells_rev <- { name; digest; tamper } :: t.cells_rev
+
   let register_intern_stats t hook = t.intern_hooks <- hook :: t.intern_hooks
 
   let intern_stats t =
@@ -246,16 +246,14 @@ module Engine = struct
     in
     List.fold_left add { ids = 0; slots = 0; displacement = 0; pair_cache = 0 } t.intern_hooks
 
-  let audit t =
-    if t.speculating then invalid_arg "Dataflow.Engine.audit: cannot audit mid-speculation";
-    let cells = ref 0 and divs = ref [] in
-    List.iter
-      (fun hook ->
-        let n, ds = hook () in
-        cells := !cells + n;
-        divs := List.rev_append ds !divs)
-      (List.rev t.audit_hooks_rev);
-    { Audit.cells_checked = !cells; divergences = List.rev !divs }
+  let digests t =
+    if t.speculating then invalid_arg "Dataflow.Engine.digests: cannot digest mid-speculation";
+    Array.of_list (List.rev_map (fun c -> c.digest ()) t.cells_rev)
+
+  let digest_cell t i = (List.nth t.cells_rev (List.length t.cells_rev - 1 - i)).name ()
+
+  let corrupt_join t =
+    List.find_map (fun c -> if c.tamper () then Some (c.name ()) else None) (List.rev t.cells_rev)
 
   let log_undo t f =
     if t.speculating then begin
@@ -407,6 +405,19 @@ module Intern = struct
       t.slots;
     { Engine.ids = t.len; slots = mask + 1; displacement = !displacement; pair_cache = 0 }
 
+  (* Σ (2h + 1) × [weight id] over the interned records, wrapping, with [h]
+     the hash the record's slot holds: an order-free digest of a table that
+     hashes nothing.  An odd multiplier lets no single change cancel. *)
+  let[@inline] term s w = (((s lsr id_bits) lsl 1) lor 1) * w
+
+  let digest t weight =
+    let d = ref 0 in
+    for i = 0 to t.mask do
+      let s = t.slots.(i) in
+      if s <> 0 then d := !d + term s (weight ((s land id_mask) - 1))
+    done;
+    !d
+
   (* An intern whose ids and {!stats} count towards the engine's. *)
   let tracked engine =
     let t = make (Some engine) in
@@ -529,17 +540,21 @@ module Itbl = struct
     go (t.len - 1) []
 end
 
-(* Record-keyed convenience shim over [Intern] + [Itbl] for the places
-   that genuinely deal in values (input roots, sinks). *)
-module Wtbl = struct
-  type 'a t = { intern : 'a Intern.t; it : Itbl.t }
-
-  let create engine = { intern = Intern.tracked engine; it = Itbl.create engine }
-  let bump t x dw = Itbl.bump t.it (Intern.intern t.intern x) dw
-
-  let to_list t =
-    List.map (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w)) (Itbl.to_list t.it)
-end
+(* Registers the digest cell of a weight table over [intern]'s ids: the
+   loop of [Intern.digest], specialized to the table's arrays. *)
+let table_cell ?tamper ?part engine ~kind ~op (intern : _ Intern.t) (tbl : Itbl.t) =
+  Engine.register_cell ?tamper ?part engine ~kind ~op (fun () ->
+      let slots = intern.Intern.slots and pos = tbl.Itbl.pos and ws = tbl.Itbl.ws in
+      let d = ref 0 in
+      for i = 0 to Array.length slots - 1 do
+        let s = slots.(i) in
+        let id = (s land Intern.id_mask) - 1 in
+        if id >= 0 && id < Array.length pos then begin
+          let p = pos.(id) in
+          if p >= 0 then d := !d + Intern.term s ws.(p)
+        end
+      done;
+      !d)
 
 type 'a delta = ('a * float) list
 
@@ -739,9 +754,12 @@ module Buf = struct
 end
 
 module Input = struct
-  type 'a t = { node : 'a node; state : 'a Wtbl.t; buf : 'a Buf.t }
+  type 'a t = { node : 'a node; intern : 'a Intern.t; state : Itbl.t; buf : 'a Buf.t }
 
-  let create engine = { node = make engine; state = Wtbl.create engine; buf = Buf.create engine }
+  let create engine =
+    let intern = Intern.tracked engine and state = Itbl.create engine in
+    table_cell engine ~kind:"input" ~op:(Engine.fresh_op_id engine) intern state;
+    { node = make engine; intern; state; buf = Buf.create engine }
   let node t = t.node
 
   let feed t delta =
@@ -756,12 +774,14 @@ module Input = struct
         Buf.clear t.buf;
         List.iter
           (fun (x, w) ->
-            ignore (Wtbl.bump t.state x w);
+            ignore (Itbl.bump t.state (Intern.intern t.intern x) w);
             Buf.push t.buf x w)
           delta;
         emit t.node t.buf.Buf.xs t.buf.Buf.ws t.buf.Buf.len)
 
-  let current t = Wdata.of_list (Wtbl.to_list t.state)
+  let current t =
+    Wdata.of_list
+      (List.map (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w)) (Itbl.to_list t.state))
 end
 
 let select f up =
@@ -796,6 +816,7 @@ let select_many f up =
   let out = make engine in
   let intern = Intern.tracked engine in
   let state = Itbl.create engine in
+  table_cell engine ~kind:"select_many" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create engine in
   subscribe up (fun xs ws len ->
       count_work engine len;
@@ -851,11 +872,14 @@ let except a b =
    change to max/min when either side moves.  One shared intern serves
    both side tables and the output scratch, so each incoming record is
    hashed exactly once. *)
-let merge_node (fop : int -> int -> int) a b =
+let merge_node ~kind (fop : int -> int -> int) a b =
   let engine = same_engine a b in
   let out = make engine in
   let intern = Intern.tracked engine in
   let wa = Itbl.create engine and wb = Itbl.create engine in
+  let op = Engine.fresh_op_id engine in
+  table_cell engine ~kind ~part:".left" ~op intern wa;
+  table_cell engine ~kind ~part:".right" ~op intern wb;
   let scratch = Scratch.create ~intern engine in
   let handle mine other flip xs ws len =
     count_work engine len;
@@ -875,8 +899,8 @@ let merge_node (fop : int -> int -> int) a b =
   subscribe b (handle wb wa true);
   out
 
-let union a b = merge_node (fun x y -> if x >= y then x else y) a b
-let intersect a b = merge_node (fun x y -> if x <= y then x else y) a b
+let union a b = merge_node ~kind:"union" (fun x y -> if x >= y then x else y) a b
+let intersect a b = merge_node ~kind:"intersect" (fun x y -> if x <= y then x else y) a b
 
 (* Keyed-operator side state (Join inputs, GroupBy), fully
    struct-of-arrays.  Every record belongs to exactly one key (the key
@@ -886,7 +910,14 @@ let intersect a b = merge_node (fun x y -> if x <= y then x else y) a b
    known record never hash its key again, and [mpos] gives O(1) swap-last
    removal with exact structural undo — the same abort-residue guarantee
    the old record-keyed tables gave. *)
-type kpart = { mutable members : int array; mutable mlen : int; mutable norm : int }
+(* [norm] is Join's Σ|w| over the part; [emitted] GroupBy's current
+   emissions, as flattened (output id, grid weight) pairs. *)
+type kpart = {
+  mutable members : int array;
+  mutable mlen : int;
+  mutable norm : int;
+  mutable emitted : int array;
+}
 
 type 'r kside = {
   ri : 'r Intern.t;
@@ -916,7 +947,7 @@ let kside_part side kid =
   match side.parts.(kid) with
   | Some p -> p
   | None ->
-      let p = { members = [||]; mlen = 0; norm = 0 } in
+      let p = { members = [||]; mlen = 0; norm = 0; emitted = [||] } in
       side.parts.(kid) <- Some p;
       p
 
@@ -1042,35 +1073,27 @@ let join ~kl ~kr ~reduce a b =
   let out = make engine in
   let sa = kside_create engine and sb = kside_create engine in
   let kintern = Intern.tracked engine in
-  (* Each key's [norm] is maintained incrementally alongside the member
-     array; the audit recomputes it as Σ|w| over the part's records.  The
-     cell name is formatted only for a divergence. *)
+  (* Digest cells per side: its record weights, and its key norms. *)
   let op = Engine.fresh_op_id engine in
-  let audit_side name side =
-    let n = ref 0 and ds = ref [] in
-    Array.iteri
-      (fun kid part ->
-        match part with
-        | None -> ()
-        | Some p ->
-            incr n;
-            let recomputed = ref 0 in
-            for i = 0 to p.mlen - 1 do
-              recomputed := Grid.add !recomputed (abs (Itbl.get side.w p.members.(i)))
-            done;
-            if p.norm <> !recomputed then
-              ds :=
-                Audit.divergence
-                  ~cell:(Printf.sprintf "join#%d.%s.norm[key#%d]" op name kid)
-                  ~maintained:(Grid.to_float p.norm) ~recomputed:(Grid.to_float !recomputed)
-                :: !ds)
-      side.parts;
-    (!n, !ds)
+  let side_cells name side =
+    (* Test hook: one record's weight moves one unit away from zero, and its
+       key's norm with it, so the norm still sums the part. *)
+    let tamper () =
+      match Array.find_opt (function Some p -> p.mlen > 0 | None -> false) side.parts with
+      | Some (Some p) ->
+          let w = Itbl.get side.w p.members.(0) and one = Grid.of_float 1.0 in
+          Itbl.set side.w p.members.(0) (Grid.add w (if w < 0 then -one else one));
+          p.norm <- Grid.add p.norm one;
+          true
+      | _ -> false
+    in
+    table_cell engine ~kind:"join" ~part:name ~op ~tamper side.ri side.w;
+    Engine.register_cell engine ~kind:"join" ~part:(name ^ ".norm") ~op (fun () ->
+        Intern.digest kintern (fun kid ->
+            match kside_peek side kid with Some p -> p.norm | None -> 0))
   in
-  Engine.register_audit engine (fun () ->
-      let nl, dl = audit_side "left" sa in
-      let nr, dr = audit_side "right" sb in
-      (nl + nr, dl @ dr));
+  side_cells ".left" sa;
+  side_cells ".right" sb;
   let scratch = Scratch.create engine in
   (* Output pairs are interned by (left rid, right rid) in an insert-only
      open-addressing pair cache, so the steady-state inner loops allocate
@@ -1248,13 +1271,15 @@ let group_by ~key ~reduce up =
   let engine = up.engine in
   let out = make engine in
   let side = kside_create engine in
+  table_cell engine ~kind:"group_by" ~op:(Engine.fresh_op_id engine) side.ri side.w;
   let kintern = Intern.tracked engine in
   let scratch = Scratch.create engine in
   let gb = gbatch_create () in
   (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
-     function of its members' weights, and the retraction of a part's old
-     emissions cancels exactly what was emitted for it. *)
-  let emit_part sign kid part =
+     function of its members' weights.  A part keeps its current ones
+     ([emitted]): a change retracts exactly those, and a part whose
+     emissions come out the same emits nothing. *)
+  let derive kid part =
     let k = Intern.value kintern kid in
     let positive = ref [] in
     for i = part.mlen - 1 downto 0 do
@@ -1262,9 +1287,11 @@ let group_by ~key ~reduce up =
       let w = Itbl.get side.w rid in
       if w > 0 then positive := (Intern.value side.ri rid, Grid.to_float w) :: !positive
     done;
-    List.iter
-      (fun (members, w) -> Scratch.push scratch (k, reduce members) (sign * Grid.of_float w))
-      (Ops.group_emissions !positive)
+    Array.of_list
+      (List.concat_map
+         (fun (members, w) ->
+           [ Intern.intern scratch.Scratch.intern (k, reduce members); Grid.of_float w ])
+         (Ops.group_emissions !positive))
   in
   subscribe up (fun xs ws len ->
       count_work engine len;
@@ -1286,14 +1313,23 @@ let group_by ~key ~reduce up =
       for ki = 0 to gb.klen - 1 do
         let kid = gb.keys.(ki) in
         let part = kside_part side kid in
-        emit_part (-1) kid part;
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
           kside_set engine side part rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
           node := gb.cnext.(!node)
         done;
-        emit_part 1 kid part
+        let old = part.emitted and now = derive kid part in
+        if old <> now then begin
+          for i = 0 to (Array.length old / 2) - 1 do
+            Scratch.push_id scratch old.(2 * i) (-old.((2 * i) + 1))
+          done;
+          for i = 0 to (Array.length now / 2) - 1 do
+            Scratch.push_id scratch now.(2 * i) now.((2 * i) + 1)
+          done;
+          part.emitted <- now;
+          if engine.Engine.speculating then Engine.log_undo engine (fun () -> part.emitted <- old)
+        end
       done;
       gbatch_reset gb;
       Scratch.flush scratch out);
@@ -1305,6 +1341,7 @@ let distinct ?(bound = 1.0) up =
   let out = make engine in
   let intern = Intern.tracked engine in
   let state = Itbl.create engine in
+  table_cell engine ~kind:"distinct" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create ~intern engine in
   let bound = Grid.of_float bound in
   let cap w = if w <= 0 then 0 else if w >= bound then bound else w in
@@ -1325,6 +1362,7 @@ let shave f up =
   let out = make engine in
   let intern = Intern.tracked engine in
   let state = Itbl.create engine in
+  table_cell engine ~kind:"shave" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create engine in
   let slabs sign x w =
     if w > 0 then
@@ -1375,6 +1413,7 @@ module Sink = struct
         d_new = [||];
       }
     in
+    table_cell e ~kind:"sink" ~op:(Engine.fresh_op_id e) t.intern t.state;
     subscribe node (fun xs ws len ->
         let record = Array.length t.deliveries > 0 in
         if record && len > Array.length t.d_ids then begin

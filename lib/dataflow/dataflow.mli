@@ -46,16 +46,9 @@
     rolled back (propose → speculate → commit/abort); see DESIGN.md,
     "Speculative evaluation & the undo log".
 
-    {2 Self-audit}
-
-    Operators that maintain state {e redundantly} (Join's per-key norms;
-    the scoring layer's incremental distances, enrolled via
-    {!Engine.register_audit}) can be cross-validated at any quiescent
-    point: {!Engine.audit} recomputes each such cell from scratch and
-    returns a typed divergence report.  Cells are exact, so a healthy cell
-    is bit-equal to its recomputation.  A clean audit costs one pass over
-    the audited state, mutates nothing and formats no strings; see
-    DESIGN.md, "Defense in depth". *)
+    State is a pure function of the input, so a live engine and a fresh
+    build over the same input have equal state digests ({!Engine.digests});
+    see DESIGN.md, "Defense in depth". *)
 
 (** Fixed-point weights. *)
 module Grid : sig
@@ -82,6 +75,7 @@ module Grid : sig
     val create : unit -> t
     val add : t -> int -> unit
     val equal : t -> t -> bool
+    val copy : t -> t
     val to_float : t -> float
 
     val assign : t -> t -> unit
@@ -95,13 +89,11 @@ end
 
 module Audit : sig
   type divergence = {
-    cell : string;  (** which maintained cell diverged, e.g. ["join#0.left.norm[key#…]"] *)
-    maintained : float;  (** the incrementally-maintained value *)
-    recomputed : float;  (** the from-scratch batch recomputation *)
+    cell : string;  (** which cell diverged, e.g. ["join#3.left.norm"], ["target#0.distance"] *)
+    maintained : float;  (** the live value (for a digest cell, the live digest) *)
+    recomputed : float;  (** the fresh build's value *)
     abs_drift : float;
-    ulp_drift : int64;
-        (** representable floats between the two values (saturating);
-            0 would mean bit-equal, which is never reported *)
+    ulp_drift : int64;  (** representable floats between the two values (saturating) *)
   }
 
   type report = { cells_checked : int; divergences : divergence list }
@@ -109,11 +101,7 @@ module Audit : sig
   val ulp_distance : float -> float -> int64
 
   val divergence : cell:string -> maintained:float -> recomputed:float -> divergence
-  (** The report for a cell found to differ from its recomputation. *)
-
-  val check : cell:string -> maintained:float -> recomputed:float -> divergence option
-  (** The divergence rule: bit-equal is clean, anything else diverges.
-      Maintained cells are exact sums, so there is no drift to forgive. *)
+  (** The report for a cell found to differ from the fresh build's. *)
 
   val divergence_to_string : divergence -> string
 end
@@ -168,7 +156,7 @@ module Engine : sig
 
   val reset : t -> unit
   (** Drops every operator, input and sink built in [t] — their state,
-      interns and audit hooks — so a new DAG can be built into the same
+      interns and digest cells — so a new DAG can be built into the same
       engine; a node or input of the dropped DAG must not be used again.
       {!state_records}, {!nodes_built}, {!nodes_shared} and
       {!interned_ids} start over; the traffic, arena and speculation
@@ -258,22 +246,26 @@ module Engine : sig
   (** Total undo-log entries ever recorded (committed and aborted): the
       cumulative number of speculative cell mutations. *)
 
-  (** {2 Self-audit} *)
+  (** {2 State digests} *)
 
-  val register_audit : t -> (unit -> int * Audit.divergence list) -> unit
-  (** [register_audit t hook] enrolls a read-only validator: [hook ()]
-      recomputes some redundantly-maintained state from scratch and
-      returns [(cells checked, divergences found)].  Operators with such
-      state (Join) register themselves at build time; derived layers
-      (scoring) use this to join the audit. *)
+  val digests : t -> int array
+  (** One digest per stateful cell in build order — each operator side's
+      weight table, each Join side's key norms, each sink: [Σ (2h + 1) ×
+      w] over its records, wrapping, with [h] the hash the record's intern
+      slot stores and [w] its grid weight.  Order- and id-free, hashes no
+      record; any one changed weight moves its cell's digest.  Raises
+      [Invalid_argument] mid-speculation. *)
 
-  val audit : t -> Audit.report
-  (** [audit t] runs every registered hook and merges their reports.
-      Read-only; raises [Invalid_argument] mid-speculation (audit only at
-      quiescent points). *)
+  val digest_cell : t -> int -> string
+  (** The name of the [i]-th cell of {!digests}, e.g. ["join#3.left.norm"]. *)
 
-  val fresh_op_id : t -> int
-  (** A unique id for naming an operator's audit cells. *)
+  (**/**)
+
+  val corrupt_join : t -> string option
+  (** Test only: moves one record's weight in the first Join side holding
+      one, and its key norm with it; returns that side's cell name. *)
+
+  (**/**)
 end
 
 (** {1 Interned ids and int-keyed state}

@@ -4,12 +4,13 @@ module Plan = Wpinq_core.Plan
 module Flow = Wpinq_core.Flow
 module Measurement = Wpinq_core.Measurement
 module Dataflow = Wpinq_dataflow.Dataflow
+module Fault = Wpinq_persist.Persist.Fault
 
 type measured = Measured : 'a Plan.t * 'a Measurement.t -> measured
 
-(* The engine-side fields are mutable so a rebuild (compaction, audit
-   recovery) can swap in a fresh state while the MCMC driver's closures
-   (which capture [t]) keep working.  The engine itself is kept: a rebuild
+(* The engine-side fields are mutable so a rebuild (compaction, audit) can
+   swap in a fresh state while the MCMC driver's closures (which capture
+   [t]) keep working.  The engine itself is kept: a rebuild
    resets it and builds the new DAG into it. *)
 type t = {
   rng : Prng.t;
@@ -18,10 +19,9 @@ type t = {
   mutable graph : Graph.Mutable.t;
   mutable targets : Flow.Target.t list;
   (* The combined target-builder closure is kept so the fit can rebuild
-     itself (audit recovery) or stand up a throwaway batch replica (audit
-     cross-validation) without the caller re-supplying it.  It builds the
-     whole target list from one synthetic input, so a plan-shared fit
-     rebuilds with the same sharing every time. *)
+     itself (compaction, audit) without the caller re-supplying it.  It
+     builds the whole target list from one synthetic input, so a
+     plan-shared fit rebuilds with the same sharing every time. *)
   mutable builder : (int * int) Flow.t -> Flow.Target.t list;
   (* A fresh-builder factory for standing up *independent* replicas: each
      call deep-copies the measurements, so a replica's lazily-drawn noise
@@ -70,10 +70,10 @@ let check_range mg =
 
 (* Engine state built from an explicit, order-significant edge array: the
    one construction under [create] (the seed graph's edge array), [restore]
-   (resume from a checkpoint file), [rebuild] (compaction, audit recovery),
-   the audit's batch replica and the replica pool.  Targets attach before
-   any data flows, so their initial distances account for every observed
-   record; then the symmetric records are fed in edge-array order.
+   (resume from a checkpoint file), [rebuild] (compaction, audit) and the
+   replica pool.  Targets attach before any data flows, so their initial
+   distances account for every observed record; then the symmetric records
+   are fed in edge-array order.
    Accumulation is exact, so any fit over the same edge multiset and
    measurements reads bit-identical energies — which is what lets a
    resumed chain, a live chain and the replicas of a parallel walk agree.
@@ -151,8 +151,9 @@ let restore_shared ~rng ~n ~edges ~source ~measured () =
 
 (* The rebuilt DAG goes into the fit's own engine, so the engine's
    lifetime counters (commits, aborts, traffic) span every rebuild.  The
-   fit lets go of the old DAG (its input handle and targets) before the new
-   one is built, so the collector can reuse its memory during the build. *)
+   fit lets go of the old DAG (its input handle and targets) and collects
+   it before the new one is built, so the build reuses its memory instead
+   of growing the heap to hold both. *)
 let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
   let mg = Graph.Mutable.of_edge_array ~n edges in
   check_range mg;
@@ -160,6 +161,8 @@ let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
   let ((handle, _) as input) = Flow.input t.engine in
   t.handle <- handle;
   t.targets <- [];
+  Gc.full_major ();
+  Fault.point "fit.rebuild";
   let built = attach ~first:false ~builder input mg in
   t.graph <- mg;
   t.targets <- built;
@@ -177,18 +180,18 @@ let rebuild_shared t ~n ~edges ~source ~measured =
     t ~n ~edges
     ~builder:(plan_builder ~source ~measured)
 
-(* Interning is monotone: an engine keeps every record any proposal ever
-   touched, aborted ones included.  A rebuild is bit-neutral (exact
-   accumulation), so once the engine's interned ids have doubled since its
-   last build, the fit rebuilds itself from its own edge array over the
-   live measurements.  O(1) amortized per id; called at the lookahead
-   walk's batch boundaries, where every fit is quiescent. *)
-let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max 1 t.built_ids
+(* A fresh build from the fit's own edge array over its live measurements. *)
+let rebuild_own t =
+  rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
+    ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder
 
-let compact t =
-  if grown t then
-    rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
-      ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder
+(* Interning is monotone: an engine keeps every record any proposal ever
+   touched, aborted ones included.  So once the engine's interned ids have
+   doubled since its last build (a compaction or an audit), the fit
+   rebuilds itself.  O(1) amortized per id; called at the lookahead walk's
+   batch boundaries, where every fit is quiescent. *)
+let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max 1 t.built_ids
+let compact t = if grown t then rebuild_own t
 
 let graph t = Graph.Mutable.to_graph t.graph
 let edge_array t = Graph.Mutable.edge_array t.graph
@@ -248,46 +251,36 @@ let refresh t =
   List.iter Flow.Target.recompute t.targets;
   t.energy <- Flow.Target.energy t.targets
 
-(* Cross-validate the live incremental state two ways: the engine's own
-   registered hooks (join norms, each target's maintained distance vs. its
-   live sink), and a from-scratch batch replica of the whole fit — a
-   throwaway engine fed the same edge array, whose recomputed target
-   distances the live maintained ones must match bit for bit.  Every
-   target over a measurement seeds the same baseline (its measurement-time
-   support), so the two distances are directly comparable.  The replica
-   draws no new noise: every record it can see, the live engine has
-   already seen, so every observation is already memoized in the shared
-   measurements ([attach] checks it).  Read-only; a clean audit leaves the
-   walk bit-identical. *)
+(* The audit is the walk's fresh-build point: read the live state digests
+   and exact target distances, rebuild in place, compare.  A healthy
+   engine is bit-equal to a fresh build (exact accumulation), so any
+   difference is corruption; keeping the fresh engine either way is the
+   recovery and restarts the compaction baseline. *)
 let audit t =
-  let live = Dataflow.Engine.audit t.engine in
-  let batch_targets =
-    attach ~first:false ~builder:t.builder (Flow.input (Dataflow.Engine.create ())) t.graph
+  let live = Dataflow.Engine.digests t.engine in
+  let distances = List.map Flow.Target.exact_distance t.targets in
+  rebuild_own t;
+  let fresh = Dataflow.Engine.digests t.engine in
+  (* The same builder builds the same DAG, so the cells pair up. *)
+  assert (Array.length live = Array.length fresh);
+  let divs = ref [] in
+  let diverge cell maintained recomputed =
+    divs := Dataflow.Audit.divergence ~cell ~maintained ~recomputed :: !divs
   in
-  let cells = ref live.Dataflow.Audit.cells_checked in
-  let divs = ref (List.rev live.Dataflow.Audit.divergences) in
+  Array.iteri
+    (fun i d ->
+      if d <> fresh.(i) then
+        diverge (Dataflow.Engine.digest_cell t.engine i) (Float.of_int d) (Float.of_int fresh.(i)))
+    live;
   List.iteri
-    (fun i batch ->
-      Flow.Target.recompute batch;
-      let maintained = Flow.Target.distance (List.nth t.targets i) in
-      let recomputed = Flow.Target.distance batch in
-      incr cells;
-      let cell = Printf.sprintf "target#%d.batch-distance" i in
-      match Dataflow.Audit.check ~cell ~maintained ~recomputed with
-      | None -> ()
-      | Some d -> divs := d :: !divs)
-    batch_targets;
-  { Dataflow.Audit.cells_checked = !cells; divergences = List.rev !divs }
-
-let audit_and_recover t =
-  let report = audit t in
-  if report.Dataflow.Audit.divergences <> [] then
-    (* Corrupted state: quarantine is the caller's report; recovery is a
-       full rebuild from the edge array — the same path a checkpoint
-       resume takes — so the walk continues from batch truth. *)
-    rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
-      ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder;
-  report
+    (fun i (d, target) ->
+      let d' = Flow.Target.exact_distance target in
+      if not (Dataflow.Grid.Wide.equal d d') then
+        let cell = Printf.sprintf "target#%d.distance" i in
+        diverge cell (Dataflow.Grid.Wide.to_float d) (Dataflow.Grid.Wide.to_float d'))
+    (List.combine distances t.targets);
+  let cells_checked = Array.length fresh + List.length distances in
+  { Dataflow.Audit.cells_checked; divergences = List.rev !divs }
 
 (* ---- The lookahead pool: owner evaluation, or replicas per domain ---- *)
 
@@ -565,8 +558,8 @@ module Pool = struct
     done;
     t1
 
-  (* After an audit recovery replaced the owner's engine, or when the
-     replicas' interns have grown: rebuild every replica from the owner's
+  (* After an audit found the owner's state corrupt, or when the replicas'
+     interns have grown: rebuild every replica from the owner's
      current state through the same path [create] used.  The rebuilt
      replicas embody every committed delta, so the log restarts empty.
      With no replicas this only re-reads the owner's energy. *)
@@ -653,10 +646,7 @@ end
 
 let run t ~steps ?start ?(pow = 1.0) ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint
     ?on_step ?jobs ?on_batch ?width ?counters () =
-  let audit () =
-    let report = audit_and_recover t in
-    List.length report.Dataflow.Audit.divergences
-  in
+  let audit () = List.length (audit t).Dataflow.Audit.divergences in
   match jobs with
   | None ->
       (* Legacy in-place walk: proposals drawn directly from the fit's rng,

@@ -17,7 +17,7 @@
     one, which is what makes a resumed chain retrace an uninterrupted one
     exactly.  The walk also rebuilds its own engine, bit-neutrally, when
     the engine's interned ids have doubled since its last build, so memory
-    stays bounded on any walk length. *)
+    stays bounded on any walk length; an {!audit} is such a rebuild. *)
 
 type t
 
@@ -53,7 +53,7 @@ val create_shared :
     [source] leaf, lowered through a single {!Wpinq_core.Flow.Plans}
     context: plan prefixes shared between measurements become one physical
     dataflow sub-DAG, so each MCMC delta propagates through the common
-    prefix once per step.  Rebuilds (audit recovery, compaction,
+    prefix once per step.  Rebuilds (audits, compaction,
     {!restore_shared}) reconstruct the same sharing deterministically.
     Observable behaviour — energies, acceptance decisions, the final
     synthetic graph — is bit-identical to the unshared construction
@@ -84,14 +84,14 @@ val restore_shared :
 
 exception Build_drew_noise of string
 (** Raised when a build over measurements that should already hold every
-    observation it can show — a {!rebuild}, the batch replica of an
-    {!audit}, a lookahead replica, or a checkpoint resume — drew fresh
-    lazy noise.  That happens only for a query whose sinks, in a
-    from-scratch build, see a record that a later delivery of the same
-    feed retracts (a transient record the live engine never saw): the
-    draw would shift the measurement's noise stream, so the rebuilt chain
-    would silently leave the live one.  The measurements have already
-    drawn when this is raised. *)
+    observation it can show — a {!rebuild}, an {!audit}, a compaction, a
+    lookahead replica, or a checkpoint resume — drew fresh lazy noise.
+    That happens only for a query whose sinks, in a from-scratch build,
+    see a record that a later delivery of the same feed retracts (a
+    transient record the live engine never saw): the draw would shift the
+    measurement's noise stream, so the rebuilt chain would silently leave
+    the live one.  The measurements have already drawn: discard the fit
+    and its measurements. *)
 
 val rebuild :
   t ->
@@ -147,21 +147,14 @@ val step : ?pow:float -> t -> bool
     the proposal was accepted.  Exposed for fine-grained benchmarking. *)
 
 val audit : t -> Wpinq_dataflow.Dataflow.Audit.report
-(** [audit t] cross-validates the live incremental state two ways: the
-    engine's registered self-audit hooks (Join norms, each target's
-    maintained distance against its live sink), and a throwaway {e batch
-    replica} — a fresh engine fed the current edge array from scratch,
-    whose recomputed target distances the live maintained ones must match
-    bit for bit.  Read-only, and draws no new noise (every record the
-    replica sees is already memoized in the shared measurements; raises
-    {!Build_drew_noise} otherwise), so a clean audit leaves the walk
-    bit-identical. *)
-
-val audit_and_recover : t -> Wpinq_dataflow.Dataflow.Audit.report
-(** {!audit}, then — if any cell diverged — {!rebuild}s the fit in place
-    from its own edge array (the same deterministic path a checkpoint
-    resume takes), so the walk continues from batch truth rather than
-    silently corrupted state.  Returns the (pre-recovery) report. *)
+(** [audit t] reads the engine's state digests
+    ({!Wpinq_dataflow.Dataflow.Engine.digests}) and each target's exact
+    distance, rebuilds the fit in place from its own edge array (the
+    compaction path; no second engine), and reports every cell or
+    distance that differs from the fresh build's.  The fresh build is
+    kept either way: a divergence is repaired when [audit] returns, and
+    on healthy state the audit is bit-neutral (exact accumulation).
+    Raises {!Build_drew_noise} if the build drew noise. *)
 
 val run :
   t ->
@@ -181,14 +174,15 @@ val run :
   Mcmc.stats
 (** Runs the walk for iterations [start + 1 .. steps] (default [start] 0,
     [pow] 1.0; the paper's experiments use 10⁴).  [audit_every] (default
-    off) runs {!audit_and_recover} at that cadence, feeding divergence
-    counts into {!Mcmc.stats}.  [should_stop] is the graceful-shutdown poll
+    off) runs {!audit} at that cadence, feeding divergence counts into
+    {!Mcmc.stats}; at [jobs > 1] the replicas are rebuilt from this fit
+    only after a divergence.  [should_stop] is the graceful-shutdown poll
     (see {!Mcmc.run}).  [checkpoint_every] / [on_checkpoint] pass through
     to {!Mcmc.run}.
 
     Between lookahead batches the fit compacts itself: once the engine's
-    interned ids reach twice their count after its last build, it
-    rebuilds in place from its own edge array (into the same engine) —
+    interned ids reach twice their count after its last build (or
+    audit), it rebuilds in place from its own edge array (into the same engine) —
     bit-neutral, so the chain does not move, and memory stays within
     twice the post-build footprint plus one batch's growth.  At [jobs > 1]
     the replicas are rebuilt from this fit when any of them has grown.

@@ -34,7 +34,7 @@ type 'swap verdict =
    queues it for any replicas).  [refresh] recomputes maintained state
    from scratch everywhere and returns the pool's energy (the nonfinite
    guard).  [resync] rebuilds any replicas from the canonical fit (after
-   an audit recovery) and returns the pool's energy. *)
+   an audit found divergences) and returns the pool's energy. *)
 type 'swap lookahead = {
   la_jobs : int;
   la_energy : unit -> float;

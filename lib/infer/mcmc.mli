@@ -55,7 +55,7 @@ type 'swap lookahead = {
           nonfinite guard); returns the refreshed energy *)
   la_resync : unit -> float;
       (** rebuild any replicas from the canonical fit (after an audit
-          recovery); returns the pool energy *)
+          found divergences); returns the pool energy *)
 }
 (** The evaluation-pool interface {!run_lookahead} drives — implemented by
     [Fit.Pool]. *)
@@ -186,8 +186,8 @@ val run :
     [audit] (with [audit_every]; [0], the default, disables) is the
     self-audit hook: every [audit_every]-th iteration it cross-validates the
     incrementally-maintained state and returns the number of divergences
-    found, {e recovering} (rebuilding from batch) before returning when that
-    number is nonzero.  A nonzero return makes the walk re-read its energy
+    found, leaving the state at batch truth either way (a fit's audit is a
+    fresh rebuild).  A nonzero return makes the walk re-read its energy
     from the recovered state; stats record both cadence and divergences.
 
     [should_stop] is polled {e between} iterations; returning [true]

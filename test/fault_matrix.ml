@@ -1,7 +1,9 @@
 (* Randomized kill/corrupt recovery matrix (CI's long-haul harness, also
    runnable by hand: `fault_matrix --seed 7 --rounds 10`).
 
-   Each round kills a checkpointed synthesis run at a random step, corrupts
+   Each round kills a checkpointed synthesis run at a random step (or in
+   the middle of the next in-place rebuild after it: an audit or a
+   compaction), corrupts
    a random subset of the surviving checkpoint generations (random bit
    flips or truncations — always leaving at least one generation intact),
    optionally kills the resumed run too, and then demands that the final
@@ -22,6 +24,7 @@ module Sup = Wpinq_stream.Supervisor
 
 let steps = 1500
 let every = 300
+let audit_every = 200
 let trace_every = 500
 let keep = 3
 let failures = ref 0
@@ -68,7 +71,7 @@ let with_store_dir f =
     (fun () -> f dir)
 
 let synthesize ?jobs ?width store =
-  W.synthesize ?jobs ?width ~steps ~trace_every ~pow:100.0
+  W.synthesize ?jobs ?width ~steps ~trace_every ~audit_every ~pow:100.0
     ~checkpoint:{ W.every; sink = W.Store store }
     ~rng:(Prng.create 123) ~epsilon:0.5 ~query:(Some W.Tbi)
     ~secret:(Gen.clustered ~n:40 ~community:8 ~p_in:0.7 ~extra:20 (Prng.create 5))
@@ -82,13 +85,22 @@ let round st round =
   with_store_dir (fun dir ->
       let store = Persist.Store.open_dir ~keep dir in
       (* Kill after at least one generation exists (first snapshot lands at
-         step [every]). *)
-      let kill_at = every + 1 + Random.State.int st (steps - every - 1) in
-      Fault.arm ~site:"mcmc.step" ~after:kill_at;
+         step [every]): at a step, or inside the first in-place rebuild after
+         that step — one comes at the last audit, at the latest. *)
+      let rebuild = Random.State.bool st in
+      let last_audit = (steps - 1) / audit_every * audit_every in
+      let kill_at =
+        every + 1 + Random.State.int st ((if rebuild then last_audit else steps) - every - 1)
+      in
+      if rebuild then
+        Fault.arm_action ~site:"mcmc.step" ~after:kill_at (fun () ->
+            Fault.arm ~site:"fit.rebuild" ~after:1)
+      else Fault.arm ~site:"mcmc.step" ~after:kill_at;
+      let site = if rebuild then "the rebuild after step" else "step" in
       (match synthesize store with
       | exception Fault.Injected _ -> ()
       | _ ->
-          Printf.eprintf "round %d: kill at %d never fired\n%!" round kill_at;
+          Printf.eprintf "round %d: kill at %s %d never fired\n%!" round site kill_at;
           incr failures);
       (* Corrupt a random strict subset of the surviving generations,
          newest-first — the resume must fall back past every one of them. *)
@@ -119,8 +131,8 @@ let round st round =
       in
       let got = match resumed with Some r -> r | None -> W.resume_latest ~store () in
       Printf.printf
-        "round %d: killed at %d, corrupted %d/%d generation(s)%s — recovered\n%!" round
-        kill_at n_corrupt n_gens
+        "round %d: killed at %s %d, corrupted %d/%d generation(s)%s — recovered\n%!" round
+        site kill_at n_corrupt n_gens
         (if !second_kill then ", killed resume too" else "");
       got)
 

@@ -1,8 +1,8 @@
 (* The self-audit contract: after any sequence of speculative feeds —
-   committed or aborted — every redundantly-maintained cell (Join norms,
-   target distances) matches its from-scratch recomputation; an injected
-   corruption is detected, reported with typed drift, and repaired by the
-   recovery path; and a clean audit is bit-neutral to the walk. *)
+   committed or aborted — every stateful cell's digest equals a fresh
+   build's; an injected corruption (a target's distance, a join's weights
+   and norms) is detected, reported with the cell's name, and repaired by
+   the audit's own rebuild; and a clean audit is bit-neutral to the walk. *)
 
 module Dataflow = Wpinq_dataflow.Dataflow
 module Audit = Dataflow.Audit
@@ -36,44 +36,29 @@ let test_ulp_distance () =
   Alcotest.(check int64) "across zero" 2L (Audit.ulp_distance (Float.succ 0.0) (-.Float.succ 0.0));
   Alcotest.(check bool) "far apart is huge" true (Audit.ulp_distance 1.0 2.0 > 1_000_000L)
 
-(* Maintained cells are exact, so the rule is bit equality: there is no
-   drift to forgive, and one ULP is already corruption. *)
-let test_divergence_rule () =
-  let clean = function None -> true | Some _ -> false in
-  Alcotest.(check bool) "bit-equal is clean" true
-    (clean (Audit.check ~cell:"c" ~maintained:1.5 ~recomputed:1.5));
-  Alcotest.(check bool) "bit-equal nan is clean" true
-    (clean (Audit.check ~cell:"c" ~maintained:Float.nan ~recomputed:Float.nan));
-  Alcotest.(check bool) "one ulp apart diverges" false
-    (clean (Audit.check ~cell:"c" ~maintained:1.0 ~recomputed:(Float.succ 1.0)));
-  (match Audit.check ~cell:"c" ~maintained:1.0 ~recomputed:1.5 with
-  | Some d ->
-      Alcotest.(check string) "cell" "c" d.Audit.cell;
-      check_close ~tol:1e-12 "abs drift" 0.5 d.Audit.abs_drift;
-      Alcotest.(check bool) "ulp drift positive" true (d.Audit.ulp_drift > 0L)
-  | None -> Alcotest.fail "real drift not flagged");
-  Alcotest.(check bool) "nan vs finite diverges" true
-    (not (clean (Audit.check ~cell:"c" ~maintained:Float.nan ~recomputed:1.0)));
-  Alcotest.(check bool) "inf vs finite diverges" true
-    (not
-       (clean
-          (Audit.check ~cell:"c" ~maintained:Float.infinity ~recomputed:1.0)))
-
 let test_audit_rejected_mid_speculation () =
   let engine = Dataflow.Engine.create () in
   let _input : int Dataflow.Input.t = Dataflow.Input.create engine in
   Dataflow.Engine.begin_speculation engine;
-  Alcotest.check_raises "audit mid-speculation"
-    (Invalid_argument "Dataflow.Engine.audit: cannot audit mid-speculation") (fun () ->
-      ignore (Dataflow.Engine.audit engine));
+  Alcotest.check_raises "digests mid-speculation"
+    (Invalid_argument "Dataflow.Engine.digests: cannot digest mid-speculation") (fun () ->
+      ignore (Dataflow.Engine.digests engine));
   Dataflow.Engine.abort engine
 
 (* ---- zero divergence under arbitrary speculate/commit/abort ---- *)
 
-(* Each pipeline routes through a Join so the audit has per-key norms to
-   cross-validate; the upstream stage (group_by, except, shave) exercises a
-   different operator's interaction with the undo log. *)
+(* Each pipeline routes through a Join so the digests cover per-key norms;
+   the upstream stage (group_by, except, shave) exercises a different
+   operator's interaction with the undo log.  After every step the live
+   engine's digests must equal a fresh build's over the same input. *)
 let audit_clean name ~build =
+  let fresh_digests input =
+    let engine = Dataflow.Engine.create () in
+    let fresh = Dataflow.Input.create engine in
+    let _sink = Dataflow.Sink.attach (build (Dataflow.Input.node fresh)) in
+    Dataflow.Input.feed fresh (Wdata.to_list (Dataflow.Input.current input));
+    Dataflow.Engine.digests engine
+  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60 ~name (deltas_arb ()) (fun deltas ->
          let engine = Dataflow.Engine.create () in
@@ -89,8 +74,7 @@ let audit_clean name ~build =
                 committed state. *)
              if !i mod 2 = 0 then Dataflow.Engine.abort engine
              else Dataflow.Engine.commit engine;
-             let r = Dataflow.Engine.audit engine in
-             r.Audit.divergences = [])
+             Dataflow.Engine.digests engine = fresh_digests input)
            deltas))
 
 let clean_suite =
@@ -125,19 +109,20 @@ let clean_suite =
 (* ---- detection of injected corruption ---- *)
 
 let test_target_drift_detected () =
-  let engine = Dataflow.Engine.create () in
-  let handle, sym = Flow.input engine in
   let rng = Prng.create 123 in
   let m =
     Measurement.create ~rng ~epsilon:0.5 ~true_data:(Wdata.of_list [ (1, 2.0); (2, 1.0) ])
   in
-  let target = Flow.Target.create (Flow.select (fun x -> x mod 5) sym) m in
-  Flow.feed handle [ (1, 1.0); (6, 1.0); (2, 3.0) ];
-  let before = Dataflow.Engine.audit engine in
+  let fit =
+    Fit.create ~rng ~seed_graph:(Graph.of_edges ~n:8 [ (0, 1); (1, 6); (2, 5) ])
+      ~targets:[ (fun sym -> Flow.Target.create (Flow.select (fun (u, v) -> (u + v) mod 5) sym) m) ]
+      ()
+  in
+  let before = Fit.audit fit in
   Alcotest.(check int) "clean before injection" 0 (List.length before.Audit.divergences);
   Alcotest.(check bool) "target enrolled" true (before.Audit.cells_checked > 0);
-  Flow.Target.inject_drift target 0.5;
-  match Dataflow.Engine.audit engine with
+  Flow.Target.inject_drift (List.hd (Fit.targets fit)) 0.5;
+  match Fit.audit fit with
   | { Audit.divergences = [ d ]; _ } ->
       Alcotest.(check bool) "cell names the target" true (contains d.Audit.cell "target#");
       check_close ~tol:1e-9 "reported drift" 0.5 d.Audit.abs_drift;
@@ -167,12 +152,12 @@ let test_fit_audit_detects_and_recovers () =
   Alcotest.(check int) "clean after 200 steps" 0 (List.length clean.Audit.divergences);
   Alcotest.(check bool) "cells were checked" true (clean.Audit.cells_checked > 0);
   Flow.Target.inject_drift (List.hd (Fit.targets fit)) 1.0;
+  (* The detecting audit also repairs: its rebuild is the recovery. *)
   let detected = Fit.audit fit in
   Alcotest.(check bool) "injected drift detected" true
     (List.length detected.Audit.divergences > 0);
-  let report = Fit.audit_and_recover fit in
   Alcotest.(check bool) "recovery saw the divergence" true
-    (List.length report.Audit.divergences > 0);
+    (List.exists (fun d -> contains d.Audit.cell "target#") detected.Audit.divergences);
   let after = Fit.audit fit in
   Alcotest.(check int) "clean after recovery" 0 (List.length after.Audit.divergences);
   (* The rebuilt state is batch truth: incremental energy = recomputation. *)
@@ -182,6 +167,31 @@ let test_fit_audit_detects_and_recovers () =
     List.fold_left (fun acc t -> acc +. Flow.Target.weighted_distance t) 0.0 (Fit.targets fit)
   in
   check_close ~tol:1e-9 "energy matches recompute after recovery" fresh incremental
+
+(* A join record's weight and its key norm corrupted together: the norm
+   still sums its part and no target distance moves, so only the state
+   digests can see it. *)
+let test_join_corruption_detected () =
+  let fit = make_fit () in
+  for _ = 1 to 100 do
+    ignore (Fit.step ~pow:50.0 fit)
+  done;
+  let energy = Fit.energy fit in
+  let cell =
+    match Dataflow.Engine.corrupt_join (Fit.engine fit) with
+    | Some cell -> cell
+    | None -> Alcotest.fail "no join holds a record"
+  in
+  let report = Fit.audit fit in
+  let named c = List.exists (fun d -> d.Audit.cell = c) report.Audit.divergences in
+  Alcotest.(check bool) ("weights of " ^ cell ^ " diverged") true (named cell);
+  Alcotest.(check bool) ("norms of " ^ cell ^ " diverged") true (named (cell ^ ".norm"));
+  Alcotest.(check bool) "no target distance diverged" false
+    (List.exists (fun d -> contains d.Audit.cell "target#") report.Audit.divergences);
+  Alcotest.(check int64) "energy kept" (Int64.bits_of_float energy)
+    (Int64.bits_of_float (Fit.energy fit));
+  let after = Fit.audit fit in
+  Alcotest.(check int) "clean after the audit" 0 (List.length after.Audit.divergences)
 
 let test_run_with_audit_cadence_recovers () =
   (* Corrupt the maintained distance mid-run: the next scheduled audit must
@@ -227,12 +237,12 @@ let test_clean_audit_is_bit_neutral () =
 let suite =
   [
     Alcotest.test_case "ulp distance" `Quick test_ulp_distance;
-    Alcotest.test_case "divergence rule" `Quick test_divergence_rule;
     Alcotest.test_case "audit rejected mid-speculation" `Quick
       test_audit_rejected_mid_speculation;
     Alcotest.test_case "target drift detected" `Quick test_target_drift_detected;
     Alcotest.test_case "fit audit detects and recovers" `Slow
       test_fit_audit_detects_and_recovers;
+    Alcotest.test_case "join corruption detected" `Quick test_join_corruption_detected;
     Alcotest.test_case "run with audit cadence recovers" `Slow
       test_run_with_audit_cadence_recovers;
     Alcotest.test_case "clean audit is bit-neutral" `Slow test_clean_audit_is_bit_neutral;

@@ -125,7 +125,7 @@ let test_sinks_history_free =
          Dataflow.Input.feed fresh_input (Wdata.to_list (Dataflow.Input.current input));
          List.for_all2 (fun a b -> sink_bits a = sink_bits b) sinks sinks'
          && sink_bits g = sink_bits g'
-         && (Dataflow.Engine.audit engine).Dataflow.Audit.divergences = []))
+         && Dataflow.Engine.digests engine = Dataflow.Engine.digests fresh_engine))
 
 (* ---- fits: the walk's state is a function of the edge array ---- *)
 
@@ -285,7 +285,7 @@ let test_interned_ids_bounded () =
    of the same feed retracts: a group_by over a concat sees the u < v half
    of each group, emits its count, then sees the other half and retracts
    it.  After a walk, the measurement never saw the half counts of the
-   current graph, so a rebuild (or an audit's batch replica) would draw
+   current graph, so a rebuild (or an audit, which is one) would draw
    fresh noise for them; it must refuse instead.  A rebuild right after
    the first build sees only records that build drew, and goes through. *)
 let test_transient_records_refused () =
@@ -379,7 +379,9 @@ let test_grid_overflow_raises () =
 
 (* ---- audits ---- *)
 
-(* A clean audit formats no cell names: it allocates next to nothing. *)
+(* The audit's digest pass hashes no record and formats no cell name: it
+   allocates next to nothing, and a healthy engine's digests equal a fresh
+   build's. *)
 let test_clean_audit_allocates_little () =
   let secret = Gen.epinions_like ~n:1000 ~m:10_000 (Prng.create 41) in
   let budget = Budget.create ~name:"jdd" 1e9 in
@@ -392,13 +394,35 @@ let test_clean_audit_allocates_little () =
       ()
   in
   let engine = Fit.engine fit in
-  ignore (Dataflow.Engine.audit engine);
+  ignore (Dataflow.Engine.digests engine);
   let before = Gc.minor_words () in
-  let report = Dataflow.Engine.audit engine in
+  let digests = Dataflow.Engine.digests engine in
   let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "clean" 0 (List.length report.Dataflow.Audit.divergences);
-  Alcotest.(check bool) "cells checked" true (report.Dataflow.Audit.cells_checked > 10_000);
+  let fresh =
+    fresh_of fit ~source ~measured:[ Fit.Measured (Qp.jdd source, m) ]
+  in
+  Alcotest.(check (array int)) "clean" (Dataflow.Engine.digests (Fit.engine fresh)) digests;
+  Alcotest.(check bool) "cells digested" true (Array.length digests > 5);
   Alcotest.(check bool) (Printf.sprintf "allocated %.0f words < 0.5 Mw" words) true (words < 5e5)
+
+(* An audit is the compaction: it leaves the engine as small as a fresh
+   build over the same edge array. *)
+let test_audit_compacts () =
+  let seed, ms = problem () in
+  let source, measured = measured ms in
+  let fit = Fit.create_shared ~rng:(Prng.create 7) ~seed_graph:seed ~source ~measured () in
+  ignore (Fit.run fit ~steps:300 ~pow:50.0 ~jobs:1 ());
+  let engine = Fit.engine fit in
+  let walked = Dataflow.Engine.interned_ids engine in
+  let report = Fit.audit fit in
+  Alcotest.(check int) "clean" 0 (List.length report.Dataflow.Audit.divergences);
+  let fresh = fresh_of fit ~source ~measured in
+  let ids = Dataflow.Engine.interned_ids (Fit.engine fresh) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the walk grew the engine (%d > %d)" walked ids)
+    true (walked > ids);
+  Alcotest.(check int) "interned ids after audit" ids (Dataflow.Engine.interned_ids engine);
+  check_same_state "audited vs fresh" fit fresh
 
 let suite =
   [
@@ -415,4 +439,5 @@ let suite =
       test_measurement_roundtrip_keeps_drawing;
     Alcotest.test_case "grid overflow raises" `Quick test_grid_overflow_raises;
     Alcotest.test_case "clean audit allocates little" `Slow test_clean_audit_allocates_little;
+    Alcotest.test_case "audit leaves a fresh build's ids" `Quick test_audit_compacts;
   ]
