@@ -24,11 +24,12 @@ module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
 module Flow = Wpinq_core.Flow
 module Fit = Wpinq_infer.Fit
+module Mcmc = Wpinq_infer.Mcmc
+module Workflow = Wpinq_infer.Workflow
 module Plan = Wpinq_core.Plan
 module Datasets = Wpinq_data.Datasets
 module Gridpath = Wpinq_postprocess.Gridpath
 module Qb = Wpinq_queries.Queries.Make (Batch)
-module Qf = Wpinq_queries.Queries.Make (Flow)
 module Qp = Wpinq_queries.Queries.Make (Plan)
 
 let banner title =
@@ -65,17 +66,11 @@ let make_fit ~tbd scale =
   let rng = Prng.create 7 in
   let budget = Budget.create ~name:"bench" 1e9 in
   let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-  let target =
-    if tbd then begin
-      let m = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.tbd ~bucket:4 sym) in
-      fun flow -> Flow.Target.create (Qf.tbd ~bucket:4 flow) m
-    end
-    else begin
-      let m = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.tbi sym) in
-      fun flow -> Flow.Target.create (Qf.tbi flow) m
-    end
+  let query = if tbd then Workflow.Tbd 4 else Workflow.Tbi in
+  let source, measured =
+    Workflow.shared_measured (Workflow.measure_queries ~rng ~epsilon:0.1 ~sym [ query ])
   in
-  Fit.create ~rng ~seed_graph:secret ~targets:[ target ] ()
+  Fit.create_shared ~rng ~seed_graph:secret ~source ~measured ()
 
 let bench_tests () =
   let rng = Prng.create 13 in
@@ -112,10 +107,10 @@ let bench_tests () =
            ignore (Graph.triangle_count g + int_of_float (Graph.assortativity g))));
     (* Figure 3 kernel: one TbD-driven MCMC step. *)
     Test.make ~name:"figure3/tbd_mcmc_step"
-      (Staged.stage (fun () -> ignore (Fit.step ~pow:10_000.0 (Lazy.force tbd_fit))));
+      (Staged.stage (fun () -> ignore (Fit.run (Lazy.force tbd_fit) ~steps:1 ~pow:10_000.0 ())));
     (* Table 2 / Figures 4-6 kernel: one TbI-driven MCMC step. *)
     Test.make ~name:"table2+fig4-6/tbi_mcmc_step"
-      (Staged.stage (fun () -> ignore (Fit.step ~pow:10_000.0 (Lazy.force tbi_fit))));
+      (Staged.stage (fun () -> ignore (Fit.run (Lazy.force tbi_fit) ~steps:1 ~pow:10_000.0 ())));
     (* Figure 5 kernel: the Laplace mechanism itself. *)
     Test.make ~name:"figure5/laplace_sample"
       (Staged.stage (fun () -> ignore (Prng.laplace rng ~scale:10.0)));
@@ -170,8 +165,9 @@ let run_benchmarks () =
 
 (* ---------------- Part 3: the machine-readable walk benchmark ------------
 
-   One TbI-driven walk on scaled-down ca-GrQc, per-step wall time bucketed
-   by accept/reject.  The [baseline] block records the same run measured on
+   One TbI-driven walk ([Fit.run] at jobs = 1, the walk every caller
+   runs) on scaled-down ca-GrQc, per-step wall time bucketed by
+   accept/reject.  The [baseline] block records the same run measured on
    the pre-speculation engine (rejection = full inverse re-propagation,
    per-batch list/hashtable churn); [current] is measured live.  The
    headline number is rejected_over_accepted: a rejected move used to cost
@@ -261,8 +257,9 @@ let baseline_json =
    accumulation + exact rules).
 
    Phase B is synthesis: the tenant-1 measurements fitted three ways —
-   per-target pipelines, one shared context, and the optimized plans.
-   Shared vs unshared walks take bit-identical steps (property-tested),
+   per-target pipelines, one shared context, and the optimized plans —
+   each on a bare engine under the same driver ([bare_walk]).  Shared vs
+   unshared walks take bit-identical steps (property-tested),
    so records-propagated-per-step is a deterministic like-for-like cost
    comparison and the optimized arm must strictly beat unshared on it
    (gated).  The optimized walk may differ from the plain one in ulps
@@ -270,6 +267,70 @@ let baseline_json =
    wall times are reported but not gated — per-step cost is dominated by
    per-analysis propagation that no privacy-sound rewrite removes, so
    the honest walk-side signal is the records counter, not the clock. *)
+
+(* A bare engine walked by [Mcmc.run_lookahead] at width 1, over the
+   targets [build] lowers from the synthetic input: the fit's jobs = 1
+   evaluation (speculate, hold the first winner open, commit it in place)
+   without the fit's compaction, so arms that lower their targets
+   differently run under one driver and their engine counters compare
+   like for like. *)
+let bare_walk ~seed_graph build =
+  let engine = Dataflow.Engine.create () in
+  let handle, sym = Flow.input engine in
+  let targets = build sym in
+  let graph = Graph.Mutable.of_graph seed_graph in
+  Flow.feed handle
+    (List.concat_map
+       (fun (u, v) -> [ ((u, v), 1.0); ((v, u), 1.0) ])
+       (Array.to_list (Graph.Mutable.edge_array graph)));
+  let energy = ref (Flow.Target.energy targets) in
+  let eval ~pow ~energy:base streams =
+    let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
+    let rec go i =
+      if i < Array.length streams then
+        match Graph.Mutable.propose_swap graph streams.(i) with
+        | None -> go (i + 1)
+        | Some swap ->
+            Dataflow.Engine.begin_speculation engine;
+            Graph.Mutable.apply graph swap;
+            Flow.feed handle (Graph.Mutable.delta swap);
+            let proposed = Flow.Target.energy targets in
+            Graph.Mutable.apply graph (Graph.Mutable.invert swap);
+            let delta = proposed -. base in
+            if not (Float.is_finite proposed) then begin
+              Dataflow.Engine.abort engine;
+              verdicts.(i) <- Mcmc.Nonfinite
+            end
+            else if delta <= 0.0 || Prng.uniform streams.(i) < exp (-.pow *. delta) then
+              verdicts.(i) <- Mcmc.Accepted { swap; proposed }
+            else begin
+              Dataflow.Engine.abort engine;
+              verdicts.(i) <- Mcmc.Rejected;
+              go (i + 1)
+            end
+    in
+    go 0;
+    verdicts
+  in
+  let lookahead =
+    {
+      Mcmc.la_jobs = 1;
+      la_energy = (fun () -> !energy);
+      la_eval = eval;
+      la_commit =
+        (fun swap ~proposed ->
+          Graph.Mutable.apply graph swap;
+          Dataflow.Engine.commit engine;
+          energy := proposed);
+      la_refresh =
+        (fun () ->
+          List.iter Flow.Target.recompute targets;
+          energy := Flow.Target.energy targets;
+          !energy);
+      la_resync = (fun () -> !energy);
+    }
+  in
+  (engine, lookahead)
 
 let multi_bench ~smoke () =
   let module M = Wpinq_core.Measurement in
@@ -378,56 +439,44 @@ let multi_bench ~smoke () =
   (* Each arm fits against pristine copies of the *same* measurement set,
      so lazy walk-time noise draws start from the same cursor in all
      three. *)
-  let shared_fit (qc, qj, qt, qi, qs) =
-    let measured =
-      [
-        Fit.Measured (qc, M.copy mc);
-        Fit.Measured (qj, M.copy mj);
-        Fit.Measured (qt, M.copy mt);
-        Fit.Measured (qi, M.copy mi);
-        Fit.Measured (qs, M.copy ms);
-      ]
-    in
-    Fit.create_shared ~rng:(Prng.create 11) ~seed_graph:secret ~source ~measured ()
+  let shared_targets (qc, qj, qt, qi, qs) flow =
+    let ctx = Flow.Plans.create (Dataflow.engine_of (Flow.node flow)) in
+    Flow.Plans.bind ctx source flow;
+    [
+      Flow.Target.of_plan ctx qc (M.copy mc);
+      Flow.Target.of_plan ctx qj (M.copy mj);
+      Flow.Target.of_plan ctx qt (M.copy mt);
+      Flow.Target.of_plan ctx qi (M.copy mi);
+      Flow.Target.of_plan ctx qs (M.copy ms);
+    ]
   in
-  let unshared_fit () =
-    (* A fresh plan source and lowering context per target: nothing crosses
-       target boundaries. *)
-    let target src p m flow =
+  (* A fresh plan source and lowering context per target: nothing crosses
+     target boundaries. *)
+  let unshared_targets flow =
+    let target q m =
+      let src = Plan.source ~name:"sym" () in
       let ctx = Flow.Plans.create (Dataflow.engine_of (Flow.node flow)) in
       Flow.Plans.bind ctx src flow;
-      Flow.Target.of_plan ctx p m
+      Flow.Target.of_plan ctx (q src) (M.copy m)
     in
-    let s1 = Plan.source ~name:"sym" () in
-    let s2 = Plan.source ~name:"sym" () in
-    let s3 = Plan.source ~name:"sym" () in
-    let s4 = Plan.source ~name:"sym" () in
-    let s5 = Plan.source ~name:"sym" () in
-    Fit.create ~rng:(Prng.create 11) ~seed_graph:secret
-      ~targets:
-        [
-          target s1 (Qp.degree_ccdf s1) (M.copy mc);
-          target s2 (Qp.jdd s2) (M.copy mj);
-          target s3 (Qp.tbd s3) (M.copy mt);
-          target s4 (Qp.tbi s4) (M.copy mi);
-          target s5 (Qp.sbi s5) (M.copy ms);
-        ]
-      ()
+    [
+      target Qp.degree_ccdf mc;
+      target Qp.jdd mj;
+      target (fun s -> Qp.tbd s) mt;
+      target Qp.tbi mi;
+      target Qp.sbi ms;
+    ]
   in
-  let run fit =
-    for _ = 1 to warmup do
-      ignore (Fit.step ~pow:10_000.0 fit)
-    done;
-    let engine = Fit.engine fit in
+  let run build =
+    let engine, lookahead = bare_walk ~seed_graph:secret build in
+    let rng = Prng.create 11 in
+    ignore (Mcmc.run_lookahead ~rng ~lookahead ~steps:warmup ~pow:10_000.0 ());
     let prop0 = Dataflow.Engine.records_propagated engine in
     let work0 = Dataflow.Engine.work engine in
-    let accepted = ref 0 in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to steps do
-      if Fit.step ~pow:10_000.0 fit then incr accepted
-    done;
+    let stats = Mcmc.run_lookahead ~rng ~lookahead ~steps ~pow:10_000.0 () in
     let wall = Unix.gettimeofday () -. t0 in
-    ( !accepted,
+    ( stats.Mcmc.accepted,
       1e6 *. wall /. float steps,
       float steps /. wall,
       float (Dataflow.Engine.records_propagated engine - prop0) /. float steps,
@@ -435,9 +484,9 @@ let multi_bench ~smoke () =
       Dataflow.Engine.nodes_built engine,
       Dataflow.Engine.nodes_shared engine )
   in
-  let u_acc, u_us, u_sps, u_prop, u_work, u_built, u_shared = run (unshared_fit ()) in
-  let s_acc, s_us, s_sps, s_prop, s_work, s_built, s_shared = run (shared_fit plain) in
-  let o_acc, o_us, o_sps, o_prop, o_work, o_built, o_shared = run (shared_fit opt) in
+  let u_acc, u_us, u_sps, u_prop, u_work, u_built, u_shared = run unshared_targets in
+  let s_acc, s_us, s_sps, s_prop, s_work, s_built, s_shared = run (shared_targets plain) in
+  let o_acc, o_us, o_sps, o_prop, o_work, o_built, o_shared = run (shared_targets opt) in
   if s_acc <> u_acc then
     Printf.printf "WARNING: walks diverged (%d vs %d accepted) — counters not comparable\n"
       s_acc u_acc;
@@ -545,11 +594,10 @@ let multi_bench ~smoke () =
    policy driven inline, which still cross-checks width-invariance and
    records the per-phase counters. *)
 
-type parallel_arm = { arm_label : string; arm_jobs : int; arm_width : Wpinq_infer.Mcmc.width }
+type parallel_arm = { arm_label : string; arm_jobs : int; arm_width : Mcmc.width }
 
 let parallel_bench ~smoke ~max_jobs () =
   banner "Part 5: parallel speculative lookahead benchmark";
-  let module Mcmc = Wpinq_infer.Mcmc in
   let scale, steps = if smoke then (0.12, 2_000) else (0.25, 8_000) in
   let host_parallelism = Domain.recommended_domain_count () in
   let single_core = host_parallelism < 2 in
@@ -787,7 +835,6 @@ let serve_bench () =
 
 module Sup = Wpinq_stream.Supervisor
 module Sevent = Wpinq_stream.Event
-module Workflow = Wpinq_infer.Workflow
 
 let rec remove_tree path =
   if Sys.file_exists path then
@@ -883,10 +930,10 @@ let stream_bench ~smoke () =
       Fit.create_shared ~rng:(Prng.create 31) ~seed_graph:seedg ~source ~measured ()
     in
     let energies = Array.make (fit_steps + 1) (Fit.energy fit) in
-    for s = 1 to fit_steps do
-      ignore (Fit.step ~pow:100.0 fit);
-      energies.(s) <- Fit.energy fit
-    done;
+    ignore
+      (Fit.run fit ~steps:fit_steps ~pow:100.0
+         ~on_step:(fun ~step ~energy -> energies.(step) <- energy)
+         ());
     energies
   in
   let cold = run_arm (Workflow.seed_graph ~rng:(Prng.split_nth rng 7) ~degrees) in
@@ -970,15 +1017,10 @@ let paper_scale_bench () =
     let t_setup0 = Unix.gettimeofday () in
     let fit, nodes, edges = make () in
     let setup_s = Unix.gettimeofday () -. t_setup0 in
-    for _ = 1 to warmup do
-      ignore (Fit.step ~pow:10_000.0 fit)
-    done;
+    ignore (Fit.run fit ~steps:warmup ~pow:10_000.0 ());
     let minor0 = Gc.minor_words () in
-    let accepted = ref 0 in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to steps do
-      if Fit.step ~pow:10_000.0 fit then incr accepted
-    done;
+    let accepted = (Fit.run fit ~steps ~pow:10_000.0 ()).Mcmc.accepted in
     let wall = Unix.gettimeofday () -. t0 in
     let minor = Gc.minor_words () -. minor0 in
     let us = 1e6 *. wall /. float steps in
@@ -987,7 +1029,7 @@ let paper_scale_bench () =
        accepted\n%!"
       label nodes edges setup_s us
       (minor /. float steps)
-      !accepted steps;
+      accepted steps;
     String.concat "\n"
       [
         "    {";
@@ -1000,7 +1042,7 @@ let paper_scale_bench () =
         Printf.sprintf "      \"setup_s\": %.3f," setup_s;
         Printf.sprintf "      \"warmup_steps\": %d," warmup;
         Printf.sprintf "      \"measured_steps\": %d," steps;
-        Printf.sprintf "      \"accepted_steps\": %d," !accepted;
+        Printf.sprintf "      \"accepted_steps\": %d," accepted;
         Printf.sprintf "      \"us_per_step\": %.3f," us;
         Printf.sprintf "      \"steps_per_sec\": %.1f," (float steps /. wall);
         Printf.sprintf "      \"minor_words_per_step\": %.1f," (minor /. float steps);
@@ -1023,13 +1065,11 @@ let paper_scale_bench () =
         let sym = Batch.source_records ~budget (Graph.directed_edges g) in
         let mc = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.degree_ccdf sym) in
         let mj = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.jdd sym) in
+        let source = Plan.source ~name:"sym" () in
         let fit =
-          Fit.create ~rng ~seed_graph:g
-            ~targets:
-              [
-                (fun flow -> Flow.Target.create (Qf.degree_ccdf flow) mc);
-                (fun flow -> Flow.Target.create (Qf.jdd flow) mj);
-              ]
+          Fit.create_shared ~rng ~seed_graph:g ~source
+            ~measured:
+              [ Fit.Measured (Qp.degree_ccdf source, mc); Fit.Measured (Qp.jdd source, mj) ]
             ()
         in
         (fit, Graph.n g, Graph.m g))
@@ -1043,9 +1083,7 @@ let walk_bench ~smoke ~json_path ?(fragments = []) () =
   Printf.printf "(ca-GrQc at scale %.2f, %d warmup + %d measured steps)\n%!" scale warmup
     steps;
   let fit = make_fit ~tbd:false scale in
-  for _ = 1 to warmup do
-    ignore (Fit.step ~pow:10_000.0 fit)
-  done;
+  ignore (Fit.run fit ~steps:warmup ~pow:10_000.0 ());
   let engine = Fit.engine fit in
   (* Engine counters over the measured window only. *)
   let fast0 = Dataflow.Engine.join_fast_updates engine in
@@ -1058,21 +1096,27 @@ let walk_bench ~smoke ~json_path ?(fragments = []) () =
   let reuses0 = Dataflow.Engine.arena_reuses engine in
   let acc_t = ref 0.0 and acc_n = ref 0 in
   let rej_t = ref 0.0 and rej_n = ref 0 in
-  let minor0 = Gc.minor_words () in
-  let wall0 = Unix.gettimeofday () in
-  for _ = 1 to steps do
-    let t0 = Unix.gettimeofday () in
-    let accepted = Fit.step ~pow:10_000.0 fit in
-    let dt = Unix.gettimeofday () -. t0 in
-    if accepted then begin
+  (* One production walk; each step's time runs from the previous step's
+     [on_step] to its own, and a step was accepted iff it committed. *)
+  let last_t = ref 0.0 and last_commits = ref commits0 in
+  let on_step ~step:_ ~energy:_ =
+    let t = Unix.gettimeofday () and commits = Dataflow.Engine.commits engine in
+    let dt = t -. !last_t in
+    if commits > !last_commits then begin
       acc_t := !acc_t +. dt;
       incr acc_n
     end
     else begin
       rej_t := !rej_t +. dt;
       incr rej_n
-    end
-  done;
+    end;
+    last_t := t;
+    last_commits := commits
+  in
+  let minor0 = Gc.minor_words () in
+  let wall0 = Unix.gettimeofday () in
+  last_t := wall0;
+  ignore (Fit.run fit ~steps ~pow:10_000.0 ~on_step ());
   let wall = Unix.gettimeofday () -. wall0 in
   let minor = Gc.minor_words () -. minor0 in
   let acc_us = 1e6 *. !acc_t /. float (max 1 !acc_n) in

@@ -13,11 +13,11 @@ module Rewire = Wpinq_graph.Rewire
 module Prng = Wpinq_prng.Prng
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
-module Flow = Wpinq_core.Flow
+module Plan = Wpinq_core.Plan
 module Measurement = Wpinq_core.Measurement
 module Fit = Wpinq_infer.Fit
 module Qb = Wpinq_queries.Queries.Make (Batch)
-module Qf = Wpinq_queries.Queries.Make (Flow)
+module Qp = Wpinq_queries.Queries.Make (Plan)
 
 let lattice k =
   let idx i j = (i * k) + j in
@@ -53,9 +53,10 @@ let () =
   (* Fit a rewired seed back toward the lattice using only the SbI count.
      The edge-swap walk preserves degrees; the SbI target restores
      squares. *)
+  let source = Plan.source ~name:"sym" () in
   let fit =
-    Fit.create ~rng:(Prng.create 4) ~seed_graph:random
-      ~targets:[ (fun flow -> Flow.Target.create (Qf.sbi flow) sbi) ]
+    Fit.create_shared ~rng:(Prng.create 4) ~seed_graph:random ~source
+      ~measured:[ Fit.Measured (Qp.sbi source, sbi) ]
       ()
   in
   Printf.printf "fitting the rewired control to the SbI measurement:\n";

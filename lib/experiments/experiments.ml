@@ -4,7 +4,6 @@ module Graph = Wpinq_graph.Graph
 module Gen = Wpinq_graph.Gen
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
-module Flow = Wpinq_core.Flow
 module Dataflow = Wpinq_dataflow.Dataflow
 module Isotonic = Wpinq_postprocess.Isotonic
 module Mcmc = Wpinq_infer.Mcmc
@@ -12,7 +11,6 @@ module Fit = Wpinq_infer.Fit
 module Workflow = Wpinq_infer.Workflow
 module Datasets = Wpinq_data.Datasets
 module Qb = Wpinq_queries.Queries.Make (Batch)
-module Qf = Wpinq_queries.Queries.Make (Flow)
 
 type config = {
   scale : float;
@@ -243,11 +241,16 @@ let table3 cfg =
         (Graph.sum_deg_sq g))
     Datasets.table3
 
-let tbi_target_of ~rng ~epsilon secret =
-  let budget = Budget.create ~name:"fig6" 1e9 in
+(* Measures [queries] on [secret] under a throwaway budget. *)
+let measure ~rng ~epsilon secret queries =
+  let budget = Budget.create ~name:"fit" 1e9 in
   let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-  let m = Batch.noisy_count ~rng ~epsilon (Qb.tbi sym) in
-  fun sym_flow -> Flow.Target.create (Qf.tbi sym_flow) m
+  Workflow.measure_queries ~rng ~epsilon ~sym queries
+
+(* A fit of [seed_graph] to the measurements, over their shared plans. *)
+let fit_of ~rng ~seed_graph qms =
+  let source, measured = Workflow.shared_measured qms in
+  Fit.create_shared ~rng ~seed_graph ~source ~measured ()
 
 let figure6 cfg =
   section "Figure 6 (left): TbI engine cost vs. sum d^2 on the Barabasi-Albert sweep";
@@ -261,9 +264,9 @@ let figure6 cfg =
     (fun (spec : Datasets.ba_spec) ->
       let secret = Datasets.ba_graph ~scale:cfg.scale spec in
       let rng = Prng.create cfg.seed in
-      let target = tbi_target_of ~rng ~epsilon:cfg.epsilon secret in
+      let qms = measure ~rng ~epsilon:cfg.epsilon secret [ Workflow.Tbi ] in
       let seed = Datasets.random_counterpart ~seed:cfg.seed secret in
-      let fit = Fit.create ~rng ~seed_graph:seed ~targets:[ target ] () in
+      let fit = fit_of ~rng ~seed_graph:seed qms in
       let state = Dataflow.Engine.state_records (Fit.engine fit) in
       let t0 = now () in
       let stats = Fit.run fit ~steps:probe_steps ~pow:cfg.pow () in
@@ -298,8 +301,8 @@ let ablation_incremental cfg =
   section "Ablation: incremental maintenance vs. from-scratch re-execution (TbI)";
   let secret = Datasets.load ~scale:(cfg.scale *. 0.5) Datasets.grqc in
   let rng = Prng.create cfg.seed in
-  let target = tbi_target_of ~rng ~epsilon:cfg.epsilon secret in
-  let fit = Fit.create ~rng ~seed_graph:secret ~targets:[ target ] () in
+  let qms = measure ~rng ~epsilon:cfg.epsilon secret [ Workflow.Tbi ] in
+  let fit = fit_of ~rng ~seed_graph:secret qms in
   let steps = 2_000 in
   let t0 = now () in
   let _ = Fit.run fit ~steps ~pow:cfg.pow () in
@@ -328,8 +331,8 @@ let ablation_join cfg =
   section "Ablation: Join's norm-preserving fast path (Appendix B)";
   let secret = Datasets.load ~scale:(cfg.scale *. 0.5) Datasets.grqc in
   let rng = Prng.create cfg.seed in
-  let target = tbi_target_of ~rng ~epsilon:cfg.epsilon secret in
-  let fit = Fit.create ~rng ~seed_graph:secret ~targets:[ target ] () in
+  let qms = measure ~rng ~epsilon:cfg.epsilon secret [ Workflow.Tbi ] in
+  let fit = fit_of ~rng ~seed_graph:secret qms in
   let engine = Fit.engine fit in
   let f0 = Dataflow.Engine.join_fast_updates engine in
   let s0 = Dataflow.Engine.join_full_rescales engine in
@@ -346,11 +349,11 @@ let ablation_seed cfg =
   section "Ablation: degree-matched seed vs. Erdos-Renyi seed (Section 4.2, initial state)";
   let secret = Datasets.load ~scale:(cfg.scale *. 0.5) Datasets.grqc in
   let rng = Prng.create cfg.seed in
-  let target = tbi_target_of ~rng ~epsilon:cfg.epsilon secret in
+  let qms = measure ~rng ~epsilon:cfg.epsilon secret [ Workflow.Tbi ] in
   let seed_matched = Datasets.random_counterpart ~seed:cfg.seed secret in
   let seed_er = Gen.erdos_renyi ~n:(Graph.n secret) ~m:(Graph.m secret) (Prng.create cfg.seed) in
   let run name seed =
-    let fit = Fit.create ~rng:(Prng.create (cfg.seed + 1)) ~seed_graph:seed ~targets:[ target ] () in
+    let fit = fit_of ~rng:(Prng.create (cfg.seed + 1)) ~seed_graph:seed qms in
     let e0 = Fit.energy fit in
     let _ = Fit.run fit ~steps:(max 2_000 (cfg.steps / 4)) ~pow:cfg.pow () in
     Printf.printf "%-22s energy %8.2f -> %8.2f, triangles %6d -> %6d (truth %d)\n" name e0
@@ -399,12 +402,11 @@ let ablation_combined cfg =
   section "Ablation: combining measurements (Section 1.2, benefit 2)";
   let secret = Datasets.load ~scale:(cfg.scale *. 0.5) Datasets.grqc in
   let rng = Prng.create cfg.seed in
-  let budget = Budget.create ~name:"grqc" 1e9 in
-  let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-  let m_tbi = Batch.noisy_count ~rng ~epsilon:cfg.epsilon (Qb.tbi sym) in
-  let m_jdd = Batch.noisy_count ~rng ~epsilon:cfg.epsilon (Qb.jdd sym) in
-  let t_tbi flow = Flow.Target.create (Qf.tbi flow) m_tbi in
-  let t_jdd flow = Flow.Target.create (Qf.jdd flow) m_jdd in
+  let m_tbi, m_jdd =
+    match measure ~rng ~epsilon:cfg.epsilon secret [ Workflow.Tbi; Workflow.Jdd ] with
+    | [ t; j ] -> (t, j)
+    | _ -> assert false
+  in
   let seed = Datasets.random_counterpart ~seed:cfg.seed secret in
   let steps = max 2_000 (cfg.steps / 2) in
   Printf.printf "truth: triangles %d, assortativity %+.3f; seed: %d, %+.3f; %d steps
@@ -414,17 +416,17 @@ let ablation_combined cfg =
     (Graph.assortativity seed) steps;
   Printf.printf "%-14s %10s %14s
 " "targets" "triangles" "assortativity";
-  let run name targets =
-    let fit = Fit.create ~rng:(Prng.create (cfg.seed + 1)) ~seed_graph:seed ~targets () in
+  let run name qms =
+    let fit = fit_of ~rng:(Prng.create (cfg.seed + 1)) ~seed_graph:seed qms in
     let _ = Fit.run fit ~steps ~pow:cfg.pow () in
     let g = Fit.graph fit in
     Printf.printf "%-14s %10d %+14.3f
 %!" name (Graph.triangle_count g)
       (Graph.assortativity g)
   in
-  run "TbI only" [ t_tbi ];
-  run "JDD only" [ t_jdd ];
-  run "TbI + JDD" [ t_tbi; t_jdd ];
+  run "TbI only" [ m_tbi ];
+  run "JDD only" [ m_jdd ];
+  run "TbI + JDD" [ m_tbi; m_jdd ];
   Printf.printf
     "(the combined posterior should track both statistics at once, where each
     \ single-measurement fit only moves its own.)

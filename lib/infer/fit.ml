@@ -18,17 +18,11 @@ type t = {
   mutable handle : (int * int) Flow.handle;
   mutable graph : Graph.Mutable.t;
   mutable targets : Flow.Target.t list;
-  (* The combined target-builder closure is kept so the fit can rebuild
-     itself (compaction, audit) without the caller re-supplying it.  It
-     builds the whole target list from one synthetic input, so a
-     plan-shared fit rebuilds with the same sharing every time. *)
-  mutable builder : (int * int) Flow.t -> Flow.Target.t list;
-  (* A fresh-builder factory for standing up *independent* replicas: each
-     call deep-copies the measurements, so a replica's lazily-drawn noise
-     advances its own private cursors.  [None] for fits built from opaque
-     target closures, which share measurement state and therefore cannot
-     be replicated across domains. *)
-  mutable replicate : (unit -> (int * int) Flow.t -> Flow.Target.t list) option;
+  (* The plans and measurements the targets were built from, kept so the
+     fit can rebuild itself (compaction, audit) and stand up replicas
+     without the caller re-supplying them. *)
+  mutable source : (int * int) Plan.t;
+  mutable measured : measured list;
   mutable energy : float;
   mutable built_ids : int; (* the engine's interned ids right after its build *)
 }
@@ -36,17 +30,10 @@ type t = {
 (* Every invocation creates a fresh lowering context over the input's
    engine, so create / restore / rebuild all reconstruct the same shared
    DAG — the determinism checkpoint resume depends on. *)
-let plan_builder ~source ~measured sym =
+let plan_targets ~source ~measured sym =
   let ctx = Flow.Plans.create (Dataflow.engine_of (Flow.node sym)) in
   Flow.Plans.bind ctx source sym;
   List.map (fun (Measured (p, m)) -> Flow.Target.of_plan ctx p m) measured
-
-(* Shared-plan fits are replicable: the factory copies every measurement
-   (values + private noise cursor) so each replica draws its own — but
-   bit-identical — lazy observations. *)
-let plan_replicate ~source ~measured () =
-  plan_builder ~source
-    ~measured:(List.map (fun (Measured (p, m)) -> Measured (p, Measurement.copy m)) measured)
 
 exception Build_drew_noise of string
 
@@ -69,11 +56,11 @@ let check_range mg =
             n m))
 
 (* Engine state built from an explicit, order-significant edge array: the
-   one construction under [create] (the seed graph's edge array), [restore]
-   (resume from a checkpoint file), [rebuild] (compaction, audit) and the
-   replica pool.  Targets attach before any data flows, so their initial
-   distances account for every observed record; then the symmetric records
-   are fed in edge-array order.
+   one construction under [create_shared] (the seed graph's edge array),
+   [restore_shared] (resume from a checkpoint file), [rebuild_shared]
+   (compaction, audit) and the replica pool.  Targets attach before any
+   data flows, so their initial distances account for every observed
+   record; then the symmetric records are fed in edge-array order.
    Accumulation is exact, so any fit over the same edge multiset and
    measurements reads bit-identical energies — which is what lets a
    resumed chain, a live chain and the replicas of a parallel walk agree.
@@ -84,8 +71,8 @@ let check_range mg =
    measurement's next lazy draw, shifting every later draw of the chain.
    So every build but a [first] one, which materializes its measurements'
    observations, checks that no target's noise cursor moved. *)
-let attach ~first ~builder (handle, sym) mg =
-  let built = builder sym in
+let attach ~first ~source ~measured (handle, sym) mg =
+  let built = plan_targets ~source ~measured sym in
   let marks = List.map Flow.Target.noise_mark built in
   let records =
     List.concat_map
@@ -106,55 +93,35 @@ let attach ~first ~builder (handle, sym) mg =
       (List.combine built marks);
   built
 
-let of_mutable ?replicate ~first ~rng ~builder mg =
+let of_mutable ~first ~rng ~source ~measured mg =
   check_range mg;
   let engine = Dataflow.Engine.create () in
   let ((handle, _) as input) = Flow.input engine in
-  let built = attach ~first ~builder input mg in
+  let built = attach ~first ~source ~measured input mg in
   {
     rng;
     engine;
     handle;
     graph = mg;
     targets = built;
-    builder;
-    replicate;
+    source;
+    measured;
     energy = Flow.Target.energy built;
     built_ids = Dataflow.Engine.interned_ids engine;
   }
 
-let create_multi ?replicate ~rng ~seed_graph ~builder () =
-  of_mutable ?replicate ~first:true ~rng ~builder (Graph.Mutable.of_graph seed_graph)
-
-let create ~rng ~seed_graph ~targets () =
-  create_multi ~rng ~seed_graph ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
-
 let create_shared ~rng ~seed_graph ~source ~measured () =
-  create_multi
-    ~replicate:(plan_replicate ~source ~measured)
-    ~rng ~seed_graph
-    ~builder:(plan_builder ~source ~measured)
-    ()
-
-let restore_multi ?replicate ~rng ~n ~edges ~builder () =
-  of_mutable ?replicate ~first:true ~rng ~builder (Graph.Mutable.of_edge_array ~n edges)
-
-let restore ~rng ~n ~edges ~targets () =
-  restore_multi ~rng ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets) ()
+  of_mutable ~first:true ~rng ~source ~measured (Graph.Mutable.of_graph seed_graph)
 
 let restore_shared ~rng ~n ~edges ~source ~measured () =
-  restore_multi
-    ~replicate:(plan_replicate ~source ~measured)
-    ~rng ~n ~edges
-    ~builder:(plan_builder ~source ~measured)
-    ()
+  of_mutable ~first:true ~rng ~source ~measured (Graph.Mutable.of_edge_array ~n edges)
 
 (* The rebuilt DAG goes into the fit's own engine, so the engine's
    lifetime counters (commits, aborts, traffic) span every rebuild.  The
    fit lets go of the old DAG (its input handle and targets) and collects
    it before the new one is built, so the build reuses its memory instead
    of growing the heap to hold both. *)
-let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
+let rebuild_shared t ~n ~edges ~source ~measured =
   let mg = Graph.Mutable.of_edge_array ~n edges in
   check_range mg;
   Dataflow.Engine.reset t.engine;
@@ -163,27 +130,18 @@ let rebuild_multi ?(replicate = None) t ~n ~edges ~builder =
   t.targets <- [];
   Gc.full_major ();
   Fault.point "fit.rebuild";
-  let built = attach ~first:false ~builder input mg in
+  let built = attach ~first:false ~source ~measured input mg in
   t.graph <- mg;
   t.targets <- built;
-  t.builder <- builder;
-  t.replicate <- replicate;
+  t.source <- source;
+  t.measured <- measured;
   t.energy <- Flow.Target.energy built;
   t.built_ids <- Dataflow.Engine.interned_ids t.engine
 
-let rebuild t ~n ~edges ~targets =
-  rebuild_multi t ~n ~edges ~builder:(fun sym -> List.map (fun b -> b sym) targets)
-
-let rebuild_shared t ~n ~edges ~source ~measured =
-  rebuild_multi
-    ~replicate:(Some (plan_replicate ~source ~measured))
-    t ~n ~edges
-    ~builder:(plan_builder ~source ~measured)
-
 (* A fresh build from the fit's own edge array over its live measurements. *)
 let rebuild_own t =
-  rebuild_multi ~replicate:t.replicate t ~n:(Graph.Mutable.n t.graph)
-    ~edges:(Graph.Mutable.edge_array t.graph) ~builder:t.builder
+  rebuild_shared t ~n:(Graph.Mutable.n t.graph) ~edges:(Graph.Mutable.edge_array t.graph)
+    ~source:t.source ~measured:t.measured
 
 (* Interning is monotone: an engine keeps every record any proposal ever
    touched, aborted ones included.  So once the engine's interned ids have
@@ -200,7 +158,6 @@ let rng t = t.rng
 let energy t = t.energy
 let engine t = t.engine
 let targets t = t.targets
-let replicable t = t.replicate <> None
 
 (* A proposal is installed speculatively: the graph edit is applied and the
    swap's 8-record delta propagates through the engine under an undo log.
@@ -230,23 +187,6 @@ let delta_commit t swap ~proposed =
   Flow.feed t.handle (Graph.Mutable.delta swap);
   t.energy <- proposed
 
-let step ?(pow = 1.0) t =
-  match Graph.Mutable.propose_swap t.graph t.rng with
-  | None -> false
-  | Some swap ->
-      speculate_swap t swap;
-      let proposed = Flow.Target.energy t.targets in
-      let delta = proposed -. t.energy in
-      if delta <= 0.0 || Prng.uniform t.rng < exp (-.pow *. delta) then begin
-        commit_swap t;
-        t.energy <- proposed;
-        true
-      end
-      else begin
-        abort_swap t swap;
-        false
-      end
-
 let refresh t =
   List.iter Flow.Target.recompute t.targets;
   t.energy <- Flow.Target.energy t.targets
@@ -261,7 +201,7 @@ let audit t =
   let distances = List.map Flow.Target.exact_distance t.targets in
   rebuild_own t;
   let fresh = Dataflow.Engine.digests t.engine in
-  (* The same builder builds the same DAG, so the cells pair up. *)
+  (* The same plans build the same DAG, so the cells pair up. *)
   assert (Array.length live = Array.length fresh);
   let divs = ref [] in
   let diverge cell maintained recomputed =
@@ -380,18 +320,16 @@ module Pool = struct
 
   (* A replica is a full fit clone rebuilt from the owner's current edge
      array through the shared deterministic [attach] path, over
-     deep-copied measurements.  Every replica is therefore bit-identical
-     to the owner it was built from — for any pool width — which is what
-     makes the realized chain invariant to [jobs]. *)
-  let replica_builder owner =
-    match owner.replicate with
-    | Some factory -> factory ()
-    | None ->
-        invalid_arg
-          "Fit.Pool: fit is not replicable (build it with create_shared / restore_shared)"
+     deep-copied measurements (values + private noise cursor), so each
+     replica draws its own — but bit-identical — lazy observations.
+     Every replica is therefore bit-identical to the owner it was built
+     from — for any pool width — which is what makes the realized chain
+     invariant to [jobs]. *)
+  let copy_measured owner =
+    List.map (fun (Measured (p, m)) -> Measured (p, Measurement.copy m)) owner.measured
 
-  let fresh_replica ~builder owner =
-    of_mutable ~first:false ~builder
+  let fresh_replica ~measured owner =
+    of_mutable ~first:false ~source:owner.source ~measured
       ~rng:(Prng.copy owner.rng) (* never drawn from: evaluation uses per-step streams *)
       (Graph.Mutable.of_edge_array ~n:(Graph.Mutable.n owner.graph)
          (Graph.Mutable.edge_array owner.graph))
@@ -412,10 +350,6 @@ module Pool = struct
 
   let create ?counters owner ~jobs =
     if jobs < 1 then invalid_arg "Fit.Pool.create: jobs must be at least 1";
-    if jobs > 1 && owner.replicate = None then
-      invalid_arg
-        "Fit.Pool.create: fit is not replicable (build it with create_shared / \
-         restore_shared)";
     let workers =
       Array.init (if jobs = 1 then 0 else jobs) (fun _ ->
           {
@@ -443,15 +377,14 @@ module Pool = struct
         applied = Array.make replicas 0;
       }
     in
-    (* Builders (and their measurement copies) are made in the scheduler
-       domain; each replica is then built by its owning worker so its
-       engine's memory lands in the domain that will drive it.  If any
-       builder or replica construction raises, the spawned domains are
-       stopped and joined before the exception escapes — [create] never
-       leaks a domain. *)
+    (* Measurement copies are made in the scheduler domain; each replica
+       is then built by its owning worker so its engine's memory lands in
+       the domain that will drive it.  If any copy or replica construction
+       raises, the spawned domains are stopped and joined before the
+       exception escapes — [create] never leaks a domain. *)
     (try
-       let builders = Array.init replicas (fun _ -> replica_builder owner) in
-       on_replicas pool (fun i -> pool.replicas.(i) <- fresh_replica ~builder:builders.(i) owner)
+       let copies = Array.init replicas (fun _ -> copy_measured owner) in
+       on_replicas pool (fun i -> pool.replicas.(i) <- fresh_replica ~measured:copies.(i) owner)
      with e ->
        shutdown pool;
        raise e);
@@ -566,9 +499,8 @@ module Pool = struct
   let resync pool =
     pool.log_len <- 0;
     Array.fill pool.applied 0 (Array.length pool.applied) 0;
-    let builders = Array.map (fun _ -> replica_builder pool.owner) pool.replicas in
-    on_replicas pool (fun i ->
-        pool.replicas.(i) <- fresh_replica ~builder:builders.(i) pool.owner);
+    let copies = Array.map (fun _ -> copy_measured pool.owner) pool.replicas in
+    on_replicas pool (fun i -> pool.replicas.(i) <- fresh_replica ~measured:copies.(i) pool.owner);
     energy pool
 
   (* A batch boundary: every fit is quiescent.  Replicas grow by their
@@ -645,41 +577,22 @@ module Pool = struct
 end
 
 let run t ~steps ?start ?(pow = 1.0) ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint
-    ?on_step ?jobs ?on_batch ?width ?counters () =
+    ?on_step ?(jobs = 1) ?on_batch ?width ?counters () =
   let audit () = List.length (audit t).Dataflow.Audit.divergences in
-  match jobs with
-  | None ->
-      (* Legacy in-place walk: proposals drawn directly from the fit's rng,
-         evaluated on the fit itself.  Kept for non-replicable fits and as
-         the reference implementation the lookahead tests compare against
-         indirectly (through identical committed statistics). *)
+  (* Speculative lookahead.  At jobs = 1 every proposal is evaluated on
+     [t] itself and the first winner kept in place; at jobs = K the
+     replicas evaluate and [t] — the canonical state that checkpoints,
+     audits and callers read — only replays committed moves.  Both start
+     from the same attach-built state, so they walk the same chain
+     (DESIGN.md, "Parallel speculative lookahead"). *)
+  let pool = Pool.create ?counters t ~jobs in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
       let stats =
-        Mcmc.run ~rng:t.rng ~steps ?start ~pow ~refresh:(fun () -> refresh t) ~audit ?audit_every
-          ?should_stop ?checkpoint_every ?on_checkpoint ?on_step
-          ~energy:(fun () -> Flow.Target.energy t.targets)
-          ~propose:(fun () -> Graph.Mutable.propose_swap t.graph t.rng)
-          ~apply:(fun swap -> speculate_swap t swap)
-          ~commit:(fun _ -> commit_swap t)
-          ~revert:(fun swap -> abort_swap t swap)
-          ()
+        Mcmc.run_lookahead ~rng:t.rng ~lookahead:(Pool.lookahead pool) ~steps ?start ~pow ~audit
+          ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint ?on_batch ?on_step ?width
+          ?counters ()
       in
       t.energy <- stats.Mcmc.final_energy;
-      stats
-  | Some jobs ->
-      (* Speculative lookahead.  At jobs = 1 every proposal is evaluated
-         on [t] itself and the first winner kept in place; at jobs = K the
-         replicas evaluate and [t] — the canonical state that checkpoints,
-         audits and callers read — only replays committed moves.  Both
-         start from the same attach-built state, so they walk the same
-         chain (DESIGN.md, "Parallel speculative lookahead"). *)
-      let pool = Pool.create ?counters t ~jobs in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          let stats =
-            Mcmc.run_lookahead ~rng:t.rng ~lookahead:(Pool.lookahead pool) ~steps ?start ~pow
-              ~audit ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint ?on_batch ?on_step
-              ?width ?counters ()
-          in
-          t.energy <- stats.Mcmc.final_energy;
-          stats)
+      stats)

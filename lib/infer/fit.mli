@@ -12,10 +12,10 @@
     second DAG propagation for the inverted swap.
 
     The engine accumulates exactly, so its energy is a pure function of the
-    current edge multiset and measurements: a fit {!restore}d from a
-    checkpoint, or {!rebuild}t in place, reads the same bits as the live
-    one, which is what makes a resumed chain retrace an uninterrupted one
-    exactly.  The walk also rebuilds its own engine, bit-neutrally, when
+    current edge multiset and measurements: a fit restored from a
+    checkpoint ({!restore_shared}), or rebuilt in place
+    ({!rebuild_shared}), reads the same bits as the live one, which is
+    what makes a resumed chain retrace an uninterrupted one exactly.  The walk also rebuilds its own engine, bit-neutrally, when
     the engine's interned ids have doubled since its last build, so memory
     stays bounded on any walk length; an {!audit} is such a rebuild. *)
 
@@ -28,20 +28,6 @@ type measured =
           The existential packs plans of different record types into one
           fit. *)
 
-val create :
-  rng:Wpinq_prng.Prng.t ->
-  seed_graph:Wpinq_graph.Graph.t ->
-  targets:((int * int) Wpinq_core.Flow.t -> Wpinq_core.Flow.Target.t) list ->
-  unit ->
-  t
-(** [create ~rng ~seed_graph ~targets ()] builds the engine, instantiates
-    each target query over the synthetic symmetric-directed edge input, and
-    loads [seed_graph] in edge-array order — the same construction as
-    {!restore} at [seed_graph]'s edge array, so both read identical energy
-    bits.  Each element of [targets] typically pairs a
-    {!Wpinq_queries} pipeline with a {!Wpinq_core.Measurement}, e.g.
-    [fun sym -> Flow.Target.create (Q.tbi sym) m]. *)
-
 val create_shared :
   rng:Wpinq_prng.Prng.t ->
   seed_graph:Wpinq_graph.Graph.t ->
@@ -49,27 +35,19 @@ val create_shared :
   measured:measured list ->
   unit ->
   t
-(** Like {!create}, but the targets are reified plans over one shared
-    [source] leaf, lowered through a single {!Wpinq_core.Flow.Plans}
-    context: plan prefixes shared between measurements become one physical
-    dataflow sub-DAG, so each MCMC delta propagates through the common
-    prefix once per step.  Rebuilds (audits, compaction,
-    {!restore_shared}) reconstruct the same sharing deterministically.
-    Observable behaviour — energies, acceptance decisions, the final
-    synthetic graph — is bit-identical to the unshared construction
-    (property-tested); only the cost changes. *)
-
-val restore :
-  rng:Wpinq_prng.Prng.t ->
-  n:int ->
-  edges:(int * int) array ->
-  targets:((int * int) Wpinq_core.Flow.t -> Wpinq_core.Flow.Target.t) list ->
-  unit ->
-  t
-(** [restore ~rng ~n ~edges ~targets ()] rebuilds a fit from checkpointed
-    state: the edge array (positional order significant — it is walk
-    state), a restored PRNG, and targets built over {e restored}
-    measurements.  Deterministic given those inputs. *)
+(** [create_shared ~rng ~seed_graph ~source ~measured ()] builds the
+    engine, lowers each measured plan over the synthetic symmetric-directed
+    edge input bound to [source], and loads [seed_graph] in edge-array
+    order — the same construction as {!restore_shared} at [seed_graph]'s
+    edge array, so both read identical energy bits.  All plans go through
+    a single {!Wpinq_core.Flow.Plans} context: plan prefixes shared
+    between measurements become one physical dataflow sub-DAG, so each
+    MCMC delta propagates through the common prefix once per step.
+    Rebuilds (audits, compaction, {!restore_shared}) reconstruct the same
+    sharing deterministically.  Observable behaviour — energies,
+    acceptance decisions, the final synthetic graph — is bit-identical to
+    lowering every plan through its own context (property-tested); only
+    the cost changes. *)
 
 val restore_shared :
   rng:Wpinq_prng.Prng.t ->
@@ -79,32 +57,23 @@ val restore_shared :
   measured:measured list ->
   unit ->
   t
-(** {!restore} for plan-shared fits: rebuilds the shared DAG from the plans
-    (same path as {!create_shared}) over the checkpointed edge array. *)
+(** [restore_shared ~rng ~n ~edges ~source ~measured ()] rebuilds a fit
+    from checkpointed state: the edge array (positional order significant
+    — it is walk state), a restored PRNG, and plans over {e restored}
+    measurements, lowered along the same path as {!create_shared}.
+    Deterministic given those inputs. *)
 
 exception Build_drew_noise of string
 (** Raised when a build over measurements that should already hold every
-    observation it can show — a {!rebuild}, an {!audit}, a compaction, a
-    lookahead replica, or a checkpoint resume — drew fresh lazy noise.
+    observation it can show — a {!rebuild_shared}, an {!audit}, a
+    compaction, a lookahead replica, or a checkpoint resume — drew fresh
+    lazy noise.
     That happens only for a query whose sinks, in a from-scratch build,
     see a record that a later delivery of the same feed retracts (a
     transient record the live engine never saw): the draw would shift the
     measurement's noise stream, so the rebuilt chain would silently leave
     the live one.  The measurements have already drawn: discard the fit
     and its measurements. *)
-
-val rebuild :
-  t ->
-  n:int ->
-  edges:(int * int) array ->
-  targets:((int * int) Wpinq_core.Flow.t -> Wpinq_core.Flow.Target.t) list ->
-  unit
-(** In-place {!restore}: swaps a freshly-built engine, graph, and target
-    set into [t] (the PRNG is kept — its state is already exact).  Closures
-    capturing [t] — the MCMC driver's — see the new state immediately.
-    The measurements must already hold every observation the new build
-    shows (as they do at the fit's own edge array); raises
-    {!Build_drew_noise} if the build drew. *)
 
 val rebuild_shared :
   t ->
@@ -113,9 +82,14 @@ val rebuild_shared :
   source:(int * int) Wpinq_core.Plan.t ->
   measured:measured list ->
   unit
-(** In-place {!restore_shared} for plan-shared fits.  Over the fit's own
-    edge array and measurements it is bit-neutral: energies, and so the
-    walk that follows, are unchanged. *)
+(** In-place {!restore_shared}: swaps a freshly-built engine state, graph,
+    and target set into [t] (the PRNG is kept — its state is already
+    exact).  Closures capturing [t] — the MCMC driver's — see the new
+    state immediately.  Over the fit's own edge array and measurements it
+    is bit-neutral: energies, and so the walk that follows, are unchanged.
+    The measurements must already hold every observation the new build
+    shows (as they do at the fit's own edge array); raises
+    {!Build_drew_noise} if the build drew. *)
 
 val graph : t -> Wpinq_graph.Graph.t
 (** A snapshot of the current synthetic graph (public; inspect freely). *)
@@ -134,17 +108,6 @@ val engine : t -> Wpinq_dataflow.Dataflow.Engine.t
 (** The underlying engine, for state-size and work statistics (Figure 6). *)
 
 val targets : t -> Wpinq_core.Flow.Target.t list
-
-val replicable : t -> bool
-(** Whether this fit can stand up independent replicas for the parallel
-    lookahead pool ([jobs > 1]): [true] for plan-reified fits
-    ({!create_shared}, {!restore_shared}), [false] for fits built from
-    opaque target closures (which share measurement state across
-    instances). *)
-
-val step : ?pow:float -> t -> bool
-(** A single Metropolis–Hastings step (default [pow] 1.0); returns whether
-    the proposal was accepted.  Exposed for fine-grained benchmarking. *)
 
 val audit : t -> Wpinq_dataflow.Dataflow.Audit.report
 (** [audit t] reads the engine's state digests
@@ -172,13 +135,13 @@ val run :
   ?counters:Mcmc.counters ->
   unit ->
   Mcmc.stats
-(** Runs the walk for iterations [start + 1 .. steps] (default [start] 0,
-    [pow] 1.0; the paper's experiments use 10⁴).  [audit_every] (default
-    off) runs {!audit} at that cadence, feeding divergence counts into
+(** Runs the speculative lookahead walk ({!Mcmc.run_lookahead}) for
+    iterations [start + 1 .. steps] (default [start] 0, [pow] 1.0; the
+    paper's experiments use 10⁴).  [audit_every] (default off) runs
+    {!audit} at that cadence, feeding divergence counts into
     {!Mcmc.stats}; at [jobs > 1] the replicas are rebuilt from this fit
-    only after a divergence.  [should_stop] is the graceful-shutdown poll
-    (see {!Mcmc.run}).  [checkpoint_every] / [on_checkpoint] pass through
-    to {!Mcmc.run}.
+    only after a divergence.  [should_stop], [checkpoint_every],
+    [on_checkpoint] and [on_step] pass through to {!Mcmc.run_lookahead}.
 
     Between lookahead batches the fit compacts itself: once the engine's
     interned ids reach twice their count after its last build (or
@@ -186,28 +149,20 @@ val run :
     bit-neutral, so the chain does not move, and memory stays within
     twice the post-build footprint plus one batch's growth.  At [jobs > 1]
     the replicas are rebuilt from this fit when any of them has grown.
-    The legacy walk ([jobs] omitted) and {!step} do not compact.
 
-    [jobs] selects the walk implementation.  Omitted: the legacy in-place
-    serial walk (proposals drawn directly from the fit's rng, evaluated on
-    the fit itself).  [Some k] with [k >= 1]: the {e speculative
-    lookahead} walk ({!Mcmc.run_lookahead}).  With [k = 1] every proposal
-    is evaluated speculatively on this fit's own engine and the first
-    winner of each batch kept in place: no replica, no measurement copy.
-    With [k > 1] a pool of [k] replica engines evaluates, one per domain,
-    and this fit absorbs the winners — requires a {!replicable} fit
-    (raises [Invalid_argument] otherwise).  The pool is torn down (worker
-    domains joined, an open winner aborted) on every exit path, including
-    exceptions raised by hooks or pool construction.  The realized chain
-    under [Some k] is bit-identical for every [k] {e and} every [width]
-    policy (the
-    per-step split-stream discipline; default width [Fixed jobs]), but
-    differs from the legacy [None] walk, whose rng-draw order is
-    data-dependent; checkpoints record which discipline a chain uses.
-    [on_batch] (lookahead only) reports each batch's dispatched width and
+    [jobs] (default 1) is the worker count.  With [jobs = 1] every
+    proposal is evaluated speculatively on this fit's own engine and the
+    first winner of each batch kept in place: no replica, no measurement
+    copy.  With [jobs > 1] a pool of [jobs] replica engines evaluates, one
+    per domain, and this fit absorbs the winners.  The pool is torn down
+    (worker domains joined, an open winner aborted) on every exit path,
+    including exceptions raised by hooks or pool construction.  The
+    realized chain is bit-identical for every [jobs] {e and} every [width]
+    policy (the per-step split-stream discipline; default width
+    [Fixed jobs]).  [on_batch] reports each batch's dispatched width and
     consumed prefix, for throughput/efficiency accounting.  [counters]
-    (lookahead only) accumulates per-phase wall time — dispatch/eval in
-    the pool, resolve/commit in the driver — and the realized width
-    trajectory.  At [k = 1] nothing is dispatched, [eval_us] covers
-    propose, speculate and abort on this fit, and [commit_us] the
-    in-place commit of each winner. *)
+    accumulates per-phase wall time — dispatch/eval in the pool,
+    resolve/commit in the driver — and the realized width trajectory.  At
+    [jobs = 1] nothing is dispatched, [eval_us] covers propose, speculate
+    and abort on this fit, and [commit_us] the in-place commit of each
+    winner. *)

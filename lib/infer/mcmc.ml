@@ -216,9 +216,10 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
               current := proposed;
               incr accepted
           | Nonfinite ->
-              (* Same policy as the serial walk: discard the move (already
-                 aborted by the evaluator), rebuild the maintained state,
-                 and re-read rather than letting NaN corrupt the walk. *)
+              (* Corruption or overflow produced a non-finite energy: the
+                 move is discarded (already aborted by the evaluator); rebuild
+                 the maintained state and re-read rather than letting NaN
+                 reach the accept/reject decision. *)
               incr nonfinite;
               current := la.la_refresh ());
           (match audit with
@@ -248,84 +249,5 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
             c.resolve_us <-
               c.resolve_us +. (1e6 *. (now () -. t_resolve -. !commit_in_batch))
         | None -> ())
-  done;
-  interim !step
-
-let run ~rng ~steps ?(start = 0) ?(pow = 1.0) ?refresh ?audit ?(audit_every = 0) ?should_stop
-    ?checkpoint_every ?on_checkpoint ?on_step ~energy ~propose ~apply ?commit ~revert () =
-  if start < 0 || start > steps then invalid_arg "Mcmc.run: start must be within [0, steps]";
-  if audit_every < 0 then invalid_arg "Mcmc.run: audit_every must be non-negative";
-  let accepted = ref 0 and invalid = ref 0 and nonfinite = ref 0 in
-  let audits = ref 0 and diverged = ref 0 in
-  let initial_energy = energy () in
-  let current = ref initial_energy in
-  let stopped = ref false in
-  let step = ref start in
-  let interim step =
-    {
-      steps = step - start;
-      accepted = !accepted;
-      invalid = !invalid;
-      refreshed_on_nonfinite = !nonfinite;
-      audits = !audits;
-      audit_divergences = !diverged;
-      interrupted = !stopped;
-      initial_energy;
-      final_energy = !current;
-    }
-  in
-  (* The stop check sits between steps, so a stop requested mid-step (a
-     signal, a deadline) always lets the in-flight step finish: the state
-     left behind is a complete post-step state, safe to checkpoint. *)
-  while (not !stopped) && !step < steps do
-    Fault.point "mcmc.signal";
-    match should_stop with
-    | Some f when f () -> stopped := true
-    | _ ->
-        incr step;
-        let step = !step in
-        Fault.point "mcmc.step";
-        (match propose () with
-        | None -> incr invalid
-        | Some move ->
-            apply move;
-            let proposed = energy () in
-            if Float.is_finite proposed then begin
-              let delta = proposed -. !current in
-              let accept = delta <= 0.0 || Prng.uniform rng < exp (-.pow *. delta) in
-              if accept then begin
-                (match commit with Some f -> f move | None -> ());
-                current := proposed;
-                incr accepted
-              end
-              else revert move
-            end
-            else begin
-              (* Corruption or overflow produced a non-finite energy.
-                 Discard the move, rebuild the incremental state, and re-read
-                 rather than letting NaN corrupt the accept/reject decision. *)
-              incr nonfinite;
-              revert move;
-              (match refresh with Some f -> f () | None -> ());
-              current := energy ()
-            end);
-        (match audit with
-        | Some f when audit_every > 0 && step mod audit_every = 0 ->
-            Fault.point "mcmc.audit";
-            incr audits;
-            let divergences = f () in
-            if divergences > 0 then begin
-              (* The audit found (and its recovery path repaired) corrupted
-                 incremental state; re-read the energy from the rebuilt
-                 state so the walk continues from truth. *)
-              diverged := !diverged + divergences;
-              current := energy ()
-            end
-        | _ -> ());
-        (match on_step with Some f -> f ~step ~energy:!current | None -> ());
-        (match (on_checkpoint, checkpoint_every) with
-        | Some f, Some every when step mod every = 0 && step < steps ->
-            f ~step ~stats:(interim step)
-        | _ -> ())
   done;
   interim !step

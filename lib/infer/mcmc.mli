@@ -1,9 +1,10 @@
 (** Metropolis–Hastings over an abstract mutable state (paper, Section 4.2).
 
-    The caller supplies the three ingredients of the paper's pseudo-code: a
-    proposal generator (the random walk), apply/revert editors, and an
-    energy function.  The chain targets the distribution
-    [∝ exp(−pow · energy)]; with [energy = Σ_i ε_i ‖Q_i(A) − m_i‖₁] this is
+    The caller supplies the ingredients of the paper's pseudo-code — a
+    proposal generator (the random walk), speculative evaluation of a move
+    and the energy it reaches, and a commit — as one {!lookahead}
+    evaluator, which {!run_lookahead} drives.  The chain targets the
+    distribution [∝ exp(−pow · energy)]; with [energy = Σ_i ε_i ‖Q_i(A) − m_i‖₁] this is
     exactly the posterior over datasets given the noisy wPINQ measurements
     (Section 4.1), sharpened by [pow] toward a greedy search for the
     best-fitting dataset. *)
@@ -117,11 +118,20 @@ val run_lookahead :
   ?counters:counters ->
   unit ->
   stats
-(** The lookahead walk: dispatch a batch of per-step split streams at
-    once, all evaluated against the same base state, then resolve in serial
-    proposal order — the consumed prefix runs up to and including the first
-    accept (or non-finite energy); later positions are discarded and
-    re-evaluated against the new state in a later batch.
+(** [run_lookahead ~rng ~lookahead ~steps ... ()] performs iterations
+    [start + 1 .. steps] ([start] defaults to 0, so normally [steps]
+    iterations; a resumed chain passes the already-completed count as
+    [start] and the same total as [steps]).  Raises [Invalid_argument] if
+    [start < 0 || start > steps].
+
+    It dispatches a batch of per-step split streams at once, all evaluated
+    against the same base state, then resolves in serial proposal order —
+    the consumed prefix runs up to and including the first accept (or
+    non-finite energy); later positions are discarded and re-evaluated
+    against the new state in a later batch.  Each proposal is kept with
+    probability [min 1 (exp (-pow *. (e_new -. e_old)))] (default
+    [pow = 1.0]); an [Invalid] one counts as invalid and leaves the state
+    untouched.
 
     Step [s]'s proposal (and acceptance uniform) are drawn from
     [Prng.split_nth rng (s - base)], a pure function of the step index, and
@@ -131,74 +141,38 @@ val run_lookahead :
     including [Fixed 1] — same proposals, same energies, same acceptance
     decisions, same final edge arrays, same checkpoint bytes.
 
-    [width] (default [Fixed la_jobs]) chooses how many streams each batch
-    dispatches; widths beyond [la_jobs] are evaluated by giving each
-    worker a slice of the batch.  Batches are clamped to audit / checkpoint
-    cadence boundaries, and the stop poll and fault-injection
-    points ("mcmc.signal", "mcmc.step") fire once per batch, so
-    interrupts, kills and snapshots only ever observe committed,
-    batch-aligned state.  [on_batch] reports each batch's dispatched width
-    and consumed prefix (lookahead efficiency = consumed / dispatched).
-    [counters] accumulates per-phase wall time and the width trajectory.
-    All other parameters behave as in {!run}. *)
-
-val run :
-  rng:Wpinq_prng.Prng.t ->
-  steps:int ->
-  ?start:int ->
-  ?pow:float ->
-  ?refresh:(unit -> unit) ->
-  ?audit:(unit -> int) ->
-  ?audit_every:int ->
-  ?should_stop:(unit -> bool) ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(step:int -> stats:stats -> unit) ->
-  ?on_step:(step:int -> energy:float -> unit) ->
-  energy:(unit -> float) ->
-  propose:(unit -> 'move option) ->
-  apply:('move -> unit) ->
-  ?commit:('move -> unit) ->
-  revert:('move -> unit) ->
-  unit ->
-  stats
-(** [run ~rng ~steps ... ()] performs iterations [start + 1 .. steps]
-    ([start] defaults to 0, so normally [steps] iterations; a resumed chain
-    passes the already-completed count as [start] and the same total as
-    [steps]).  Each iteration draws a proposal; [None] counts as invalid
-    and leaves the state untouched.  Otherwise the move is applied, the new
-    energy read, and the move kept with probability
-    [min 1 (exp (-pow *. (e_new -. e_old)))] (default [pow = 1.0]);
-    rejected moves are reverted.
-
-    [apply]/[commit]/[revert] form a transaction: [apply] may install the
-    move {e speculatively} (e.g. {!Wpinq_dataflow.Dataflow.Engine}'s
-    undo-logged propagation); [commit] — invoked exactly once per accepted
-    move, before any [on_step]/[on_checkpoint]/audit activity — finalizes
-    it, and [revert] rolls it back.  When [commit] is omitted, acceptance
-    simply keeps the applied state (the pre-speculation contract).
-
-    If the freshly-read energy is {e non-finite} (corruption or overflow),
-    the move is discarded ([revert]), [refresh] is invoked, the energy
-    re-read, and [refreshed_on_nonfinite] incremented — NaN never reaches
-    the accept/reject comparison.  Maintained energies are exact, so there
-    is no periodic refresh.
+    If a proposal's energy is {e non-finite} (corruption or overflow), the
+    move is discarded, [la_refresh] rebuilds the maintained state and
+    returns the energy to continue from, and [refreshed_on_nonfinite] is
+    incremented — NaN never reaches the accept/reject comparison.
+    Maintained energies are exact, so there is no periodic refresh.
 
     [audit] (with [audit_every]; [0], the default, disables) is the
     self-audit hook: every [audit_every]-th iteration it cross-validates the
     incrementally-maintained state and returns the number of divergences
     found, leaving the state at batch truth either way (a fit's audit is a
     fresh rebuild).  A nonzero return makes the walk re-read its energy
-    from the recovered state; stats record both cadence and divergences.
+    through [la_resync]; stats record both cadence and divergences.
 
-    [should_stop] is polled {e between} iterations; returning [true]
-    finishes the in-flight iteration first and then exits with
-    [interrupted = true] — the graceful-shutdown primitive (signal flag,
-    wall-clock deadline).  The state left behind reflects a whole number of
-    completed iterations and is safe to checkpoint.
+    [should_stop] is polled {e between} batches; returning [true] exits
+    with [interrupted = true] — the graceful-shutdown primitive (signal
+    flag, wall-clock deadline).  The state left behind reflects a whole
+    number of completed iterations and is safe to checkpoint.
 
     [on_step] is invoked after every iteration with the current energy.
 
     [on_checkpoint] (with [checkpoint_every]) fires after every
     [checkpoint_every]-th iteration (skipping the final one), {e after}
     [on_step], receiving the interim [stats].  The hook must leave the
-    walk's state as it found it (a checkpoint only writes). *)
+    walk's state as it found it (a checkpoint only writes).
+
+    [width] (default [Fixed la_jobs]) chooses how many streams each batch
+    dispatches; widths beyond [la_jobs] are evaluated by giving each
+    worker a slice of the batch.  Batches are clamped to audit / checkpoint
+    cadence boundaries, and the stop poll and fault-injection
+    points ("mcmc.signal", "mcmc.step") fire once per batch, so
+    interrupts, kills and snapshots only ever observe committed,
+    batch-aligned state; "mcmc.audit" fires right before each audit.
+    [on_batch] reports each batch's dispatched width and consumed prefix
+    (lookahead efficiency = consumed / dispatched).  [counters]
+    accumulates per-phase wall time and the width trajectory. *)

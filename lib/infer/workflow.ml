@@ -4,14 +4,12 @@ module Gen = Wpinq_graph.Gen
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
 module Plan = Wpinq_core.Plan
-module Flow = Wpinq_core.Flow
 module Measurement = Wpinq_core.Measurement
 module Gridpath = Wpinq_postprocess.Gridpath
 module Isotonic = Wpinq_postprocess.Isotonic
 module Persist = Wpinq_persist.Persist
 module Codec = Persist.Codec
 module Qb = Wpinq_queries.Queries.Make (Batch)
-module Qf = Wpinq_queries.Queries.Make (Flow)
 module Qp = Wpinq_queries.Queries.Make (Plan)
 
 type seed_measurements = {
@@ -112,13 +110,6 @@ let measure_queries ~rng ~epsilon ~sym qs =
 
 let measure_query ~rng ~epsilon ~sym q =
   match measure_queries ~rng ~epsilon ~sym [ q ] with [ qm ] -> qm | _ -> assert false
-
-let target_of_query qm sym =
-  match qm with
-  | Mtbd (bucket, m) -> Flow.Target.create (Qf.tbd ~bucket sym) m
-  | Mtbi m -> Flow.Target.create (Qf.tbi sym) m
-  | Msbi m -> Flow.Target.create (Qf.sbi sym) m
-  | Mjdd m -> Flow.Target.create (Qf.jdd sym) m
 
 (* The shared source + the measured plans over it, optimized, ready for
    [Fit.create_shared]/[restore_shared]/[rebuild_shared].  Hash-consing
@@ -500,8 +491,8 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
               write_snapshot sink (snapshot ~step ~interim)) )
   in
   let seg =
-    (* Always the lookahead walk (jobs >= 1), so the realized chain — and
-       the checkpoint bytes — use one rng discipline regardless of width,
+    (* The lookahead walk uses one rng discipline regardless of width, so
+       the realized chain and the checkpoint bytes do not depend on it,
        and a run checkpointed at one width resumes bit-identically at
        another.  [width] (the batch-width policy) and [counters] are
        runtime tuning/observability only and are deliberately {e not}

@@ -80,11 +80,6 @@ val measure_queries :
     debits its own [{!Wpinq_core.Plan.uses} × epsilon] from the source
     budget (the optimizer preserves [uses] exactly). *)
 
-val target_of_query :
-  query_measurement -> (int * int) Wpinq_core.Flow.t -> Wpinq_core.Flow.Target.t
-(** Rebuilds the measured query over a synthetic input and scores it
-    against the recorded observations. *)
-
 val shared_measured :
   query_measurement list -> (int * int) Wpinq_core.Plan.t * Fit.measured list
 (** [shared_measured qms] reifies the measured queries over the workflow's
@@ -189,8 +184,7 @@ val synthesize :
 
     [jobs] (default 1) is the parallel speculative-lookahead worker count:
     Phase 2 evaluates batches of consecutive proposals concurrently, one
-    replica engine per domain ({!Fit.run}'s lookahead walk — always the
-    lookahead walk, whatever the width).  [width] (default
+    replica engine per domain ({!Fit.run}'s lookahead walk).  [width] (default
     [Mcmc.Fixed jobs]) is the batch-width policy — [Mcmc.Adaptive] lets
     the walk deepen its lookahead when acceptances are rare.  The realized
     chain, the trace, the final graph and the checkpoint bytes are

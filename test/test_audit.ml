@@ -9,6 +9,7 @@ module Audit = Dataflow.Audit
 module Wdata = Wpinq_weighted.Wdata
 module Prng = Wpinq_prng.Prng
 module Flow = Wpinq_core.Flow
+module Plan = Wpinq_core.Plan
 module Measurement = Wpinq_core.Measurement
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
@@ -17,8 +18,9 @@ module Mcmc = Wpinq_infer.Mcmc
 module Graph = Wpinq_graph.Graph
 module Gen = Wpinq_graph.Gen
 module Rewire = Wpinq_graph.Rewire
+module Fault = Wpinq_persist.Persist.Fault
 module Q = Wpinq_queries.Queries.Make (Wpinq_core.Batch)
-module Qf = Wpinq_queries.Queries.Make (Wpinq_core.Flow)
+module Qp = Wpinq_queries.Queries.Make (Plan)
 open Helpers
 
 let contains hay needle =
@@ -113,9 +115,10 @@ let test_target_drift_detected () =
   let m =
     Measurement.create ~rng ~epsilon:0.5 ~true_data:(Wdata.of_list [ (1, 2.0); (2, 1.0) ])
   in
+  let source = Plan.source ~name:"sym" () in
   let fit =
-    Fit.create ~rng ~seed_graph:(Graph.of_edges ~n:8 [ (0, 1); (1, 6); (2, 5) ])
-      ~targets:[ (fun sym -> Flow.Target.create (Flow.select (fun (u, v) -> (u + v) mod 5) sym) m) ]
+    Fit.create_shared ~rng ~seed_graph:(Graph.of_edges ~n:8 [ (0, 1); (1, 6); (2, 5) ]) ~source
+      ~measured:[ Fit.Measured (Plan.select (fun (u, v) -> (u + v) mod 5) source, m) ]
       ()
   in
   let before = Fit.audit fit in
@@ -135,19 +138,17 @@ let make_fit () =
   let secret = Gen.clustered ~n:60 ~community:8 ~p_in:0.7 ~extra:30 (Prng.create 7) in
   let seed = Rewire.randomize secret (Prng.create 8) in
   let rng = Prng.create 9 in
-  let target =
+  let m =
     let budget = Budget.create ~name:"audit" 1e9 in
     let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-    let m = Batch.noisy_count ~rng ~epsilon:1e4 (Q.tbi sym) in
-    fun sym_flow -> Flow.Target.create (Qf.tbi sym_flow) m
+    Batch.noisy_count ~rng ~epsilon:1e4 (Q.tbi sym)
   in
-  Fit.create ~rng ~seed_graph:seed ~targets:[ target ] ()
+  let source = Plan.source ~name:"sym" () in
+  Fit.create_shared ~rng ~seed_graph:seed ~source ~measured:[ Fit.Measured (Qp.tbi source, m) ] ()
 
 let test_fit_audit_detects_and_recovers () =
   let fit = make_fit () in
-  for _ = 1 to 200 do
-    ignore (Fit.step ~pow:50.0 fit)
-  done;
+  ignore (Fit.run fit ~steps:200 ~pow:50.0 ());
   let clean = Fit.audit fit in
   Alcotest.(check int) "clean after 200 steps" 0 (List.length clean.Audit.divergences);
   Alcotest.(check bool) "cells were checked" true (clean.Audit.cells_checked > 0);
@@ -173,9 +174,7 @@ let test_fit_audit_detects_and_recovers () =
    digests can see it. *)
 let test_join_corruption_detected () =
   let fit = make_fit () in
-  for _ = 1 to 100 do
-    ignore (Fit.step ~pow:50.0 fit)
-  done;
+  ignore (Fit.run fit ~steps:100 ~pow:50.0 ());
   let energy = Fit.energy fit in
   let cell =
     match Dataflow.Engine.corrupt_join (Fit.engine fit) with
@@ -196,19 +195,38 @@ let test_join_corruption_detected () =
 let test_run_with_audit_cadence_recovers () =
   (* Corrupt the maintained distance mid-run: the next scheduled audit must
      detect it, the walk must recover and run to completion, and the damage
-     must land in the stats. *)
+     must land in the stats.  A compaction between the injection and that
+     audit would rebuild the drift away unseen, so the walk checks none
+     ran: the engine's interned ids never drop from the injection (step
+     120) up to the audit at step 150, the third to reach "mcmc.audit". *)
   let fit = make_fit () in
-  let injected = ref false in
-  let stats =
-    Fit.run fit ~steps:300 ~pow:50.0 ~audit_every:50
-      ~on_step:(fun ~step ~energy:_ ->
-        if step = 120 && not !injected then begin
-          injected := true;
-          Flow.Target.inject_drift (List.hd (Fit.targets fit)) 2.0
-        end)
-      ()
+  let ids () = Dataflow.Engine.interned_ids (Fit.engine fit) in
+  let since = ref None and audited = ref false in
+  let look () =
+    match !since with
+    | Some last ->
+        let now = ids () in
+        if now < last then
+          Alcotest.failf "a compaction ran after the injection (%d -> %d interned ids)" last now;
+        since := Some now
+    | None -> ()
   in
-  Alcotest.(check bool) "drift was injected" true !injected;
+  Fault.arm_action ~site:"mcmc.audit" ~after:3 (fun () ->
+      look ();
+      audited := !since <> None;
+      since := None);
+  let stats =
+    Fun.protect ~finally:Fault.disarm (fun () ->
+        Fit.run fit ~steps:300 ~pow:50.0 ~audit_every:50
+          ~on_step:(fun ~step ~energy:_ ->
+            if step = 120 then begin
+              Flow.Target.inject_drift (List.hd (Fit.targets fit)) 2.0;
+              since := Some (ids ())
+            end
+            else look ())
+          ())
+  in
+  Alcotest.(check bool) "drift reached the audit uncompacted" true !audited;
   Alcotest.(check int) "walk completed" 300 stats.Mcmc.steps;
   Alcotest.(check int) "audits ran on cadence" 6 stats.Mcmc.audits;
   Alcotest.(check bool) "divergences recorded" true (stats.Mcmc.audit_divergences > 0);

@@ -294,28 +294,34 @@ let test_transient_records_refused () =
     let m =
       Measurement.create ~rng:(Prng.create 52) ~epsilon:1.0 ~true_data:(Wdata.of_list [])
     in
-    let query sym =
-      Flow.group_by
-        ~key:(fun (u, v) -> (u + v) mod 5)
-        ~reduce:List.length
-        (Flow.concat (Flow.where (fun (u, v) -> u < v) sym) (Flow.where (fun (u, v) -> u > v) sym))
+    let source = Plan.source ~name:"sym" () in
+    let measured =
+      [
+        Fit.Measured
+          ( Plan.group_by
+              ~key:(fun (u, v) -> (u + v) mod 5)
+              ~reduce:List.length
+              (Plan.concat
+                 (Plan.where (fun (u, v) -> u < v) source)
+                 (Plan.where (fun (u, v) -> u > v) source)),
+            m );
+      ]
     in
-    let targets = [ (fun sym -> Flow.Target.create (query sym) m) ] in
-    let fit = Fit.create ~rng:(Prng.create 53) ~seed_graph:g ~targets () in
-    Fit.rebuild fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~targets;
-    for _ = 1 to 50 do
-      ignore (Fit.step ~pow:0.0 fit)
-    done;
-    (fit, targets)
+    let fit = Fit.create_shared ~rng:(Prng.create 53) ~seed_graph:g ~source ~measured () in
+    let rebuild () =
+      Fit.rebuild_shared fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source ~measured
+    in
+    rebuild ();
+    ignore (Fit.run fit ~steps:50 ~pow:0.0 ());
+    (fit, rebuild)
   in
   let refused name f =
     match f () with
     | exception Fit.Build_drew_noise _ -> ()
     | _ -> Alcotest.failf "%s: no Fit.Build_drew_noise" name
   in
-  let fit, targets = walked () in
-  refused "rebuild" (fun () ->
-      Fit.rebuild fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~targets);
+  let _, rebuild = walked () in
+  refused "rebuild" rebuild;
   let fit, _ = walked () in
   refused "audit" (fun () -> Fit.audit fit)
 
@@ -373,7 +379,9 @@ let test_grid_overflow_raises () =
   raises "accumulated overflow" (fun () ->
       Dataflow.Input.feed input (List.init 8192 (fun i -> (2 * i, 0x1p21))));
   (* A graph whose weights could reach the range is refused before the build. *)
-  let fit_over n = Fit.restore ~rng:(Prng.create 1) ~n ~edges:[||] ~targets:[] () in
+  let fit_over n =
+    Fit.restore_shared ~rng:(Prng.create 1) ~n ~edges:[||] ~source:(Plan.source ()) ~measured:[] ()
+  in
   ignore (fit_over ((1 lsl 21) - 1));
   raises "graph beyond the range" (fun () -> fit_over (1 lsl 21))
 

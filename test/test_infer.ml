@@ -9,8 +9,9 @@ module Measurement = Wpinq_core.Measurement
 module Mcmc = Wpinq_infer.Mcmc
 module Fit = Wpinq_infer.Fit
 module Workflow = Wpinq_infer.Workflow
+module Plan = Wpinq_core.Plan
 module Q = Wpinq_queries.Queries.Make (Wpinq_core.Batch)
-module Qf = Wpinq_queries.Queries.Make (Wpinq_core.Flow)
+module Qp = Wpinq_queries.Queries.Make (Plan)
 open Helpers
 
 (* Toy MCMC problem: fit an integer vector to a target under L1 energy. *)
@@ -24,19 +25,62 @@ let toy_problem () =
   in
   (target, state, energy)
 
+(* The walk's evaluator over a toy state, as a fit evaluates at jobs = 1:
+   each stream proposes a move, which is applied, scored and reverted; the
+   first winner stops the batch and is re-applied by [la_commit]. *)
+let toy_lookahead ?(refresh = fun () -> ()) ~energy ~propose ~apply ~revert () =
+  let eval ~pow ~energy:base streams =
+    let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
+    let rec go i =
+      if i < Array.length streams then
+        match propose streams.(i) with
+        | None -> go (i + 1)
+        | Some move ->
+            apply move;
+            let proposed = energy () in
+            revert move;
+            let delta = proposed -. base in
+            if not (Float.is_finite proposed) then verdicts.(i) <- Mcmc.Nonfinite
+            else if delta <= 0.0 || Prng.uniform streams.(i) < exp (-.pow *. delta) then
+              verdicts.(i) <- Mcmc.Accepted { swap = move; proposed }
+            else begin
+              verdicts.(i) <- Mcmc.Rejected;
+              go (i + 1)
+            end
+    in
+    go 0;
+    verdicts
+  in
+  {
+    Mcmc.la_jobs = 1;
+    la_energy = energy;
+    la_eval = eval;
+    la_commit = (fun move ~proposed:_ -> apply move);
+    la_refresh =
+      (fun () ->
+        refresh ();
+        energy ());
+    la_resync = energy;
+  }
+
+(* A toy walk whose every proposal is invalid. *)
+let idle_lookahead () =
+  let _, _, energy = toy_problem () in
+  toy_lookahead ~energy ~propose:(fun _ -> None) ~apply:ignore ~revert:ignore ()
+
 let test_mcmc_greedy_descends () =
   let target, state, energy = toy_problem () in
-  let rng = Prng.create 1 in
-  let stats =
-    Mcmc.run ~rng ~steps:3000 ~pow:50.0 ~energy
-      ~propose:(fun () ->
-        let i = Prng.int rng 5 in
-        let d = if Prng.bool rng then 1 else -1 in
+  let lookahead =
+    toy_lookahead ~energy
+      ~propose:(fun s ->
+        let i = Prng.int s 5 in
+        let d = if Prng.bool s then 1 else -1 in
         Some (i, d))
       ~apply:(fun (i, d) -> state.(i) <- state.(i) + d)
       ~revert:(fun (i, d) -> state.(i) <- state.(i) - d)
       ()
   in
+  let stats = Mcmc.run_lookahead ~rng:(Prng.create 1) ~lookahead ~steps:3000 ~pow:50.0 () in
   Alcotest.(check (array int)) "target reached" target state;
   check_close "final energy" 0.0 stats.Mcmc.final_energy;
   check_close "initial energy" 16.0 stats.Mcmc.initial_energy;
@@ -49,37 +93,29 @@ let test_mcmc_always_accepts_improvement () =
   let _, state, energy = toy_problem () in
   state.(0) <- 4;
   (* proposing +1 on index 0 strictly worsens; it must be reverted *)
-  let stats =
-    Mcmc.run ~rng:(Prng.create 2) ~steps:200 ~pow:1e9 ~energy
-      ~propose:(fun () -> Some 0)
+  let lookahead =
+    toy_lookahead ~energy
+      ~propose:(fun _ -> Some 0)
       ~apply:(fun _ -> state.(0) <- state.(0) + 1)
       ~revert:(fun _ -> state.(0) <- state.(0) - 1)
       ()
   in
+  let stats = Mcmc.run_lookahead ~rng:(Prng.create 2) ~lookahead ~steps:200 ~pow:1e9 () in
   Alcotest.(check int) "never accepted" 0 stats.Mcmc.accepted;
   Alcotest.(check int) "state reverted" 4 state.(0)
 
 let test_mcmc_invalid_proposals () =
-  let _, _, energy = toy_problem () in
   let stats =
-    Mcmc.run ~rng:(Prng.create 3) ~steps:50 ~energy
-      ~propose:(fun () -> None)
-      ~apply:(fun () -> ())
-      ~revert:(fun () -> ())
-      ()
+    Mcmc.run_lookahead ~rng:(Prng.create 3) ~lookahead:(idle_lookahead ()) ~steps:50 ()
   in
   Alcotest.(check int) "all invalid" 50 stats.Mcmc.invalid;
   Alcotest.(check int) "none accepted" 0 stats.Mcmc.accepted
 
 let test_mcmc_on_step_called () =
-  let _, _, energy = toy_problem () in
   let calls = ref 0 in
   let _ =
-    Mcmc.run ~rng:(Prng.create 4) ~steps:25 ~energy
+    Mcmc.run_lookahead ~rng:(Prng.create 4) ~lookahead:(idle_lookahead ()) ~steps:25
       ~on_step:(fun ~step:_ ~energy:_ -> incr calls)
-      ~propose:(fun () -> None)
-      ~apply:(fun () -> ())
-      ~revert:(fun () -> ())
       ()
   in
   Alcotest.(check int) "on_step every iteration" 25 !calls
@@ -93,13 +129,13 @@ let test_mcmc_nonfinite_energy_refreshes () =
   let refreshes = ref 0 in
   (* Walking toward 10, so proposals are normally accepted. *)
   let energy () = if !poisoned then Float.nan else Float.abs (float_of_int (!state - 10)) in
-  let stats =
-    Mcmc.run ~rng:(Prng.create 5) ~steps:10 ~pow:1e9
+  let lookahead =
+    toy_lookahead
       ~refresh:(fun () ->
         incr refreshes;
         poisoned := false)
       ~energy
-      ~propose:(fun () -> Some ())
+      ~propose:(fun _ -> Some ())
       ~apply:(fun () ->
         incr state;
         (* Poison the third proposal's energy reading only. *)
@@ -110,6 +146,7 @@ let test_mcmc_nonfinite_energy_refreshes () =
       ~revert:(fun () -> decr state)
       ()
   in
+  let stats = Mcmc.run_lookahead ~rng:(Prng.create 5) ~lookahead ~steps:10 ~pow:1e9 () in
   Alcotest.(check int) "one non-finite refresh" 1 stats.Mcmc.refreshed_on_nonfinite;
   Alcotest.(check int) "refresh callback ran" 1 !refreshes;
   Alcotest.(check bool) "final energy finite" true (Float.is_finite stats.Mcmc.final_energy)
@@ -118,56 +155,54 @@ let test_mcmc_start_offset () =
   (* A resumed chain passes ?start: only steps start+1..steps run, and the
      per-segment counters reflect just that segment. *)
   let calls = ref [] in
-  let _, _, energy = toy_problem () in
   let stats =
-    Mcmc.run ~rng:(Prng.create 6) ~steps:10 ~start:7 ~energy
+    Mcmc.run_lookahead ~rng:(Prng.create 6) ~lookahead:(idle_lookahead ()) ~steps:10 ~start:7
       ~on_step:(fun ~step ~energy:_ -> calls := step :: !calls)
-      ~propose:(fun () -> None)
-      ~apply:(fun () -> ())
-      ~revert:(fun () -> ())
       ()
   in
   Alcotest.(check (list int)) "steps run" [ 10; 9; 8 ] !calls;
   Alcotest.(check int) "segment length" 3 stats.Mcmc.steps;
   Alcotest.check_raises "start out of range"
-    (Invalid_argument "Mcmc.run: start must be within [0, steps]") (fun () ->
+    (Invalid_argument "Mcmc.run_lookahead: start must be within [0, steps]") (fun () ->
       ignore
-        (Mcmc.run ~rng:(Prng.create 6) ~steps:5 ~start:6 ~energy
-           ~propose:(fun () -> None)
-           ~apply:(fun () -> ())
-           ~revert:(fun () -> ())
-           ()))
+        (Mcmc.run_lookahead ~rng:(Prng.create 6) ~lookahead:(idle_lookahead ()) ~steps:5
+           ~start:6 ()))
 
 let test_mcmc_checkpoint_hook () =
-  let _, _, energy = toy_problem () in
-  let fired = ref [] in
-  let _ =
-    Mcmc.run ~rng:(Prng.create 7) ~steps:10 ~energy ~checkpoint_every:3
-      ~on_checkpoint:(fun ~step ~stats -> fired := (step, stats.Mcmc.steps) :: !fired)
-      ~propose:(fun () -> None)
-      ~apply:(fun () -> ())
-      ~revert:(fun () -> ())
-      ()
+  let fired steps =
+    let fired = ref [] in
+    let _ =
+      Mcmc.run_lookahead ~rng:(Prng.create 7) ~lookahead:(idle_lookahead ()) ~steps
+        ~checkpoint_every:3
+        ~on_checkpoint:(fun ~step ~stats -> fired := (step, stats.Mcmc.steps) :: !fired)
+        ()
+    in
+    !fired
   in
-  (* Fires at multiples of 3 but never at the final step (here step 9 <
-     steps, so all three fire; a cadence hitting 10 exactly would skip). *)
+  (* Fires at multiples of 3 but never at the final step: over 10 steps
+     all three fire, over 9 the cadence hits the end and step 9 skips. *)
   Alcotest.(check (list (pair int int)))
-    "fired at cadence" [ (9, 9); (6, 6); (3, 3) ] !fired
+    "fired at cadence" [ (9, 9); (6, 6); (3, 3) ] (fired 10);
+  Alcotest.(check (list (pair int int))) "final step skipped" [ (6, 6); (3, 3) ] (fired 9)
 
 (* ---- Fit ---- *)
 
-let tbi_target secret epsilon rng =
+let tbi_measurement secret epsilon rng =
   let budget = Budget.create ~name:"g" 1e9 in
   let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-  let m = Batch.noisy_count ~rng ~epsilon (Q.tbi sym) in
-  fun sym_flow -> Flow.Target.create (Qf.tbi sym_flow) m
+  Batch.noisy_count ~rng ~epsilon (Q.tbi sym)
+
+(* A fit of [seed_graph] to one measurement of the plan [query]. *)
+let fit_to ~rng ~seed_graph query m =
+  let source = Plan.source ~name:"sym" () in
+  Fit.create_shared ~rng ~seed_graph ~source ~measured:[ Fit.Measured (query source, m) ] ()
 
 let test_fit_energy_matches_distance () =
   (* Seed == secret and negligible noise: energy ~ 0. *)
   let secret = Gen.clustered ~n:80 ~community:8 ~p_in:0.7 ~extra:40 (Prng.create 5) in
   let rng = Prng.create 6 in
-  let target = tbi_target secret 1e6 rng in
-  let fit = Fit.create ~rng ~seed_graph:secret ~targets:[ target ] () in
+  let m = tbi_measurement secret 1e6 rng in
+  let fit = fit_to ~rng ~seed_graph:secret Qp.tbi m in
   Alcotest.(check bool) "perfect seed, ~zero energy" true (Fit.energy fit < 1.0)
 
 let test_fit_step_revert_consistency () =
@@ -175,11 +210,9 @@ let test_fit_step_revert_consistency () =
   let secret = Gen.clustered ~n:60 ~community:8 ~p_in:0.7 ~extra:30 (Prng.create 7) in
   let seed = Rewire.randomize secret (Prng.create 8) in
   let rng = Prng.create 9 in
-  let target = tbi_target secret 1e4 rng in
-  let fit = Fit.create ~rng ~seed_graph:seed ~targets:[ target ] () in
-  for _ = 1 to 200 do
-    ignore (Fit.step ~pow:5.0 fit)
-  done;
+  let m = tbi_measurement secret 1e4 rng in
+  let fit = fit_to ~rng ~seed_graph:seed Qp.tbi m in
+  ignore (Fit.run fit ~steps:200 ~pow:5.0 ());
   let incremental = Fit.energy fit in
   List.iter Flow.Target.recompute (Fit.targets fit);
   let fresh = List.fold_left (fun acc t -> acc +. Flow.Target.weighted_distance t) 0.0 (Fit.targets fit) in
@@ -191,8 +224,8 @@ let test_fit_improves_triangles () =
   let secret = Gen.clustered ~n:100 ~community:10 ~p_in:0.8 ~extra:40 (Prng.create 10) in
   let seed = Rewire.randomize secret (Prng.create 11) in
   let rng = Prng.create 12 in
-  let target = tbi_target secret 100.0 rng in
-  let fit = Fit.create ~rng ~seed_graph:seed ~targets:[ target ] () in
+  let m = tbi_measurement secret 100.0 rng in
+  let fit = fit_to ~rng ~seed_graph:seed Qp.tbi m in
   let before_tri = Graph.triangle_count (Fit.graph fit) in
   let before_energy = Fit.energy fit in
   let stats = Fit.run fit ~steps:20_000 ~pow:1_000.0 () in
@@ -257,11 +290,7 @@ let test_jdd_fit_recovers_assortativity () =
        QB.jdd sym)
   in
   let seed = Rewire.randomize secret (Prng.create 23) in
-  let fit =
-    Fit.create ~rng:(Prng.create 24) ~seed_graph:seed
-      ~targets:[ (fun sym_flow -> Flow.Target.create (Qf.jdd sym_flow) m) ]
-      ()
-  in
+  let fit = fit_to ~rng:(Prng.create 24) ~seed_graph:seed Qp.jdd m in
   let r0 = Graph.assortativity (Fit.graph fit) in
   let _ = Fit.run fit ~steps:15_000 ~pow:5_000.0 () in
   let r1 = Graph.assortativity (Fit.graph fit) in

@@ -1,9 +1,9 @@
 (* The width-invariance property of the parallel speculative lookahead:
    [Fit.run ~jobs:k] must realize the SAME chain — bit-identical per-step
    energies, acceptance counts, final edge arrays — for every k, across
-   speculation aborts, engine self-audits, checkpoint rebases, and
-   multi-query shared fits.  Plus the scheduler-level guarantees: batches
-   clamp to cadence boundaries, and non-replicable fits are refused. *)
+   speculation aborts, engine self-audits, and multi-query shared fits.
+   Plus the scheduler-level guarantee: batches clamp to cadence
+   boundaries. *)
 
 module Graph = Wpinq_graph.Graph
 module Gen = Wpinq_graph.Gen
@@ -477,25 +477,6 @@ let test_trace_inside_wide_batches () =
   Alcotest.(check bool) "identical traces" true
     (List.map point owner.W.trace = List.map point replicas.W.trace)
 
-(* Fits built from opaque target closures share measurement state across
-   instances and cannot be replicated: the pool must refuse them. *)
-let test_non_replicable_refused () =
-  let seed, _ = problem () in
-  let budget = Budget.create ~name:"edges" 1e9 in
-  let sym_b = Batch.source_records ~budget (Graph.directed_edges seed) in
-  let m = Batch.noisy_count ~rng:(Prng.create 2) ~epsilon:50.0 (Qb.degree_ccdf sym_b) in
-  let module Qf = Wpinq_queries.Queries.Make (Flow) in
-  let fit =
-    Fit.create ~rng:(Prng.create 7) ~seed_graph:seed
-      ~targets:[ (fun sym -> Flow.Target.create (Qf.degree_ccdf sym) m) ]
-      ()
-  in
-  Alcotest.(check bool) "not replicable" false (Fit.replicable fit);
-  Alcotest.check_raises "pool refuses opaque fits"
-    (Invalid_argument
-       "Fit.Pool.create: fit is not replicable (build it with create_shared / \
-        restore_shared)") (fun () -> ignore (run_arm ~steps:10 ~jobs:2 fit))
-
 let suite =
   [
     Alcotest.test_case "lookahead width invariance (K in {1,2,4})" `Quick
@@ -512,7 +493,6 @@ let suite =
     Alcotest.test_case "workflow width invariance + snapshot reproducibility" `Quick
       test_workflow_width_invariance;
     Alcotest.test_case "resume at a different width" `Quick test_resume_across_widths;
-    Alcotest.test_case "non-replicable fits refused" `Quick test_non_replicable_refused;
     Alcotest.test_case "one engine at jobs = 1" `Quick test_one_engine_at_jobs_1;
     Alcotest.test_case "create = restore at the seed edge array" `Quick
       test_create_matches_restore;

@@ -363,11 +363,7 @@ let test_shared_fit_equivalence () =
   let opt, rebase_opt, snap_opt = setup { via = (fun p -> Plan.optimize p) } in
   check_bits "initial energy" (Fit.energy plain) (Fit.energy opt);
   let base_c, base_j, base_t = (snap mc, snap mj, snap mt) in
-  let drive fit n =
-    for _ = 1 to n do
-      ignore (Fit.step ~pow:10_000.0 fit)
-    done
-  in
+  let drive fit n = ignore (Fit.run fit ~steps:n ~pow:10_000.0 ()) in
   drive plain 200;
   drive opt 200;
   let clean label fit =

@@ -1,9 +1,12 @@
-(* The sharing property test: a multi-target fit over plans lowered through
+(* The sharing property test: a multi-target walk over plans lowered through
    ONE shared context must be bit-identical — energies, acceptance decisions,
-   final synthetic dataset — to the same fit over unshared per-target
+   final synthetic dataset — to the same walk over unshared per-target
    pipelines, across plain steps (including speculation aborts on rejected
-   proposals), a clean audit, and a checkpoint rebase; and the shared
-   construction must do measurably less propagation work per step. *)
+   proposals); and the shared construction must do measurably less
+   propagation work per step.  Both constructions run on bare engines under
+   one driver, so their engine counters compare like for like, and the
+   shared one is checked step for step against the fit's own walk across a
+   clean audit and a checkpoint rebase. *)
 
 module Graph = Wpinq_graph.Graph
 module Gen = Wpinq_graph.Gen
@@ -70,60 +73,128 @@ let measure secret =
 let clone_all (mc, mj, mt) =
   (clone wr_int rd_int mc, clone wr_pair rd_pair mj, clone wr_triple rd_triple mt)
 
-type setup = { fit : Fit.t; rebase : unit -> unit }
-
 (* One shared plan source: common prefixes become one physical sub-DAG. *)
-let shared_setup ~rng_seed ~seed_graph (mc, mj, mt) =
+let shared_plans (mc, mj, mt) =
   let source = Plan.source ~name:"sym" () in
-  let measured =
+  ( source,
     [
       Fit.Measured (Qp.degree_ccdf source, mc);
       Fit.Measured (Qp.jdd source, mj);
       Fit.Measured (Qp.tbd source, mt);
-    ]
-  in
-  let fit =
-    Fit.create_shared ~rng:(Prng.create rng_seed) ~seed_graph ~source ~measured ()
-  in
-  let rebase () =
-    Fit.rebuild_shared fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source
-      ~measured
-  in
-  { fit; rebase }
+    ] )
+
+let shared_targets (source, measured) sym =
+  let ctx = Flow.Plans.create (Dataflow.engine_of (Flow.node sym)) in
+  Flow.Plans.bind ctx source sym;
+  List.map (fun (Fit.Measured (p, m)) -> Flow.Target.of_plan ctx p m) measured
 
 (* A fresh plan source and a fresh lowering context per target: nothing is
    shared across target boundaries (diamonds *within* one plan still share,
    exactly as a direct let-bound instantiation would). *)
-let unshared_setup ~rng_seed ~seed_graph (mc, mj, mt) =
-  let target src p m sym =
+let unshared_targets (mc, mj, mt) sym =
+  let target q m =
+    let src = Plan.source ~name:"sym" () in
     let ctx = Flow.Plans.create (Dataflow.engine_of (Flow.node sym)) in
     Flow.Plans.bind ctx src sym;
-    Flow.Target.of_plan ctx p m
+    Flow.Target.of_plan ctx (q src) m
   in
-  let s1 = Plan.source ~name:"sym" () in
-  let s2 = Plan.source ~name:"sym" () in
-  let s3 = Plan.source ~name:"sym" () in
-  let targets =
-    [
-      target s1 (Qp.degree_ccdf s1) mc;
-      target s2 (Qp.jdd s2) mj;
-      target s3 (Qp.tbd s3) mt;
-    ]
-  in
-  let fit = Fit.create ~rng:(Prng.create rng_seed) ~seed_graph ~targets () in
-  let rebase () =
-    Fit.rebuild fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~targets
-  in
-  { fit; rebase }
+  [ target Qp.degree_ccdf mc; target Qp.jdd mj; target (fun s -> Qp.tbd s) mt ]
 
-let drive fit n = List.init n (fun _ -> (Fit.step ~pow:50.0 fit, Fit.energy fit))
+type walker = {
+  engine : Dataflow.Engine.t;
+  walk : steps:int -> on_step:(step:int -> energy:float -> unit) -> Mcmc.stats;
+  energy : unit -> float;
+  edges : unit -> (int * int) array;
+}
 
-let compare_traces name shared unshared =
+(* A bare engine walked by [Mcmc.run_lookahead] at width 1, over the
+   targets [build] lowers from the synthetic input: the fit's jobs = 1
+   evaluation (speculate, hold the first winner open, commit it in place)
+   without the fit's compaction. *)
+let bare ~rng_seed ~seed_graph build =
+  let engine = Dataflow.Engine.create () in
+  let handle, sym = Flow.input engine in
+  let targets = build sym in
+  let graph = Graph.Mutable.of_graph seed_graph in
+  Flow.feed handle
+    (List.concat_map
+       (fun (u, v) -> [ ((u, v), 1.0); ((v, u), 1.0) ])
+       (Array.to_list (Graph.Mutable.edge_array graph)));
+  let energy = ref (Flow.Target.energy targets) in
+  let eval ~pow ~energy:base streams =
+    let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
+    let rec go i =
+      if i < Array.length streams then
+        match Graph.Mutable.propose_swap graph streams.(i) with
+        | None -> go (i + 1)
+        | Some swap ->
+            Dataflow.Engine.begin_speculation engine;
+            Graph.Mutable.apply graph swap;
+            Flow.feed handle (Graph.Mutable.delta swap);
+            let proposed = Flow.Target.energy targets in
+            Graph.Mutable.apply graph (Graph.Mutable.invert swap);
+            let delta = proposed -. base in
+            if not (Float.is_finite proposed) then begin
+              Dataflow.Engine.abort engine;
+              verdicts.(i) <- Mcmc.Nonfinite
+            end
+            else if delta <= 0.0 || Prng.uniform streams.(i) < exp (-.pow *. delta) then
+              verdicts.(i) <- Mcmc.Accepted { swap; proposed }
+            else begin
+              Dataflow.Engine.abort engine;
+              verdicts.(i) <- Mcmc.Rejected;
+              go (i + 1)
+            end
+    in
+    go 0;
+    verdicts
+  in
+  let lookahead =
+    {
+      Mcmc.la_jobs = 1;
+      la_energy = (fun () -> !energy);
+      la_eval = eval;
+      la_commit =
+        (fun swap ~proposed ->
+          Graph.Mutable.apply graph swap;
+          Dataflow.Engine.commit engine;
+          energy := proposed);
+      la_refresh =
+        (fun () ->
+          List.iter Flow.Target.recompute targets;
+          energy := Flow.Target.energy targets;
+          !energy);
+      la_resync = (fun () -> !energy);
+    }
+  in
+  let rng = Prng.create rng_seed in
+  {
+    engine;
+    walk =
+      (fun ~steps ~on_step -> Mcmc.run_lookahead ~rng ~lookahead ~steps ~pow:50.0 ~on_step ());
+    energy = (fun () -> !energy);
+    edges = (fun () -> Graph.Mutable.edge_array graph);
+  }
+
+let of_fit fit =
+  {
+    engine = Fit.engine fit;
+    walk = (fun ~steps ~on_step -> Fit.run fit ~steps ~pow:50.0 ~on_step ());
+    energy = (fun () -> Fit.energy fit);
+    edges = (fun () -> Fit.edge_array fit);
+  }
+
+(* Walk [n] steps: the accepted count and every step's energy. *)
+let drive w n =
+  let energies = ref [] in
+  let stats = w.walk ~steps:n ~on_step:(fun ~step:_ ~energy -> energies := energy :: !energies) in
+  (stats.Mcmc.accepted, List.rev !energies)
+
+let compare_traces name (sa, se) (ua, ue) =
+  Alcotest.(check int) (name ^ ": accepted") ua sa;
   List.iteri
-    (fun i ((sa, se), (ua, ue)) ->
-      Alcotest.(check bool) (Printf.sprintf "%s: step %d accept" name i) ua sa;
-      check_bits (Printf.sprintf "%s: step %d energy" name i) ue se)
-    (List.combine shared unshared)
+    (fun i (s, u) -> check_bits (Printf.sprintf "%s: step %d energy" name (i + 1)) u s)
+    (List.combine se ue)
 
 let problem () =
   let secret = Gen.clustered ~n:50 ~community:10 ~p_in:0.7 ~extra:25 (Prng.create 3) in
@@ -132,48 +203,56 @@ let problem () =
 
 let test_bit_identity () =
   let seed, ms = problem () in
-  let shared = shared_setup ~rng_seed:7 ~seed_graph:seed (clone_all ms) in
-  let unshared = unshared_setup ~rng_seed:7 ~seed_graph:seed (clone_all ms) in
+  let source, measured = shared_plans (clone_all ms) in
+  let fit = Fit.create_shared ~rng:(Prng.create 7) ~seed_graph:seed ~source ~measured () in
+  let walked = of_fit fit in
+  let shared =
+    bare ~rng_seed:7 ~seed_graph:seed (shared_targets (shared_plans (clone_all ms)))
+  in
+  let unshared = bare ~rng_seed:7 ~seed_graph:seed (unshared_targets (clone_all ms)) in
   Alcotest.(check bool) "shared fit reports cross-target sharing" true
-    (Dataflow.Engine.nodes_shared (Fit.engine shared.fit)
-    > Dataflow.Engine.nodes_shared (Fit.engine unshared.fit));
-  check_bits "initial energy" (Fit.energy unshared.fit) (Fit.energy shared.fit);
+    (Dataflow.Engine.nodes_shared shared.engine > Dataflow.Engine.nodes_shared unshared.engine);
+  check_bits "initial energy" (unshared.energy ()) (shared.energy ());
+  check_bits "fit's initial energy" (shared.energy ()) (Fit.energy fit);
   (* Plain steps: every rejected proposal exercises speculation abort over
      the shared sub-DAG. *)
-  compare_traces "walk" (drive shared.fit 300) (drive unshared.fit 300);
-  (* A clean audit is read-only and bit-neutral on both constructions. *)
-  let ra = Fit.audit shared.fit and ru = Fit.audit unshared.fit in
-  Alcotest.(check int) "shared audit clean" 0
-    (List.length ra.Dataflow.Audit.divergences);
-  Alcotest.(check int) "unshared audit clean" 0
-    (List.length ru.Dataflow.Audit.divergences);
+  let walk_all name n =
+    let s = drive shared n in
+    compare_traces name s (drive unshared n);
+    compare_traces (name ^ " (fit)") (drive walked n) s
+  in
+  walk_all "walk" 300;
+  (* A clean audit rebuilds the fit in place and is bit-neutral. *)
+  let ra = Fit.audit fit in
+  Alcotest.(check int) "fit audit clean" 0 (List.length ra.Dataflow.Audit.divergences);
   Alcotest.(check bool) "audit checked cells" true (ra.Dataflow.Audit.cells_checked > 0);
-  compare_traces "post-audit" (drive shared.fit 100) (drive unshared.fit 100);
-  (* Checkpoint rebase: rebuild both engines in place from their own edge
-     arrays — the same deterministic path a resume takes — and keep walking. *)
-  shared.rebase ();
-  unshared.rebase ();
-  check_bits "energy after rebase" (Fit.energy unshared.fit) (Fit.energy shared.fit);
+  walk_all "post-audit" 100;
+  (* Checkpoint rebase: rebuild the fit's engine in place from its own edge
+     array — the same deterministic path a resume takes — and keep
+     walking. *)
+  Fit.rebuild_shared fit ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source ~measured;
+  check_bits "energy after rebase" (shared.energy ()) (Fit.energy fit);
   Alcotest.(check bool) "rebased fit still shares" true
-    (Dataflow.Engine.nodes_shared (Fit.engine shared.fit) > 0);
-  compare_traces "post-rebase" (drive shared.fit 300) (drive unshared.fit 300);
+    (Dataflow.Engine.nodes_shared (Fit.engine fit) > 0);
+  walk_all "post-rebase" 300;
   Alcotest.(check (array (pair int int)))
-    "final edge arrays identical"
-    (Fit.edge_array unshared.fit) (Fit.edge_array shared.fit)
+    "final edge arrays identical" (unshared.edges ()) (shared.edges ());
+  Alcotest.(check (array (pair int int)))
+    "fit's final edge array" (shared.edges ()) (Fit.edge_array fit)
 
 (* The point of sharing: same answers, measurably less per-step work. *)
 let test_shared_propagates_less () =
   let seed, ms = problem () in
-  let shared = shared_setup ~rng_seed:9 ~seed_graph:seed (clone_all ms) in
-  let unshared = unshared_setup ~rng_seed:9 ~seed_graph:seed (clone_all ms) in
+  let shared =
+    bare ~rng_seed:9 ~seed_graph:seed (shared_targets (shared_plans (clone_all ms)))
+  in
+  let unshared = bare ~rng_seed:9 ~seed_graph:seed (unshared_targets (clone_all ms)) in
   Alcotest.(check bool) "shared builds fewer physical nodes" true
-    (Dataflow.Engine.nodes_built (Fit.engine shared.fit)
-    < Dataflow.Engine.nodes_built (Fit.engine unshared.fit));
-  let propagated setup n =
-    let e = Fit.engine setup.fit in
-    let before = Dataflow.Engine.records_propagated e in
-    ignore (drive setup.fit n);
-    Dataflow.Engine.records_propagated e - before
+    (Dataflow.Engine.nodes_built shared.engine < Dataflow.Engine.nodes_built unshared.engine);
+  let propagated w n =
+    let before = Dataflow.Engine.records_propagated w.engine in
+    ignore (drive w n);
+    Dataflow.Engine.records_propagated w.engine - before
   in
   let ps = propagated shared 200 and pu = propagated unshared 200 in
   Alcotest.(check bool)

@@ -17,7 +17,8 @@ module Rewire = Wpinq_graph.Rewire
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
 module Q = Wpinq_queries.Queries.Make (Wpinq_core.Batch)
-module Qf = Wpinq_queries.Queries.Make (Wpinq_core.Flow)
+module Plan = Wpinq_core.Plan
+module Qp = Wpinq_queries.Queries.Make (Plan)
 open Helpers
 
 (* Bit-exact image of a weighted collection: restoration must reproduce
@@ -203,19 +204,18 @@ let test_fit_steps_are_speculations () =
   let secret = Gen.clustered ~n:60 ~community:8 ~p_in:0.7 ~extra:30 (Prng.create 7) in
   let seed = Rewire.randomize secret (Prng.create 8) in
   let rng = Prng.create 9 in
-  let target =
+  let m =
     let budget = Budget.create ~name:"spec" 1e9 in
     let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-    let m = Batch.noisy_count ~rng ~epsilon:1e4 (Q.tbi sym) in
-    fun sym_flow -> Flow.Target.create (Qf.tbi sym_flow) m
+    Batch.noisy_count ~rng ~epsilon:1e4 (Q.tbi sym)
   in
-  let fit = Fit.create ~rng ~seed_graph:seed ~targets:[ target ] () in
+  let source = Plan.source ~name:"sym" () in
+  let fit =
+    Fit.create_shared ~rng ~seed_graph:seed ~source ~measured:[ Fit.Measured (Qp.tbi source, m) ] ()
+  in
   let engine = Fit.engine fit in
-  let accepted = ref 0 in
-  for _ = 1 to 300 do
-    if Fit.step ~pow:50.0 fit then incr accepted
-  done;
-  Alcotest.(check int) "accepted moves commit" !accepted (Dataflow.Engine.commits engine);
+  let accepted = (Fit.run fit ~steps:300 ~pow:50.0 ()).Wpinq_infer.Mcmc.accepted in
+  Alcotest.(check int) "accepted moves commit" accepted (Dataflow.Engine.commits engine);
   Alcotest.(check bool) "rejected moves abort" true (Dataflow.Engine.aborts engine > 0);
   Alcotest.(check bool) "commits+aborts cover proposals" true
     (Dataflow.Engine.commits engine + Dataflow.Engine.aborts engine <= 300);
