@@ -253,8 +253,8 @@ let baseline_json =
    already-forced dataset.  The gated wall-clock ratio is this phase's:
    it is where canonical identity does its work, and the ~3x margin is
    far outside scheduler noise.  Released values must agree bit for bit
-   between the unoptimized and optimized lowerings (also gated; canonical
-   accumulation + exact rules).
+   between the unoptimized and optimized lowerings (also gated; grid
+   accumulation makes every rewrite exact).
 
    Phase B is synthesis: the tenant-1 measurements fitted three ways —
    per-target pipelines, one shared context, and the optimized plans —

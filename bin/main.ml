@@ -23,14 +23,14 @@ let corpus src =
     ("sbi", Any (Q.sbi src));
   ]
 
-let explain_one ~rules name (Any p) =
+let explain_one name (Any p) =
   Printf.printf "=== %s ===\n" name;
   Printf.printf "uses: %d  (%s)\n" (Plan.uses p)
     (String.concat ", "
        (List.map (fun (s, k) -> Printf.sprintf "%s x%d" s k) (Plan.source_uses p)));
   Printf.printf "nodes: %d  hash: %s\n" (Plan.size p) (Plan.canonical_hash p);
   Format.printf "%a@." Plan.pp p;
-  let o = Plan.optimize ~rules p in
+  let o = Plan.optimize p in
   if Plan.id o = Plan.id p then print_endline "optimized: unchanged\n"
   else begin
     Printf.printf "optimized: %d nodes, hash %s (uses %d, unchanged by construction)\n"
@@ -40,11 +40,10 @@ let explain_one ~rules name (Any p) =
   end;
   (name, Any o)
 
-let run explain dot rules_all queries =
+let run explain dot queries =
   if not (explain || dot) then (
     prerr_endline "nothing to do: pass --explain and/or --dot (see --help)";
     exit 2);
-  let rules = if rules_all then Plan.all_rules else Plan.exact_rules in
   let src = Plan.source ~name:"sym" () in
   let all = corpus src in
   let chosen =
@@ -65,10 +64,10 @@ let run explain dot rules_all queries =
   let optimized =
     List.map
       (fun (name, any) ->
-        if explain then explain_one ~rules name any
+        if explain then explain_one name any
         else
           let (Any p) = any in
-          (name, Any (Plan.optimize ~rules p)))
+          (name, Any (Plan.optimize p)))
       chosen
   in
   if explain then begin
@@ -99,13 +98,6 @@ let cmd =
              ~doc:"Emit the optimized plan DAGs as Graphviz on stdout; each edge is \
                    labelled with its root-path multiplicity.")
   in
-  let rules_all =
-    Arg.(value & flag
-         & info [ "all-rules" ]
-             ~doc:"Optimize with the full rule set, including the select fusions \
-                   that preserve answers only up to floating-point regrouping \
-                   (the default $(b,exact) rules preserve released bits exactly).")
-  in
   let queries =
     Arg.(value & opt_all string []
          & info [ "query"; "q" ] ~docv:"NAME"
@@ -114,6 +106,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "wpinq" ~doc:"Inspect and explain reified wPINQ query plans")
-    Term.(const run $ explain $ dot $ rules_all $ queries)
+    Term.(const run $ explain $ dot $ queries)
 
 let () = exit (Cmd.eval cmd)

@@ -52,7 +52,10 @@ val noisy_count :
 (** The differentially-private aggregation: charges [uses × epsilon] to each
     source's budget (raising {!Budget.Exhausted} and releasing nothing if
     any lacks funds), then releases per-record counts perturbed with
-    [Laplace(1/epsilon)] noise. *)
+    [Laplace(1/epsilon)] noise.  Weights are {!Wpinq_weighted.Grid} ints:
+    a source weight, or a sum, outside [±2{^22}] raises
+    {!Wpinq_weighted.Grid.Overflow} when the plan is evaluated (after the
+    charge), and nothing is released. *)
 
 val privacy_cost : epsilon:float -> 'a t -> (string * float) list
 (** [privacy_cost ~epsilon c] previews what {!noisy_count} would charge:

@@ -6,7 +6,12 @@
     instantiated through this module instead of {!Batch} — runs over a
     public synthetic candidate.  {!Target}s subscribe below each pipeline
     and maintain [‖Q(A) − m‖₁] incrementally as the candidate is edited, so
-    a Metropolis–Hastings step costs only the propagation of its delta. *)
+    a Metropolis–Hastings step costs only the propagation of its delta.
+
+    A collection here holds exactly what {!Batch} computes from the same
+    input, bit for bit, whatever edits, commits and aborts led there: both
+    keep weights as {!Wpinq_weighted.Grid} ints and round each contribution
+    with the same formulas ({!Wpinq_weighted.Ops}). *)
 
 type 'a t
 (** A collection in the incremental engine. *)

@@ -28,10 +28,10 @@ let create ~rng ~epsilon ~true_data =
     invalid_arg "Measurement.create: epsilon must be finite and positive";
   let rng = Prng.split rng in
   (* Noise is assigned in canonical (sorted-record) order, not hashtable
-     order: together with Wdata's canonical accumulation this makes the
-     released values — noise draws included — a function of the true
-     multiset alone, so a measurement taken through an optimizer-rewritten
-     plan is bit-identical to one taken through the original. *)
+     order: together with Wdata's exact grid sums this makes the released
+     values — noise draws included — a function of the true multiset
+     alone, so a measurement taken through an optimizer-rewritten plan is
+     bit-identical to one taken through the original. *)
   let support =
     Array.of_list
       (List.map

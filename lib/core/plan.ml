@@ -480,29 +480,21 @@ let rule_name = function
   | Fuse_select -> "fuse_select"
   | Fuse_select_into_join -> "fuse_select_into_join"
 
-(* The exact rules preserve released measurements bit for bit (given the
-   canonical Wdata/Measurement evaluation order): they never regroup a
-   floating-point summation — filters move or fuse (weights copied),
-   distinct bounds combine through exact min/max, and a join swap only
-   commutes the two operands of IEEE [+.] and [*.].  The remaining two
-   rules are algebraic: they collapse a two-stage accumulation into one,
-   which is the same real number but can differ in the last ulps, so they
-   are opt-in. *)
-let exact_rules = [ Fuse_where; Push_where_below_select; Fuse_distinct; Reorder_join ]
-let all_rules = exact_rules @ [ Fuse_select; Fuse_select_into_join ]
+(* Every rule preserves released measurements bit for bit: weights are
+   grid ints summed exactly, so a rewrite that moves or fuses a filter,
+   combines distinct bounds, commutes a join's operands (IEEE [*.] and the
+   norms' int sum commute) or collapses two selects (or a select into a
+   join's reduce) into one accumulation computes the same ints. *)
+let rules =
+  [ Fuse_where; Push_where_below_select; Fuse_distinct; Reorder_join; Fuse_select; Fuse_select_into_join ]
 
 let fires : (rule, int) Hashtbl.t = Hashtbl.create 8
 
 let optimizer_fires () =
   locked (fun () ->
-      List.filter_map
-        (fun r ->
-          match Hashtbl.find_opt fires r with
-          | Some n -> Some (rule_name r, n)
-          | None -> None)
-        all_rules)
+      List.filter_map (fun r -> Option.map (fun n -> (rule_name r, n)) (Hashtbl.find_opt fires r)) rules)
 
-(* The plan cache: canonical hash (plus the rule set) -> optimized root.
+(* The plan cache: canonical hash -> optimized root.
    Because the canonical hash ignores closures, each entry also records
    the root id it was computed for and only matches on both — a
    hash-equal plan with different closures re-optimizes and gets its own
@@ -512,12 +504,9 @@ let cache_hits = ref 0
 let cache_misses = ref 0
 let plan_cache_stats () = locked (fun () -> (!cache_hits, !cache_misses))
 
-let rules_tag rules =
-  String.concat "," (List.sort_uniq compare (List.map rule_name rules))
-
-let optimize ?(rules = exact_rules) (root : 'a t) : 'a t =
+let optimize (root : 'a t) : 'a t =
   locked @@ fun () ->
-  let key = canonical_hash0 root ^ "|" ^ rules_tag rules in
+  let key = canonical_hash0 root in
   let entries =
     match Hashtbl.find_opt plan_cache key with
     | Some l -> l
@@ -532,7 +521,6 @@ let optimize ?(rules = exact_rules) (root : 'a t) : 'a t =
       (Obj.magic (n : _ t) : 'a t)
   | None ->
       incr cache_misses;
-      let on r = List.mem r rules in
       let fire r = Hashtbl.replace fires r (1 + Option.value ~default:0 (Hashtbl.find_opt fires r)) in
       (* Consumer counts are snapshotted before any rewriting: interning
          rewritten parents bumps the live counters, and cost guards must
@@ -626,33 +614,33 @@ let optimize ?(rules = exact_rules) (root : 'a t) : 'a t =
         match c.shape with
         | Where (p, inner) -> (
             match inner.shape with
-            | Where (q, u) when on Fuse_where && refof inner <= 1 ->
+            | Where (q, u) when refof inner <= 1 ->
                 fire Fuse_where;
                 rewrite (cons0 (Where ((fun x -> q x && p x), u)))
-            | Select (f, u) when on Push_where_below_select && refof inner <= 1 ->
+            | Select (f, u) when refof inner <= 1 ->
                 fire Push_where_below_select;
                 let pushed = rewrite (cons0 (Where ((fun x -> p (f x)), u))) in
                 rewrite (cons0 (Select (f, pushed)))
             | _ -> c)
         | Distinct (b1, inner) -> (
             match inner.shape with
-            | Distinct (b2, u) when on Fuse_distinct && refof inner <= 1 ->
+            | Distinct (b2, u) when refof inner <= 1 ->
                 fire Fuse_distinct;
                 let v = Option.value ~default:1.0 in
                 rewrite (cons0 (Distinct (Some (Float.min (v b1) (v b2)), u)))
             | _ -> c)
         | Select (f, inner) -> (
             match inner.shape with
-            | Select (g, u) when on Fuse_select && refof inner <= 1 ->
+            | Select (g, u) when refof inner <= 1 ->
                 fire Fuse_select;
                 rewrite (cons0 (Select ((fun x -> f (g x)), u)))
             | Join (kl, kr, r, a, b)
-              when on Fuse_select_into_join && refof inner <= 1 ->
+              when refof inner <= 1 ->
                 fire Fuse_select_into_join;
                 rewrite (cons0 (Join (kl, kr, (fun x y -> f (r x y)), a, b)))
             | _ -> c)
         | Join (kl, kr, r, a, b)
-          when on Reorder_join && estimate0 b < estimate0 a ->
+          when estimate0 b < estimate0 a ->
             fire Reorder_join;
             rewrite (cons0 (Join (kr, kl, (fun y x -> r x y), b, a)))
         | _ -> c

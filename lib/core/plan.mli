@@ -27,9 +27,9 @@
 
     On top of the canonical DAG sits {!optimize}: cost-guided, privacy-sound
     rewrites (filter fusion and pushdown, distinct fusion, join operand
-    reordering, and opt-in select fusion), each preserving {!uses} and
-    {!source_uses} exactly — derived ε charges never move — and, for
-    {!exact_rules}, preserving released measurement values bit for bit. *)
+    reordering, and select fusion), each preserving {!uses} and
+    {!source_uses} exactly — derived ε charges never move — and released
+    measurement values bit for bit. *)
 
 type 'a t
 (** A reified query over records of type ['a]: one node of a typed,
@@ -110,48 +110,29 @@ val to_dot : ?label:string -> 'a t -> string
 
 (** {1 The optimizer} *)
 
-type rule =
-  | Fuse_where  (** [where p (where q u)] → [where (q && p) u]. *)
-  | Push_where_below_select
-      (** [where p (select f u)] → [select f (where (p ∘ f) u)]: filters
-          run before projections, shrinking every downstream delta. *)
-  | Fuse_distinct
-      (** [distinct b1 (distinct b2 u)] → [distinct (min b1 b2) u]. *)
-  | Reorder_join
-      (** Puts the operand with the smaller {!estimated_size} on the left
-          (flipping the reduce), canonicalizing join order; fires only on a
-          strict inequality. *)
-  | Fuse_select  (** [select f (select g u)] → [select (f ∘ g) u]. *)
-  | Fuse_select_into_join
-      (** [select f (join ~reduce u v)] → [join ~reduce:(f ∘∘ reduce) u v]. *)
+val optimize : 'a t -> 'a t
+(** Rewrites the plan bottom-up to a fixpoint under six rules:
+    - [where p (where q u)] → [where (q && p) u];
+    - [where p (select f u)] → [select f (where (p ∘ f) u)]: filters run
+      before projections, shrinking every downstream delta;
+    - [distinct b1 (distinct b2 u)] → [distinct (min b1 b2) u];
+    - a join puts the operand with the smaller {!estimated_size} on the
+      left (flipping the reduce), canonicalizing join order; it fires only
+      on a strict inequality;
+    - [select f (select g u)] → [select (f ∘ g) u];
+    - [select f (join ~reduce u v)] → [join ~reduce:(f ∘∘ reduce) u v].
 
-val rule_name : rule -> string
-
-val exact_rules : rule list
-(** [Fuse_where; Push_where_below_select; Fuse_distinct; Reorder_join] —
-    the default rule set.  These rewrites never regroup a floating-point
-    summation (filters copy weights, distinct bounds combine through exact
-    min, a join swap only commutes IEEE [+.] and [*.]), so together with
-    the canonical accumulation order in {!Wpinq_weighted.Wdata} they
-    preserve released measurements — noise draws included — bit for bit. *)
-
-val all_rules : rule list
-(** {!exact_rules} plus [Fuse_select] and [Fuse_select_into_join].  The
-    select fusions collapse a two-stage weight accumulation into one: the
-    same real number, but potentially different in the last ulps, so they
-    are opt-in and validated to a tolerance rather than bitwise. *)
-
-val optimize : ?rules:rule list -> 'a t -> 'a t
-(** Rewrites the plan bottom-up to a fixpoint under the given rules
-    (default {!exact_rules}).  Every rule preserves {!uses} and
-    {!source_uses} — derived ε charges never move (property-tested) — and
-    fusion rules are cost-guarded: they only fire when the fused child has
-    a single consumer, so shared subtrees are never split.  Results are
-    cached globally, keyed on {!canonical_hash} plus the rule set: the same
+    Every rule preserves {!uses} and {!source_uses} — derived ε charges
+    never move (property-tested) — and released measurements, noise draws
+    included, bit for bit: weights are grid ints summed exactly
+    ({!Wpinq_weighted.Wdata}), so a rewrite that regroups a sum computes
+    the same ints.  Fusion rules are cost-guarded: they only fire when the
+    fused child has a single consumer, so shared subtrees are never split.
+    Results are cached globally, keyed on {!canonical_hash}: the same
     submitted plan — across fits, tenants, stream epochs — optimizes once
     and lowers to the same physical dataflow.  Deterministic: the same
-    plan and rule set always yield the same optimized DAG, which is what
-    lets checkpoints resume onto bit-identical pipelines. *)
+    plan always yields the same optimized DAG, which is what lets
+    checkpoints resume onto bit-identical pipelines. *)
 
 val plan_cache_stats : unit -> int * int
 (** [(hits, misses)] of the {!optimize} cache, cumulative for the

@@ -1,74 +1,11 @@
 module Wdata = Wpinq_weighted.Wdata
 module Ops = Wpinq_weighted.Ops
 
-(* Every weight the engine keeps is an integer count of 2^-40 units, one
-   native int.  Integer sums are exact and order-free, so each cell holds
-   the exact sum of its current contributions whatever history of feeds,
-   commits and aborts produced it.  Floats appear only at the edges: the
-   public feed/read API, and the float math inside an operator, which
-   rounds each contribution to the grid once (DESIGN.md, "Speculative
-   evaluation & the undo log"). *)
-module Grid = struct
-  exception Overflow of string
-
-  let scale = 0x1p40
-  let ulp = 0x1p-40
-  let limit = 0x1p22
-
-  let out_of_range x =
-    raise (Overflow (Printf.sprintf "Dataflow.Grid: %h is outside the grid's range (+-2^22)" x))
-
-  (* Rounds half away from zero, as [Float.round] does, without its C call:
-     [y - trunc y] is exact.  [|x| < 2^22] bounds [|x * 2^40|] below 2^62,
-     so [Float.to_int] never sees an out-of-range float; NaN fails the
-     comparison too. *)
-  let[@inline] of_float x =
-    if Float.abs x < limit then begin
-      let y = x *. scale in
-      let i = Float.to_int y in
-      let f = y -. Float.of_int i in
-      if f >= 0.5 then i + 1 else if f <= -0.5 then i - 1 else i
-    end
-    else out_of_range x
-
-  let[@inline] to_float w = Float.of_int w *. ulp
-  let overflow () = raise (Overflow "Dataflow.Grid: sum outside the native int range")
-
-  (* [min_int] is refused too, so every stored value can be negated. *)
-  let[@inline] add a b =
-    let s = a + b in
-    if (a lxor s) land (b lxor s) < 0 || s = min_int then overflow () else s
-
-  let[@inline] sub a b = add a (-b)
-
-  (* A sum wider than one native int: [hi * 2^60 + lo] with [0 <= lo < 2^60]. *)
-  module Wide = struct
-    type t = { mutable hi : int; mutable lo : int }
-
-    let low_bits = 60
-    let low_mask = (1 lsl low_bits) - 1
-    let create () = { hi = 0; lo = 0 }
-
-    let[@inline] add t w =
-      let lo = t.lo + (w land low_mask) in
-      t.hi <- add t.hi ((w asr low_bits) + (lo lsr low_bits));
-      t.lo <- lo land low_mask
-
-    let equal a b = a.hi = b.hi && a.lo = b.lo
-    let copy t = { hi = t.hi; lo = t.lo }
-    let to_float t = ((Float.of_int t.hi *. 0x1p60) +. Float.of_int t.lo) *. ulp
-
-    let assign dst src =
-      dst.hi <- src.hi;
-      dst.lo <- src.lo
-
-    let restorer t =
-      let hi = t.hi and lo = t.lo in
-      fun () ->
-        t.hi <- hi;
-        t.lo <- lo
-  end
-end
+(* Every weight the engine keeps is a [Grid] int, so each cell holds the
+   exact sum of its current contributions whatever history of feeds,
+   commits and aborts produced it (DESIGN.md, "Exact accumulation on a
+   grid"). *)
+module Grid = Wpinq_weighted.Grid
 
 module Audit = struct
   type divergence = {
@@ -538,6 +475,12 @@ module Itbl = struct
   let to_list t =
     let rec go i acc = if i < 0 then acc else go (i - 1) ((t.ids.(i), t.ws.(i)) :: acc) in
     go (t.len - 1) []
+
+  let to_wdata t intern =
+    Wdata.build t.len (fun emit ->
+        for i = 0 to t.len - 1 do
+          emit (Intern.value intern t.ids.(i)) t.ws.(i)
+        done)
 end
 
 (* Registers the digest cell of a weight table over [intern]'s ids: the
@@ -596,26 +539,10 @@ let emit n xs ws len =
     done
   end
 
-(* Each entry is rounded to the grid before netting, so the net is exact.
-   The [Hashtbl] fold order fixes first-sight order downstream (DESIGN.md,
-   "Record interning"). *)
-let coalesce_grid d =
-  match d with
-  | [] -> []
-  | [ (x, w) ] ->
-      let g = Grid.of_float w in
-      if g = 0 then [] else [ (x, g) ]
-  | _ ->
-      let h = Hashtbl.create (List.length d) in
-      List.iter
-        (fun (x, w) ->
-          let g = Grid.of_float w in
-          match Hashtbl.find_opt h x with
-          | None -> Hashtbl.replace h x g
-          | Some g0 -> Hashtbl.replace h x (Grid.add g0 g))
-        d;
-      Hashtbl.fold (fun x g acc -> if g = 0 then acc else (x, g) :: acc) h []
-
+(* [Wdata]'s accumulation: each entry is rounded to the grid before
+   netting, so the net is exact.  Its table's fold order fixes first-sight
+   order downstream (DESIGN.md, "Record interning"). *)
+let coalesce_grid d = Wdata.to_grid_list (Wdata.of_list d)
 let coalesce d = List.map (fun (x, g) -> (x, Grid.to_float g)) (coalesce_grid d)
 let count_work (engine : Engine.t) len = engine.work <- engine.work + len
 
@@ -779,9 +706,7 @@ module Input = struct
           delta;
         emit t.node t.buf.Buf.xs t.buf.Buf.ws t.buf.Buf.len)
 
-  let current t =
-    Wdata.of_list
-      (List.map (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w)) (Itbl.to_list t.state))
+  let current t = Itbl.to_wdata t.state t.intern
 end
 
 let select f up =
@@ -823,13 +748,11 @@ let select_many f up =
       for i = 0 to len - 1 do
         let x = xs.(i) in
         let old = Itbl.bump state (Intern.intern intern x) ws.(i) in
-        let w = Grid.to_float (old + ws.(i)) and w0 = Grid.to_float old in
-        let ys = f x in
-        let n = Float.max 1.0 (List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 ys) in
+        let w = old + ws.(i) and ys = f x in
+        let n = Ops.produced_norm ys in
         List.iter
           (fun (y, wy) ->
-            Scratch.push scratch y
-              (Grid.sub (Grid.of_float (wy *. (w /. n))) (Grid.of_float (wy *. (w0 /. n)))))
+            Scratch.push scratch y (Grid.sub (Grid.scale_share wy w n) (Grid.scale_share wy old n)))
           ys
       done;
       Scratch.flush scratch out);
@@ -1149,13 +1072,10 @@ let join ~kl ~kr ~reduce a b =
     end
   in
   let gb = gbatch_create () in
-  (* One pair's output weight [wx * wy / d], rounded to the grid.  Every
-     emission is a difference of two such contributions recomputed from
-     state, never a float delta, so the output is the exact sum of the
-     current contributions. *)
-  let contribution wx wy d =
-    if wx = 0 then 0 else Grid.of_float (Grid.to_float wx *. Grid.to_float wy /. d)
-  in
+  (* One pair's output weight is [Grid.mul_div wx wy d].  Every emission
+     is a difference of two such contributions recomputed from state, never
+     a float delta, so the output is the exact sum of the current
+     contributions. *)
   (* Retire a batch arriving on one side.  [epair changed_rid other_rid w]
      orients the output pair correctly for whichever side changed.  Per
      key: net the batch per record, then take the fast path when the key's
@@ -1208,7 +1128,6 @@ let join ~kl ~kr ~reduce a b =
         (* Appendix B optimization: the normalizer is unchanged, so only
            pairs involving changed records move. *)
         engine.Engine.join_fast <- engine.Engine.join_fast + 1;
-        let d = Grid.to_float denom_old in
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
@@ -1222,7 +1141,7 @@ let join ~kl ~kr ~reduce a b =
                  for mi = 0 to op.mlen - 1 do
                    let ry = op.members.(mi) in
                    let wy = Itbl.get other.w ry in
-                   let c = Grid.sub (contribution w wy d) (contribution old wy d) in
+                   let c = Grid.sub (Grid.mul_div w wy denom_old) (Grid.mul_div old wy denom_old) in
                    if c <> 0 then epair rid ry c
                  done
              | None -> ()
@@ -1237,13 +1156,12 @@ let join ~kl ~kr ~reduce a b =
           if denom > 0 then
             match other_p with
             | Some op ->
-                let d = Grid.to_float denom in
                 for xi = 0 to mine_p.mlen - 1 do
                   let rx = mine_p.members.(xi) in
                   let wx = Itbl.get mine.w rx in
                   for yi = 0 to op.mlen - 1 do
                     let ry = op.members.(yi) in
-                    epair rx ry (sign * contribution wx (Itbl.get other.w ry) d)
+                    epair rx ry (sign * Grid.mul_div wx (Itbl.get other.w ry) denom)
                   done
                 done
             | None -> ()
@@ -1343,8 +1261,7 @@ let distinct ?(bound = 1.0) up =
   let state = Itbl.create engine in
   table_cell engine ~kind:"distinct" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create ~intern engine in
-  let bound = Grid.of_float bound in
-  let cap w = if w <= 0 then 0 else if w >= bound then bound else w in
+  let cap = Ops.capper bound in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
@@ -1452,7 +1369,7 @@ module Sink = struct
       (fun (id, w) -> (Intern.value t.intern id, Grid.to_float w))
       (Itbl.to_list t.state)
 
-  let current t = Wdata.of_list (to_list t)
+  let current t = Itbl.to_wdata t.state t.intern
 
   let on_delivery t f =
     t.deliveries_rev <- f :: t.deliveries_rev;

@@ -11,20 +11,17 @@
     (e.g. one edge swap) in time proportional to the records the change
     touches, instead of re-running the query from scratch.
 
-    Operator semantics match {!module:Wpinq_weighted.Ops}: after any
-    sequence of deltas, a {!Sink} below a pipeline holds the same weighted
-    dataset as the batch operators applied to the accumulated input, up to
-    one {!Grid} unit per contribution (this is property-tested).
-
     {2 Exact accumulation}
 
     Every weight the engine keeps is an integer on the {!Grid} (2{^-40}
     units, one native int), and every operator emits the difference of a
     record's new and old contribution, both recomputed from state and each
-    rounded to the grid once — never a float delta.  Integer sums are exact
-    and order-free, so every operator's state, and every sink, is a pure
-    function of the current input: whatever history of feeds, commits and
-    aborts led there, it is bit-equal to a fresh build over the same input.
+    rounded to the grid once with {!module:Wpinq_weighted.Ops}' formulas —
+    never a float delta.  Integer sums are exact and order-free, so every
+    operator's state, and every sink, is a pure function of the current
+    input: whatever history of feeds, commits and aborts led there, it is
+    bit-equal to a fresh build over the same input, and a {!Sink} holds
+    exactly what the batch operators compute from that input.
 
     Correctness does not depend on delta granularity, but performance does:
     all entries of one [feed] batch that share an operator key are processed
@@ -50,42 +47,8 @@
     build over the same input have equal state digests ({!Engine.digests});
     see DESIGN.md, "Defense in depth". *)
 
-(** Fixed-point weights. *)
-module Grid : sig
-  exception Overflow of string
-  (** Raised by {!of_float} on a value outside [±2{^22}] (or NaN), and by
-      {!add} on a sum outside the native int range.  Nothing wraps. *)
-
-  val limit : float
-  (** [2{^22}] (about 4.19M): every value, and every sum, must stay below
-      it in magnitude. *)
-
-  val of_float : float -> int
-  (** The nearest grid value: [round (x × 2{^40})]. *)
-
-  val to_float : int -> float
-  val add : int -> int -> int
-  val sub : int -> int -> int
-
-  (** An exact sum of grid values two native ints wide, for totals (a
-      target's distance) that can outgrow one int. *)
-  module Wide : sig
-    type t
-
-    val create : unit -> t
-    val add : t -> int -> unit
-    val equal : t -> t -> bool
-    val copy : t -> t
-    val to_float : t -> float
-
-    val assign : t -> t -> unit
-    (** [assign dst src] copies [src]'s value into [dst]. *)
-
-    val restorer : t -> unit -> unit
-    (** A closure that puts back the value [t] holds now — an undo-log
-        entry ({!Engine.log_undo}). *)
-  end
-end
+module Grid = Wpinq_weighted.Grid
+(** Fixed-point weights, shared with {!Wpinq_weighted.Wdata}. *)
 
 module Audit : sig
   type divergence = {
@@ -454,5 +417,6 @@ end
 
 val coalesce : 'a delta -> 'a delta
 (** Rounds each weight to the {!Grid}, combines duplicate records exactly
-    and drops entries that net to zero.  Exposed for tests and for callers
-    assembling composite deltas. *)
+    and drops entries that net to zero: {!Wpinq_weighted.Wdata.of_list}'s
+    accumulation.  Exposed for tests and for callers assembling composite
+    deltas. *)

@@ -91,8 +91,8 @@ type query_measurement =
   | Mjdd of (int * int) Measurement.t
 
 (* Measures several queries through one shared plan-lowering context: the
-   pipelines are reified over the shared source, *optimized* (exact rules —
-   uses preserved, so the budget debit per query still equals
+   pipelines are reified over the shared source, *optimized* (every rule
+   preserves uses, so the budget debit per query still equals
    [Plan.uses q × epsilon]; released values preserved bit for bit), and
    lowered into Batch where shared prefixes become shared lazy datasets
    (evaluated once).  Each root is aggregated separately. *)

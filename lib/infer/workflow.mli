@@ -74,7 +74,7 @@ val measure_queries :
 (** Measures several queries through one shared plan-lowering context
     ({!Wpinq_core.Batch.Plans}): the pipelines are reified over the
     workflow's shared plan source, optimized
-    ({!Wpinq_core.Plan.optimize}, exact rules — released values are
+    ({!Wpinq_core.Plan.optimize}: released values are
     bit-identical to the unoptimized plans'), and lowered so that shared
     pipeline prefixes evaluate once.  Each query's aggregation still
     debits its own [{!Wpinq_core.Plan.uses} × epsilon] from the source

@@ -12,8 +12,15 @@
 
     These implementations compute whole outputs from whole inputs.  They are
     the executable specification against which the incremental engine
-    ({!module:Wpinq_dataflow}) is property-tested, and they are used directly
-    wherever a query is evaluated only once. *)
+    ({!module:Wpinq_dataflow}) is tested, and they are used directly
+    wherever a query is evaluated only once.
+
+    Weights are {!Grid} ints.  {!select_many}, {!join}, {!group_by} and
+    {!shave} round each contribution to the grid once, with the engine's
+    formulas ({!Grid.mul_div}, {!Grid.scale_share} and the helpers below),
+    so the engine's sinks hold the same ints;
+    the other operators only move ints.  Rounding adds at most one grid
+    unit (2{^-40}) per differing contribution to a stability bound. *)
 
 val select : ('a -> 'b) -> 'a Wdata.t -> 'b Wdata.t
 (** [select f a] maps every record through [f], accumulating the weights of
@@ -90,15 +97,23 @@ val shave_const : float -> 'a Wdata.t -> ('a * int) Wdata.t
 
 (** {1 Semantics helpers}
 
-    Pure per-part/per-record emission rules, shared with the incremental
-    engine and exercised directly by tests. *)
+    Per-record emission rules, shared with the incremental engine; [q]
+    rounds to the grid. *)
+
+val produced_norm : ('b * float) list -> float
+(** SelectMany's divisor [n = max 1 ‖f x‖] for the records [f x]. *)
+
+val capper : float -> int -> int
+(** Distinct's cap of a grid weight into [[0, q(bound)]]. *)
 
 val group_emissions : ('a * float) list -> ('a list * float) list
 (** [group_emissions part] lists the prefix emissions of one GroupBy part:
     members ordered by non-increasing weight (ties broken by record order),
-    each prefix paired with half the weight drop at its boundary.  Only
+    each prefix paired with half the weight drop at its boundary; an
+    emission of at most [1e-12] (about one grid unit) is dropped.  Only
     positive-weight input records belong in [part]. *)
 
 val shave_emissions : float Seq.t -> float -> (int * float) list
 (** [shave_emissions seq w] lists the [(index, weight)] slabs Shave emits
-    for a single record of weight [w]. *)
+    for a single record of weight [w], stopping once at most [1e-12] is
+    left. *)

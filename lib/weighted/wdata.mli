@@ -7,6 +7,13 @@
     [‖A − B‖ = Σ_x |A x − B x|], and differential privacy for weighted
     datasets is defined with respect to that distance (Definition 1).
 
+    Weights are kept on the {!Grid}: every float weight given to a
+    constructor is rounded to the nearest multiple of 2{^-40} once, and
+    every sum is an exact integer sum, so a record's weight does not depend
+    on the order its contributions arrive in.  A weight, or a sum, outside
+    [±2{^22}] raises {!Grid.Overflow}.  A weight that nets to exactly zero
+    leaves the support; any other weight, however small, stays.
+
     Values of this type are immutable: every operation returns a fresh
     dataset.  Records are compared with structural equality and hashed with
     the polymorphic hash, so any immutable OCaml value (ints, strings,
@@ -15,31 +22,19 @@
 type 'a t
 (** An immutable weighted dataset with records of type ['a]. *)
 
-val epsilon_weight : float
-(** Weights with absolute value below this threshold are treated as zero and
-    dropped from the support.  Keeps floating-point dust from accumulating
-    through long operator pipelines. *)
-
 val empty : unit -> 'a t
 (** [empty ()] is the dataset with empty support. *)
 
 val singleton : 'a -> float -> 'a t
-(** [singleton x w] is the dataset [{x ↦ w}] (empty if [w] is ~0). *)
+(** [singleton x w] is the dataset [{x ↦ w}] (empty if [w] rounds to 0). *)
 
 val of_list : ('a * float) list -> 'a t
 (** [of_list assoc] accumulates the weights of duplicate records, as wPINQ
-    does implicitly everywhere: [(x, 1.); (x, 0.5)] yields [x ↦ 1.5].  A
-    record's weights are summed in ascending order, a partial sum below
-    {!epsilon_weight} dropping to zero, so its weight is a function of the
-    multiset of its emissions, bit for bit. *)
+    does implicitly everywhere: [(x, 1.); (x, 0.5)] yields [x ↦ 1.5]. *)
 
 val of_records : 'a list -> 'a t
 (** [of_records xs] gives each listed occurrence weight [1.0] (so duplicates
     accumulate), matching the encoding of an input multiset. *)
-
-val build : int -> (('a -> float -> unit) -> unit) -> 'a t
-(** [build size produce] accumulates, as {!of_list} does, every [emit x w]
-    that [produce emit] makes; [size] hints at the support size. *)
 
 val to_list : 'a t -> ('a * float) list
 (** The support with its weights, in unspecified order (as for {!fold} and
@@ -76,13 +71,15 @@ val update : 'a t -> ('a * float) list -> 'a t
     analogue of feeding a delta to the incremental engine. *)
 
 val scale : float -> 'a t -> 'a t
-(** [scale c a] multiplies every weight by [c]. *)
+(** [scale c a] multiplies every weight by [c], rounding each product. *)
 
 val map_weights : ('a -> float -> float) -> 'a t -> 'a t
-(** [map_weights f a] replaces each weight [w] of record [x] by [f x w]. *)
+(** [map_weights f a] replaces each weight [w] of record [x] by [f x w],
+    rounded. *)
 
 val merge : (float -> float -> float) -> 'a t -> 'a t -> 'a t
-(** [merge f a b] maps each record [x] of either support to [f (A x) (B x)]. *)
+(** [merge f a b] maps each record [x] of either support to [f (A x) (B x)],
+    rounded. *)
 
 val filter : ('a -> float -> bool) -> 'a t -> 'a t
 (** Keeps the records (with their weights) satisfying the predicate. *)
@@ -95,3 +92,22 @@ val equal : ?tol:float -> 'a t -> 'a t -> bool
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 (** [pp pp_record fmt a] prints [{(x, w); ...}] sorted by record. *)
+
+(** {1 Grid weights}
+
+    The interface the batch operators ({!Ops}) and the incremental engine
+    work through, so neither rounds a weight it only moves. *)
+
+val build : int -> (('a -> int -> unit) -> unit) -> 'a t
+(** [build size produce] sums every [emit x w] that [produce emit] makes
+    and drops the records that net to zero; [size] hints at the support
+    size.  Every constructor goes through it. *)
+
+val to_grid_list : 'a t -> ('a * int) list
+(** In the order of {!to_list}: for [build], the table's fold order, a
+    function of the size hint and of the order records were first
+    emitted in. *)
+
+val iter_grid : ('a -> int -> unit) -> 'a t -> unit
+val map_grid : ('a -> int -> int) -> 'a t -> 'a t
+val merge_grid : (int -> int -> int) -> 'a t -> 'a t -> 'a t

@@ -121,6 +121,21 @@ let test_unsafe_value () =
   (* Reading the exact value spends nothing (it is explicitly unsafe). *)
   check_close "no charge" 0.0 (Budget.spent b)
 
+(* User data outside the grid's range (±2^22) is refused with the typed
+   [Grid.Overflow], never released: a source weight that large, and a
+   select whose in-range records sum past it. *)
+let test_batch_range () =
+  let refused name c =
+    match Batch.noisy_count ~rng:(Prng.create 4) ~epsilon:0.5 c with
+    | exception Wpinq_weighted.Grid.Overflow _ -> ()
+    | _ -> Alcotest.failf "%s: released a count" name
+  in
+  let b = Budget.create ~name:"d" 1e9 in
+  refused "source weight 2^22" (Batch.source ~budget:b [ (1, 1.0); (2, 0x1p22) ]);
+  let rows = [ (1, 0x1.8p21); (2, 0x1.8p21); (3, 1.0) ] in
+  ignore (Batch.noisy_count ~rng:(Prng.create 4) ~epsilon:0.5 (Batch.source ~budget:b rows));
+  refused "select summing past 2^22" (Batch.select (fun _ -> ()) (Batch.source ~budget:b rows))
+
 let test_partition_contents () =
   let b = Budget.create ~name:"d" 10.0 in
   let c = Batch.source ~budget:b [ (1, 1.0); (2, 2.0); (3, 3.0); (4, 4.0) ] in
@@ -184,7 +199,7 @@ let test_batch_flow_agree () =
   let sink = Dataflow.Sink.attach (Flow.node (Qf.run edges)) in
   Flow.feed handle data;
   let pp fmt (a, b, d) = Format.fprintf fmt "(%d,%d,%d)" a b d in
-  check_wdata ~tol:1e-6 pp "batch = flow" batch_result (Dataflow.Sink.current sink)
+  check_wdata ~tol:0.0 pp "batch = flow" batch_result (Dataflow.Sink.current sink)
 
 (* Target scoring: with negligible noise, distance tracks the true L1 gap. *)
 let test_target_distance () =
@@ -296,13 +311,14 @@ let test_noisy_average () =
   check_close "full epsilon charged" 1e6 (Budget.spent b)
 
 let test_mechanisms_ignore_row_order () =
-  (* Weights spanning sixty binades, with repeated records, so that any
-     regrouping of the weighted sum or the total moves low bits: the released
-     values must be a function of the source multiset, not its row order. *)
+  (* Weights spanning forty-eight binades (2^-31 to 2^18, inside the
+     grid's range), with repeated records, so that any regrouping of the weighted sum or the
+     total moves low bits: the released values must be a function of the
+     source multiset, not its row order. *)
   let rng = Prng.create 31 in
   let rows =
     Array.init 600 (fun _ ->
-        (Prng.int rng 400, Float.ldexp (0.5 +. Prng.uniform rng) (Prng.int rng 60 - 30)))
+        (Prng.int rng 400, Float.ldexp (0.5 +. Prng.uniform rng) (Prng.int rng 48 - 30)))
   in
   let release rows =
     let b = Budget.create ~name:"d" 1e9 in
@@ -505,6 +521,7 @@ let suite =
     Alcotest.test_case "measurement memoization" `Quick test_measurement_memoization;
     Alcotest.test_case "unsafe_value" `Quick test_unsafe_value;
     Alcotest.test_case "batch = flow on composite query" `Quick test_batch_flow_agree;
+    Alcotest.test_case "batch refuses out-of-range weights" `Quick test_batch_range;
     Alcotest.test_case "partition contents" `Quick test_partition_contents;
     Alcotest.test_case "parallel composition" `Quick test_parallel_composition;
     Alcotest.test_case "parallel child allocation cap" `Quick test_parallel_child_allocation;

@@ -20,7 +20,7 @@ let agrees_throughout ~build ~batch deltas =
     (fun delta ->
       Dataflow.Input.feed input delta;
       let expected = batch (Dataflow.Input.current input) in
-      Wdata.equal ~tol:1e-6 expected (Dataflow.Sink.current sink))
+      Wdata.equal ~tol:0.0 expected (Dataflow.Sink.current sink))
     deltas
 
 let incr_matches_batch name ~build ~batch =
@@ -103,14 +103,14 @@ let two_input_matches name ~build ~batch =
            | x :: xs, ys_all ->
                Dataflow.Input.feed ia x;
                let ok =
-                 Wdata.equal ~tol:1e-6
+                 Wdata.equal ~tol:0.0
                    (batch (Dataflow.Input.current ia) (Dataflow.Input.current ib))
                    (Dataflow.Sink.current sink)
                in
                ok && interleave_b xs ys_all
            | [], y :: ys ->
                Dataflow.Input.feed ib y;
-               Wdata.equal ~tol:1e-6
+               Wdata.equal ~tol:0.0
                  (batch (Dataflow.Input.current ia) (Dataflow.Input.current ib))
                  (Dataflow.Sink.current sink)
                && interleave [] ys
@@ -119,7 +119,7 @@ let two_input_matches name ~build ~batch =
            | [] -> interleave xs []
            | y :: ys ->
                Dataflow.Input.feed ib y;
-               Wdata.equal ~tol:1e-6
+               Wdata.equal ~tol:0.0
                  (batch (Dataflow.Input.current ia) (Dataflow.Input.current ib))
                  (Dataflow.Sink.current sink)
                && interleave xs ys
@@ -175,7 +175,7 @@ let test_join_empty_key_delta () =
      included.  The old code folded sub-threshold norm residue into
      [mine.norm] both inside the full-rescale branch and again in a
      trailing dust guard, so a drained key could be left with phantom norm
-     above [epsilon_weight], surviving the drop check and mis-steering the
+     above the dust threshold, surviving the drop check and mis-steering the
      key's next delta onto the fast path against an empty normalizer.
      Norm is now folded exactly once per branch (see dataflow.mli). *)
   let engine = Dataflow.Engine.create () in

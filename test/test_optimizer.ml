@@ -1,7 +1,7 @@
 (* The optimizer's contract, property-tested: over random well-typed
    plans, rewriting preserves the privacy bookkeeping ({!Plan.uses} and
-   {!Plan.source_uses}) exactly, is idempotent, and — under the exact
-   rule set — preserves released measurement values bit for bit.  Plus
+   {!Plan.source_uses}) exactly, is idempotent, and preserves released
+   measurement values bit for bit.  Plus
    hand-built instances of each rule, the cost guard that refuses to
    split shared subtrees, the canonical plan cache, and the end-to-end
    shared-fit equivalence of optimized vs unoptimized pipelines. *)
@@ -153,34 +153,22 @@ let release p =
 
 let bits obs = List.map (fun (x, v) -> (x, Int64.bits_of_float v)) obs
 
-let close obs obs' =
-  List.length obs = List.length obs'
-  && List.for_all2
-       (fun (x, v) (x', v') -> x = x' && Float.abs (v -. v') < 1e-6 *. (1.0 +. Float.abs v))
-       obs obs'
-
 let property_suite =
   [
     prop "hash-consing: building twice yields the same node" (fun d ->
         let src : (int * int) Plan.t = Plan.source () in
         Plan.id (build src d) = Plan.id (build src d));
-    prop "optimize preserves uses and source_uses (exact rules)" (fun d ->
+    prop "optimize preserves uses and source_uses" (fun d ->
         let src : (int * int) Plan.t = Plan.source () in
         let p = build src d in
         let o = Plan.optimize p in
-        Plan.uses o = Plan.uses p
-        && List.sort compare (Plan.source_uses o) = List.sort compare (Plan.source_uses p));
-    prop "optimize preserves uses and source_uses (all rules)" (fun d ->
-        let src : (int * int) Plan.t = Plan.source () in
-        let p = build src d in
-        let o = Plan.optimize ~rules:Plan.all_rules p in
         Plan.uses o = Plan.uses p
         && List.sort compare (Plan.source_uses o) = List.sort compare (Plan.source_uses p));
     prop "optimize is idempotent" (fun d ->
         let src : (int * int) Plan.t = Plan.source () in
         let o = Plan.optimize (build src d) in
         Plan.id (Plan.optimize o) = Plan.id o);
-    prop ~count:80 "exact rules preserve released bits" (fun d ->
+    prop ~count:80 "optimize preserves released bits" (fun d ->
         bits (release d)
         = bits
             (let src : (int * int) Plan.t = Plan.source ~name:"xs" () in
@@ -191,17 +179,6 @@ let property_suite =
                  (Batch.Plans.lower ctx (Plan.optimize (build src d)))
              in
              List.sort compare (M.observed m)));
-    prop ~count:80 "all rules preserve released values to tolerance" (fun d ->
-        close (release d)
-          (let src : (int * int) Plan.t = Plan.source ~name:"xs" () in
-           let ctx = Batch.Plans.create () in
-           Batch.Plans.bind ctx src (Batch.public records);
-           let m =
-             Batch.noisy_count ~rng:(Prng.create 5) ~epsilon:1.0
-               (Batch.Plans.lower ctx
-                  (Plan.optimize ~rules:Plan.all_rules (build src d)))
-           in
-           List.sort compare (M.observed m)));
   ]
 
 (* ---------- each rule, on a hand-built instance ---------- *)
@@ -230,12 +207,12 @@ let test_fuse_distinct () =
   Alcotest.(check string) "root stays distinct" "distinct" (Plan.operator o);
   Alcotest.(check int) "two bounds became one" 2 (Plan.size o)
 
-let test_fuse_select_opt_in () =
+let test_fuse_select () =
   let s = src () in
   let p = Plan.select selects.(0) (Plan.select selects.(1) s) in
-  Alcotest.(check int) "exact rules keep both stages" 3 (Plan.size (Plan.optimize p));
-  Alcotest.(check int) "all rules fuse them" 2
-    (Plan.size (Plan.optimize ~rules:Plan.all_rules p))
+  let o = Plan.optimize p in
+  Alcotest.(check string) "root stays a projection" "select" (Plan.operator o);
+  Alcotest.(check int) "two projections became one" 2 (Plan.size o)
 
 let test_reorder_join () =
   let s = src () in
@@ -405,7 +382,7 @@ let suite =
       Alcotest.test_case "rule: push where below select" `Quick
         test_push_where_below_select;
       Alcotest.test_case "rule: fuse distinct" `Quick test_fuse_distinct;
-      Alcotest.test_case "rule: select fusion is opt-in" `Quick test_fuse_select_opt_in;
+      Alcotest.test_case "rule: fuse select" `Quick test_fuse_select;
       Alcotest.test_case "rule: reorder join" `Quick test_reorder_join;
       Alcotest.test_case "cost guard: shared subtrees survive" `Quick
         test_cost_guard_on_shared_subtree;

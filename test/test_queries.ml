@@ -306,16 +306,72 @@ let test_batch_flow_agreement () =
   let pp3 fmt (x, y, z) = Format.fprintf fmt "(%d,%d,%d)" x y z in
   let pp4 fmt (w, x, y, z) = Format.fprintf fmt "(%d,%d,%d,%d)" w x y z in
   let pp2 fmt (x, y) = Format.fprintf fmt "(%d,%d)" x y in
-  check_wdata ~tol:1e-6 pp3 "tbd batch=flow" (eval (Qb.tbd bsym)) (Dataflow.Sink.current s_tbd);
-  check_wdata ~tol:1e-6 pp4 "sbd batch=flow" (eval (Qb.sbd bsym)) (Dataflow.Sink.current s_sbd);
-  check_wdata ~tol:1e-6 Fmt.nop "tbi batch=flow" (eval (Qb.tbi bsym)) (Dataflow.Sink.current s_tbi);
-  check_wdata ~tol:1e-6 pp2 "jdd batch=flow" (eval (Qb.jdd bsym)) (Dataflow.Sink.current s_jdd);
-  check_wdata ~tol:1e-6 pp_int "degseq batch=flow" (eval (Qb.degree_sequence bsym))
+  check_wdata ~tol:0.0 pp3 "tbd batch=flow" (eval (Qb.tbd bsym)) (Dataflow.Sink.current s_tbd);
+  check_wdata ~tol:0.0 pp4 "sbd batch=flow" (eval (Qb.sbd bsym)) (Dataflow.Sink.current s_sbd);
+  check_wdata ~tol:0.0 Fmt.nop "tbi batch=flow" (eval (Qb.tbi bsym)) (Dataflow.Sink.current s_tbi);
+  check_wdata ~tol:0.0 pp2 "jdd batch=flow" (eval (Qb.jdd bsym)) (Dataflow.Sink.current s_jdd);
+  check_wdata ~tol:0.0 pp_int "degseq batch=flow" (eval (Qb.degree_sequence bsym))
     (Dataflow.Sink.current s_seq);
-  check_wdata ~tol:1e-6 Fmt.nop "sbi batch=flow" (eval (Qb.sbi bsym))
+  check_wdata ~tol:0.0 Fmt.nop "sbi batch=flow" (eval (Qb.sbi bsym))
     (Dataflow.Sink.current s_sbi);
-  check_wdata ~tol:1e-6 pp_int "hist batch=flow" (eval (Qb.degree_histogram bsym))
+  check_wdata ~tol:0.0 pp_int "hist batch=flow" (eval (Qb.degree_histogram bsym))
     (Dataflow.Sink.current s_hist)
+
+(* Every shipped query, lowered from its optimized plan into one engine as
+   a fit lowers it, after a seeded swap walk whose moves are committed or
+   aborted at random: each sink holds exactly what Batch computes from the
+   unoptimized query on the walked graph — same support, same grid ints
+   (so the same float bits). *)
+module Plan = Wpinq_core.Plan
+module Qp = Queries.Make (Plan)
+
+let test_flow_equals_batch_after_walk () =
+  let g = clustered_graph 5 in
+  let engine = Dataflow.Engine.create () in
+  let handle, fsym = Flow.input engine in
+  let src : (int * int) Plan.t = Plan.source ~name:"sym" () in
+  let ctx = Flow.Plans.create engine in
+  Flow.Plans.bind ctx src fsym;
+  let sink p = Dataflow.Sink.attach (Flow.node (Flow.Plans.lower ctx (Plan.optimize p))) in
+  let ccdf = sink (Qp.degree_ccdf src) and seq = sink (Qp.degree_sequence src) in
+  let nodes = sink (Qp.node_count src) and tbd1 = sink (Qp.tbd ~bucket:1 src) in
+  let tbd20 = sink (Qp.tbd ~bucket:20 src) and tbi = sink (Qp.tbi src) in
+  let sbi = sink (Qp.sbi src) and jdd = sink (Qp.jdd src) in
+  Flow.feed handle (List.map (fun e -> (e, 1.0)) (Graph.directed_edges g));
+  let mg = Graph.Mutable.of_graph g and rng = Prng.create 41 in
+  let commits = ref 0 and aborts = ref 0 in
+  for _ = 1 to 150 do
+    match Graph.Mutable.propose_swap mg rng with
+    | None -> ()
+    | Some s ->
+        Dataflow.Engine.begin_speculation engine;
+        Flow.feed handle (Graph.Mutable.delta s);
+        if Prng.int rng 2 = 0 then begin
+          Dataflow.Engine.commit engine;
+          Graph.Mutable.apply mg s;
+          incr commits
+        end
+        else begin
+          Dataflow.Engine.abort engine;
+          incr aborts
+        end
+  done;
+  Alcotest.(check bool) "walk committed and aborted" true (!commits > 0 && !aborts > 0);
+  let _, bsym = sym_source (Graph.Mutable.to_graph mg) in
+  let same name batch sink =
+    let sorted d = List.sort compare (Wdata.to_grid_list d) in
+    let expected = sorted (eval batch) and got = sorted (Dataflow.Sink.current sink) in
+    Alcotest.(check int) (name ^ ": support") (List.length expected) (List.length got);
+    Alcotest.(check bool) (name ^ ": bit for bit") true (expected = got)
+  in
+  same "degree_ccdf" (Qb.degree_ccdf bsym) ccdf;
+  same "degree_sequence" (Qb.degree_sequence bsym) seq;
+  same "node_count" (Qb.node_count bsym) nodes;
+  same "tbd 1" (Qb.tbd ~bucket:1 bsym) tbd1;
+  same "tbd 20" (Qb.tbd ~bucket:20 bsym) tbd20;
+  same "tbi" (Qb.tbi bsym) tbi;
+  same "sbi" (Qb.sbi bsym) sbi;
+  same "jdd" (Qb.jdd bsym) jdd
 
 (* Incremental maintenance under edge swaps stays exact. *)
 let test_flow_queries_under_swaps () =
@@ -385,4 +441,6 @@ let suite =
     Alcotest.test_case "sbi lattice vs random" `Quick test_sbi_separates_lattice_from_random;
     Alcotest.test_case "batch = flow on all queries" `Quick test_batch_flow_agreement;
     Alcotest.test_case "flow queries track swaps" `Quick test_flow_queries_under_swaps;
+    Alcotest.test_case "flow = batch bit for bit after a walk" `Quick
+      test_flow_equals_batch_after_walk;
   ]

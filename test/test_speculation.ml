@@ -63,7 +63,7 @@ let spec_roundtrip name ~build ~batch =
              Dataflow.Input.feed input delta;
              Dataflow.Engine.commit engine;
              restored
-             && Wdata.equal ~tol:1e-6
+             && Wdata.equal ~tol:0.0
                   (batch (Dataflow.Input.current input))
                   (Dataflow.Sink.current sink))
            deltas))

@@ -17,10 +17,22 @@ let test_basics () =
   check_close "dist A B" (2.25 +. 2.0 +. 1.0 +. 2.0) (Wdata.dist a (ex_b ()));
   Alcotest.(check int) "support" 3 (Wdata.support_size a)
 
+(* Weights are rounded to the 2^-40 grid and summed exactly: a record that
+   nets to exactly zero there leaves the support (0.1 + 0.2 - 0.3 does,
+   though it is 5.6e-17 in floats), and any other weight stays, one grid
+   unit included. *)
 let test_of_list_accumulates () =
-  let d = Wdata.of_list [ (1, 1.0); (1, 0.5); (2, -0.25); (2, 0.25) ] in
+  let unit = 0x1p-40 in
+  let d =
+    Wdata.of_list
+      [ (1, 1.0); (1, 0.5); (2, -0.25); (2, 0.25); (3, 0.1); (3, 0.2); (3, -0.3); (4, unit);
+        (5, 1.0); (5, unit -. 1.0) ]
+  in
   check_close "accumulated" 1.5 (Wdata.weight d 1);
-  Alcotest.(check int) "cancelled record dropped" 1 (Wdata.support_size d)
+  Alcotest.(check (list int)) "cancelled records dropped" [ 1; 4; 5 ]
+    (List.map fst (Wdata.to_sorted_list d));
+  Alcotest.(check (float 0.0)) "one grid unit stays" unit (Wdata.weight d 4);
+  Alcotest.(check (float 0.0)) "one grid unit left over" unit (Wdata.weight d 5)
 
 let test_update_and_add () =
   let d = Wdata.of_list [ (1, 1.0) ] in
@@ -221,28 +233,24 @@ let stability_suite =
 
 (* ---- Differential: the accumulator against the sort-then-add oracle ---- *)
 
-(* The reference accumulation: sort the emissions by (record, weight), then
-   add them in that order, a sum that falls below [epsilon_weight] removing
-   its record until the next weight.  Returns the support sorted by record,
-   with weight bits. *)
+module Grid = Wpinq_weighted.Grid
+
+(* The reference accumulation: sort the grid emissions by record, add each
+   record's as ints, drop the records that net to zero.  Returns the
+   support sorted by record, with its grid weights. *)
 let oracle emissions =
   let h = Hashtbl.create 8 in
   List.iter
-    (fun (x, w) ->
-      match Hashtbl.find_opt h x with
-      | None -> if Float.abs w >= Wdata.epsilon_weight then Hashtbl.replace h x w
-      | Some w0 ->
-          let w' = w0 +. w in
-          if Float.abs w' < Wdata.epsilon_weight then Hashtbl.remove h x
-          else Hashtbl.replace h x w')
+    (fun (x, w) -> Hashtbl.replace h x (w + Option.value ~default:0 (Hashtbl.find_opt h x)))
     (List.sort compare emissions);
-  List.sort compare (Hashtbl.fold (fun x w acc -> (x, Int64.bits_of_float w) :: acc) h [])
+  List.sort compare (Hashtbl.fold (fun x w acc -> if w = 0 then acc else (x, w) :: acc) h [])
 
-let bits d = List.map (fun (x, w) -> (x, Int64.bits_of_float w)) (Wdata.to_sorted_list d)
+let bits d = List.sort compare (Wdata.to_grid_list d)
+let rounded l = List.map (fun (x, w) -> (x, Grid.of_float w)) l
 
-(* Weights that stress the summation order: both sides of ±epsilon_weight,
-   signed zeros, and mixed magnitudes whose partial sums cancel mid-fold
-   (0.1 + 0.2 − 0.3, 1e16 + 1 − 1e16). *)
+(* Weights that stress the summation order: one or two grid units, signed
+   zeros, and mixed magnitudes whose partial sums cancel mid-fold
+   (0.1 + 0.2 − 0.3, 1e5 + 1 − 1e5). *)
 let weight_gen =
   QCheck.Gen.(
     oneof
@@ -251,7 +259,7 @@ let weight_gen =
         oneofl
           [
             0.0; -0.0; 1e-12; -1e-12; 5e-13; -5e-13; 1.5e-12; -1.5e-12; 0.1; 0.2; -0.3; 1.0;
-            -1.0; 1e16; -1e16; 3.0;
+            -1.0; 1e5; -1e5; 3.0;
           ];
       ])
 
@@ -262,77 +270,83 @@ let emissions_arb records =
     ~print:(fun l -> String.concat "; " (List.map (fun (x, w) -> Printf.sprintf "(%d, %h)" x w) l))
     QCheck.Gen.(list_size (int_range 0 40) (pair (int_range 0 (records - 1)) weight_gen))
 
+(* Any order and any grouping of the same emissions builds the same
+   dataset: reversed, and folded in as two [update]s. *)
 let test_of_list_matches_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:2000 ~name:"of_list = sort-then-add oracle, bit for bit"
-       (emissions_arb 6) (fun l -> bits (Wdata.of_list l) = oracle l))
+       (emissions_arb 6) (fun l ->
+         let reference = oracle (rounded l) and half = List.length l / 2 in
+         let l1 = List.filteri (fun i _ -> i < half) l
+         and l2 = List.filteri (fun i _ -> i >= half) l in
+         bits (Wdata.of_list l) = reference
+         && bits (Wdata.of_list (List.rev l)) = reference
+         && bits (Wdata.update (Wdata.of_list l2) l1) = reference))
 
-(* Reference emissions of each operator, as the operator emitted them into
-   the sort-based accumulator; [oracle] of these is the reference output. *)
-let ref_select f a = Wdata.fold (fun x w acc -> (f x, w) :: acc) a []
+(* Reference grid emissions of each operator; [oracle] of these is the
+   reference output.  Inputs are read as grid ints: a weight above 2^13 has
+   more significant bits than a float holds. *)
+let grid a = Wdata.to_grid_list a
+let fl = Grid.to_float
+let ref_select f a = List.map (fun (x, w) -> (f x, w)) (grid a)
 
 let ref_select_many f a =
-  Wdata.fold
-    (fun x w acc ->
+  List.concat_map
+    (fun (x, w) ->
       let produced = f x in
       let n = List.fold_left (fun acc (_, wy) -> acc +. Float.abs wy) 0.0 produced in
-      let scale = w /. Float.max 1.0 n in
-      List.fold_left (fun acc (y, wy) -> (y, wy *. scale) :: acc) acc produced)
-    a []
+      let scale = fl w /. Float.max 1.0 n in
+      List.map (fun (y, wy) -> (y, Grid.of_float (wy *. scale))) produced)
+    (grid a)
+
+let parts key a =
+  let parts = Hashtbl.create 16 in
+  List.iter
+    (fun (x, w) ->
+      Hashtbl.replace parts (key x) ((x, w) :: Option.value ~default:[] (Hashtbl.find_opt parts (key x))))
+    (grid a);
+  Hashtbl.fold (fun k part acc -> (k, part) :: acc) parts []
 
 let ref_group_by ~key ~reduce a =
-  let parts = Hashtbl.create 16 in
-  Wdata.iter
-    (fun x w ->
-      if w > 0.0 then
-        Hashtbl.replace parts (key x)
-          ((x, w) :: Option.value ~default:[] (Hashtbl.find_opt parts (key x))))
-    a;
-  Hashtbl.fold
-    (fun k part acc ->
-      List.fold_left
-        (fun acc (members, w) -> ((k, reduce members), w) :: acc)
-        acc (Ops.group_emissions part))
-    parts []
+  List.concat_map
+    (fun (k, part) ->
+      let part = List.filter_map (fun (x, w) -> if w > 0 then Some (x, fl w) else None) part in
+      List.map
+        (fun (members, w) -> ((k, reduce members), Grid.of_float w))
+        (Ops.group_emissions part))
+    (parts key a)
 
 let ref_merge f a b =
-  Wdata.fold (fun x wa acc -> (x, f wa (Wdata.weight b x)) :: acc) a []
-  @ Wdata.fold (fun x wb acc -> if Wdata.mem a x then acc else (x, f 0.0 wb) :: acc) b []
+  let g d x = Option.value ~default:0 (List.assoc_opt x (grid d)) in
+  List.map (fun (x, wa) -> (x, f wa (g b x))) (grid a)
+  @ List.filter_map (fun (x, wb) -> if Wdata.mem a x then None else Some (x, f 0 wb)) (grid b)
 
 let ref_join ~kl ~kr ~reduce a b =
-  let index key d =
-    let parts = Hashtbl.create 16 in
-    Wdata.iter
-      (fun x w ->
-        Hashtbl.replace parts (key x)
-          ((x, w) :: Option.value ~default:[] (Hashtbl.find_opt parts (key x))))
-      d;
-    Hashtbl.fold
-      (fun k part acc ->
-        let part = List.sort compare part in
-        (k, (List.fold_left (fun acc (_, w) -> acc +. Float.abs w) 0.0 part, part)) :: acc)
-      parts []
-  in
-  let pb = index kr b in
+  let norm part = List.fold_left (fun acc (_, w) -> acc + abs w) 0 part in
+  let pb = parts kr b in
   List.concat_map
-    (fun (k, (na, xs)) ->
+    (fun (k, xs) ->
       match List.assoc_opt k pb with
       | None -> []
-      | Some (nb, ys) ->
-          let denom = na +. nb in
-          if denom > Wdata.epsilon_weight then
+      | Some ys ->
+          let denom = norm xs + norm ys in
+          if denom > 0 then
             List.concat_map
-              (fun (x, wx) -> List.map (fun (y, wy) -> (reduce x y, wx *. wy /. denom)) ys)
+              (fun (x, wx) ->
+                List.map
+                  (fun (y, wy) -> (reduce x y, Grid.of_float (fl wx *. fl wy /. fl denom)))
+                  ys)
               xs
           else [])
-    (index kl a)
+    (parts kl a)
 
 let ref_shave f a =
-  Wdata.fold
-    (fun x w acc ->
-      if w > 0.0 then List.map (fun (i, wi) -> ((x, i), wi)) (Ops.shave_emissions (f x) w) @ acc
-      else acc)
-    a []
+  List.concat_map
+    (fun (x, w) ->
+      if w > 0 then
+        List.map (fun (i, wi) -> ((x, i), Grid.of_float wi)) (Ops.shave_emissions (f x) (fl w))
+      else [])
+    (grid a)
 
 (* Inputs span 16 records, and the operators below fold them onto fewer, so
    output records collect enough emissions for the summation order to show. *)
@@ -353,23 +367,25 @@ let differential_suite =
         ref_select (fun x -> x mod 3) a);
     differential "where"
       (fun a _ -> Ops.where (fun x -> x mod 2 = 0) a)
-      (fun a _ -> List.filter (fun (x, _) -> x mod 2 = 0) (Wdata.to_list a));
+      (fun a _ -> List.filter (fun (x, _) -> x mod 2 = 0) (grid a));
     differential "select_many" (fun a _ -> Ops.select_many produce a) (fun a _ ->
         ref_select_many produce a);
     differential "group_by"
       (fun a _ -> Ops.group_by ~key:(fun x -> x mod 2) ~reduce:sum_mod3 a)
       (fun a _ -> ref_group_by ~key:(fun x -> x mod 2) ~reduce:sum_mod3 a);
-    differential "union" Ops.union (ref_merge Float.max);
-    differential "intersect" Ops.intersect (ref_merge Float.min);
-    differential "concat" Ops.concat (ref_merge ( +. ));
-    differential "except" Ops.except (ref_merge ( -. ));
+    differential "union" Ops.union (ref_merge Int.max);
+    differential "intersect" Ops.intersect (ref_merge Int.min);
+    differential "concat" Ops.concat (ref_merge ( + ));
+    differential "except" Ops.except (ref_merge ( - ));
     differential "join"
       (Ops.join ~kl:(fun x -> x mod 2) ~kr:(fun y -> y mod 3) ~reduce:(fun x y -> (x + y) mod 4))
       (ref_join ~kl:(fun x -> x mod 2) ~kr:(fun y -> y mod 3) ~reduce:(fun x y -> (x + y) mod 4));
     differential "shave" (fun a _ -> Ops.shave slabs a) (fun a _ -> ref_shave slabs a);
     differential "distinct"
       (fun a _ -> Ops.distinct ~bound:0.7 a)
-      (fun a _ -> List.map (fun (x, w) -> (x, Float.max 0.0 (Float.min 0.7 w))) (Wdata.to_list a));
+      (fun a _ ->
+        let bound = Grid.of_float 0.7 in
+        List.map (fun (x, w) -> (x, Int.max 0 (Int.min bound w))) (grid a));
   ]
 
 let suite =
