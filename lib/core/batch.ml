@@ -72,6 +72,8 @@ let charge ?(label = "noisy_count") ~epsilon c =
     c.uses;
   List.iter (fun (b, n) -> Budget.charge ~label b (float_of_int n *. epsilon)) c.uses
 
+(* Charge before evaluating: a raise while evaluating depends on the data,
+   so it is an observation and must already be paid for. *)
 let noisy_count ~rng ~epsilon c =
   charge ~epsilon c;
   Measurement.create ~rng ~epsilon ~true_data:(Lazy.force c.data)

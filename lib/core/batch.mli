@@ -54,8 +54,14 @@ val noisy_count :
     any lacks funds), then releases per-record counts perturbed with
     [Laplace(1/epsilon)] noise.  Weights are {!Wpinq_weighted.Grid} ints:
     a source weight, or a sum, outside [±2{^22}] raises
-    {!Wpinq_weighted.Grid.Overflow} when the plan is evaluated (after the
-    charge), and nothing is released. *)
+    {!Wpinq_weighted.Grid.Overflow} when the plan is evaluated, and nothing
+    is released.
+
+    The charge comes first, the evaluation second, and that order is part
+    of the contract: a plan that raises while it is evaluated (out-of-range
+    data, a raising user function) has spent its ε.  Whether a plan raises
+    depends on the protected data, so a refusal is itself an observation
+    and is paid for like a release. *)
 
 val privacy_cost : epsilon:float -> 'a t -> (string * float) list
 (** [privacy_cost ~epsilon c] previews what {!noisy_count} would charge:

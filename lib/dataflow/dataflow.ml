@@ -6,6 +6,7 @@ module Ops = Wpinq_weighted.Ops
    commits and aborts produced it (DESIGN.md, "Exact accumulation on a
    grid"). *)
 module Grid = Wpinq_weighted.Grid
+module Intern = Wpinq_weighted.Intern
 
 module Audit = struct
   type divergence = {
@@ -60,6 +61,8 @@ module Engine = struct
      a join side's test hook ([corrupt_join]). *)
   type cell = { name : unit -> string; digest : unit -> int; tamper : unit -> bool }
 
+  type intern = Intern : 'a Intern.t -> intern
+
   type t = {
     mutable state_records : int;
     mutable work : int;
@@ -92,10 +95,9 @@ module Engine = struct
     mutable s_arena_reuses : int;
     mutable s_records_propagated : int;
     mutable cells_rev : cell list; (* every stateful cell, newest first *)
-    (* interns and join pair caches, registered when built *)
-    mutable intern_hooks : (unit -> intern_stats) list;
-    (* ids ever assigned by the engine's interns; monotone, never undone *)
-    mutable interned : int;
+    (* interns and join pair-cache sizes, registered when built *)
+    mutable interns : intern list;
+    mutable pair_caches : (unit -> int) list;
     mutable next_op_id : int;
   }
 
@@ -125,8 +127,8 @@ module Engine = struct
       s_arena_reuses = 0;
       s_records_propagated = 0;
       cells_rev = [];
-      intern_hooks = [];
-      interned = 0;
+      interns = [];
+      pair_caches = [];
       next_op_id = 0;
     }
 
@@ -139,7 +141,8 @@ module Engine = struct
   let nodes_built t = t.nodes_built
   let nodes_shared t = t.nodes_shared
   let records_propagated t = t.records_propagated
-  let interned_ids t = t.interned
+  (* Interns are monotone, so this only grows. *)
+  let interned_ids t = List.fold_left (fun n (Intern i) -> n + Intern.size i) 0 t.interns
 
   let add_shared_nodes t n =
     if n < 0 then invalid_arg "Dataflow.Engine.add_shared_nodes: negative count";
@@ -154,8 +157,8 @@ module Engine = struct
     t.nodes_built <- 0;
     t.nodes_shared <- 0;
     t.cells_rev <- [];
-    t.intern_hooks <- [];
-    t.interned <- 0;
+    t.interns <- [];
+    t.pair_caches <- [];
     t.next_op_id <- 0;
     t.undo <- Array.make 64 nop
 
@@ -173,15 +176,15 @@ module Engine = struct
     let name () = Printf.sprintf "%s#%d%s" kind op part in
     t.cells_rev <- { name; digest; tamper } :: t.cells_rev
 
-  let register_intern_stats t hook = t.intern_hooks <- hook :: t.intern_hooks
+  let register_pair_cache t size = t.pair_caches <- size :: t.pair_caches
 
   let intern_stats t =
-    let add a b =
-      let s = b () in
-      { ids = a.ids + s.ids; slots = a.slots + s.slots; displacement = a.displacement + s.displacement;
-        pair_cache = a.pair_cache + s.pair_cache }
+    let add a (Intern i) =
+      { a with ids = a.ids + Intern.size i; slots = a.slots + Intern.capacity i;
+        displacement = a.displacement + Intern.displacement i }
     in
-    List.fold_left add { ids = 0; slots = 0; displacement = 0; pair_cache = 0 } t.intern_hooks
+    let s = List.fold_left add { ids = 0; slots = 0; displacement = 0; pair_cache = 0 } t.interns in
+    { s with pair_cache = List.fold_left (fun n size -> n + size ()) 0 t.pair_caches }
 
   let digests t =
     if t.speculating then invalid_arg "Dataflow.Engine.digests: cannot digest mid-speculation";
@@ -245,122 +248,22 @@ module Engine = struct
     t.aborts <- t.aborts + 1
 end
 
-(* Record interning: each distinct record value an operator sees is mapped
-   to a dense [int] id at first sight, and everything downstream of the
-   mapping — weight tables, membership arrays, the undo log's slot
-   captures — works on ids.  The table is a monotone cache of a pure
-   function (record -> id), so it is deliberately *not* enrolled in the
-   undo log: an id assigned during an aborted speculation stays assigned,
-   which is unobservable because no emission or iteration order anywhere
-   follows id order (state tables iterate in committed insertion order;
-   measurement/grouping emissions sort canonically).  Keeping interning
-   monotone is what lets every other structure be plain int arrays.
-
-   Placement must stay decorrelated from arrival order: batches arrive
-   sorted by [Hashtbl.hash] (e.g. from [coalesce]), so slots are placed by
-   [Hashtbl.seeded_hash] under a fixed non-zero seed, and each slot packs
-   the hash above the id so probes and [rehash] never touch a value whose
-   tag differs (DESIGN.md, "Record interning"). *)
-module Intern = struct
-  type 'a t = {
-    mutable xs : 'a array; (* id -> value *)
-    mutable len : int;
-    (* open-addressing index over [xs]: 0 = empty, else
-       [(hash lsl id_bits) lor (id + 1)].  Linear probing; capacity is a
-       power of two kept under 3/4 full. *)
-    mutable slots : int array;
-    mutable mask : int;
-    owner : Engine.t option; (* counts new ids into [Engine.interned_ids] *)
-  }
-
-  let id_bits = 31
-  let id_mask = (1 lsl id_bits) - 1
-  let seed = 0x5EED_1D5
-  let hash x = Hashtbl.seeded_hash seed x
-  let make owner = { xs = [||]; len = 0; slots = Array.make 16 0; mask = 15; owner }
-  let create () = make None
-  let size t = t.len
-  let value t id = t.xs.(id)
-
-  let rehash t =
-    let cap = 2 * (t.mask + 1) in
-    let slots = Array.make cap 0 in
-    let mask = cap - 1 in
-    Array.iter
-      (fun s ->
-        if s <> 0 then begin
-          let i = ref ((s lsr id_bits) land mask) in
-          while slots.(!i) <> 0 do
-            i := (!i + 1) land mask
-          done;
-          slots.(!i) <- s
-        end)
-      t.slots;
-    t.slots <- slots;
-    t.mask <- mask
-
-  (* Returns the slot holding [x] (whose hash is [h]), or the empty slot
-     where it belongs. *)
-  let probe t x h =
-    let mask = t.mask in
-    let i = ref (h land mask) in
-    let s = ref t.slots.(!i) in
-    while !s <> 0 && (!s lsr id_bits <> h || t.xs.((!s land id_mask) - 1) <> x) do
-      i := (!i + 1) land mask;
-      s := t.slots.(!i)
-    done;
-    !i
-
-  let find t x = (t.slots.(probe t x (hash x)) land id_mask) - 1
-
-  let intern t x =
-    let h = hash x in
-    let i = probe t x h in
-    let s = t.slots.(i) in
-    if s <> 0 then (s land id_mask) - 1
-    else begin
-      let id = t.len in
-      if id = id_mask then
-        failwith (Printf.sprintf "Dataflow.Intern: more than %d distinct records" id_mask);
-      if id = Array.length t.xs then begin
-        let xs = Array.make (max 16 (2 * id)) x in
-        Array.blit t.xs 0 xs 0 id;
-        t.xs <- xs
-      end;
-      t.xs.(id) <- x;
-      t.len <- id + 1;
-      (match t.owner with Some e -> e.Engine.interned <- e.Engine.interned + 1 | None -> ());
-      t.slots.(i) <- (h lsl id_bits) lor (id + 1);
-      if 4 * t.len > 3 * (t.mask + 1) then rehash t;
-      id
-    end
-
-  let stats t =
-    let mask = t.mask and displacement = ref 0 in
-    Array.iteri
-      (fun i s -> if s <> 0 then displacement := !displacement + ((i - (s lsr id_bits)) land mask))
-      t.slots;
-    { Engine.ids = t.len; slots = mask + 1; displacement = !displacement; pair_cache = 0 }
-
-  (* Σ (2h + 1) × [weight id] over the interned records, wrapping, with [h]
-     the hash the record's slot holds: an order-free digest of a table that
-     hashes nothing.  An odd multiplier lets no single change cancel. *)
-  let[@inline] term s w = (((s lsr id_bits) lsl 1) lor 1) * w
-
-  let digest t weight =
-    let d = ref 0 in
-    for i = 0 to t.mask do
-      let s = t.slots.(i) in
-      if s <> 0 then d := !d + term s (weight ((s land id_mask) - 1))
-    done;
-    !d
-
-  (* An intern whose ids and {!stats} count towards the engine's. *)
-  let tracked engine =
-    let t = make (Some engine) in
-    Engine.register_intern_stats engine (fun () -> stats t);
-    t
-end
+(* Record interning ([Intern]): each distinct record value an operator
+   sees is mapped to a dense [int] id at first sight, and everything
+   downstream of the mapping — weight tables, membership arrays, the undo
+   log's slot captures — works on ids.  The table is a monotone cache of a
+   pure function (record -> id), so it is deliberately *not* enrolled in
+   the undo log: an id assigned during an aborted speculation stays
+   assigned, which is unobservable because no emission or iteration order
+   anywhere follows id order (state tables iterate in committed insertion
+   order; measurement/grouping emissions sort canonically).  Keeping
+   interning monotone is what lets every other structure be plain int
+   arrays.  An intern built here counts towards the engine's
+   [interned_ids] and [intern_stats]. *)
+let tracked engine =
+  let t = Intern.create () in
+  engine.Engine.interns <- Engine.Intern t :: engine.Engine.interns;
+  t
 
 (* A weight table over dense interned ids: the struct-of-arrays successor
    of the old record-keyed [Wtbl].  [pos] is a direct-index array (id ->
@@ -484,18 +387,13 @@ module Itbl = struct
 end
 
 (* Registers the digest cell of a weight table over [intern]'s ids: the
-   loop of [Intern.digest], specialized to the table's arrays. *)
-let table_cell ?tamper ?part engine ~kind ~op (intern : _ Intern.t) (tbl : Itbl.t) =
+   sum of [Intern.digest], walked over the table's dense entries. *)
+let table_cell ?tamper ?part engine ~kind ~op intern (tbl : Itbl.t) =
   Engine.register_cell ?tamper ?part engine ~kind ~op (fun () ->
-      let slots = intern.Intern.slots and pos = tbl.Itbl.pos and ws = tbl.Itbl.ws in
+      let ids = tbl.Itbl.ids and ws = tbl.Itbl.ws in
       let d = ref 0 in
-      for i = 0 to Array.length slots - 1 do
-        let s = slots.(i) in
-        let id = (s land Intern.id_mask) - 1 in
-        if id >= 0 && id < Array.length pos then begin
-          let p = pos.(id) in
-          if p >= 0 then d := !d + Intern.term s ws.(p)
-        end
+      for i = 0 to tbl.Itbl.len - 1 do
+        d := !d + Intern.term (Intern.hash_of intern ids.(i)) ws.(i)
       done;
       !d)
 
@@ -540,8 +438,8 @@ let emit n xs ws len =
   end
 
 (* [Wdata]'s accumulation: each entry is rounded to the grid before
-   netting, so the net is exact.  Its table's fold order fixes first-sight
-   order downstream (DESIGN.md, "Record interning"). *)
+   netting, so the net is exact.  Its first-emission order fixes
+   first-sight order downstream (DESIGN.md, "Record interning"). *)
 let coalesce_grid d = Wdata.to_grid_list (Wdata.of_list d)
 let coalesce d = List.map (fun (x, g) -> (x, Grid.to_float g)) (coalesce_grid d)
 let count_work (engine : Engine.t) len = engine.work <- engine.work + len
@@ -585,7 +483,7 @@ module Scratch = struct
   }
 
   let create ?intern engine =
-    let intern = match intern with Some i -> i | None -> Intern.tracked engine in
+    let intern = match intern with Some i -> i | None -> tracked engine in
     {
       engine;
       intern;
@@ -684,7 +582,7 @@ module Input = struct
   type 'a t = { node : 'a node; intern : 'a Intern.t; state : Itbl.t; buf : 'a Buf.t }
 
   let create engine =
-    let intern = Intern.tracked engine and state = Itbl.create engine in
+    let intern = tracked engine and state = Itbl.create engine in
     table_cell engine ~kind:"input" ~op:(Engine.fresh_op_id engine) intern state;
     { node = make engine; intern; state; buf = Buf.create engine }
   let node t = t.node
@@ -739,7 +637,7 @@ let where p up =
 let select_many f up =
   let engine = up.engine in
   let out = make engine in
-  let intern = Intern.tracked engine in
+  let intern = tracked engine in
   let state = Itbl.create engine in
   table_cell engine ~kind:"select_many" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create engine in
@@ -798,7 +696,7 @@ let except a b =
 let merge_node ~kind (fop : int -> int -> int) a b =
   let engine = same_engine a b in
   let out = make engine in
-  let intern = Intern.tracked engine in
+  let intern = tracked engine in
   let wa = Itbl.create engine and wb = Itbl.create engine in
   let op = Engine.fresh_op_id engine in
   table_cell engine ~kind ~part:".left" ~op intern wa;
@@ -851,7 +749,7 @@ type 'r kside = {
 }
 
 let kside_create engine =
-  { ri = Intern.tracked engine; w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
+  { ri = tracked engine; w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
 
 let kside_ensure_rid side rid =
   side.key_of <- grow_int_array side.key_of (rid + 1) (-1);
@@ -995,7 +893,7 @@ let join ~kl ~kr ~reduce a b =
   let engine = same_engine a b in
   let out = make engine in
   let sa = kside_create engine and sb = kside_create engine in
-  let kintern = Intern.tracked engine in
+  let kintern = tracked engine in
   (* Digest cells per side: its record weights, and its key norms. *)
   let op = Engine.fresh_op_id engine in
   let side_cells name side =
@@ -1026,8 +924,7 @@ let join ~kl ~kr ~reduce a b =
   let pv = ref (Array.make 16 0) in
   let pmask = ref 15 in
   let plen = ref 0 in
-  Engine.register_intern_stats engine (fun () ->
-      { Engine.ids = 0; slots = 0; displacement = 0; pair_cache = !plen });
+  Engine.register_pair_cache engine (fun () -> !plen);
   let pair_hash ra rb = ((ra * 0x9E3779B1) lxor rb) land max_int in
   let pair_rehash () =
     let cap = 2 * (!pmask + 1) in
@@ -1190,7 +1087,7 @@ let group_by ~key ~reduce up =
   let out = make engine in
   let side = kside_create engine in
   table_cell engine ~kind:"group_by" ~op:(Engine.fresh_op_id engine) side.ri side.w;
-  let kintern = Intern.tracked engine in
+  let kintern = tracked engine in
   let scratch = Scratch.create engine in
   let gb = gbatch_create () in
   (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
@@ -1257,7 +1154,7 @@ let distinct ?(bound = 1.0) up =
   if bound <= 0.0 then invalid_arg "Dataflow.distinct: bound must be positive";
   let engine = up.engine in
   let out = make engine in
-  let intern = Intern.tracked engine in
+  let intern = tracked engine in
   let state = Itbl.create engine in
   table_cell engine ~kind:"distinct" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create ~intern engine in
@@ -1277,7 +1174,7 @@ let distinct ?(bound = 1.0) up =
 let shave f up =
   let engine = up.engine in
   let out = make engine in
-  let intern = Intern.tracked engine in
+  let intern = tracked engine in
   let state = Itbl.create engine in
   table_cell engine ~kind:"shave" ~op:(Engine.fresh_op_id engine) intern state;
   let scratch = Scratch.create engine in
@@ -1321,7 +1218,7 @@ module Sink = struct
     let t =
       {
         engine = e;
-        intern = Intern.tracked e;
+        intern = tracked e;
         state = Itbl.create e;
         deliveries_rev = [];
         deliveries = [||];

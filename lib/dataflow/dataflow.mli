@@ -214,9 +214,9 @@ module Engine : sig
   val digests : t -> int array
   (** One digest per stateful cell in build order — each operator side's
       weight table, each Join side's key norms, each sink: [Σ (2h + 1) ×
-      w] over its records, wrapping, with [h] the hash the record's intern
-      slot stores and [w] its grid weight.  Order- and id-free, hashes no
-      record; any one changed weight moves its cell's digest.  Raises
+      w] over its records, wrapping, with [h] the hash its intern stores
+      and [w] its grid weight.  Order- and id-free, hashes no record; any
+      one changed weight moves its cell's digest.  Raises
       [Invalid_argument] mid-speculation. *)
 
   val digest_cell : t -> int -> string
@@ -240,29 +240,11 @@ end
     layers are exposed for property testing; see DESIGN.md, "Record
     interning & struct-of-arrays state". *)
 
-module Intern : sig
-  type 'a t
-  (** A monotone bijection between record values and dense ids
-      [0 .. size-1].  Deliberately append-only and {e not} enrolled in the
-      undo log: an id assigned during an aborted speculation stays
-      assigned, which is unobservable because no emission or iteration
-      order anywhere follows id order. *)
-
-  val create : unit -> 'a t
-  val size : 'a t -> int
-
-  val intern : 'a t -> 'a -> int
-  (** Returns the id of [x], assigning the next dense id at first sight.
-      Where [x] is placed in the index never depends on the order records
-      arrive in.  Raises [Failure] beyond [2^31 - 1] distinct records
-      (ids are packed into 31 bits). *)
-
-  val find : 'a t -> 'a -> int
-  (** The id of [x], or [-1] if it was never interned (never assigns). *)
-
-  val value : 'a t -> int -> 'a
-  (** Inverse of {!intern} for assigned ids. *)
-end
+module Intern = Wpinq_weighted.Intern
+(** The record index, shared with {!Wpinq_weighted.Wdata}.  Deliberately
+    append-only and {e not} enrolled in the undo log: an id assigned during
+    an aborted speculation stays assigned, which is unobservable because no
+    emission or iteration order anywhere follows id order. *)
 
 module Itbl : sig
   type t
@@ -418,5 +400,5 @@ end
 val coalesce : 'a delta -> 'a delta
 (** Rounds each weight to the {!Grid}, combines duplicate records exactly
     and drops entries that net to zero: {!Wpinq_weighted.Wdata.of_list}'s
-    accumulation.  Exposed for tests and for callers assembling composite
-    deltas. *)
+    accumulation, listed in the order records first appear.  Exposed for
+    tests and for callers assembling composite deltas. *)

@@ -33,59 +33,85 @@ let group_emissions part =
   in
   go [] (List.sort (fun (x, wx) (y, wy) -> match compare wy wx with 0 -> compare x y | c -> c) part)
 
-(* The records of [d] kept by [keep w], grouped by [key] into parts listed
-   in table order, in one table pre-sized to the support. *)
+(* The records of [d] kept by [keep w], grouped by [key]: part [k] (key
+   [Intern.value keys k], in first-sight order) is entries [start.(k)] to
+   [start.(k + 1) - 1] of [xs]/[ws], in [d]'s order.  One hash per kept
+   record, of its key. *)
+type ('k, 'a) parts = { keys : 'k Intern.t; start : int array; xs : 'a array; ws : int array }
+
 let index ~key ~keep d =
-  let parts = Hashtbl.create (max 8 (Wdata.support_size d)) in
+  let kid = Array.make (Wdata.support_size d) (-1) and keys = Intern.create () in
+  let i = ref 0 in
   Wdata.iter_grid
     (fun x w ->
-      if keep w then
-        let k = key x in
-        match Hashtbl.find_opt parts k with
-        | Some part -> part := (x, w) :: !part
-        | None -> Hashtbl.add parts k (ref [ (x, w) ]))
+      if keep w then kid.(!i) <- Intern.intern keys (key x);
+      incr i)
     d;
-  parts
+  let nk = Intern.size keys in
+  let start = Array.make (nk + 1) 0 in
+  Array.iter (fun k -> if k >= 0 then start.(k + 1) <- start.(k + 1) + 1) kid;
+  for k = 1 to nk do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let next = Array.sub start 0 nk and xs = ref [||] and ws = Array.make start.(nk) 0 in
+  i := 0;
+  Wdata.iter_grid
+    (fun x w ->
+      let k = kid.(!i) in
+      if k >= 0 then begin
+        if Array.length !xs = 0 then xs := Array.make start.(nk) x;
+        let j = next.(k) in
+        !xs.(j) <- x;
+        ws.(j) <- w;
+        next.(k) <- j + 1
+      end;
+      incr i)
+    d;
+  { keys; start; xs = !xs; ws }
 
 let group_by ~key ~reduce a =
-  let parts = index ~key ~keep:(fun w -> w > 0) a in
-  Wdata.build (Hashtbl.length parts) (fun emit ->
-      Hashtbl.iter
-        (fun k part ->
-          let part = List.map (fun (x, w) -> (x, Grid.to_float w)) !part in
-          List.iter
-            (fun (members, w) -> emit (k, reduce members) (Grid.of_float w))
-            (group_emissions part))
-        parts)
+  let p = index ~key ~keep:(fun w -> w > 0) a in
+  Wdata.build (Intern.size p.keys) (fun emit ->
+      for k = 0 to Intern.size p.keys - 1 do
+        let first = p.start.(k) in
+        let member j = (p.xs.(first + j), Grid.to_float p.ws.(first + j)) in
+        let part = List.init (p.start.(k + 1) - first) member in
+        List.iter
+          (fun (members, w) -> emit (Intern.value p.keys k, reduce members) (Grid.of_float w))
+          (group_emissions part)
+      done)
 
 let union a b = Wdata.merge_grid Int.max a b
 let intersect a b = Wdata.merge_grid Int.min a b
 let concat a b = Wdata.merge_grid Grid.add a b
 let except a b = Wdata.merge_grid Grid.sub a b
 
+(* Each key of [a] is looked up in [b]'s parts by its stored hash.  The
+   output is sized as it grows: the pair count bounds its support only
+   loosely. *)
 let join ~kl ~kr ~reduce a b =
   let all _ = true in
   let pa = index ~key:kl ~keep:all a and pb = index ~key:kr ~keep:all b in
-  let norm part = List.fold_left (fun acc (_, w) -> Grid.add acc (abs w)) 0 part in
-  let matched = ref [] and size = ref 0 in
-  Hashtbl.iter
-    (fun k xs ->
-      Option.iter
-        (fun ys ->
-          let denom = Grid.add (norm !xs) (norm !ys) in
-          if denom > 0 then begin
-            matched := (denom, !xs, !ys) :: !matched;
-            size := !size + (List.length !xs * List.length !ys)
-          end)
-        (Hashtbl.find_opt pb k))
-    pa;
-  Wdata.build !size (fun emit ->
-      List.iter
-        (fun (d, xs, ys) ->
-          List.iter
-            (fun (x, wx) -> List.iter (fun (y, wy) -> emit (reduce x y) (Grid.mul_div wx wy d)) ys)
-            xs)
-        !matched)
+  let norm p k =
+    let s = ref 0 in
+    for j = p.start.(k) to p.start.(k + 1) - 1 do
+      s := Grid.add !s (abs p.ws.(j))
+    done;
+    !s
+  in
+  Wdata.build 0 (fun emit ->
+      for ka = 0 to Intern.size pa.keys - 1 do
+        let kb = Intern.find_hashed pb.keys (Intern.value pa.keys ka) (Intern.hash_of pa.keys ka) in
+        if kb >= 0 then begin
+          let d = Grid.add (norm pa ka) (norm pb kb) in
+          if d > 0 then
+            for i = pa.start.(ka) to pa.start.(ka + 1) - 1 do
+              for j = pb.start.(kb) to pb.start.(kb + 1) - 1 do
+                emit (reduce pa.xs.(i) pb.xs.(j)) (Grid.mul_div pa.ws.(i) pb.ws.(j) d)
+              done
+            done
+        end
+      done)
 
 (* Shave's emissions for a single record of weight [w], folded with [f]:
    indexed slabs drawn from [seq], clipped to the remaining weight.  Stops on

@@ -1,22 +1,59 @@
-type 'a t = ('a, int) Hashtbl.t
-(* A hashtable of {!Grid} weights, never mutated after construction (every
-   operation copies); constructors drop zero weights, so the support never
-   holds them. *)
+(* The support in first-emission order: record [i] is [Intern.value keys i],
+   its grid weight [ws.(i)], for [i < Intern.size keys] ([ws] may run
+   longer).  Never mutated after construction: every operation returns a
+   new dataset, which may share [keys] when it keeps every record.
+   Constructors drop zero weights, so the support never holds them. *)
+type 'a t = { keys : 'a Intern.t; ws : int array }
 
-let empty () = Hashtbl.create 1
+let support_size a = Intern.size a.keys
+let empty () = { keys = Intern.create (); ws = [||] }
 
-(* Integer sums are exact, so a record's weight is the sum of its
-   emissions in any order.  Zeros are dropped only at the end: removing a
-   record mid-way and re-adding it would move it in the table, and the
-   engine takes its first-sight order from this table's ([to_grid_list]). *)
+(* The records of each [(keys, ws)] part whose weight in [ws] is nonzero,
+   in order, with those weights.  Copies records and their stored hashes,
+   and hashes nothing; a single part kept whole shares its keys, unless its
+   weights run over twice the support. *)
+let gather parts =
+  let whole keys ws =
+    let n = Intern.size keys in
+    let rec go i = i = n || (ws.(i) <> 0 && go (i + 1)) in
+    2 * n >= Array.length ws && go 0
+  in
+  match parts with
+  | [ (keys, ws) ] when whole keys ws -> { keys; ws }
+  | _ ->
+      let keys = Intern.gather (List.map (fun (keys, ws) -> (keys, fun i -> ws.(i) <> 0)) parts) in
+      let ws' = Array.make (Intern.size keys) 0 and j = ref 0 in
+      List.iter
+        (fun (keys, ws) ->
+          for i = 0 to Intern.size keys - 1 do
+            if ws.(i) <> 0 then begin
+              ws'.(!j) <- ws.(i);
+              incr j
+            end
+          done)
+        parts;
+      { keys; ws = ws' }
+
+(* One hash and one probe per emission; integer sums are exact, so a
+   record's weight is the sum of its emissions in any order.  Zeros are
+   dropped at the end, so a record that nets to zero mid-way and is
+   emitted again keeps its first-emission place, which the engine's
+   first-sight order follows ([to_grid_list]). *)
 let build size produce =
-  let h = Hashtbl.create size in
+  let keys = Intern.create ~size () and ws = ref (Array.make size 0) in
   produce (fun x w ->
-      match Hashtbl.find_opt h x with
-      | None -> Hashtbl.replace h x w
-      | Some w0 -> Hashtbl.replace h x (Grid.add w0 w));
-  List.iter (Hashtbl.remove h) (Hashtbl.fold (fun x w acc -> if w = 0 then x :: acc else acc) h []);
-  h
+      let n = Intern.size keys in
+      let p = Intern.intern keys x in
+      if p < n then !ws.(p) <- Grid.add !ws.(p) w
+      else begin
+        if p = Array.length !ws then begin
+          let grown = Array.make (max 16 (2 * p)) 0 in
+          Array.blit !ws 0 grown 0 p;
+          ws := grown
+        end;
+        !ws.(p) <- w
+      end);
+  gather [ (keys, !ws) ]
 
 let of_list assoc =
   build (List.length assoc) (fun emit -> List.iter (fun (x, w) -> emit x (Grid.of_float w)) assoc)
@@ -27,67 +64,107 @@ let of_records xs =
 
 let singleton x w = of_list [ (x, w) ]
 
+let iter_grid f a =
+  for i = 0 to support_size a - 1 do
+    f (Intern.value a.keys i) a.ws.(i)
+  done
+
 let update a delta =
-  build (Hashtbl.length a) (fun emit ->
-      Hashtbl.iter emit a;
+  build (support_size a) (fun emit ->
+      iter_grid emit a;
       List.iter (fun (x, w) -> emit x (Grid.of_float w)) delta)
 
 let add a x w = update a [ (x, w) ]
-let to_grid_list h = Hashtbl.fold (fun x w acc -> (x, w) :: acc) h []
-let to_list h = Hashtbl.fold (fun x w acc -> (x, Grid.to_float w) :: acc) h []
-let to_sorted_list h = List.sort (fun (x, _) (y, _) -> compare x y) (to_list h)
-let weight_grid h x = match Hashtbl.find_opt h x with Some w -> w | None -> 0
-let weight h x = Grid.to_float (weight_grid h x)
-let mem h x = Hashtbl.mem h x
-let support_size = Hashtbl.length
+
+let to_list_with f a =
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) ((Intern.value a.keys i, f a.ws.(i)) :: acc)
+  in
+  go (support_size a - 1) []
+
+let to_grid_list a = to_list_with Fun.id a
+let to_list a = to_list_with Grid.to_float a
+let to_sorted_list a = List.sort (fun (x, _) (y, _) -> compare x y) (to_list a)
+
+(* The weight at [p] of [a], [0] when [p] is [-1]. *)
+let at a p = if p < 0 then 0 else a.ws.(p)
+
+(* The position in [b] of [a]'s [i]-th record, probing with its stored
+   hash. *)
+let lookup a b i = Intern.find_hashed b.keys (Intern.value a.keys i) (Intern.hash_of a.keys i)
+
+(* [m.(i)] is the position in [b] of [a]'s [i]-th record, or [-1]: one
+   probe per record of the smaller side, into the larger side's index. *)
+let matches a b =
+  let na = support_size a and nb = support_size b in
+  if na <= nb then Array.init na (fun i -> lookup a b i)
+  else begin
+    let m = Array.make na (-1) in
+    for j = 0 to nb - 1 do
+      let i = lookup b a j in
+      if i >= 0 then m.(i) <- j
+    done;
+    m
+  end
+
+(* [f] of each record of [a] and its weight in [b], with [g] of each
+   record of [b] that [a] lacks. *)
+let pair_up f g a b =
+  let m = matches a b and hit = Bytes.make (support_size b) '\000' in
+  let wa =
+    Array.init (support_size a) (fun i ->
+        let p = m.(i) in
+        if p >= 0 then Bytes.set hit p '\001';
+        f a.ws.(i) (at b p))
+  in
+  let missed j = if Bytes.get hit j = '\000' then g b.ws.(j) else 0 in
+  let wb = Array.init (support_size b) missed in
+  (wa, wb)
+
+let weight_grid a x = at a (Intern.find a.keys x)
+let weight a x = Grid.to_float (weight_grid a x)
+let mem a x = Intern.find a.keys x >= 0
 
 (* Exact, order-free sums, rounded to a float once. *)
-let wide_sum f h =
+let wide_sum f a =
   let s = Grid.Wide.create () in
-  Hashtbl.iter (fun x w -> Grid.Wide.add s (f x w)) h;
+  for i = 0 to support_size a - 1 do
+    Grid.Wide.add s (f a.ws.(i))
+  done;
   Grid.Wide.to_float s
 
-let norm h = wide_sum (fun _ w -> abs w) h
-let total h = wide_sum (fun _ w -> w) h
+let norm a = wide_sum abs a
+let total a = wide_sum Fun.id a
 
 let dist a b =
+  let wa, wb = pair_up (fun wa wb -> abs (Grid.sub wa wb)) abs a b in
   let s = Grid.Wide.create () in
-  Hashtbl.iter (fun x wa -> Grid.Wide.add s (abs (Grid.sub wa (weight_grid b x)))) a;
-  Hashtbl.iter (fun x wb -> if not (Hashtbl.mem a x) then Grid.Wide.add s (abs wb)) b;
+  Array.iter (Grid.Wide.add s) wa;
+  Array.iter (Grid.Wide.add s) wb;
   Grid.Wide.to_float s
 
-(* One value per record: copy the table (hashing nothing) and rewrite it. *)
 let map_grid f a =
-  let h = Hashtbl.copy a in
-  Hashtbl.filter_map_inplace
-    (fun x w ->
-      let w' = f x w in
-      if w' = 0 then None else Some w')
-    h;
-  h
+  gather [ (a.keys, Array.init (support_size a) (fun i -> f (Intern.value a.keys i) a.ws.(i))) ]
 
 let map_weights f a = map_grid (fun x w -> Grid.of_float (f x (Grid.to_float w))) a
 let scale c a = map_weights (fun _ w -> c *. w) a
 
 let filter p a =
-  let h = Hashtbl.create (max 8 (Hashtbl.length a)) in
-  Hashtbl.iter (fun x w -> if p x (Grid.to_float w) then Hashtbl.add h x w) a;
-  h
+  let keep x w = if p x (Grid.to_float w) then w else 0 in
+  map_grid keep a
 
 let merge_grid f a b =
-  let h = map_grid (fun x wa -> f wa (weight_grid b x)) a in
-  Hashtbl.iter
-    (fun x wb ->
-      if not (Hashtbl.mem a x) then
-        let w = f 0 wb in
-        if w <> 0 then Hashtbl.add h x w)
-    b;
-  h
+  let wa, wb = pair_up f (f 0) a b in
+  gather [ (a.keys, wa); (b.keys, wb) ]
 
 let merge f a b = merge_grid (fun wa wb -> Grid.of_float (f (Grid.to_float wa) (Grid.to_float wb))) a b
-let iter_grid f a = Hashtbl.iter f a
-let fold f a init = Hashtbl.fold (fun x w acc -> f x (Grid.to_float w) acc) a init
-let iter f a = Hashtbl.iter (fun x w -> f x (Grid.to_float w)) a
+
+let fold f a init =
+  let acc = ref init in
+  iter_grid (fun x w -> acc := f x (Grid.to_float w) !acc) a;
+  !acc
+
+let iter f a = iter_grid (fun x w -> f x (Grid.to_float w)) a
 let equal ?(tol = 1e-9) a b = dist a b <= tol
 
 let pp pp_record fmt a =

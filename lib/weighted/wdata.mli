@@ -15,9 +15,13 @@
     leaves the support; any other weight, however small, stays.
 
     Values of this type are immutable: every operation returns a fresh
-    dataset.  Records are compared with structural equality and hashed with
-    the polymorphic hash, so any immutable OCaml value (ints, strings,
-    tuples, variants...) can serve as a record. *)
+    dataset.  Records are compared with [compare] (all nans are one record,
+    and [-0.] is [0.]; the first one seen is kept) and hashed with the
+    polymorphic hash, so any immutable OCaml value (ints, strings, tuples,
+    variants...) can serve as a record.  The support is held in
+    first-emission order, with each record's hash stored beside it
+    ({!Intern}): building hashes each emitted record once, and filtering,
+    mapping weights and merging hash none. *)
 
 type 'a t
 (** An immutable weighted dataset with records of type ['a]. *)
@@ -37,8 +41,10 @@ val of_records : 'a list -> 'a t
     accumulate), matching the encoding of an input multiset. *)
 
 val to_list : 'a t -> ('a * float) list
-(** The support with its weights, in unspecified order (as for {!fold} and
-    {!iter}): it is not canonical, so no released value may depend on it. *)
+(** The support with its weights, in support order (as for {!fold} and
+    {!iter}): the order records were first emitted in by the constructor
+    that built the dataset.  It depends on how a dataset was computed, not
+    only on its contents, so no released value may depend on it. *)
 
 val to_sorted_list : 'a t -> ('a * float) list
 (** Like {!to_list} but sorted by record (polymorphic compare), for stable
@@ -101,12 +107,15 @@ val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 val build : int -> (('a -> int -> unit) -> unit) -> 'a t
 (** [build size produce] sums every [emit x w] that [produce emit] makes
     and drops the records that net to zero; [size] hints at the support
-    size.  Every constructor goes through it. *)
+    size (it pre-sizes the arrays, which are copied down when the support
+    comes out under half of it).  Every constructor goes through it. *)
 
 val to_grid_list : 'a t -> ('a * int) list
-(** In the order of {!to_list}: for [build], the table's fold order, a
-    function of the size hint and of the order records were first
-    emitted in. *)
+(** In the order of {!to_list}: for [build], the order records were first
+    emitted in (a record that netted to zero mid-way and came back keeps
+    its first place); for {!filter} and {!map_grid}, the input's order
+    with records dropped; for {!merge_grid}, the first input's records,
+    then the second's that the first lacks. *)
 
 val iter_grid : ('a -> int -> unit) -> 'a t -> unit
 val map_grid : ('a -> int -> int) -> 'a t -> 'a t

@@ -124,13 +124,18 @@ let test_unsafe_value () =
 (* User data outside the grid's range (±2^22) is refused with the typed
    [Grid.Overflow], never released: a source weight that large, and a
    select whose in-range records sum past it. *)
+(* A refusal depends on the data, so it is itself an observation: each
+   refused call debits its ε exactly once and releases no measurement. *)
 let test_batch_range () =
-  let refused name c =
-    match Batch.noisy_count ~rng:(Prng.create 4) ~epsilon:0.5 c with
-    | exception Wpinq_weighted.Grid.Overflow _ -> ()
-    | _ -> Alcotest.failf "%s: released a count" name
-  in
   let b = Budget.create ~name:"d" 1e9 in
+  let refused name c =
+    let debits = List.length (Budget.log b) and spent = Budget.spent b in
+    (match Batch.noisy_count ~rng:(Prng.create 4) ~epsilon:0.5 c with
+    | exception Wpinq_weighted.Grid.Overflow _ -> ()
+    | _ -> Alcotest.failf "%s: released a count" name);
+    Alcotest.(check int) (name ^ ": one debit") (debits + 1) (List.length (Budget.log b));
+    check_close (name ^ ": epsilon spent") (spent +. 0.5) (Budget.spent b)
+  in
   refused "source weight 2^22" (Batch.source ~budget:b [ (1, 1.0); (2, 0x1p22) ]);
   let rows = [ (1, 0x1.8p21); (2, 0x1.8p21); (3, 1.0) ] in
   ignore (Batch.noisy_count ~rng:(Prng.create 4) ~epsilon:0.5 (Batch.source ~budget:b rows));

@@ -190,9 +190,9 @@ let test_intern_colliding_model =
     ~missing:(colliding_prefix @ [ 9; 9; 9; 9 ])
     QCheck2.Gen.(map (fun sfx -> colliding_prefix @ sfx) (list_size (int_bound 3) (int_bound 5)))
 
-(* Probe displacement stays flat however records arrive.  [Input.feed]
-   coalesces a delta through a stdlib [Hashtbl], so a batch reaches the
-   interns sorted by [Hashtbl.hash].  An intern that placed records by
+(* Probe displacement stays flat however records arrive.  A batch netted
+   through a stdlib [Hashtbl] (as [Input.feed] once coalesced one) reaches
+   the interns sorted by [Hashtbl.hash].  An intern that placed records by
    that same hash saw every prefix of the batch land in one contiguous
    run of its slots, packed as densely as the coalescing table, and the
    run piled into one long cluster until the next doubling spread it out.

@@ -388,6 +388,136 @@ let differential_suite =
         List.map (fun (x, w) -> (x, Int.max 0 (Int.min bound w))) (grid a));
   ]
 
+(* ---- Model: the support as an association list ---- *)
+
+(* [Wdata] against an association list in first-emission order, whose
+   records are equal when [compare] returns 0 (a stdlib [Hashtbl]'s
+   equality: every nan is one record, and -0. is 0.) and whose first
+   emission stays the record kept.  Results are compared through [bits],
+   which tells nan payloads and signed zeros apart. *)
+module Model = struct
+  let find m x = List.find_opt (fun (y, _) -> compare x y = 0) m
+  let weight m x = match find m x with Some (_, w) -> w | None -> 0
+  let nonzero m = List.filter (fun (_, w) -> w <> 0) m
+
+  let build emissions =
+    nonzero
+      (List.fold_left
+         (fun m (x, w) ->
+           if find m x = None then m @ [ (x, w) ]
+           else List.map (fun (y, v) -> if compare x y = 0 then (y, v + w) else (y, v)) m)
+         [] emissions)
+
+  let map f m = nonzero (List.map (fun (x, w) -> (x, f x w)) m)
+
+  let merge f a b =
+    nonzero
+      (List.map (fun (x, wa) -> (x, f wa (weight b x))) a
+      @ List.filter_map (fun (x, wb) -> if find a x = None then Some (x, f 0 wb) else None) b)
+
+  let dist a b = List.fold_left (fun acc (_, w) -> acc + abs w) 0 (merge ( - ) a b)
+end
+
+let of_grid emissions = Wdata.build 0 (fun emit -> List.iter (fun (x, w) -> emit x w) emissions)
+
+(* The same emissions folded into a stdlib [Hashtbl]. *)
+let hashtbl_support emissions =
+  let h = Hashtbl.create 8 in
+  List.iter
+    (fun (x, w) -> Hashtbl.replace h x (w + Option.value ~default:0 (Hashtbl.find_opt h x)))
+    emissions;
+  Hashtbl.fold (fun x w acc -> if w = 0 then acc else (x, w) :: acc) h []
+
+let wdata_model ~name ~print ~bits gen =
+  let emissions =
+    QCheck.Gen.(list_size (int_range 0 24) (pair gen (oneofl [ -2; -1; 1; 2; 3; 1 lsl 40 ])))
+  in
+  let delta = QCheck.Gen.(list_size (int_range 0 4) (pair gen (oneofl [ -1.0; 0.5; 0x1p-40 ]))) in
+  let show l =
+    String.concat "; " (List.map (fun (x, w) -> Printf.sprintf "(%s, %s)" (print x) w) l)
+  in
+  let print (la, lb, d) =
+    Printf.sprintf "a = [%s]\nb = [%s]\ndelta = [%s]"
+      (show (List.map (fun (x, w) -> (x, string_of_int w)) la))
+      (show (List.map (fun (x, w) -> (x, string_of_int w)) lb))
+      (show (List.map (fun (x, w) -> (x, Printf.sprintf "%h" w)) d))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:("wdata model: " ^ name)
+       (QCheck.make ~print QCheck.Gen.(triple emissions emissions delta))
+       (fun (la, lb, delta) ->
+         let same d m =
+           let got = List.map (fun (x, w) -> (bits x, w)) (Wdata.to_grid_list d) in
+           got = List.map (fun (x, w) -> (bits x, w)) m
+         in
+         let lookups d m =
+           List.for_all
+             (fun (x, _) ->
+               Wdata.weight d x = Grid.to_float (Model.weight m x)
+               && Wdata.mem d x = (Model.find m x <> None))
+             (la @ lb)
+         in
+         let a = of_grid la and b = of_grid lb and ma = Model.build la and mb = Model.build lb in
+         let empty = Wdata.empty () in
+         let keep x = Hashtbl.hash (bits x) land 1 = 0 in
+         let hashtbl = hashtbl_support la in
+         same a ma && same b mb && lookups a ma && lookups b mb
+         && Wdata.support_size a = List.length ma
+         && List.length hashtbl = List.length ma
+         && List.for_all (fun (x, w) -> Model.weight ma x = w) hashtbl
+         && same (Wdata.filter (fun x _ -> keep x) a) (List.filter (fun (x, _) -> keep x) ma)
+         && same (Wdata.map_grid (fun _ w -> w - 1) a) (Model.map (fun _ w -> w - 1) ma)
+         && same (Wdata.merge_grid Grid.sub a b) (Model.merge ( - ) ma mb)
+         && same (Wdata.merge_grid Int.min a b) (Model.merge Int.min ma mb)
+         && same (Wdata.merge_grid Grid.add b a) (Model.merge ( + ) mb ma)
+         && same (Wdata.merge_grid Grid.add a empty) ma
+         && same (Wdata.merge_grid Grid.sub empty b) (Model.map (fun _ w -> -w) mb)
+         && Wdata.dist a b = Grid.to_float (Model.dist ma mb)
+         && Wdata.dist a empty = Wdata.norm a
+         && same (Wdata.update a delta)
+              (Model.build (ma @ List.map (fun (x, w) -> (x, Grid.of_float w)) delta))
+         && lookups (Wdata.filter (fun x _ -> keep x) a) (List.filter (fun (x, _) -> keep x) ma)))
+
+(* Floats whose [compare] classes hold several bit patterns: nans of two
+   payloads and both signs, and both zeros. *)
+let float_gen =
+  QCheck.Gen.oneofl
+    [ nan; -.nan; Int64.float_of_bits 0x7FF8_0000_0000_0001L; 0.0; -0.0; 1.0; -1.0; infinity; 0.5 ]
+
+let float_bits = Int64.bits_of_float
+
+let wdata_model_suite =
+  [
+    wdata_model ~name:"int records" ~print:string_of_int ~bits:Fun.id QCheck.Gen.(int_range 0 9);
+    wdata_model ~name:"float records" ~print:(Printf.sprintf "%h") ~bits:float_bits float_gen;
+    wdata_model ~name:"flat float array records"
+      ~print:(fun a -> String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+      ~bits:(fun a -> Array.map float_bits a)
+      QCheck.Gen.(map Array.of_list (list_size (int_range 0 2) float_gen));
+    wdata_model ~name:"tuples holding floats"
+      ~print:(fun (i, f) -> Printf.sprintf "(%d, %h)" i f)
+      ~bits:(fun (i, f) -> (i, float_bits f))
+      QCheck.Gen.(pair (int_range 0 2) float_gen);
+  ]
+
+(* The support is listed in the order records were first emitted in: a
+   record that nets to zero mid-way and comes back keeps its first place,
+   one that ends at zero leaves. *)
+let test_first_emission_order () =
+  let d =
+    Wdata.of_list
+      [ (5, 1.0); (3, 1.0); (5, -1.0); (9, 1.0); (4, 1.0); (5, 2.0); (4, -1.0); (3, 1.0) ]
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "first-emission order" [ (5, 2.0); (3, 2.0); (9, 1.0) ] (Wdata.to_list d);
+  Alcotest.(check (list int))
+    "filter keeps it" [ 5; 9 ]
+    (List.map fst (Wdata.to_grid_list (Wdata.filter (fun x _ -> x <> 3) d)));
+  Alcotest.(check (list int))
+    "merge: first input's records, then the second's new ones" [ 5; 3; 9; 1; 4 ]
+    (List.map fst
+       (Wdata.to_grid_list (Ops.concat d (Wdata.of_list [ (1, 1.0); (9, 1.0); (4, 1.0) ]))))
+
 let suite =
   [
     Alcotest.test_case "wdata basics" `Quick test_basics;
@@ -410,6 +540,8 @@ let suite =
     Alcotest.test_case "shave stop conditions" `Quick test_shave_emissions_stop_conditions;
     Alcotest.test_case "edges to nodes (paper)" `Quick test_edges_to_nodes;
     Alcotest.test_case "distinct" `Quick test_distinct;
+    Alcotest.test_case "support in first-emission order" `Quick test_first_emission_order;
   ]
+  @ wdata_model_suite
   @ stability_suite
   @ (test_of_list_matches_oracle :: differential_suite)
