@@ -18,8 +18,8 @@ let distinct = Dataflow.distinct
 let shave = Dataflow.shave
 let shave_const = Dataflow.shave_const
 
-let input engine =
-  let i = Dataflow.Input.create engine in
+let input ?init engine =
+  let i = Dataflow.Input.create ?init engine in
   (i, Dataflow.Input.node i)
 
 let feed = Dataflow.Input.feed
@@ -86,7 +86,6 @@ module Target = struct
     epsilon : float;
     distance : Wide.t;
     recompute : unit -> unit;
-    noise_mark : unit -> Measurement.mark;
   }
 
   let create (type a) (q : a collection) (m : a Measurement.t) =
@@ -146,28 +145,33 @@ module Target = struct
        resumed or rebuilt engine assigns every record the noise the live
        one did. *)
     let first_seen = ref [] in
-    Dataflow.Sink.on_delivery sink (fun ids olds news len ->
-        for i = 0 to len - 1 do
-          let id = ids.(i) in
-          ensure id;
-          if Bytes.get !status id = '\000' then begin
-            Bytes.set !status id '\003';
-            first_seen := id :: !first_seen
-          end
-        done;
-        if !first_seen <> [] then begin
-          let fresh = List.sort by_record !first_seen in
-          first_seen := [];
-          List.iter draw fresh
-        end;
-        (* Enroll the maintained distance in the speculative rollback: the
-           undo log restores the pre-delivery value directly. *)
-        if Dataflow.Engine.speculating engine then
-          Dataflow.Engine.log_undo engine (Wide.restorer distance);
-        for i = 0 to len - 1 do
-          let v = !obs.(ids.(i)) in
-          Wide.add distance (Grid.sub (term news.(i) v) (term olds.(i) v))
-        done);
+    let retire ids olds news len =
+      for i = 0 to len - 1 do
+        let id = ids.(i) in
+        ensure id;
+        if Bytes.get !status id = '\000' then begin
+          Bytes.set !status id '\003';
+          first_seen := id :: !first_seen
+        end
+      done;
+      if !first_seen <> [] then begin
+        let fresh = List.sort by_record !first_seen in
+        first_seen := [];
+        List.iter draw fresh
+      end;
+      (* Enroll the maintained distance in the speculative rollback: the
+         undo log restores the pre-delivery value directly. *)
+      if Dataflow.Engine.speculating engine then
+        Dataflow.Engine.log_undo engine (Wide.restorer distance);
+      for i = 0 to len - 1 do
+        let v = !obs.(ids.(i)) in
+        Wide.add distance (Grid.sub (term news.(i) v) (term olds.(i) v))
+      done
+    in
+    Dataflow.Sink.on_delivery sink retire;
+    (* Over a bulk-built pipeline the sink starts holding its output: one
+       delivery from empty, so its records draw as one batch would. *)
+    Dataflow.Sink.deliver_current sink retire;
     let from_scratch () =
       let d = Wide.create () in
       let st = !status in
@@ -185,7 +189,6 @@ module Target = struct
       epsilon = Measurement.epsilon m;
       distance;
       recompute = (fun () -> Wide.assign distance (from_scratch ()));
-      noise_mark = (fun () -> Measurement.mark m);
     }
 
   let of_plan ctx p m = create (Plans.lower ctx p) m
@@ -195,6 +198,5 @@ module Target = struct
   let epsilon t = t.epsilon
   let recompute t = t.recompute ()
   let inject_drift t dw = Wide.add t.distance (Grid.of_float dw)
-  let noise_mark t = t.noise_mark ()
   let energy targets = List.fold_left (fun acc t -> acc +. weighted_distance t) 0.0 targets
 end

@@ -24,8 +24,13 @@ type 'a collection = 'a t
 type 'a handle
 (** The feed side of a synthetic input. *)
 
-val input : Wpinq_dataflow.Dataflow.Engine.t -> 'a handle * 'a t
-(** Declares a synthetic (public) input collection, initially empty. *)
+val input : ?init:'a Wpinq_weighted.Wdata.t -> Wpinq_dataflow.Dataflow.Engine.t -> 'a handle * 'a t
+(** Declares a synthetic (public) input collection, initially empty, or
+    holding [init]: then every collection built over it before the
+    engine's first feed (or {!Wpinq_dataflow.Dataflow.Engine.end_build})
+    is built in bulk — evaluated by the batch kernels, its state adopted
+    from their results — instead of from one delta of the whole input
+    (see {!Wpinq_dataflow.Dataflow}, "Bulk builds"). *)
 
 val feed : 'a handle -> ('a * float) list -> unit
 (** Applies a weight-change batch to the input and propagates it through
@@ -86,6 +91,8 @@ module Target : sig
       is scored relative to it.  The records first seen in one sink
       delivery draw in ascending [compare] order, so which noise a record
       gets does not depend on the order the engine delivers records in.
+      Over a bulk-built collection the sink starts holding [q]'s output,
+      which the target retires as one delivery when it is created.
 
       Each record's term [|w − m x|] is rounded to the
       {!Wpinq_dataflow.Dataflow.Grid} and the terms are summed exactly, so
@@ -136,12 +143,6 @@ module Target : sig
       to the grid) {e without} touching the underlying sink — a
       fault-injection hook for testing that the fit's self-audit detects
       the divergence and repairs it.  Never call it outside tests. *)
-
-  val noise_mark : t -> Measurement.mark
-  (** The measurement's private noise cursor ({!Measurement.mark}): it
-      moves exactly when this target, or another user of the measurement,
-      draws a lazy observation.  A build over measurements that already
-      hold every observation it can show must leave it where it was. *)
 
   val energy : t list -> float
   (** [energy targets] is [Σ weighted_distance] — the quantity

@@ -85,16 +85,13 @@ module Engine = struct
     mutable commits : int;
     mutable aborts : int;
     mutable undo_cells : int;
-    (* statistics snapshot taken at [begin_speculation], restored by
-       [abort] so an aborted propagation leaves no statistical trace *)
+    (* [state_records] at [begin_speculation], restored by [abort]: it
+       counts state, which the abort restores; the traffic counters keep
+       what the rejected propagation did *)
     mutable s_state_records : int;
-    mutable s_work : int;
-    mutable s_join_fast : int;
-    mutable s_join_full : int;
-    mutable s_arena_grows : int;
-    mutable s_arena_reuses : int;
-    mutable s_records_propagated : int;
     mutable cells_rev : cell list; (* every stateful cell, newest first *)
+    (* clears the datasets bulk-built nodes hold for their consumers *)
+    mutable holding : (unit -> unit) list;
     (* interns and join pair-cache sizes, registered when built *)
     mutable interns : intern list;
     mutable pair_caches : (unit -> int) list;
@@ -120,13 +117,8 @@ module Engine = struct
       aborts = 0;
       undo_cells = 0;
       s_state_records = 0;
-      s_work = 0;
-      s_join_fast = 0;
-      s_join_full = 0;
-      s_arena_grows = 0;
-      s_arena_reuses = 0;
-      s_records_propagated = 0;
       cells_rev = [];
+      holding = [];
       interns = [];
       pair_caches = [];
       next_op_id = 0;
@@ -157,10 +149,15 @@ module Engine = struct
     t.nodes_built <- 0;
     t.nodes_shared <- 0;
     t.cells_rev <- [];
+    t.holding <- [];
     t.interns <- [];
     t.pair_caches <- [];
     t.next_op_id <- 0;
     t.undo <- Array.make 64 nop
+
+  let end_build t =
+    List.iter (fun clear -> clear ()) t.holding;
+    t.holding <- []
 
   let commits t = t.commits
   let aborts t = t.aborts
@@ -212,13 +209,8 @@ module Engine = struct
       invalid_arg "Dataflow.Engine.begin_speculation: speculation already in progress";
     if t.in_feed then
       invalid_arg "Dataflow.Engine.begin_speculation: cannot speculate during propagation";
+    end_build t;
     t.s_state_records <- t.state_records;
-    t.s_work <- t.work;
-    t.s_join_fast <- t.join_fast;
-    t.s_join_full <- t.join_full;
-    t.s_arena_grows <- t.arena_grows;
-    t.s_arena_reuses <- t.arena_reuses;
-    t.s_records_propagated <- t.records_propagated;
     t.speculating <- true
 
   let commit t =
@@ -239,12 +231,6 @@ module Engine = struct
     done;
     t.undo_len <- 0;
     t.state_records <- t.s_state_records;
-    t.work <- t.s_work;
-    t.join_fast <- t.s_join_fast;
-    t.join_full <- t.s_join_full;
-    t.arena_grows <- t.s_arena_grows;
-    t.arena_reuses <- t.s_arena_reuses;
-    t.records_propagated <- t.s_records_propagated;
     t.aborts <- t.aborts + 1
 end
 
@@ -260,10 +246,18 @@ end
    interning monotone is what lets every other structure be plain int
    arrays.  An intern built here counts towards the engine's
    [interned_ids] and [intern_stats]. *)
-let tracked engine =
-  let t = Intern.create () in
-  engine.Engine.interns <- Engine.Intern t :: engine.Engine.interns;
+let register engine (t : 'a Intern.t) =
+  let known (Engine.Intern i) = Obj.repr i == Obj.repr t in
+  if not (List.exists known engine.Engine.interns) then
+    engine.Engine.interns <- Engine.Intern t :: engine.Engine.interns;
   t
+
+let tracked engine = register engine (Intern.create ())
+
+(* A bulk-built dataset's index, adopted as the intern of the operator that
+   keeps its records (several operators may share it: an intern is a pure
+   record -> id map), or a fresh intern.  It is registered once. *)
+let intern_for engine = function Some w -> register engine (Wdata.keys w) | None -> tracked engine
 
 (* A weight table over dense interned ids: the struct-of-arrays successor
    of the old record-keyed [Wtbl].  [pos] is a direct-index array (id ->
@@ -375,6 +369,16 @@ module Itbl = struct
     set t id (Grid.add old dw);
     old
 
+  (* Fills an empty table from a dataset over the table's intern: id [i]
+     holds the dataset's [i]-th weight. *)
+  let fill t w =
+    let n = Wdata.support_size w in
+    t.pos <- Array.init n Fun.id;
+    t.ids <- Array.init n Fun.id;
+    t.ws <- Wdata.grid_weights w;
+    t.len <- n;
+    t.engine.Engine.state_records <- t.engine.Engine.state_records + n
+
   let to_list t =
     let rec go i acc = if i < 0 then acc else go (i - 1) ((t.ids.(i), t.ws.(i)) :: acc) in
     go (t.len - 1) []
@@ -385,6 +389,12 @@ module Itbl = struct
           emit (Intern.value intern t.ids.(i)) t.ws.(i)
         done)
 end
+
+(* A table holding a bulk-built dataset's weights, or an empty one. *)
+let table_of engine contents =
+  let t = Itbl.create engine in
+  Option.iter (Itbl.fill t) contents;
+  t
 
 (* Registers the digest cell of a weight table over [intern]'s ids: the
    sum of [Intern.digest], walked over the table's dense entries. *)
@@ -410,13 +420,28 @@ type 'a node = {
   engine : Engine.t;
   mutable subs_rev : ('a array -> int array -> int -> unit) list;
   mutable subs : ('a array -> int array -> int -> unit) array;
+  (* A bulk-built node's output, held for its consumers until the build
+     ends ([Engine.end_build]). *)
+  mutable contents : 'a Wdata.t option;
 }
 
 let engine_of n = n.engine
 
-let make engine =
+(* A node built over nodes holding datasets evaluates its own with the
+   batch kernels ([Ops]) and builds its state from them (a bulk build);
+   the engine drops the datasets when the build ends. *)
+let make ?contents engine =
   engine.Engine.nodes_built <- engine.Engine.nodes_built + 1;
-  { engine; subs_rev = []; subs = [||] }
+  let n = { engine; subs_rev = []; subs = [||]; contents } in
+  if Option.is_some contents then
+    engine.Engine.holding <- (fun () -> n.contents <- None) :: engine.Engine.holding;
+  n
+
+(* A binary operator's inputs' datasets, when either holds one: a node
+   holding none is empty until the build ends. *)
+let contents2 a b =
+  let get = function Some w -> w | None -> Wdata.empty () in
+  match (a.contents, b.contents) with None, None -> None | ca, cb -> Some (get ca, get cb)
 
 (* Subscribers fire in subscription order; propagation is a synchronous
    depth-first walk of the DAG.  Correctness does not depend on the order
@@ -462,6 +487,14 @@ let grow_bool_array arr n =
     arr'
   end
 
+(* A bulk build's output weights by scratch id, summed exactly, and the
+   dataset they make over the scratch intern. *)
+let bulk_add acc oid w =
+  if oid >= Array.length !acc then acc := grow_int_array !acc (oid + 1) 0;
+  !acc.(oid) <- Grid.add !acc.(oid) w
+
+let bulk_output intern acc = Wdata.of_index intern (grow_int_array !acc (Intern.size intern) 0)
+
 (* Reusable per-operator output accumulator — the scratch arena.  Output
    changes accumulate by *output intern id* in a direct-index int array
    ([acc], membership in [inacc], first-touch order in [touched]);
@@ -482,8 +515,7 @@ module Scratch = struct
     mutable out_ws : int array;
   }
 
-  let create ?intern engine =
-    let intern = match intern with Some i -> i | None -> tracked engine in
+  let create engine intern =
     {
       engine;
       intern;
@@ -581,16 +613,18 @@ end
 module Input = struct
   type 'a t = { node : 'a node; intern : 'a Intern.t; state : Itbl.t; buf : 'a Buf.t }
 
-  let create engine =
-    let intern = tracked engine and state = Itbl.create engine in
+  let create ?init engine =
+    let intern = intern_for engine init and state = table_of engine init in
     table_cell engine ~kind:"input" ~op:(Engine.fresh_op_id engine) intern state;
-    { node = make engine; intern; state; buf = Buf.create engine }
+    { node = make ?contents:init engine; intern; state; buf = Buf.create engine }
+
   let node t = t.node
 
   let feed t delta =
     let engine = t.node.engine in
     if engine.Engine.in_feed then
       invalid_arg "Dataflow.Input.feed: re-entrant feed during propagation";
+    Engine.end_build engine;
     engine.Engine.in_feed <- true;
     Fun.protect
       ~finally:(fun () -> engine.Engine.in_feed <- false)
@@ -608,8 +642,9 @@ module Input = struct
 end
 
 let select f up =
-  let out = make up.engine in
-  let scratch = Scratch.create up.engine in
+  let contents = Option.map (Ops.select f) up.contents in
+  let out = make ?contents up.engine in
+  let scratch = Scratch.create up.engine (intern_for up.engine contents) in
   subscribe up (fun xs ws len ->
       count_work up.engine len;
       for i = 0 to len - 1 do
@@ -619,7 +654,7 @@ let select f up =
   out
 
 let where p up =
-  let out = make up.engine in
+  let out = make ?contents:(Option.map (Ops.where p) up.contents) up.engine in
   let buf = Buf.create up.engine in
   subscribe up (fun xs ws len ->
       count_work up.engine len;
@@ -636,11 +671,11 @@ let where p up =
    record, both recomputed from state. *)
 let select_many f up =
   let engine = up.engine in
-  let out = make engine in
-  let intern = tracked engine in
-  let state = Itbl.create engine in
+  let contents = Option.map (Ops.select_many f) up.contents in
+  let out = make ?contents engine in
+  let intern = intern_for engine up.contents and state = table_of engine up.contents in
   table_cell engine ~kind:"select_many" ~op:(Engine.fresh_op_id engine) intern state;
-  let scratch = Scratch.create engine in
+  let scratch = Scratch.create engine (intern_for engine contents) in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
@@ -664,7 +699,7 @@ let same_engine a b =
 
 let concat a b =
   let engine = same_engine a b in
-  let out = make engine in
+  let out = make ?contents:(Option.map (fun (ca, cb) -> Ops.concat ca cb) (contents2 a b)) engine in
   let pass xs ws len =
     count_work engine len;
     emit out xs ws len
@@ -675,7 +710,7 @@ let concat a b =
 
 let except a b =
   let engine = same_engine a b in
-  let out = make engine in
+  let out = make ?contents:(Option.map (fun (ca, cb) -> Ops.except ca cb) (contents2 a b)) engine in
   subscribe a (fun xs ws len ->
       count_work engine len;
       emit out xs ws len);
@@ -692,16 +727,28 @@ let except a b =
 (* Union and Intersect keep both sides' weights per record and emit the
    change to max/min when either side moves.  One shared intern serves
    both side tables and the output scratch, so each incoming record is
-   hashed exactly once. *)
+   hashed exactly once.  A bulk build adopts the left side's index and
+   adds the right side's records it lacks, by their stored hashes. *)
 let merge_node ~kind (fop : int -> int -> int) a b =
   let engine = same_engine a b in
-  let out = make engine in
-  let intern = tracked engine in
   let wa = Itbl.create engine and wb = Itbl.create engine in
+  let intern, contents =
+    match contents2 a b with
+    | None -> (tracked engine, None)
+    | Some (ca, cb) ->
+        let intern = register engine (Wdata.keys ca) and kb = Wdata.keys cb in
+        Itbl.fill wa ca;
+        Array.iteri
+          (fun j w -> Itbl.set wb (Intern.intern_hashed intern (Intern.value kb j) (Intern.hash_of kb j)) w)
+          (Wdata.grid_weights cb);
+        let merged id = fop (Itbl.get wa id) (Itbl.get wb id) in
+        (intern, Some (Wdata.of_index intern (Array.init (Intern.size intern) merged)))
+  in
+  let out = make ?contents engine in
   let op = Engine.fresh_op_id engine in
   table_cell engine ~kind ~part:".left" ~op intern wa;
   table_cell engine ~kind ~part:".right" ~op intern wb;
-  let scratch = Scratch.create ~intern engine in
+  let scratch = Scratch.create engine intern in
   let handle mine other flip xs ws len =
     count_work engine len;
     for i = 0 to len - 1 do
@@ -726,102 +773,125 @@ let intersect a b = merge_node ~kind:"intersect" (fun x y -> if x <= y then x el
 (* Keyed-operator side state (Join inputs, GroupBy), fully
    struct-of-arrays.  Every record belongs to exactly one key (the key
    function is pure), so weights live in one flat [Itbl] per side and
-   each key's part is just an insertion-ordered array of member record
-   ids; [key_of] caches the interned key per record so re-deliveries of a
+   each key's part is an insertion-ordered array of member record ids
+   ([members.(kid)], its first [mlen.(kid)] entries): no record per key.
+   [key_of] caches the interned key per record so re-deliveries of a
    known record never hash its key again, and [mpos] gives O(1) swap-last
    removal with exact structural undo — the same abort-residue guarantee
-   the old record-keyed tables gave. *)
-(* [norm] is Join's Σ|w| over the part; [emitted] GroupBy's current
-   emissions, as flattened (output id, grid weight) pairs. *)
-type kpart = {
-  mutable members : int array;
-  mutable mlen : int;
-  mutable norm : int;
-  mutable emitted : int array;
-}
-
+   the old record-keyed tables gave.  [norm] is Join's Σ|w| per key;
+   [emitted] GroupBy's current emissions per key, as flattened (output
+   id, grid weight) pairs.  A key first touched in an aborted speculation
+   keeps its (empty) slots, which behave as an absent key. *)
 type 'r kside = {
   ri : 'r Intern.t;
   w : Itbl.t;
   mutable key_of : int array; (* rid -> kid, -1 unknown *)
   mutable mpos : int array; (* rid -> slot in its part's members, -1 absent *)
-  mutable parts : kpart option array; (* kid -> part *)
+  mutable members : int array array; (* kid -> member rids *)
+  mutable mlen : int array; (* kid -> live members *)
+  mutable norm : int array;
+  mutable emitted : int array array;
 }
 
-let kside_create engine =
-  { ri = tracked engine; w = Itbl.create engine; key_of = [||]; mpos = [||]; parts = [||] }
+let kside_create engine ri =
+  { ri; w = Itbl.create engine; key_of = [||]; mpos = [||]; members = [||]; mlen = [||]; norm = [||]; emitted = [||] }
 
 let kside_ensure_rid side rid =
   side.key_of <- grow_int_array side.key_of (rid + 1) (-1);
   side.mpos <- grow_int_array side.mpos (rid + 1) (-1)
 
-(* A part created during an aborted speculation stays allocated (empty,
-   norm zero) — observably identical to the old dropped-part behavior
-   because an absent part and an empty one behave the same. *)
-let kside_part side kid =
-  let cap = Array.length side.parts in
-  if kid >= cap then begin
-    let parts = Array.make (max 16 (max (2 * cap) (kid + 1))) None in
-    Array.blit side.parts 0 parts 0 cap;
-    side.parts <- parts
-  end;
-  match side.parts.(kid) with
-  | Some p -> p
-  | None ->
-      let p = { members = [||]; mlen = 0; norm = 0; emitted = [||] } in
-      side.parts.(kid) <- Some p;
-      p
+(* Makes room for key ids below [n]. *)
+let kside_keys side n =
+  let cap = Array.length side.mlen in
+  if n > cap then begin
+    let cap' = max 16 (max (2 * cap) n) in
+    let grow a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    side.members <- grow side.members [||];
+    side.mlen <- grow side.mlen 0;
+    side.norm <- grow side.norm 0;
+    side.emitted <- grow side.emitted [||]
+  end
 
-let kside_peek side kid = if kid < Array.length side.parts then side.parts.(kid) else None
+let part_len side kid = if kid < Array.length side.mlen then side.mlen.(kid) else 0
+let part_norm side kid = if kid < Array.length side.norm then side.norm.(kid) else 0
 
-let member_add (engine : Engine.t) side part rid =
-  if part.mlen = Array.length part.members then
-    part.members <- grow_int_array part.members (max 8 (2 * part.mlen + 1)) 0;
-  let i = part.mlen in
-  part.members.(i) <- rid;
-  part.mlen <- i + 1;
+(* Fills an empty side from a bulk-built dataset [w] over its intern,
+   grouped by [Ops.index] into [p]; [kmap] maps [p]'s key ids to the
+   operator's (the identity when [p]'s keys are the operator's), below
+   [nkeys]. *)
+let kside_fill side w (p : _ Ops.parts) ?kmap ~nkeys ~norms () =
+  Itbl.fill side.w w;
+  side.key_of <- (match kmap with Some m -> Array.map (fun k -> m.(k)) p.kid | None -> p.kid);
+  side.mpos <- Array.make (Wdata.support_size w) (-1);
+  kside_keys side nkeys;
+  for k = 0 to Array.length p.start - 2 do
+    let lo = p.start.(k) and len = p.start.(k + 1) - p.start.(k) in
+    let kid = match kmap with Some m -> m.(k) | None -> k in
+    let members = Array.sub p.src lo len in
+    for j = 0 to len - 1 do
+      side.mpos.(members.(j)) <- j
+    done;
+    side.members.(kid) <- members;
+    side.mlen.(kid) <- len;
+    if norms then side.norm.(kid) <- Ops.part_norm p k
+  done
+
+let member_add (engine : Engine.t) side kid rid =
+  let i = side.mlen.(kid) in
+  if i = Array.length side.members.(kid) then
+    side.members.(kid) <- grow_int_array side.members.(kid) (max 8 ((2 * i) + 1)) 0;
+  side.members.(kid).(i) <- rid;
+  side.mlen.(kid) <- i + 1;
   side.mpos.(rid) <- i;
   if engine.Engine.speculating then
     Engine.log_undo engine (fun () ->
         side.mpos.(rid) <- -1;
-        part.mlen <- i)
+        side.mlen.(kid) <- i)
 
-let member_remove (engine : Engine.t) side part rid =
+let member_remove (engine : Engine.t) side kid rid =
+  let members = side.members.(kid) in
   let i = side.mpos.(rid) in
-  let last = part.mlen - 1 in
-  let rl = part.members.(last) in
+  let last = side.mlen.(kid) - 1 in
+  let rl = members.(last) in
   if i <> last then begin
-    part.members.(i) <- rl;
+    members.(i) <- rl;
     side.mpos.(rl) <- i
   end;
-  part.mlen <- last;
+  side.mlen.(kid) <- last;
   side.mpos.(rid) <- -1;
   if engine.Engine.speculating then
     Engine.log_undo engine (fun () ->
-        part.mlen <- last + 1;
+        (* A later add may have grown the array: restore into the current one. *)
+        let members = side.members.(kid) in
+        side.mlen.(kid) <- last + 1;
         if i <> last then begin
-          part.members.(last) <- rl;
+          members.(last) <- rl;
           side.mpos.(rl) <- last
         end;
-        part.members.(i) <- rid;
+        members.(i) <- rid;
         side.mpos.(rid) <- i)
 
-(* Absolute set of one record's weight within its part, maintaining the
-   membership array alongside the weight table. *)
-let kside_set (engine : Engine.t) side part rid w =
+(* Absolute set of one record's weight within its part ([kid], whose
+   slots exist), maintaining the membership array alongside the weight
+   table. *)
+let kside_set (engine : Engine.t) side kid rid w =
   let was = Itbl.mem side.w rid in
   Itbl.set side.w rid w;
   let now = Itbl.mem side.w rid in
-  if now && not was then member_add engine side part rid
-  else if was && not now then member_remove engine side part rid
+  if now && not was then member_add engine side kid rid
+  else if was && not now then member_remove engine side kid rid
 
-let part_add_norm (engine : Engine.t) p dn =
+let part_add_norm (engine : Engine.t) side kid dn =
   if dn <> 0 then begin
     if engine.Engine.speculating then begin
-      let n0 = p.norm in
-      Engine.log_undo engine (fun () -> p.norm <- n0)
+      let n0 = side.norm.(kid) in
+      Engine.log_undo engine (fun () -> side.norm.(kid) <- n0)
     end;
-    p.norm <- Grid.add p.norm dn
+    side.norm.(kid) <- Grid.add side.norm.(kid) dn
   end
 
 (* Per-batch grouping buffers: incoming slice entries are chained per
@@ -891,83 +961,107 @@ let gbatch_reset gb =
 
 let join ~kl ~kr ~reduce a b =
   let engine = same_engine a b in
-  let out = make engine in
-  let sa = kside_create engine and sb = kside_create engine in
-  let kintern = tracked engine in
+  let bulk = contents2 a b in
+  let all _ = true in
+  let parts = Option.map (fun (ca, cb) -> (Ops.index ~key:kl ~keep:all ca, Ops.index ~key:kr ~keep:all cb)) bulk in
+  let sa = kside_create engine (intern_for engine (Option.map fst bulk))
+  and sb = kside_create engine (intern_for engine (Option.map snd bulk)) in
+  let kintern = match parts with Some (pa, _) -> register engine pa.Ops.keys | None -> tracked engine in
   (* Digest cells per side: its record weights, and its key norms. *)
   let op = Engine.fresh_op_id engine in
   let side_cells name side =
     (* Test hook: one record's weight moves one unit away from zero, and its
        key's norm with it, so the norm still sums the part. *)
     let tamper () =
-      match Array.find_opt (function Some p -> p.mlen > 0 | None -> false) side.parts with
-      | Some (Some p) ->
-          let w = Itbl.get side.w p.members.(0) and one = Grid.of_float 1.0 in
-          Itbl.set side.w p.members.(0) (Grid.add w (if w < 0 then -one else one));
-          p.norm <- Grid.add p.norm one;
+      match Array.find_index (fun n -> n > 0) side.mlen with
+      | Some kid ->
+          let rid = side.members.(kid).(0) and one = Grid.of_float 1.0 in
+          let w = Itbl.get side.w rid in
+          Itbl.set side.w rid (Grid.add w (if w < 0 then -one else one));
+          side.norm.(kid) <- Grid.add side.norm.(kid) one;
           true
-      | _ -> false
+      | None -> false
     in
     table_cell engine ~kind:"join" ~part:name ~op ~tamper side.ri side.w;
     Engine.register_cell engine ~kind:"join" ~part:(name ^ ".norm") ~op (fun () ->
-        Intern.digest kintern (fun kid ->
-            match kside_peek side kid with Some p -> p.norm | None -> 0))
+        Intern.digest kintern (part_norm side))
   in
   side_cells ".left" sa;
   side_cells ".right" sb;
-  let scratch = Scratch.create engine in
+  let scratch = Scratch.create engine (tracked engine) in
   (* Output pairs are interned by (left rid, right rid) in an insert-only
      open-addressing pair cache, so the steady-state inner loops allocate
      no tuples and hash no records — [reduce] runs once per distinct pair
-     ever matched. *)
-  let pk = ref (Array.make 32 (-1)) in
-  let pv = ref (Array.make 16 0) in
-  let pmask = ref 15 in
+     ever matched.  Slot [i] is [pc.(2i)], the pair packed into one int
+     (ids have 31 bits), [-1] when empty, beside its output id
+     [pc.(2i + 1)]: one cache line per probe.  A bulk build sizes the
+     cache for every pair it will hold. *)
+  let pairs = match parts with Some (pa, pb) -> Ops.count_pairs pa pb | None -> 0 in
+  let pcap = ref 16 in
+  while 4 * pairs > 3 * !pcap do
+    pcap := 2 * !pcap
+  done;
+  let pc = ref (Array.make (2 * !pcap) (-1)) in
+  let pmask = ref (!pcap - 1) in
   let plen = ref 0 in
   Engine.register_pair_cache engine (fun () -> !plen);
-  let pair_hash ra rb = ((ra * 0x9E3779B1) lxor rb) land max_int in
+  let pair_home key = ((key lsr 31) * 0x9E3779B1) lxor key in
   let pair_rehash () =
     let cap = 2 * (!pmask + 1) in
     let mask = cap - 1 in
-    let pk' = Array.make (2 * cap) (-1) and pv' = Array.make cap 0 in
+    let pc' = Array.make (2 * cap) (-1) in
     for i = 0 to !pmask do
-      let ra = !pk.(2 * i) in
-      if ra >= 0 then begin
-        let rb = !pk.((2 * i) + 1) in
-        let j = ref (pair_hash ra rb land mask) in
-        while pk'.(2 * !j) >= 0 do
+      let key = !pc.(2 * i) in
+      if key >= 0 then begin
+        let j = ref (pair_home key land mask) in
+        while pc'.(2 * !j) >= 0 do
           j := (!j + 1) land mask
         done;
-        pk'.(2 * !j) <- ra;
-        pk'.((2 * !j) + 1) <- rb;
-        pv'.(!j) <- !pv.(i)
+        pc'.(2 * !j) <- key;
+        pc'.((2 * !j) + 1) <- !pc.((2 * i) + 1)
       end
     done;
-    pk := pk';
-    pv := pv';
+    pc := pc';
     pmask := mask
   in
   let out_id_of ra rb =
-    let mask = !pmask in
-    let i = ref (pair_hash ra rb land mask) in
-    let res = ref (-1) in
-    while !res < 0 && !pk.(2 * !i) >= 0 do
-      if !pk.(2 * !i) = ra && !pk.((2 * !i) + 1) = rb then res := !pv.(!i)
-      else i := (!i + 1) land mask
+    let key = (ra lsl 31) lor rb and pc0 = !pc and mask = !pmask in
+    let i = ref (pair_home key land mask) in
+    while pc0.(2 * !i) >= 0 && pc0.(2 * !i) <> key do
+      i := (!i + 1) land mask
     done;
-    if !res >= 0 then !res
+    if pc0.(2 * !i) = key then pc0.((2 * !i) + 1)
     else begin
       let oid =
         Intern.intern scratch.Scratch.intern (reduce (Intern.value sa.ri ra) (Intern.value sb.ri rb))
       in
-      !pk.(2 * !i) <- ra;
-      !pk.((2 * !i) + 1) <- rb;
-      !pv.(!i) <- oid;
+      pc0.(2 * !i) <- key;
+      pc0.((2 * !i) + 1) <- oid;
       incr plen;
       if 4 * !plen > 3 * (!pmask + 1) then pair_rehash ();
       oid
     end
   in
+  (* A bulk build evaluates Batch's pairs, filling the pair cache, and
+     gives the right side's keys ids after the left side's. *)
+  let contents =
+    match (bulk, parts) with
+    | Some (ca, cb), Some (pa, pb) ->
+        let out_ws = ref [||] in
+        Ops.iter_pairs pa pb (fun i j d ->
+            bulk_add out_ws (out_id_of pa.Ops.src.(i) pb.Ops.src.(j)) (Grid.mul_div pa.Ops.ws.(i) pb.Ops.ws.(j) d));
+        let kb = pb.Ops.keys in
+        let kmap =
+          Array.init (Intern.size kb) (fun k ->
+              Intern.intern_hashed kintern (Intern.value kb k) (Intern.hash_of kb k))
+        in
+        let nkeys = Intern.size kintern in
+        kside_fill sa ca pa ~nkeys ~norms:true ();
+        kside_fill sb cb pb ~kmap ~nkeys ~norms:true ();
+        Some (bulk_output scratch.Scratch.intern out_ws)
+    | _ -> None
+  in
+  let out = make ?contents engine in
   let gb = gbatch_create () in
   (* One pair's output weight is [Grid.mul_div wx wy d].  Every emission
      is a difference of two such contributions recomputed from state, never
@@ -1004,9 +1098,9 @@ let join ~kl ~kr ~reduce a b =
     done;
     for ki = 0 to gb.klen - 1 do
       let kid = gb.keys.(ki) in
-      let mine_p = kside_part mine kid in
-      let other_p = kside_peek other kid in
-      let other_norm = match other_p with Some p -> p.norm | None -> 0 in
+      kside_keys mine (kid + 1);
+      let other_norm = part_norm other kid and other_len = part_len other kid in
+      let other_members = if other_len > 0 then other.members.(kid) else [||] in
       (* Σ (|old+dw| − |old|) over the key's netted records. *)
       let norm_change = ref 0 in
       let node = ref gb.khead.(kid) in
@@ -1020,7 +1114,7 @@ let join ~kl ~kr ~reduce a b =
         node := gb.cnext.(!node)
       done;
       let norm_change = !norm_change in
-      let denom_old = Grid.add mine_p.norm other_norm in
+      let denom_old = Grid.add mine.norm.(kid) other_norm in
       if norm_change = 0 && denom_old > 0 then begin
         (* Appendix B optimization: the normalizer is unchanged, so only
            pairs involving changed records move. *)
@@ -1032,16 +1126,13 @@ let join ~kl ~kr ~reduce a b =
           (if dw <> 0 then begin
              let old = Itbl.get mine.w rid in
              let w = Grid.add old dw in
-             kside_set engine mine mine_p rid w;
-             match other_p with
-             | Some op ->
-                 for mi = 0 to op.mlen - 1 do
-                   let ry = op.members.(mi) in
-                   let wy = Itbl.get other.w ry in
-                   let c = Grid.sub (Grid.mul_div w wy denom_old) (Grid.mul_div old wy denom_old) in
-                   if c <> 0 then epair rid ry c
-                 done
-             | None -> ()
+             kside_set engine mine kid rid w;
+             for mi = 0 to other_len - 1 do
+               let ry = other_members.(mi) in
+               let wy = Itbl.get other.w ry in
+               let c = Grid.sub (Grid.mul_div w wy denom_old) (Grid.mul_div old wy denom_old) in
+               if c <> 0 then epair rid ry c
+             done
            end);
           node := gb.cnext.(!node)
         done
@@ -1050,29 +1141,28 @@ let join ~kl ~kr ~reduce a b =
         (* The normalizer moved: every pair under this key is rescaled. *)
         engine.Engine.join_full <- engine.Engine.join_full + 1;
         let emit_all sign denom =
-          if denom > 0 then
-            match other_p with
-            | Some op ->
-                for xi = 0 to mine_p.mlen - 1 do
-                  let rx = mine_p.members.(xi) in
-                  let wx = Itbl.get mine.w rx in
-                  for yi = 0 to op.mlen - 1 do
-                    let ry = op.members.(yi) in
-                    epair rx ry (sign * Grid.mul_div wx (Itbl.get other.w ry) denom)
-                  done
-                done
-            | None -> ()
+          if denom > 0 && other_len > 0 then begin
+            let members = mine.members.(kid) in
+            for xi = 0 to mine.mlen.(kid) - 1 do
+              let rx = members.(xi) in
+              let wx = Itbl.get mine.w rx in
+              for yi = 0 to other_len - 1 do
+                let ry = other_members.(yi) in
+                epair rx ry (sign * Grid.mul_div wx (Itbl.get other.w ry) denom)
+              done
+            done
+          end
         in
         emit_all (-1) denom_old;
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
           let dw = gb.dacc.(rid) in
-          if dw <> 0 then kside_set engine mine mine_p rid (Grid.add (Itbl.get mine.w rid) dw);
+          if dw <> 0 then kside_set engine mine kid rid (Grid.add (Itbl.get mine.w rid) dw);
           node := gb.cnext.(!node)
         done;
-        part_add_norm engine mine_p norm_change;
-        emit_all 1 (Grid.add mine_p.norm other_norm)
+        part_add_norm engine mine kid norm_change;
+        emit_all 1 (Grid.add mine.norm.(kid) other_norm)
       end
     done;
     gbatch_reset gb;
@@ -1084,21 +1174,21 @@ let join ~kl ~kr ~reduce a b =
 
 let group_by ~key ~reduce up =
   let engine = up.engine in
-  let out = make engine in
-  let side = kside_create engine in
+  let parts = Option.map (Ops.index ~key ~keep:(fun _ -> true)) up.contents in
+  let side = kside_create engine (intern_for engine up.contents) in
   table_cell engine ~kind:"group_by" ~op:(Engine.fresh_op_id engine) side.ri side.w;
-  let kintern = tracked engine in
-  let scratch = Scratch.create engine in
+  let kintern = match parts with Some p -> register engine p.Ops.keys | None -> tracked engine in
+  let scratch = Scratch.create engine (tracked engine) in
   let gb = gbatch_create () in
   (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
      function of its members' weights.  A part keeps its current ones
      ([emitted]): a change retracts exactly those, and a part whose
      emissions come out the same emits nothing. *)
-  let derive kid part =
-    let k = Intern.value kintern kid in
+  let derive kid =
+    let k = Intern.value kintern kid and members = side.members.(kid) in
     let positive = ref [] in
-    for i = part.mlen - 1 downto 0 do
-      let rid = part.members.(i) in
+    for i = side.mlen.(kid) - 1 downto 0 do
+      let rid = members.(i) in
       let w = Itbl.get side.w rid in
       if w > 0 then positive := (Intern.value side.ri rid, Grid.to_float w) :: !positive
     done;
@@ -1108,6 +1198,25 @@ let group_by ~key ~reduce up =
            [ Intern.intern scratch.Scratch.intern (k, reduce members); Grid.of_float w ])
          (Ops.group_emissions !positive))
   in
+  (* A bulk build derives every part's emissions once, as the first
+     delivery would. *)
+  let contents =
+    match (up.contents, parts) with
+    | Some w, Some p ->
+        let nkeys = Intern.size kintern in
+        kside_fill side w p ~nkeys ~norms:false ();
+        let out_ws = ref [||] in
+        for kid = 0 to nkeys - 1 do
+          let now = derive kid in
+          side.emitted.(kid) <- now;
+          for i = 0 to (Array.length now / 2) - 1 do
+            bulk_add out_ws now.(2 * i) now.((2 * i) + 1)
+          done
+        done;
+        Some (bulk_output scratch.Scratch.intern out_ws)
+    | _ -> None
+  in
+  let out = make ?contents engine in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
@@ -1127,14 +1236,14 @@ let group_by ~key ~reduce up =
       done;
       for ki = 0 to gb.klen - 1 do
         let kid = gb.keys.(ki) in
-        let part = kside_part side kid in
+        kside_keys side (kid + 1);
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
-          kside_set engine side part rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
+          kside_set engine side kid rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
           node := gb.cnext.(!node)
         done;
-        let old = part.emitted and now = derive kid part in
+        let old = side.emitted.(kid) and now = derive kid in
         if old <> now then begin
           for i = 0 to (Array.length old / 2) - 1 do
             Scratch.push_id scratch old.(2 * i) (-old.((2 * i) + 1))
@@ -1142,8 +1251,8 @@ let group_by ~key ~reduce up =
           for i = 0 to (Array.length now / 2) - 1 do
             Scratch.push_id scratch now.(2 * i) now.((2 * i) + 1)
           done;
-          part.emitted <- now;
-          if engine.Engine.speculating then Engine.log_undo engine (fun () -> part.emitted <- old)
+          side.emitted.(kid) <- now;
+          if engine.Engine.speculating then Engine.log_undo engine (fun () -> side.emitted.(kid) <- old)
         end
       done;
       gbatch_reset gb;
@@ -1153,11 +1262,10 @@ let group_by ~key ~reduce up =
 let distinct ?(bound = 1.0) up =
   if bound <= 0.0 then invalid_arg "Dataflow.distinct: bound must be positive";
   let engine = up.engine in
-  let out = make engine in
-  let intern = tracked engine in
-  let state = Itbl.create engine in
+  let out = make ?contents:(Option.map (Ops.distinct ~bound) up.contents) engine in
+  let intern = intern_for engine up.contents and state = table_of engine up.contents in
   table_cell engine ~kind:"distinct" ~op:(Engine.fresh_op_id engine) intern state;
-  let scratch = Scratch.create ~intern engine in
+  let scratch = Scratch.create engine intern in
   let cap = Ops.capper bound in
   subscribe up (fun xs ws len ->
       count_work engine len;
@@ -1173,11 +1281,11 @@ let distinct ?(bound = 1.0) up =
 
 let shave f up =
   let engine = up.engine in
-  let out = make engine in
-  let intern = tracked engine in
-  let state = Itbl.create engine in
+  let contents = Option.map (Ops.shave f) up.contents in
+  let out = make ?contents engine in
+  let intern = intern_for engine up.contents and state = table_of engine up.contents in
   table_cell engine ~kind:"shave" ~op:(Engine.fresh_op_id engine) intern state;
-  let scratch = Scratch.create engine in
+  let scratch = Scratch.create engine (intern_for engine contents) in
   let slabs sign x w =
     if w > 0 then
       List.iter
@@ -1218,8 +1326,8 @@ module Sink = struct
     let t =
       {
         engine = e;
-        intern = tracked e;
-        state = Itbl.create e;
+        intern = intern_for e node.contents;
+        state = table_of e node.contents;
         deliveries_rev = [];
         deliveries = [||];
         d_ids = [||];
@@ -1271,6 +1379,10 @@ module Sink = struct
   let on_delivery t f =
     t.deliveries_rev <- f :: t.deliveries_rev;
     t.deliveries <- Array.of_list (List.rev t.deliveries_rev)
+
+  let deliver_current t f =
+    let n = Itbl.size t.state in
+    if n > 0 then f (Array.sub t.state.Itbl.ids 0 n) (Array.make n 0) (Array.sub t.state.Itbl.ws 0 n) n
 
   let on_change_id t f =
     on_delivery t (fun ids olds news len ->

@@ -23,6 +23,21 @@
     bit-equal to a fresh build over the same input, and a {!Sink} holds
     exactly what the batch operators compute from that input.
 
+    {2 Bulk builds}
+
+    An engine is built from a dataset, not from one giant delta: an
+    {!Input} created with [~init] holds its initial contents, and each
+    operator built over nodes holding datasets evaluates its own output
+    with the batch kernels ({!module:Wpinq_weighted.Ops}) and takes its
+    state from its inputs' and its output's datasets — their record
+    indexes become its interns, their grid weights its tables, and
+    [Ops.index]'s parts its keyed state.  The state is exactly what a feed
+    of the whole input would leave (exact accumulation), so the
+    incremental handlers retire the walk's deltas against it unchanged.
+    {!Engine.end_build} (or the first feed or speculation) drops the
+    datasets.  A {!Sink} built that way starts holding its pipeline's
+    output, and {!Sink.deliver_current} hands it on as one delivery.
+
     Correctness does not depend on delta granularity, but performance does:
     all entries of one [feed] batch that share an operator key are processed
     together, so a weight-preserving change (e.g. an edge swap, which
@@ -36,7 +51,7 @@
     {!Engine.begin_speculation} and {!Engine.commit}/{!Engine.abort}, every
     stateful cell mutation is recorded in an engine-wide undo log.
     [commit] discards the log; [abort] replays it in reverse, restoring
-    every operator's state, every sink, and the engine statistics to their
+    every operator's state, every sink, and {!Engine.state_records} to their
     exact pre-speculation bit patterns — in time proportional to the cells
     the propagation touched, with no second DAG propagation and no float
     round-trip drift.  This is how a rejected Metropolis–Hastings move is
@@ -84,8 +99,8 @@ module Engine : sig
   val work : t -> int
   (** Total delta entries processed by operators since creation; a
       machine-independent measure of propagation cost.  Aborted
-      speculative propagations are excluded (their work is restored by
-      {!abort}); their cost is visible through {!undo_cells}. *)
+      speculative propagations count, as does every traffic counter below:
+      they are work done.  A bulk build processes no delta. *)
 
   val join_fast_updates : t -> int
   (** Number of per-key Join updates retired via the Appendix B
@@ -126,12 +141,18 @@ module Engine : sig
       counters keep counting.  Raises [Invalid_argument] mid-speculation
       or mid-propagation. *)
 
+  val end_build : t -> unit
+  (** Drops the datasets that bulk-built nodes hold for their consumers
+      (see "Bulk builds" above).  A node built afterwards over such a node
+      starts empty, as one built over a fed input always has.
+      {!Input.feed} and {!begin_speculation} call it. *)
+
   val records_propagated : t -> int
   (** Total record deliveries: at every internal emission, the delta's
       length times the number of subscribers it is delivered to.  Unlike
       {!work} (delta entries {e processed} by operators), this counts the
       fan-out edge traffic that sharing a plan prefix eliminates.  Aborted
-      speculative propagations are excluded, as with {!work}. *)
+      speculative propagations count, as with {!work}. *)
 
   (** {2 Allocation statistics}
 
@@ -177,8 +198,9 @@ module Engine : sig
       progress, or any of them from inside a propagation). *)
 
   val begin_speculation : t -> unit
-  (** Starts recording an undo log.  Costs nothing up front: no snapshot
-      is taken; each subsequent cell mutation logs its previous value. *)
+  (** Starts recording an undo log (and ends a bulk build, {!end_build}).
+      Costs nothing up front: no snapshot is taken; each subsequent cell
+      mutation logs its previous value. *)
 
   val commit : t -> unit
   (** Accepts everything fed since {!begin_speculation}: discards the undo
@@ -186,9 +208,10 @@ module Engine : sig
 
   val abort : t -> unit
   (** Rejects everything fed since {!begin_speculation}: replays the undo
-      log in reverse, restoring operator state, sink contents, and the
-      statistics above bit-identically ({!commits}, {!aborts} and
-      {!undo_cells} themselves keep counting).  O(cells touched). *)
+      log in reverse, restoring operator state, sink contents and
+      {!state_records} bit-identically.  The traffic, join-path and arena
+      counters keep what the rejected propagation did, and {!commits},
+      {!aborts} and {!undo_cells} keep counting.  O(cells touched). *)
 
   val speculating : t -> bool
 
@@ -290,7 +313,11 @@ module Input : sig
   (** A root of the DAG: the mutable collection the analyst (or the MCMC
       walk) edits. *)
 
-  val create : Engine.t -> 'a t
+  val create : ?init:'a Wpinq_weighted.Wdata.t -> Engine.t -> 'a t
+  (** [create ~init engine] is an input holding [init], with its node
+      holding it for a bulk build until the build ends.  The input adopts
+      [init]'s record index ({!Wpinq_weighted.Wdata.keys}) and will add to
+      it; [init] itself stays valid.  Without [init] it starts empty. *)
 
   val node : 'a t -> 'a node
 
@@ -389,6 +416,14 @@ module Sink : sig
       during speculative propagation too (and are {e not} re-fired on
       abort — state a callback derives must be enrolled in the undo log via
       {!Engine.log_undo} to survive rollback). *)
+
+  val deliver_current :
+    'a t -> (int array -> int array -> int array -> int -> unit) -> unit
+  (** [deliver_current t f] hands [f] the sink's current contents as one
+      delivery from empty (every old weight 0), as {!on_delivery} would;
+      nothing when the sink is empty.  A sink attached to a bulk-built
+      pipeline starts holding its output, and this is how a consumer
+      retires that output. *)
 
   val on_change : 'a t -> ('a -> old_weight:float -> new_weight:float -> unit) -> unit
   (** {!on_delivery} one entry at a time, with the weights as floats. *)

@@ -361,7 +361,21 @@ module Mutable = struct
 
   let of_graph (g : graph) = of_edge_array ~n:g.n (Array.of_list (edges g))
   let edge_array t = Array.init t.m (fun i -> (t.eu.(i), t.ev.(i)))
-  let to_graph t = of_edges ~n:t.n (Array.to_list (edge_array t))
+  (* Sorted adjacency rows filled straight from the edge arrays: the edge
+     set is already free of loops and duplicates, so [of_edges]' list and
+     deduplicating table are not needed. *)
+  let to_graph t =
+    let adj = Array.init t.n (fun v -> Array.make t.deg.(v) 0) and fill = Array.make t.n 0 in
+    let add u v =
+      adj.(u).(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1
+    in
+    for i = 0 to t.m - 1 do
+      add t.eu.(i) t.ev.(i);
+      add t.ev.(i) t.eu.(i)
+    done;
+    Array.iter (Array.sort Int.compare) adj;
+    { n = t.n; adj; m = t.m }
 
   let copy t =
     {

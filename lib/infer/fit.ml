@@ -4,6 +4,7 @@ module Plan = Wpinq_core.Plan
 module Flow = Wpinq_core.Flow
 module Measurement = Wpinq_core.Measurement
 module Dataflow = Wpinq_dataflow.Dataflow
+module Wdata = Wpinq_weighted.Wdata
 module Fault = Wpinq_persist.Persist.Fault
 
 type measured = Measured : 'a Plan.t * 'a Measurement.t -> measured
@@ -55,49 +56,59 @@ let check_range mg =
              (max(n, 2m) must stay below 2^21)"
             n m))
 
-(* Engine state built from an explicit, order-significant edge array: the
-   one construction under [create_shared] (the seed graph's edge array),
-   [restore_shared] (resume from a checkpoint file), [rebuild_shared]
-   (compaction, audit) and the replica pool.  Targets attach before any
-   data flows, so their initial distances account for every observed
-   record; then the symmetric records are fed in edge-array order.
-   Accumulation is exact, so any fit over the same edge multiset and
-   measurements reads bit-identical energies — which is what lets a
-   resumed chain, a live chain and the replicas of a parallel walk agree.
+(* The symmetric edge dataset of a graph, in edge-array order: [(u, v)]
+   then [(v, u)] for each edge. *)
+let symmetric mg =
+  let one = Dataflow.Grid.of_float 1.0 in
+  Wdata.build
+    (2 * Graph.Mutable.m mg)
+    (fun emit ->
+      Array.iter
+        (fun (u, v) ->
+          emit (u, v) one;
+          emit (v, u) one)
+        (Graph.Mutable.edge_array mg))
+
+(* Engine state built from an explicit edge array: the one construction
+   under [create_shared] (the seed graph's edge array), [restore_shared]
+   (resume from a checkpoint file), [rebuild_shared] (compaction, audit)
+   and the replica pool.  It is a bulk build: the input starts holding
+   the symmetric edges, every plan node is evaluated once by the batch
+   kernels and its engine operator adopts that state, and each target
+   retires its sink's initial contents as one delivery, drawing its
+   first-seen records in ascending record order.  Accumulation is exact,
+   so any fit over the same edge multiset and measurements reads
+   bit-identical energies — which is what lets a resumed chain, a live
+   chain and the replicas of a parallel walk agree.
 
    That agreement also needs the build to draw no noise the live engine
-   did not: a record a fresh build shows its sinks only in passing (one
-   delivery of the feed adds it, a later one retracts it) would take the
-   measurement's next lazy draw, shifting every later draw of the chain.
-   So every build but a [first] one, which materializes its measurements'
-   observations, checks that no target's noise cursor moved. *)
-let attach ~first ~source ~measured (handle, sym) mg =
+   did not.  A sink is shown only its final records, so a build over
+   measurements that already hold the live walk's observations draws
+   nothing; every build but a [first] one, which materializes its
+   measurements' observations, checks that no measurement's noise cursor
+   moved (over measurements of another graph, say, it would). *)
+let attach ~first ~source ~measured engine mg =
+  let marks = List.map (fun (Measured (_, m)) -> Measurement.mark m) measured in
+  let handle, sym = Flow.input ~init:(symmetric mg) engine in
   let built = plan_targets ~source ~measured sym in
-  let marks = List.map Flow.Target.noise_mark built in
-  let records =
-    List.concat_map
-      (fun (u, v) -> [ ((u, v), 1.0); ((v, u), 1.0) ])
-      (Array.to_list (Graph.Mutable.edge_array mg))
-  in
-  Flow.feed handle records;
+  Dataflow.Engine.end_build engine;
   if not first then
     List.iteri
-      (fun i (target, mark) ->
-        if Flow.Target.noise_mark target <> mark then
+      (fun i (Measured (_, m), mark) ->
+        if Measurement.mark m <> mark then
           raise
             (Build_drew_noise
                (Printf.sprintf
-                  "Fit: target #%d drew fresh noise in a rebuild; its query shows a fresh \
-                   build a record that a later delivery retracts"
+                  "Fit: measurement #%d drew fresh noise in a rebuild; it holds no observation \
+                   for a record the build shows"
                   i)))
-      (List.combine built marks);
-  built
+      (List.combine measured marks);
+  (handle, built)
 
 let of_mutable ~first ~rng ~source ~measured mg =
   check_range mg;
   let engine = Dataflow.Engine.create () in
-  let ((handle, _) as input) = Flow.input engine in
-  let built = attach ~first ~source ~measured input mg in
+  let handle, built = attach ~first ~source ~measured engine mg in
   {
     rng;
     engine;
@@ -125,12 +136,13 @@ let rebuild_shared t ~n ~edges ~source ~measured =
   let mg = Graph.Mutable.of_edge_array ~n edges in
   check_range mg;
   Dataflow.Engine.reset t.engine;
-  let ((handle, _) as input) = Flow.input t.engine in
-  t.handle <- handle;
+  (* A detached placeholder, so the old input no longer holds the old DAG. *)
+  t.handle <- fst (Flow.input (Dataflow.Engine.create ()));
   t.targets <- [];
   Gc.full_major ();
   Fault.point "fit.rebuild";
-  let built = attach ~first:false ~source ~measured input mg in
+  let handle, built = attach ~first:false ~source ~measured t.engine mg in
+  t.handle <- handle;
   t.graph <- mg;
   t.targets <- built;
   t.source <- source;
@@ -146,9 +158,12 @@ let rebuild_own t =
 (* Interning is monotone: an engine keeps every record any proposal ever
    touched, aborted ones included.  So once the engine's interned ids have
    doubled since its last build (a compaction or an audit), the fit
-   rebuilds itself.  O(1) amortized per id; called at the lookahead walk's
-   batch boundaries, where every fit is quiescent. *)
-let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max 1 t.built_ids
+   rebuilds itself — but never below twice [compaction_floor] ids, so a
+   small fit does not rebuild every few hundred steps for a few megabytes.
+   O(1) amortized per id; called at the lookahead walk's batch boundaries,
+   where every fit is quiescent. *)
+let compaction_floor = 1 lsl 18
+let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max t.built_ids compaction_floor
 let compact t = if grown t then rebuild_own t
 
 let graph t = Graph.Mutable.to_graph t.graph

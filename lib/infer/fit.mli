@@ -11,13 +11,20 @@
     aborts, rolling the engine back in O(cells touched) instead of paying a
     second DAG propagation for the inverted swap.
 
-    The engine accumulates exactly, so its energy is a pure function of the
-    current edge multiset and measurements: a fit restored from a
-    checkpoint ({!restore_shared}), or rebuilt in place
-    ({!rebuild_shared}), reads the same bits as the live one, which is
-    what makes a resumed chain retrace an uninterrupted one exactly.  The walk also rebuilds its own engine, bit-neutrally, when
-    the engine's interned ids have doubled since its last build, so memory
-    stays bounded on any walk length; an {!audit} is such a rebuild. *)
+    Every build — {!create_shared}, {!restore_shared}, {!rebuild_shared},
+    an {!audit}, a compaction and a lookahead replica — is a bulk build:
+    each plan node is evaluated once by the batch kernels over the
+    symmetric edge dataset, and its engine operator adopts the result as
+    state ({!Wpinq_core.Flow.input}'s [~init]).  No build feeds the edge
+    list through the incremental handlers; only the walk's deltas take
+    them.  The engine accumulates exactly, so its energy is a pure
+    function of the current edge multiset and measurements: a fit
+    restored from a checkpoint, or rebuilt in place, reads the same bits
+    as the live one, which is what makes a resumed chain retrace an
+    uninterrupted one exactly.  The walk also rebuilds its own engine,
+    bit-neutrally, when the engine's interned ids reach
+    [2 × max (post-build ids, compaction_floor)], so memory stays bounded
+    on any walk length; an {!audit} is such a rebuild. *)
 
 type t
 
@@ -36,10 +43,12 @@ val create_shared :
   unit ->
   t
 (** [create_shared ~rng ~seed_graph ~source ~measured ()] builds the
-    engine, lowers each measured plan over the synthetic symmetric-directed
-    edge input bound to [source], and loads [seed_graph] in edge-array
-    order — the same construction as {!restore_shared} at [seed_graph]'s
-    edge array, so both read identical energy bits.  All plans go through
+    engine: the synthetic symmetric-directed edge input bound to [source]
+    starts holding [seed_graph]'s edges, each measured plan is lowered
+    over it in bulk (Batch-evaluated state, adopted), and each target
+    draws the lazy observations its sink's initial records need, in
+    ascending record order — the same construction as {!restore_shared}
+    at [seed_graph]'s edge array, so both read identical energy bits.  All plans go through
     a single {!Wpinq_core.Flow.Plans} context: plan prefixes shared
     between measurements become one physical dataflow sub-DAG, so each
     MCMC delta propagates through the common prefix once per step.
@@ -66,14 +75,15 @@ val restore_shared :
 exception Build_drew_noise of string
 (** Raised when a build over measurements that should already hold every
     observation it can show — a {!rebuild_shared}, an {!audit}, a
-    compaction, a lookahead replica, or a checkpoint resume — drew fresh
-    lazy noise.
-    That happens only for a query whose sinks, in a from-scratch build,
-    see a record that a later delivery of the same feed retracts (a
-    transient record the live engine never saw): the draw would shift the
-    measurement's noise stream, so the rebuilt chain would silently leave
-    the live one.  The measurements have already drawn: discard the fit
-    and its measurements. *)
+    compaction or a lookahead replica — drew fresh lazy noise.  A bulk
+    build shows each sink only its final records, so over the fit's own
+    edge array and live measurements it never draws (a record the walk
+    showed only in passing is not shown again).  It draws when the
+    measurements lack an observation the new edges need — a
+    {!rebuild_shared} at another graph's edges, say: the draw would shift
+    the measurement's noise stream, so the rebuilt chain would silently
+    leave the live one.  The measurements have already drawn: discard the
+    fit and its measurements. *)
 
 val rebuild_shared :
   t ->
@@ -82,14 +92,18 @@ val rebuild_shared :
   source:(int * int) Wpinq_core.Plan.t ->
   measured:measured list ->
   unit
-(** In-place {!restore_shared}: swaps a freshly-built engine state, graph,
-    and target set into [t] (the PRNG is kept — its state is already
-    exact).  Closures capturing [t] — the MCMC driver's — see the new
+(** In-place {!restore_shared}: swaps a freshly bulk-built engine state,
+    graph, and target set into [t] (the PRNG is kept — its state is
+    already exact; the engine object is reset and reused).  Closures capturing [t] — the MCMC driver's — see the new
     state immediately.  Over the fit's own edge array and measurements it
     is bit-neutral: energies, and so the walk that follows, are unchanged.
     The measurements must already hold every observation the new build
     shows (as they do at the fit's own edge array); raises
     {!Build_drew_noise} if the build drew. *)
+
+val compaction_floor : int
+(** [2{^18}]: the interned-id count below which a fit's growth never
+    triggers a compaction (see {!run}). *)
 
 val graph : t -> Wpinq_graph.Graph.t
 (** A snapshot of the current synthetic graph (public; inspect freely). *)
@@ -144,10 +158,13 @@ val run :
     [on_checkpoint] and [on_step] pass through to {!Mcmc.run_lookahead}.
 
     Between lookahead batches the fit compacts itself: once the engine's
-    interned ids reach twice their count after its last build (or
-    audit), it rebuilds in place from its own edge array (into the same engine) —
-    bit-neutral, so the chain does not move, and memory stays within
-    twice the post-build footprint plus one batch's growth.  At [jobs > 1]
+    interned ids reach [2 × max (b, compaction_floor)], [b] their count
+    after its last build (or audit), it rebuilds in place from its own
+    edge array (into the same engine) — bit-neutral, so the chain does not
+    move.  So the engine never holds more than [2 × max (b,
+    compaction_floor)] interned ids plus one batch's growth: twice the
+    post-build footprint, or, for a small fit, a fixed 2{^19} ids (a few
+    tens of megabytes of interns, tables and pair caches).  At [jobs > 1]
     the replicas are rebuilt from this fit when any of them has grown.
 
     [jobs] (default 1) is the worker count.  With [jobs = 1] every

@@ -106,8 +106,7 @@ let find_hashed t x h =
 
 let find t x = find_hashed t x (hash x)
 
-let intern t x =
-  let h = hash x in
+let intern_hashed t x h =
   let i = probe t x h in
   let s = t.slots.(i) in
   if s <> 0 then (s land id_mask) - 1
@@ -134,6 +133,8 @@ let intern t x =
     if 4 * t.len > 3 * Array.length t.slots then rehash t;
     id
   end
+
+let intern t x = intern_hashed t x (hash x)
 
 let capacity t = Array.length t.slots
 

@@ -33,6 +33,10 @@ val intern : 'a t -> 'a -> int
     arrive in.  Raises [Failure] beyond [2^31 - 1] distinct records
     (ids are packed into 31 bits). *)
 
+val intern_hashed : 'a t -> 'a -> int -> int
+(** [intern_hashed t x h] is [intern t x] for [h] the hash of [x] (as
+    {!hash_of} gives it, from any intern), hashing nothing. *)
+
 val find : 'a t -> 'a -> int
 (** The id of [x], or [-1] if it was never interned (never assigns). *)
 

@@ -35,9 +35,17 @@ let group_emissions part =
 
 (* The records of [d] kept by [keep w], grouped by [key]: part [k] (key
    [Intern.value keys k], in first-sight order) is entries [start.(k)] to
-   [start.(k + 1) - 1] of [xs]/[ws], in [d]'s order.  One hash per kept
-   record, of its key. *)
-type ('k, 'a) parts = { keys : 'k Intern.t; start : int array; xs : 'a array; ws : int array }
+   [start.(k + 1) - 1] of [xs]/[ws]/[src], in [d]'s order; [src] maps an
+   entry to its record's position in [d] and [kid] a position to its key
+   ([-1] when not kept).  One hash per kept record, of its key. *)
+type ('k, 'a) parts = {
+  keys : 'k Intern.t;
+  start : int array;
+  src : int array;
+  kid : int array;
+  xs : 'a array;
+  ws : int array;
+}
 
 let index ~key ~keep d =
   let kid = Array.make (Wdata.support_size d) (-1) and keys = Intern.create () in
@@ -53,7 +61,8 @@ let index ~key ~keep d =
   for k = 1 to nk do
     start.(k) <- start.(k) + start.(k - 1)
   done;
-  let next = Array.sub start 0 nk and xs = ref [||] and ws = Array.make start.(nk) 0 in
+  let next = Array.sub start 0 nk and xs = ref [||] in
+  let src = Array.make start.(nk) 0 and ws = Array.make start.(nk) 0 in
   i := 0;
   Wdata.iter_grid
     (fun x w ->
@@ -63,11 +72,19 @@ let index ~key ~keep d =
         let j = next.(k) in
         !xs.(j) <- x;
         ws.(j) <- w;
+        src.(j) <- !i;
         next.(k) <- j + 1
       end;
       incr i)
     d;
-  { keys; start; xs = !xs; ws }
+  { keys; start; src; kid; xs = !xs; ws }
+
+let part_norm p k =
+  let s = ref 0 in
+  for j = p.start.(k) to p.start.(k + 1) - 1 do
+    s := Grid.add !s (abs p.ws.(j))
+  done;
+  !s
 
 let group_by ~key ~reduce a =
   let p = index ~key ~keep:(fun w -> w > 0) a in
@@ -86,32 +103,37 @@ let intersect a b = Wdata.merge_grid Int.min a b
 let concat a b = Wdata.merge_grid Grid.add a b
 let except a b = Wdata.merge_grid Grid.sub a b
 
-(* Each key of [a] is looked up in [b]'s parts by its stored hash.  The
-   output is sized as it grows: the pair count bounds its support only
+(* Each key of [pa] is looked up in [pb]'s parts by its stored hash. *)
+let iter_keys pa pb f =
+  for ka = 0 to Array.length pa.start - 2 do
+    let kb = Intern.find_hashed pb.keys (Intern.value pa.keys ka) (Intern.hash_of pa.keys ka) in
+    if kb >= 0 then f ka kb
+  done
+
+let size p k = p.start.(k + 1) - p.start.(k)
+
+let count_pairs pa pb =
+  let n = ref 0 in
+  iter_keys pa pb (fun ka kb -> n := !n + (size pa ka * size pb kb));
+  !n
+
+let iter_pairs pa pb f =
+  iter_keys pa pb (fun ka kb ->
+      let d = Grid.add (part_norm pa ka) (part_norm pb kb) in
+      if d > 0 then
+        for i = pa.start.(ka) to pa.start.(ka + 1) - 1 do
+          for j = pb.start.(kb) to pb.start.(kb + 1) - 1 do
+            f i j d
+          done
+        done)
+
+(* The output is sized as it grows: the pair count bounds its support only
    loosely. *)
 let join ~kl ~kr ~reduce a b =
   let all _ = true in
   let pa = index ~key:kl ~keep:all a and pb = index ~key:kr ~keep:all b in
-  let norm p k =
-    let s = ref 0 in
-    for j = p.start.(k) to p.start.(k + 1) - 1 do
-      s := Grid.add !s (abs p.ws.(j))
-    done;
-    !s
-  in
   Wdata.build 0 (fun emit ->
-      for ka = 0 to Intern.size pa.keys - 1 do
-        let kb = Intern.find_hashed pb.keys (Intern.value pa.keys ka) (Intern.hash_of pa.keys ka) in
-        if kb >= 0 then begin
-          let d = Grid.add (norm pa ka) (norm pb kb) in
-          if d > 0 then
-            for i = pa.start.(ka) to pa.start.(ka + 1) - 1 do
-              for j = pb.start.(kb) to pb.start.(kb + 1) - 1 do
-                emit (reduce pa.xs.(i) pb.xs.(j)) (Grid.mul_div pa.ws.(i) pb.ws.(j) d)
-              done
-            done
-        end
-      done)
+      iter_pairs pa pb (fun i j d -> emit (reduce pa.xs.(i) pb.xs.(j)) (Grid.mul_div pa.ws.(i) pb.ws.(j) d)))
 
 (* Shave's emissions for a single record of weight [w], folded with [f]:
    indexed slabs drawn from [seq], clipped to the remaining weight.  Stops on

@@ -12,8 +12,9 @@
 
     These implementations compute whole outputs from whole inputs.  They are
     the executable specification against which the incremental engine
-    ({!module:Wpinq_dataflow}) is tested, and they are used directly
-    wherever a query is evaluated only once.
+    ({!module:Wpinq_dataflow}) is tested, they are used directly wherever
+    a query is evaluated only once, and every engine build evaluates its
+    operators with them and adopts the results as state.
 
     Weights are {!Grid} ints.  {!select_many}, {!join}, {!group_by} and
     {!shave} round each contribution to the grid once, with the engine's
@@ -117,3 +118,34 @@ val shave_emissions : float Seq.t -> float -> (int * float) list
 (** [shave_emissions seq w] lists the [(index, weight)] slabs Shave emits
     for a single record of weight [w], stopping once at most [1e-12] is
     left. *)
+
+(** {1 Keyed parts}
+
+    The grouping {!join} and {!group_by} evaluate over, exposed so that the
+    incremental engine can build its keyed state from the same pass. *)
+
+type ('k, 'a) parts = {
+  keys : 'k Intern.t;  (** key [k] is [Intern.value keys k], in first-sight order *)
+  start : int array;  (** part [k] is entries [start.(k)] to [start.(k + 1) - 1] *)
+  src : int array;  (** entry -> its record's position in the dataset *)
+  kid : int array;  (** position in the dataset -> key id, [-1] when not kept *)
+  xs : 'a array;  (** entry -> record *)
+  ws : int array;  (** entry -> grid weight *)
+}
+
+val index : key:('a -> 'k) -> keep:(int -> bool) -> 'a Wdata.t -> ('k, 'a) parts
+(** [index ~key ~keep d] groups the records of [d] whose grid weight
+    [keep] accepts by [key] (a counting sort over key ids; one hash per
+    kept record, of its key), each part in [d]'s order. *)
+
+val part_norm : ('k, 'a) parts -> int -> int
+(** [part_norm p k] is [Σ |w|] over part [k], on the grid. *)
+
+val iter_pairs : ('k, 'a) parts -> ('k, 'b) parts -> (int -> int -> int -> unit) -> unit
+(** [iter_pairs pa pb f] calls [f i j d] for every entry [i] of [pa] and
+    [j] of [pb] under one key whose normalizer [d = ‖A_k‖ + ‖B_k‖] is
+    positive: {!join}'s pairs, contributing [Grid.mul_div wi wj d]. *)
+
+val count_pairs : ('k, 'a) parts -> ('k, 'b) parts -> int
+(** The number of entry pairs under keys both hold (an upper bound on
+    {!iter_pairs}' calls). *)

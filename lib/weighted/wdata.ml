@@ -1,38 +1,45 @@
 (* The support in first-emission order: record [i] is [Intern.value keys i],
-   its grid weight [ws.(i)], for [i < Intern.size keys] ([ws] may run
-   longer).  Never mutated after construction: every operation returns a
-   new dataset, which may share [keys] when it keeps every record.
-   Constructors drop zero weights, so the support never holds them. *)
-type 'a t = { keys : 'a Intern.t; ws : int array }
+   its grid weight [ws.(i)], for [i < len] ([ws] may run longer).  A
+   dataset never adds to [keys], but may share them: with another dataset
+   that keeps every record, or with an engine operator that adopted the
+   dataset and appends ids past [len].  So only ids below [len] are the
+   support.  Constructors drop zero weights, so the support never holds
+   them. *)
+type 'a t = { keys : 'a Intern.t; ws : int array; len : int }
 
-let support_size a = Intern.size a.keys
-let empty () = { keys = Intern.create (); ws = [||] }
+let support_size a = a.len
+let empty () = { keys = Intern.create (); ws = [||]; len = 0 }
 
-(* The records of each [(keys, ws)] part whose weight in [ws] is nonzero,
-   in order, with those weights.  Copies records and their stored hashes,
-   and hashes nothing; a single part kept whole shares its keys, unless its
-   weights run over twice the support. *)
+(* The records of each [(keys, ws, n)] part whose id is below [n] and
+   whose weight in [ws] is nonzero, in order, with those weights.  Copies
+   records and their stored hashes, and hashes nothing; a single part kept
+   whole shares its keys, unless its weights run over twice its length. *)
 let gather parts =
-  let whole keys ws =
-    let n = Intern.size keys in
+  let whole ws n =
     let rec go i = i = n || (ws.(i) <> 0 && go (i + 1)) in
     2 * n >= Array.length ws && go 0
   in
   match parts with
-  | [ (keys, ws) ] when whole keys ws -> { keys; ws }
+  | [ (keys, ws, n) ] when whole ws n -> { keys; ws; len = n }
   | _ ->
-      let keys = Intern.gather (List.map (fun (keys, ws) -> (keys, fun i -> ws.(i) <> 0)) parts) in
-      let ws' = Array.make (Intern.size keys) 0 and j = ref 0 in
+      let kept (keys, ws, n) = (keys, fun i -> i < n && ws.(i) <> 0) in
+      let keys = Intern.gather (List.map kept parts) in
+      let len = Intern.size keys in
+      let ws' = Array.make len 0 and j = ref 0 in
       List.iter
-        (fun (keys, ws) ->
-          for i = 0 to Intern.size keys - 1 do
+        (fun (_, ws, n) ->
+          for i = 0 to n - 1 do
             if ws.(i) <> 0 then begin
               ws'.(!j) <- ws.(i);
               incr j
             end
           done)
         parts;
-      { keys; ws = ws' }
+      { keys; ws = ws'; len }
+
+let keys a = a.keys
+let grid_weights a = Array.sub a.ws 0 a.len
+let of_index keys ws = gather [ (keys, ws, Intern.size keys) ]
 
 (* One hash and one probe per emission; integer sums are exact, so a
    record's weight is the sum of its emissions in any order.  Zeros are
@@ -53,7 +60,7 @@ let build size produce =
         end;
         !ws.(p) <- w
       end);
-  gather [ (keys, !ws) ]
+  gather [ (keys, !ws, Intern.size keys) ]
 
 let of_list assoc =
   build (List.length assoc) (fun emit -> List.iter (fun (x, w) -> emit x (Grid.of_float w)) assoc)
@@ -89,9 +96,13 @@ let to_sorted_list a = List.sort (fun (x, _) (y, _) -> compare x y) (to_list a)
 (* The weight at [p] of [a], [0] when [p] is [-1]. *)
 let at a p = if p < 0 then 0 else a.ws.(p)
 
+(* The position in [a] of an id of [a.keys], or [-1]. *)
+let within a p = if p < a.len then p else -1
+let find a x = within a (Intern.find a.keys x)
+
 (* The position in [b] of [a]'s [i]-th record, probing with its stored
    hash. *)
-let lookup a b i = Intern.find_hashed b.keys (Intern.value a.keys i) (Intern.hash_of a.keys i)
+let lookup a b i = within b (Intern.find_hashed b.keys (Intern.value a.keys i) (Intern.hash_of a.keys i))
 
 (* [m.(i)] is the position in [b] of [a]'s [i]-th record, or [-1]: one
    probe per record of the smaller side, into the larger side's index. *)
@@ -121,9 +132,9 @@ let pair_up f g a b =
   let wb = Array.init (support_size b) missed in
   (wa, wb)
 
-let weight_grid a x = at a (Intern.find a.keys x)
+let weight_grid a x = at a (find a x)
 let weight a x = Grid.to_float (weight_grid a x)
-let mem a x = Intern.find a.keys x >= 0
+let mem a x = find a x >= 0
 
 (* Exact, order-free sums, rounded to a float once. *)
 let wide_sum f a =
@@ -143,8 +154,7 @@ let dist a b =
   Array.iter (Grid.Wide.add s) wb;
   Grid.Wide.to_float s
 
-let map_grid f a =
-  gather [ (a.keys, Array.init (support_size a) (fun i -> f (Intern.value a.keys i) a.ws.(i))) ]
+let map_grid f a = gather [ (a.keys, Array.init a.len (fun i -> f (Intern.value a.keys i) a.ws.(i)), a.len) ]
 
 let map_weights f a = map_grid (fun x w -> Grid.of_float (f x (Grid.to_float w))) a
 let scale c a = map_weights (fun _ w -> c *. w) a
@@ -155,7 +165,7 @@ let filter p a =
 
 let merge_grid f a b =
   let wa, wb = pair_up f (f 0) a b in
-  gather [ (a.keys, wa); (b.keys, wb) ]
+  gather [ (a.keys, wa, a.len); (b.keys, wb, b.len) ]
 
 let merge f a b = merge_grid (fun wa wb -> Grid.of_float (f (Grid.to_float wa) (Grid.to_float wb))) a b
 

@@ -120,3 +120,19 @@ val to_grid_list : 'a t -> ('a * int) list
 val iter_grid : ('a -> int -> unit) -> 'a t -> unit
 val map_grid : ('a -> int -> int) -> 'a t -> 'a t
 val merge_grid : (int -> int -> int) -> 'a t -> 'a t -> 'a t
+
+val keys : 'a t -> 'a Intern.t
+(** The index whose ids [0 .. support_size - 1] are the support, in
+    {!to_grid_list}'s order.  It is shared, not copied, and may hold more
+    ids: a dataset never adds to it, but one that keeps every record of
+    another shares its index, and the incremental engine adopts the index
+    of a dataset it builds state from and appends to it later.  Ids past
+    the support are not part of the dataset. *)
+
+val grid_weights : 'a t -> int array
+(** A fresh array of the support's grid weights, by id. *)
+
+val of_index : 'a Intern.t -> int array -> 'a t
+(** [of_index keys ws] is the records of [keys] whose weight [ws.(id)] is
+    nonzero, in id order ([ws] covers every id).  It shares [keys] when
+    every weight is nonzero, so [keys] must then only be added to. *)

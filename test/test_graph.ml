@@ -220,6 +220,26 @@ let test_mutable_swap_roundtrip () =
     (List.sort compare (Graph.edges g))
     (List.sort compare (Graph.edges restored))
 
+(* [to_graph] fills adjacency rows straight from the edge arrays; it must
+   agree with deduplicating the edge list through [of_edges], row for row,
+   after any run of swaps. *)
+let test_mutable_to_graph =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"mutable to_graph = of_edges after swaps"
+       QCheck.(triple (int_range 2 40) (int_range 0 120) (int_range 0 300))
+       (fun (n, m, swaps) ->
+         let rng = Prng.create ((n * 1000) + m + swaps) in
+         let g = Gen.erdos_renyi ~n ~m:(min m (n * (n - 1) / 2)) rng in
+         let mg = Graph.Mutable.of_graph g in
+         for _ = 1 to swaps do
+           Option.iter (Graph.Mutable.apply mg) (Graph.Mutable.propose_swap mg rng)
+         done;
+         let got = Graph.Mutable.to_graph mg in
+         let want = Graph.of_edges ~n (Array.to_list (Graph.Mutable.edge_array mg)) in
+         Graph.n got = Graph.n want
+         && Graph.m got = Graph.m want
+         && List.for_all (fun v -> Graph.adj got v = Graph.adj want v) (List.init n Fun.id)))
+
 let test_mutable_swap_delta () =
   let s =
     Graph.Mutable.{ remove = ((1, 2), (3, 4)); add = ((1, 4), (3, 2)) }
@@ -268,5 +288,6 @@ let suite =
     Alcotest.test_case "rewire" `Quick test_rewire_preserves_degrees_kills_triangles;
     Alcotest.test_case "mutable swap roundtrip" `Quick test_mutable_swap_roundtrip;
     Alcotest.test_case "mutable swap delta" `Quick test_mutable_swap_delta;
+    test_mutable_to_graph;
     Alcotest.test_case "io roundtrip" `Quick test_io_roundtrip;
   ]

@@ -192,15 +192,14 @@ let test_intern_colliding_model =
 
 (* Probe displacement stays flat however records arrive.  A batch netted
    through a stdlib [Hashtbl] (as [Input.feed] once coalesced one) reaches
-   the interns sorted by [Hashtbl.hash].  An intern that placed records by
-   that same hash saw every prefix of the batch land in one contiguous
-   run of its slots, packed as densely as the coalescing table, and the
-   run piled into one long cluster until the next doubling spread it out.
-   Under linear probing the total displacement of a finished table does
-   not depend on insertion order, so the pile-up shows only mid-batch: a
-   sink straight on the input interns the batch in feed order, and its
-   change callback samples the engine's intern stats as the batch
-   arrives. *)
+   the interns in [Hashtbl.hash] bucket order.  An intern that placed
+   records by that same hash saw every prefix of the batch land in one
+   contiguous run of its slots, packed as densely as the coalescing table,
+   and the run piled into one long cluster until the next doubling spread
+   it out.  Under linear probing the total displacement of a finished
+   table does not depend on insertion order, so the pile-up shows only
+   while the batch arrives: the records are interned one at a time, in
+   bucket order, and the mean displacement is sampled as they go. *)
 let mean_displacement_bound = 4.0
 
 let mean_displacement engine =
@@ -208,22 +207,29 @@ let mean_displacement engine =
   float_of_int s.Engine.displacement /. float_of_int (max 1 s.Engine.ids)
 
 let test_feed_displacement () =
-  let engine = Engine.create () in
-  let input = Dataflow.Input.create engine in
-  let sink = Dataflow.Sink.attach (Dataflow.Input.node input) in
-  let seen = ref 0 and worst = ref 0.0 in
-  Dataflow.Sink.on_change_id sink (fun _ _ ~old_weight:_ ~new_weight:_ ->
-      incr seen;
-      if !seen land 1023 = 0 then worst := Float.max !worst (mean_displacement engine));
   let side = 256 in
-  Dataflow.Input.feed input (List.init (side * side) (fun i -> ((i / side, i mod side), 1.0)));
-  let worst = Float.max !worst (mean_displacement engine) in
-  let s = Engine.intern_stats engine in
-  Alcotest.(check int) "input and sink intern every record" (2 * side * side) s.Engine.ids;
+  let n = side * side in
+  let buckets = ref 1 in
+  while !buckets < n do
+    buckets := 2 * !buckets
+  done;
+  let records = Array.init n (fun i -> (i / side, i mod side)) in
+  let bucket x = Hashtbl.hash x land (!buckets - 1) in
+  Array.stable_sort (fun x y -> compare (bucket x) (bucket y)) records;
+  let intern = Intern.create () and worst = ref 0.0 in
+  Array.iteri
+    (fun i x ->
+      ignore (Intern.intern intern x);
+      if (i + 1) land 1023 = 0 then
+        worst :=
+          Float.max !worst
+            (float_of_int (Intern.displacement intern) /. float_of_int (Intern.size intern)))
+    records;
+  Alcotest.(check int) "every record interned" n (Intern.size intern);
   Alcotest.(check bool)
-    (Printf.sprintf "worst mean displacement %.2f < %.1f" worst mean_displacement_bound)
+    (Printf.sprintf "worst mean displacement %.2f < %.1f" !worst mean_displacement_bound)
     true
-    (worst < mean_displacement_bound)
+    (!worst < mean_displacement_bound)
 
 let test_negative_id () =
   let engine = Engine.create () in
