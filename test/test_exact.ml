@@ -521,8 +521,8 @@ let test_audit_compacts () =
 let suite =
   [
     test_sinks_history_free;
-    test_bulk_build_equals_feed;
     test_walk_matches_fresh_build;
+    test_bulk_build_equals_feed;
     Alcotest.test_case "rebuild in place is bit-neutral" `Quick test_rebuild_is_bit_neutral;
     Alcotest.test_case "permuted builds draw alike" `Quick test_permuted_builds_agree;
     Alcotest.test_case "checkpoints do not move the chain" `Slow
