@@ -1077,9 +1077,47 @@ let paper_scale_bench () =
   String.concat "\n"
     [ "  \"paper_scale\": ["; String.concat ",\n" [ grqc_arm; epinions_arm ]; "  ]" ]
 
+(* The first step after a build, on a fit of its own: wall time and major
+   words until a step propagates (a proposal that moves nothing does not
+   count), after the fit's creation and after an audit.  A build leaves
+   its tables room to grow, so these steps re-allocate none: large arrays
+   go straight to the major heap, and the minor heap is emptied first, so
+   no promotion lands in the count. *)
+let post_build_json scale =
+  let fit = make_fit ~tbd:false scale in
+  let first_step () =
+    let engine = Fit.engine fit in
+    let records = Dataflow.Engine.records_propagated engine in
+    Gc.minor ();
+    let major0 = (Gc.quick_stat ()).Gc.major_words and t0 = Unix.gettimeofday () in
+    let steps = ref 0 in
+    while Dataflow.Engine.records_propagated engine = records && !steps < 1_000 do
+      ignore (Fit.run fit ~steps:1 ~pow:10_000.0 ());
+      incr steps
+    done;
+    (1e6 *. (Unix.gettimeofday () -. t0), (Gc.quick_stat ()).Gc.major_words -. major0)
+  in
+  let create_us, create_words = first_step () in
+  ignore (Fit.run fit ~steps:200 ~pow:10_000.0 ());
+  ignore (Fit.audit fit);
+  let audit_us, audit_words = first_step () in
+  Printf.printf "first step after create: %.0f us, %.0f major words; after audit: %.0f us, %.0f\n%!"
+    create_us create_words audit_us audit_words;
+  String.concat "\n"
+    [
+      "    \"post_build\": {";
+      Printf.sprintf "      \"create_us\": %.1f," create_us;
+      Printf.sprintf "      \"create_major_words\": %.0f," create_words;
+      Printf.sprintf "      \"audit_us\": %.1f," audit_us;
+      Printf.sprintf "      \"audit_major_words\": %.0f," audit_words;
+      Printf.sprintf "      \"major_words\": %.0f" (create_words +. audit_words);
+      "    },";
+    ]
+
 let walk_bench ~smoke ~json_path ?(fragments = []) () =
   banner "Part 3: speculative-walk benchmark (machine-readable)";
   let scale, warmup, steps = if smoke then (0.15, 500, 3_000) else (0.4, 2_000, 20_000) in
+  let post_build = post_build_json scale in
   Printf.printf "(ca-GrQc at scale %.2f, %d warmup + %d measured steps)\n%!" scale warmup
     steps;
   let fit = make_fit ~tbd:false scale in
@@ -1174,6 +1212,7 @@ let walk_bench ~smoke ~json_path ?(fragments = []) () =
   Printf.fprintf oc "    \"audit_divergences\": %d,\n"
     (List.length audit_report.Dataflow.Audit.divergences);
   Printf.fprintf oc "    \"audit_ms\": %.3f,\n" audit_ms;
+  Printf.fprintf oc "%s\n" post_build;
   Printf.fprintf oc "%s\n" (memory_json 4);
   (match fragments with
   | [] -> Printf.fprintf oc "  }\n"

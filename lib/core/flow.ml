@@ -66,6 +66,7 @@ end
 
 module Target = struct
   module Grid = Dataflow.Grid
+  module Room = Wpinq_weighted.Room
   module Wide = Grid.Wide
 
   (* The distance is maintained over a growing "tracked" set: the records
@@ -96,29 +97,25 @@ module Target = struct
        baseline (1: observed at measurement time, whose |0 - m x| is part
        of the initial distance), lazily-drawn (2) and first seen in the
        delivery being retired (3) records. *)
-    let obs = ref [||] in
-    let status = ref Bytes.empty in
+    let support = List.map (fun (x, v) -> (Dataflow.Sink.intern_id sink x, v)) (Measurement.support m) in
+    (* Sized, with [Room]'s room, for the ids a build shows: the sink's
+       records, then the support's. *)
+    let n = List.fold_left (fun n (id, _) -> max n (id + 1)) (Dataflow.Sink.support_size sink) support in
+    let obs = ref (Array.make (Room.cap n) 0.0) in
+    let status = ref (Bytes.make (Room.cap n) '\000') in
     let ensure id =
-      let cap = Bytes.length !status in
-      if id >= cap then begin
-        let cap' = max 64 (max (2 * cap) (id + 1)) in
-        let o = Array.make cap' 0.0 and s = Bytes.make cap' '\000' in
-        Array.blit !obs 0 o 0 cap;
-        Bytes.blit !status 0 s 0 cap;
-        obs := o;
-        status := s
-      end
+      obs := Room.grow !obs (id + 1) 0.0;
+      status := Room.grow_bytes !status (id + 1)
     in
     let term w v = Grid.of_float (Float.abs (Grid.to_float w -. v)) in
     let distance = Wide.create () in
     List.iter
-      (fun (x, v) ->
-        let id = Dataflow.Sink.intern_id sink x in
+      (fun (id, v) ->
         ensure id;
         !obs.(id) <- v;
         Bytes.set !status id '\001';
         Wide.add distance (term 0 v))
-      (Measurement.support m);
+      support;
     (* A first-seen record draws its observation under the undo log: an
        abort removes it from the tracked set and rewinds the measurement's
        private noise cursor, so the tracked set and the noise stream are

@@ -7,6 +7,7 @@ module Ops = Wpinq_weighted.Ops
    grid"). *)
 module Grid = Wpinq_weighted.Grid
 module Intern = Wpinq_weighted.Intern
+module Room = Wpinq_weighted.Room
 
 module Audit = struct
   type divergence = {
@@ -155,9 +156,14 @@ module Engine = struct
     t.next_op_id <- 0;
     t.undo <- Array.make 64 nop
 
+  (* A bulk build ends leaving every intern the room its growth would
+     have: the ids the walk adds copy nothing until they have doubled it. *)
   let end_build t =
-    List.iter (fun clear -> clear ()) t.holding;
-    t.holding <- []
+    if t.holding <> [] then begin
+      List.iter (fun clear -> clear ()) t.holding;
+      t.holding <- [];
+      List.iter (fun (Intern i) -> Intern.reserve i) t.interns
+    end
 
   let commits t = t.commits
   let aborts t = t.aborts
@@ -194,11 +200,7 @@ module Engine = struct
 
   let log_undo t f =
     if t.speculating then begin
-      if t.undo_len = Array.length t.undo then begin
-        let bigger = Array.make (2 * Array.length t.undo) nop in
-        Array.blit t.undo 0 bigger 0 t.undo_len;
-        t.undo <- bigger
-      end;
+      t.undo <- Room.grow t.undo (t.undo_len + 1) nop;
       t.undo.(t.undo_len) <- f;
       t.undo_len <- t.undo_len + 1;
       t.undo_cells <- t.undo_cells + 1
@@ -267,7 +269,9 @@ let intern_for engine = function Some w -> register engine (Wdata.keys w) | None
    logs its exact structural inverse; removal swaps the last entry down,
    and the undo replays in reverse order so captured slot indices stay
    valid.  Backing-array growth needs no undo: contents beyond [len] (or
-   [pos] cells holding -1) are invisible. *)
+   [pos] cells holding -1) are invisible.  Arrays grow by [Room]'s rule,
+   and [fill] sizes them by it, so the ids and entries a walk adds after a
+   bulk build copy nothing until they have doubled the table. *)
 module Itbl = struct
   type t = {
     engine : Engine.t;
@@ -291,35 +295,21 @@ module Itbl = struct
       if p >= 0 then t.ws.(p) else 0
     else 0
 
-  let ensure_pos t id =
-    let cap = Array.length t.pos in
-    if id >= cap then begin
-      let cap' = max 16 (max (2 * cap) (id + 1)) in
-      let pos = Array.make cap' (-1) in
-      Array.blit t.pos 0 pos 0 cap;
-      t.pos <- pos
-    end
-
-  let ensure_dense t =
-    if t.len = Array.length t.ids then begin
-      let cap = Array.length t.ids in
-      let cap' = if cap = 0 then 8 else 2 * cap in
-      let ids = Array.make cap' 0 and ws = Array.make cap' 0 in
-      Array.blit t.ids 0 ids 0 t.len;
-      Array.blit t.ws 0 ws 0 t.len;
-      t.ids <- ids;
-      t.ws <- ws
-    end
+  (* Room for ids below [n] and for the entries held, as [fill] leaves. *)
+  let reserve t n =
+    t.pos <- Room.reserve t.pos n (-1);
+    t.ids <- Room.reserve t.ids t.len 0;
+    t.ws <- Room.reserve t.ws t.len 0
 
   let set t id w =
     if id < 0 then invalid_arg "Dataflow.Itbl: negative id";
     let engine = t.engine in
-    ensure_pos t id;
+    if id >= Array.length t.pos then t.pos <- Room.grow t.pos (id + 1) (-1);
     let p = t.pos.(id) in
     if p < 0 then begin
       if w <> 0 then begin
-        ensure_dense t;
         let i = t.len in
+        if i = Array.length t.ids then (t.ids <- Room.grow t.ids (i + 1) 0; t.ws <- Room.grow t.ws (i + 1) 0);
         t.ids.(i) <- id;
         t.ws.(i) <- w;
         t.len <- i + 1;
@@ -373,10 +363,10 @@ module Itbl = struct
      holds the dataset's [i]-th weight. *)
   let fill t w =
     let n = Wdata.support_size w in
-    t.pos <- Array.init n Fun.id;
-    t.ids <- Array.init n Fun.id;
-    t.ws <- Wdata.grid_weights w;
     t.len <- n;
+    reserve t n;
+    let i = ref 0 in
+    Wdata.iter_grid (fun _ wt -> t.pos.(!i) <- !i; t.ids.(!i) <- !i; t.ws.(!i) <- wt; incr i) w;
     t.engine.Engine.state_records <- t.engine.Engine.state_records + n
 
   let to_list t =
@@ -469,31 +459,10 @@ let coalesce_grid d = Wdata.to_grid_list (Wdata.of_list d)
 let coalesce d = List.map (fun (x, g) -> (x, Grid.to_float g)) (coalesce_grid d)
 let count_work (engine : Engine.t) len = engine.work <- engine.work + len
 
-let grow_int_array arr n fill =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let arr' = Array.make (max 16 (max (2 * cap) n)) fill in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
-
-let grow_bool_array arr n =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let arr' = Array.make (max 16 (max (2 * cap) n)) false in
-    Array.blit arr 0 arr' 0 cap;
-    arr'
-  end
-
-(* A bulk build's output weights by scratch id, summed exactly, and the
-   dataset they make over the scratch intern. *)
+(* A bulk build's output weights by scratch id, summed exactly. *)
 let bulk_add acc oid w =
-  if oid >= Array.length !acc then acc := grow_int_array !acc (oid + 1) 0;
+  acc := Room.grow !acc (oid + 1) 0;
   !acc.(oid) <- Grid.add !acc.(oid) w
-
-let bulk_output intern acc = Wdata.of_index intern (grow_int_array !acc (Intern.size intern) 0)
 
 (* Reusable per-operator output accumulator — the scratch arena.  Output
    changes accumulate by *output intern id* in a direct-index int array
@@ -508,42 +477,40 @@ module Scratch = struct
     engine : Engine.t;
     intern : 'a Intern.t;
     mutable acc : int array; (* out-id -> accumulated weight this batch *)
-    mutable inacc : bool array; (* out-id -> currently in [touched] *)
+    mutable inacc : Bytes.t; (* out-id -> '\001' while in [touched] *)
     mutable touched : int array; (* out-ids in first-touch order *)
     mutable tlen : int;
     mutable out_xs : 'a array;
     mutable out_ws : int array;
   }
 
+  (* Room for every id of the intern, which a bulk build has filled. *)
+  let reserve t =
+    let n = Intern.size t.intern in
+    t.acc <- Room.reserve t.acc n 0;
+    t.inacc <- Room.reserve_bytes t.inacc n
+
   let create engine intern =
-    {
-      engine;
-      intern;
-      acc = [||];
-      inacc = [||];
-      touched = [||];
-      tlen = 0;
-      out_xs = [||];
-      out_ws = [||];
-    }
+    let t = { engine; intern; acc = [||]; inacc = Bytes.empty; touched = [||]; tlen = 0; out_xs = [||]; out_ws = [||] } in
+    reserve t;
+    t
 
   let ensure_id t id =
-    let cap = Array.length t.acc in
-    if id >= cap then begin
+    if id >= Array.length t.acc then begin
       t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
-      t.acc <- grow_int_array t.acc (max 64 (id + 1)) 0;
-      t.inacc <- grow_bool_array t.inacc (Array.length t.acc)
+      t.acc <- Room.grow t.acc (id + 1) 0;
+      t.inacc <- Room.grow_bytes t.inacc (id + 1)
     end
 
   let push_id t id w =
     ensure_id t id;
-    if t.inacc.(id) then t.acc.(id) <- Grid.add t.acc.(id) w
+    if Bytes.get t.inacc id <> '\000' then t.acc.(id) <- Grid.add t.acc.(id) w
     else begin
-      t.inacc.(id) <- true;
+      Bytes.set t.inacc id '\001';
       t.acc.(id) <- w;
       if t.tlen = Array.length t.touched then begin
         t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
-        t.touched <- grow_int_array t.touched (max 64 (2 * t.tlen)) 0
+        t.touched <- Room.grow t.touched (t.tlen + 1) 0
       end;
       t.touched.(t.tlen) <- id;
       t.tlen <- t.tlen + 1
@@ -561,16 +528,13 @@ module Scratch = struct
       for i = 0 to n - 1 do
         let id = t.touched.(i) in
         let w = t.acc.(id) in
-        t.inacc.(id) <- false;
+        Bytes.set t.inacc id '\000';
         if w <> 0 then begin
           let j = !k in
           if j >= Array.length t.out_xs then begin
             t.engine.Engine.arena_grows <- t.engine.Engine.arena_grows + 1;
-            let cap' = max 64 (2 * Array.length t.out_xs) in
-            let xs = Array.make cap' (Intern.value t.intern id) in
-            Array.blit t.out_xs 0 xs 0 j;
-            t.out_xs <- xs;
-            t.out_ws <- grow_int_array t.out_ws cap' 0
+            t.out_xs <- Room.grow t.out_xs (j + 1) (Intern.value t.intern id);
+            t.out_ws <- Room.grow t.out_ws (j + 1) 0
           end;
           t.out_xs.(j) <- Intern.value t.intern id;
           t.out_ws.(j) <- w;
@@ -581,6 +545,12 @@ module Scratch = struct
       emit out t.out_xs t.out_ws !k
     end
 end
+
+(* The dataset a bulk build's output weights make over the scratch
+   intern, with the scratch sized for it. *)
+let bulk_output scratch acc =
+  Scratch.reserve scratch;
+  Wdata.of_index scratch.Scratch.intern (Room.grow !acc (Intern.size scratch.Scratch.intern) 0)
 
 (* Raw slice buffer for operators that neither coalesce nor re-key
    (filtering, negation, input roots): no interning, no hashing. *)
@@ -596,14 +566,10 @@ module Buf = struct
   let clear b = b.len <- 0
 
   let push b x w =
-    let cap = Array.length b.xs in
-    if b.len = cap then begin
+    if b.len = Array.length b.xs then begin
       b.engine.Engine.arena_grows <- b.engine.Engine.arena_grows + 1;
-      let cap' = if cap = 0 then 64 else 2 * cap in
-      let xs = Array.make cap' x in
-      Array.blit b.xs 0 xs 0 b.len;
-      b.xs <- xs;
-      b.ws <- grow_int_array b.ws cap' 0
+      b.xs <- Room.grow b.xs (b.len + 1) x;
+      b.ws <- Room.grow b.ws (b.len + 1) 0
     end;
     b.xs.(b.len) <- x;
     b.ws.(b.len) <- w;
@@ -738,9 +704,10 @@ let merge_node ~kind (fop : int -> int -> int) a b =
     | Some (ca, cb) ->
         let intern = register engine (Wdata.keys ca) and kb = Wdata.keys cb in
         Itbl.fill wa ca;
-        Array.iteri
-          (fun j w -> Itbl.set wb (Intern.intern_hashed intern (Intern.value kb j) (Intern.hash_of kb j)) w)
-          (Wdata.grid_weights cb);
+        let j = ref 0 in
+        Wdata.iter_grid (fun x w -> Itbl.set wb (Intern.intern_hashed intern x (Intern.hash_of kb !j)) w; incr j) cb;
+        Itbl.reserve wa (Intern.size intern);
+        Itbl.reserve wb (Intern.size intern);
         let merged id = fop (Itbl.get wa id) (Itbl.get wb id) in
         (intern, Some (Wdata.of_index intern (Array.init (Intern.size intern) merged)))
   in
@@ -781,7 +748,9 @@ let intersect a b = merge_node ~kind:"intersect" (fun x y -> if x <= y then x el
    the old record-keyed tables gave.  [norm] is Join's Σ|w| per key;
    [emitted] GroupBy's current emissions per key, as flattened (output
    id, grid weight) pairs.  A key first touched in an aborted speculation
-   keeps its (empty) slots, which behave as an absent key. *)
+   keeps its (empty) slots, which behave as an absent key.  The rid- and
+   kid-indexed arrays grow by [Room]'s rule and [kside_fill] sizes them
+   by it, as [Itbl]'s are. *)
 type 'r kside = {
   ri : 'r Intern.t;
   w : Itbl.t;
@@ -797,24 +766,15 @@ let kside_create engine ri =
   { ri; w = Itbl.create engine; key_of = [||]; mpos = [||]; members = [||]; mlen = [||]; norm = [||]; emitted = [||] }
 
 let kside_ensure_rid side rid =
-  side.key_of <- grow_int_array side.key_of (rid + 1) (-1);
-  side.mpos <- grow_int_array side.mpos (rid + 1) (-1)
+  side.key_of <- Room.grow side.key_of (rid + 1) (-1);
+  side.mpos <- Room.grow side.mpos (rid + 1) (-1)
 
 (* Makes room for key ids below [n]. *)
 let kside_keys side n =
-  let cap = Array.length side.mlen in
-  if n > cap then begin
-    let cap' = max 16 (max (2 * cap) n) in
-    let grow a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    side.members <- grow side.members [||];
-    side.mlen <- grow side.mlen 0;
-    side.norm <- grow side.norm 0;
-    side.emitted <- grow side.emitted [||]
-  end
+  side.members <- Room.grow side.members n [||];
+  side.mlen <- Room.grow side.mlen n 0;
+  side.norm <- Room.grow side.norm n 0;
+  side.emitted <- Room.grow side.emitted n [||]
 
 let part_len side kid = if kid < Array.length side.mlen then side.mlen.(kid) else 0
 let part_norm side kid = if kid < Array.length side.norm then side.norm.(kid) else 0
@@ -824,9 +784,11 @@ let part_norm side kid = if kid < Array.length side.norm then side.norm.(kid) el
    operator's (the identity when [p]'s keys are the operator's), below
    [nkeys]. *)
 let kside_fill side w (p : _ Ops.parts) ?kmap ~nkeys ~norms () =
+  let n = Wdata.support_size w in
   Itbl.fill side.w w;
-  side.key_of <- (match kmap with Some m -> Array.map (fun k -> m.(k)) p.kid | None -> p.kid);
-  side.mpos <- Array.make (Wdata.support_size w) (-1);
+  side.key_of <- Array.make (Room.cap n) (-1);
+  Array.iteri (fun i k -> side.key_of.(i) <- (match kmap with Some m -> m.(k) | None -> k)) p.kid;
+  side.mpos <- Array.make (Room.cap n) (-1);
   kside_keys side nkeys;
   for k = 0 to Array.length p.start - 2 do
     let lo = p.start.(k) and len = p.start.(k + 1) - p.start.(k) in
@@ -842,8 +804,7 @@ let kside_fill side w (p : _ Ops.parts) ?kmap ~nkeys ~norms () =
 
 let member_add (engine : Engine.t) side kid rid =
   let i = side.mlen.(kid) in
-  if i = Array.length side.members.(kid) then
-    side.members.(kid) <- grow_int_array side.members.(kid) (max 8 ((2 * i) + 1)) 0;
+  if i = Array.length side.members.(kid) then side.members.(kid) <- Room.grow side.members.(kid) (i + 1) 0;
   side.members.(kid).(i) <- rid;
   side.mlen.(kid) <- i + 1;
   side.mpos.(rid) <- i;
@@ -901,7 +862,7 @@ let part_add_norm (engine : Engine.t) side kid dn =
    operator — they never overlap because propagation is synchronous. *)
 type gbatch = {
   mutable dacc : int array; (* rid -> net weight change this batch *)
-  mutable din : bool array; (* rid -> has a chain node this batch *)
+  mutable din : Bytes.t; (* rid -> '\001' when it has a chain node this batch *)
   mutable khead : int array; (* kid -> chain head, -1 *)
   mutable crid : int array; (* chain nodes: record id *)
   mutable cdw : int array; (* chain nodes: raw weight change (GroupBy) *)
@@ -911,11 +872,13 @@ type gbatch = {
   mutable klen : int;
 }
 
-let gbatch_create () =
+(* Sized for the record and key ids a bulk build filled ([rids] [0] for
+   an operator that does not net per record). *)
+let gbatch_create ~rids ~keys =
   {
-    dacc = [||];
-    din = [||];
-    khead = [||];
+    dacc = Array.make (Room.cap rids) 0;
+    din = Bytes.make (Room.cap rids) '\000';
+    khead = Array.make (Room.cap keys) (-1);
     crid = [||];
     cdw = [||];
     cnext = [||];
@@ -925,19 +888,18 @@ let gbatch_create () =
   }
 
 let gbatch_chain gb kid rid dw =
-  gb.khead <- grow_int_array gb.khead (kid + 1) (-1);
+  gb.khead <- Room.grow gb.khead (kid + 1) (-1);
   if gb.clen = Array.length gb.crid then begin
-    let cap' = max 64 (2 * gb.clen) in
-    gb.crid <- grow_int_array gb.crid cap' 0;
-    gb.cnext <- grow_int_array gb.cnext cap' 0;
-    gb.cdw <- grow_int_array gb.cdw cap' 0
+    gb.crid <- Room.grow gb.crid (gb.clen + 1) 0;
+    gb.cnext <- Room.grow gb.cnext (gb.clen + 1) 0;
+    gb.cdw <- Room.grow gb.cdw (gb.clen + 1) 0
   end;
   let node = gb.clen in
   gb.crid.(node) <- rid;
   gb.cdw.(node) <- dw;
   gb.cnext.(node) <- gb.khead.(kid);
   if gb.khead.(kid) < 0 then begin
-    if gb.klen = Array.length gb.keys then gb.keys <- grow_int_array gb.keys (max 16 (2 * gb.klen)) 0;
+    gb.keys <- Room.grow gb.keys (gb.klen + 1) 0;
     gb.keys.(gb.klen) <- kid;
     gb.klen <- gb.klen + 1
   end;
@@ -951,10 +913,10 @@ let gbatch_reset gb =
   (* [din] is only grown (and set) by operators that net per record;
      chain nodes from operators that never touch it can carry rids past
      its length. *)
-  let dn = Array.length gb.din in
+  let dn = Bytes.length gb.din in
   for i = 0 to gb.clen - 1 do
     let rid = gb.crid.(i) in
-    if rid < dn then gb.din.(rid) <- false
+    if rid < dn then Bytes.set gb.din rid '\000'
   done;
   gb.klen <- 0;
   gb.clen <- 0
@@ -1058,11 +1020,11 @@ let join ~kl ~kr ~reduce a b =
         let nkeys = Intern.size kintern in
         kside_fill sa ca pa ~nkeys ~norms:true ();
         kside_fill sb cb pb ~kmap ~nkeys ~norms:true ();
-        Some (bulk_output scratch.Scratch.intern out_ws)
+        Some (bulk_output scratch out_ws)
     | _ -> None
   in
   let out = make ?contents engine in
-  let gb = gbatch_create () in
+  let gb = gbatch_create ~rids:(max (Intern.size sa.ri) (Intern.size sb.ri)) ~keys:(Intern.size kintern) in
   (* One pair's output weight is [Grid.mul_div wx wy d].  Every emission
      is a difference of two such contributions recomputed from state, never
      a float delta, so the output is the exact sum of the current
@@ -1078,11 +1040,11 @@ let join ~kl ~kr ~reduce a b =
       let x = xs.(i) in
       let rid = Intern.intern mine.ri x in
       kside_ensure_rid mine rid;
-      gb.dacc <- grow_int_array gb.dacc (rid + 1) 0;
-      gb.din <- grow_bool_array gb.din (rid + 1);
-      if gb.din.(rid) then gb.dacc.(rid) <- Grid.add gb.dacc.(rid) ws.(i)
+      gb.dacc <- Room.grow gb.dacc (rid + 1) 0;
+      gb.din <- Room.grow_bytes gb.din (rid + 1);
+      if Bytes.get gb.din rid <> '\000' then gb.dacc.(rid) <- Grid.add gb.dacc.(rid) ws.(i)
       else begin
-        gb.din.(rid) <- true;
+        Bytes.set gb.din rid '\001';
         gb.dacc.(rid) <- ws.(i);
         let kid =
           let k = mine.key_of.(rid) in
@@ -1179,7 +1141,6 @@ let group_by ~key ~reduce up =
   table_cell engine ~kind:"group_by" ~op:(Engine.fresh_op_id engine) side.ri side.w;
   let kintern = match parts with Some p -> register engine p.Ops.keys | None -> tracked engine in
   let scratch = Scratch.create engine (tracked engine) in
-  let gb = gbatch_create () in
   (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
      function of its members' weights.  A part keeps its current ones
      ([emitted]): a change retracts exactly those, and a part whose
@@ -1213,10 +1174,11 @@ let group_by ~key ~reduce up =
             bulk_add out_ws now.(2 * i) now.((2 * i) + 1)
           done
         done;
-        Some (bulk_output scratch.Scratch.intern out_ws)
+        Some (bulk_output scratch out_ws)
     | _ -> None
   in
   let out = make ?contents engine in
+  let gb = gbatch_create ~rids:0 ~keys:(Intern.size kintern) in
   subscribe up (fun xs ws len ->
       count_work engine len;
       for i = 0 to len - 1 do
@@ -1338,10 +1300,10 @@ module Sink = struct
     table_cell e ~kind:"sink" ~op:(Engine.fresh_op_id e) t.intern t.state;
     subscribe node (fun xs ws len ->
         let record = Array.length t.deliveries > 0 in
-        if record && len > Array.length t.d_ids then begin
-          t.d_ids <- grow_int_array t.d_ids len 0;
-          t.d_old <- grow_int_array t.d_old len 0;
-          t.d_new <- grow_int_array t.d_new len 0
+        if record then begin
+          t.d_ids <- Room.grow t.d_ids len 0;
+          t.d_old <- Room.grow t.d_old len 0;
+          t.d_new <- Room.grow t.d_new len 0
         end;
         for i = 0 to len - 1 do
           let id = Intern.intern t.intern xs.(i) in

@@ -30,7 +30,7 @@ let slots_for n =
   Array.make !cap 0
 
 let create ?(size = 0) () =
-  { xs = [||]; hs = Bytes.create (4 * size); len = 0; slots = slots_for size }
+  { xs = [||]; hs = Bytes.create (4 * max 16 size); len = 0; slots = slots_for size }
 
 let size t = t.len
 let value t id = t.xs.(id)
@@ -113,19 +113,11 @@ let intern_hashed t x h =
   else begin
     let id = t.len in
     if id = id_mask then failwith (Printf.sprintf "Intern: more than %d distinct records" id_mask);
-    if id = Array.length t.xs then begin
-      (* [xs] needs a record to fill with, so [create]'s hint pre-sizes
-         [hs] alone. *)
-      let cap = max 16 (max (2 * id) (Bytes.length t.hs / 4)) in
-      let xs = Array.make cap x in
-      Array.blit t.xs 0 xs 0 id;
-      t.xs <- xs;
-      if 4 * cap > Bytes.length t.hs then begin
-        let hs = Bytes.create (4 * cap) in
-        Bytes.blit t.hs 0 hs 0 (4 * id);
-        t.hs <- hs
-      end
-    end;
+    (* [xs] needs a record to fill with, so [create] sizes [hs] alone and
+       the first record sizes [xs] to match. *)
+    if id = Array.length t.xs then
+      t.xs <- (if id = 0 then Array.make (Bytes.length t.hs / 4) x else Room.grow t.xs (id + 1) x);
+    t.hs <- Room.grow_bytes ~width:4 t.hs (id + 1);
     t.xs.(id) <- x;
     set_hash t.hs id h;
     t.len <- id + 1;
@@ -135,6 +127,10 @@ let intern_hashed t x h =
   end
 
 let intern t x = intern_hashed t x (hash x)
+
+let reserve t =
+  if t.len > 0 then t.xs <- Room.reserve t.xs t.len t.xs.(0);
+  t.hs <- Room.reserve_bytes ~width:4 t.hs t.len
 
 let capacity t = Array.length t.slots
 

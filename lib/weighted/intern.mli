@@ -37,6 +37,12 @@ val intern_hashed : 'a t -> 'a -> int -> int
 (** [intern_hashed t x h] is [intern t x] for [h] the hash of [x] (as
     {!hash_of} gives it, from any intern), hashing nothing. *)
 
+val reserve : 'a t -> unit
+(** Gives the records and hashes room for {!Room.cap}[ (size t)] records:
+    the records interned after a bulk build copy neither until they have
+    doubled it.  The index keeps its own rule (a power of two under 3/4
+    full, doubled when it fills). *)
+
 val find : 'a t -> 'a -> int
 (** The id of [x], or [-1] if it was never interned (never assigns). *)
 

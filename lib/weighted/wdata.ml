@@ -38,7 +38,6 @@ let gather parts =
       { keys; ws = ws'; len }
 
 let keys a = a.keys
-let grid_weights a = Array.sub a.ws 0 a.len
 let of_index keys ws = gather [ (keys, ws, Intern.size keys) ]
 
 (* One hash and one probe per emission; integer sums are exact, so a
@@ -53,11 +52,7 @@ let build size produce =
       let p = Intern.intern keys x in
       if p < n then !ws.(p) <- Grid.add !ws.(p) w
       else begin
-        if p = Array.length !ws then begin
-          let grown = Array.make (max 16 (2 * p)) 0 in
-          Array.blit !ws 0 grown 0 p;
-          ws := grown
-        end;
+        ws := Room.grow !ws (p + 1) 0;
         !ws.(p) <- w
       end);
   gather [ (keys, !ws, Intern.size keys) ]

@@ -129,9 +129,6 @@ val keys : 'a t -> 'a Intern.t
     of a dataset it builds state from and appends to it later.  Ids past
     the support are not part of the dataset. *)
 
-val grid_weights : 'a t -> int array
-(** A fresh array of the support's grid weights, by id. *)
-
 val of_index : 'a Intern.t -> int array -> 'a t
 (** [of_index keys ws] is the records of [keys] whose weight [ws.(id)] is
     nonzero, in id order ([ws] covers every id).  It shares [keys] when

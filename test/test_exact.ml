@@ -499,6 +499,77 @@ let test_clean_audit_allocates_little () =
   Alcotest.(check bool) "cells digested" true (Array.length digests > 5);
   Alcotest.(check bool) (Printf.sprintf "allocated %.0f words < 0.5 Mw" words) true (words < 5e5)
 
+(* A build leaves every table the room growth would have, so the first
+   step after it copies none: per build (create, restore, audit), the
+   first step that propagates allocates little in the major heap (a
+   step that re-allocated the tables it touches takes about 1.7 Mw
+   here). *)
+let test_first_step_after_build_allocates_little () =
+  let secret = Gen.epinions_like ~n:1000 ~m:10_000 (Prng.create 41) in
+  let budget = Budget.create ~name:"jdd" 1e9 in
+  let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
+  let m = Batch.noisy_count ~rng:(Prng.create 42) ~epsilon:0.1 (Qb.jdd sym) in
+  let source = Plan.source ~name:"sym" () in
+  let measured = [ Fit.Measured (Qp.jdd source, m) ] in
+  let fit = Fit.create_shared ~rng:(Prng.create 43) ~seed_graph:secret ~source ~measured () in
+  let first_step name fit =
+    let engine = Fit.engine fit in
+    let records = Dataflow.Engine.records_propagated engine in
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let steps = ref 0 in
+    while Dataflow.Engine.records_propagated engine = records && !steps < 50 do
+      ignore (Fit.run fit ~steps:1 ~pow:10_000.0 ());
+      incr steps
+    done;
+    let words = (Gc.quick_stat ()).Gc.major_words -. before in
+    Alcotest.(check bool) (name ^ ": a step propagated") true (!steps < 50);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f major words < 0.3 Mw" name words)
+      true (words < 3e5)
+  in
+  first_step "after create" fit;
+  first_step "after restore"
+    (Fit.restore_shared ~rng:(Prng.create 44) ~n:(Fit.nodes fit) ~edges:(Fit.edge_array fit) ~source
+       ~measured:(clone_measured measured) ());
+  ignore (Fit.run fit ~steps:100 ~pow:10_000.0 ());
+  Alcotest.(check int) "clean audit" 0 (List.length (Fit.audit fit).Dataflow.Audit.divergences);
+  first_step "after audit" fit
+
+(* Growth past a bulk build's size: deltas that add many times the
+   build's records push every input-keyed table past the room the build
+   gave it.  An abort leaves the digests the build had; a commit leaves
+   those of a fresh bulk build of the final input. *)
+let test_growth_past_build_size =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"growth past the build size: abort and commit exact"
+       (QCheck.make
+          QCheck.Gen.(pair (list_size (int_range 1 24) (pair (int_bound 23) gen_weight)) (int_range 2 5)))
+       (fun (init, times) ->
+         let bulk init =
+           let engine = Dataflow.Engine.create () in
+           let i = Dataflow.Input.create ~init engine in
+           let g, sinks = build_dag i in
+           Dataflow.Engine.end_build engine;
+           (engine, i, g, sinks)
+         in
+         let init = Wdata.of_list init in
+         let engine, input, _, _ = bulk init in
+         let built = Dataflow.Engine.digests engine in
+         let n = Wdata.support_size init in
+         (* New records, [times] × (the build's records + 16): past the
+            room of every table keyed by input record. *)
+         let delta = List.init (times * (n + 16)) (fun i -> (24 + i, 1.0 +. float_of_int (i mod 3))) in
+         Dataflow.Engine.begin_speculation engine;
+         Dataflow.Input.feed input delta;
+         Dataflow.Engine.abort engine;
+         let aborted = Dataflow.Engine.digests engine = built in
+         Dataflow.Engine.begin_speculation engine;
+         Dataflow.Input.feed input delta;
+         Dataflow.Engine.commit engine;
+         let fresh, _, _, _ = bulk (Wdata.update init delta) in
+         aborted && Dataflow.Engine.digests engine = Dataflow.Engine.digests fresh))
+
 (* An audit is the compaction: it leaves the engine as small as a fresh
    build over the same edge array. *)
 let test_audit_compacts () =
@@ -539,4 +610,7 @@ let suite =
     Alcotest.test_case "grid overflow raises" `Quick test_grid_overflow_raises;
     Alcotest.test_case "clean audit allocates little" `Slow test_clean_audit_allocates_little;
     Alcotest.test_case "audit leaves a fresh build's ids" `Quick test_audit_compacts;
+    Alcotest.test_case "first step after a build allocates little" `Slow
+      test_first_step_after_build_allocates_little;
+    test_growth_past_build_size;
   ]
