@@ -758,75 +758,10 @@ let parallel_bench ~smoke ~max_jobs () =
   in
   (fragment, identical)
 
-(* ---------------- Part 6: budget-ledger service benchmark ---------------
-
-   The mixed-tenant load generator from Wpinq_service.Loadgen: one root
-   dataset budget, delegated per-tenant accounts, concurrent submitter
-   domains firing plan-costed queries through the admission controller
-   against a durable (fsynced WAL) ledger.  The recorded numbers are the
-   admission outcomes and throughput; the recorded *verdicts* —
-   [overspend_tenants] and [recovered_matches] — are the service's two
-   safety properties, and the process exits nonzero if either fails. *)
-
-module Loadgen = Wpinq_service.Loadgen
-module Ledger = Wpinq_service.Ledger
-
-let serve_bench () =
-  banner "Part 6: budget-ledger service benchmark";
-  let cfg = Loadgen.default in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wpinq-serve-bench-%d" (Unix.getpid ()))
-  in
-  let o = Loadgen.run ~log:print_endline ~dir cfg in
-  (* The ledger directory was scratch state for this run only. *)
-  (try
-     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  let ok = o.Loadgen.overspend = [] && o.Loadgen.recovered_matches in
-  let fragment =
-    String.concat "\n"
-      [
-        "  \"serve\": {";
-        Printf.sprintf "    \"tenants\": %d," cfg.Loadgen.tenants;
-        Printf.sprintf "    \"queries\": %d," cfg.Loadgen.queries;
-        Printf.sprintf "    \"submitters\": %d," cfg.Loadgen.submitters;
-        Printf.sprintf "    \"epsilon_per_use\": %g," cfg.Loadgen.epsilon;
-        Printf.sprintf "    \"allocation_per_tenant\": %g," cfg.Loadgen.allocation;
-        Printf.sprintf "    \"fsync\": %b," cfg.Loadgen.fsync;
-        Printf.sprintf "    \"admitted\": %d," o.Loadgen.admitted;
-        Printf.sprintf "    \"committed\": %d," o.Loadgen.committed;
-        "    \"refused\": {";
-        Printf.sprintf "      \"budget\": %d," o.Loadgen.refused_budget;
-        Printf.sprintf "      \"overload\": %d," o.Loadgen.refused_overload;
-        Printf.sprintf "      \"timeout\": %d," o.Loadgen.refused_timeout;
-        Printf.sprintf "      \"shutdown\": %d" o.Loadgen.refused_shutdown;
-        "    },";
-        Printf.sprintf "    \"errors\": %d," o.Loadgen.errors;
-        Printf.sprintf "    \"wall_s\": %.3f," o.Loadgen.wall_s;
-        Printf.sprintf "    \"throughput_qps\": %.1f," o.Loadgen.throughput_qps;
-        Printf.sprintf "    \"overspend_tenants\": %d," (List.length o.Loadgen.overspend);
-        Printf.sprintf "    \"recovered_matches\": %b," o.Loadgen.recovered_matches;
-        "    \"recovery\": {";
-        Printf.sprintf "      \"replayed\": %d," o.Loadgen.recovery.Ledger.replayed;
-        Printf.sprintf "      \"charged_on_doubt\": %d,"
-          o.Loadgen.recovery.Ledger.charged_on_doubt;
-        Printf.sprintf "      \"doubt_epsilon\": %g," o.Loadgen.recovery.Ledger.doubt_epsilon;
-        Printf.sprintf "      \"torn_bytes\": %d," o.Loadgen.recovery.Ledger.torn_bytes;
-        Printf.sprintf "      \"snapshots_rejected\": %d"
-          o.Loadgen.recovery.Ledger.snapshots_rejected;
-        "    },";
-        memory_json 4;
-        "  }";
-      ]
-  in
-  (fragment, ok)
-
-(* ---------------- Part 7: continual-observation benchmark --------------
+(* ---------------- Part 6: continual-observation benchmark --------------
 
    A supervised three-epoch stream with an injected transient failure and
-   an exhausted schedule, so every branch of the degradation taxonomy
+   an exhausted epoch budget, so every branch of the degradation taxonomy
    (completed / merged / refused) appears in the record; then a
    head-to-head warm-vs-cold re-synthesis against the post-churn secret.
    The recorded verdicts: zero budget overspend across the degraded
@@ -845,7 +780,7 @@ let rec remove_tree path =
     else try Sys.remove path with Sys_error _ -> ()
 
 let stream_bench ~smoke () =
-  banner "Part 7: continual-observation stream benchmark";
+  banner "Part 6: continual-observation stream benchmark";
   let steps = if smoke then 400 else 2_000 in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -882,7 +817,7 @@ let stream_bench ~smoke () =
   submit 5 27;
   submit 2 26;
   ignore (Sup.tick sup) (* epoch 2: completed (warm start, carried ε) *);
-  ignore (Sup.tick sup) (* epoch 3: schedule exhausted → typed refusal *);
+  ignore (Sup.tick sup) (* epoch 3: every epoch granted → typed refusal *);
   let wall = Unix.gettimeofday () -. wall0 in
   let outcomes = Sup.outcomes sup in
   List.iter (fun o -> Printf.printf "  %s\n" (Sup.outcome_to_string o)) outcomes;
@@ -903,8 +838,7 @@ let stream_bench ~smoke () =
   Printf.printf
     "taxonomy: %d completed, %d merged, %d refused; ε granted %.2f spent %.2f \
      (overspend %.3f)\n%!"
-    n_completed n_merged n_refused books.Budget.Schedule.granted
-    books.Budget.Schedule.spent overspend;
+    n_completed n_merged n_refused books.Sup.granted books.Sup.spent overspend;
   (* Warm-vs-cold re-synthesis: fit the post-churn secret twice from the
      same fresh measurements — once from a cold configuration-model seed,
      once warm-started from the stream's released synthetic — and record
@@ -978,10 +912,10 @@ let stream_bench ~smoke () =
         Printf.sprintf "    \"merged_reason\": %S," merged_reason;
         Printf.sprintf "    \"merged_rolled_epsilon\": %g," merged_rolled;
         "    \"books\": {";
-        Printf.sprintf "      \"granted\": %g," books.Budget.Schedule.granted;
-        Printf.sprintf "      \"spent\": %g," books.Budget.Schedule.spent;
-        Printf.sprintf "      \"carried\": %g," books.Budget.Schedule.carried;
-        Printf.sprintf "      \"forfeited\": %g" books.Budget.Schedule.forfeited;
+        Printf.sprintf "      \"granted\": %g," books.Sup.granted;
+        Printf.sprintf "      \"spent\": %g," books.Sup.spent;
+        Printf.sprintf "      \"carried\": %g," books.Sup.carried;
+        Printf.sprintf "      \"forfeited\": %g" books.Sup.forfeited;
         "    },";
         Printf.sprintf "    \"overspend\": %g," overspend;
         "    \"warm_start\": {";
@@ -1000,7 +934,7 @@ let stream_bench ~smoke () =
   in
   (fragment, ok)
 
-(* ---------------- Part 8: paper-scale walk arms -------------------------
+(* ---------------- Part 7: paper-scale walk arms -------------------------
 
    The acceptance configuration of the interned hot path: the full-scale
    ca-GrQc stand-in (scale 1.0) driven by TbI, and an Epinions-sized
@@ -1011,7 +945,7 @@ let stream_bench ~smoke () =
    per-step cost at paper scale, not CI latency. *)
 
 let paper_scale_bench () =
-  banner "Part 8: paper-scale walk arms";
+  banner "Part 7: paper-scale walk arms";
   let arm ~label ~dataset ~queries ~warmup ~steps make =
     Printf.printf "(%s: building fixture...)\n%!" label;
     let t_setup0 = Unix.gettimeofday () in
@@ -1232,7 +1166,6 @@ let () =
   let smoke = ref false in
   let walk_only = ref false in
   let multi = ref false in
-  let serve = ref false in
   let stream = ref false in
   let jobs = ref 0 in
   let json_path = ref "BENCH_wpinq.json" in
@@ -1243,10 +1176,6 @@ let () =
       ( "--multi",
         Arg.Set multi,
         " Run only the walk + shared-plan multi-query benchmarks, at full size." );
-      ( "--serve",
-        Arg.Set serve,
-        " Run only the budget-ledger service benchmark (plus a reduced walk for the \
-         JSON envelope); exits nonzero on overspend or recovery mismatch." );
       ( "--stream",
         Arg.Set stream,
         " Run only the continual-observation stream benchmark (plus a reduced walk for \
@@ -1260,23 +1189,18 @@ let () =
       ("--json", Arg.Set_string json_path, "PATH Where to write the benchmark JSON.");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench [--smoke | --walk | --multi | --serve | --stream] [--jobs N] [--json PATH]";
+    "bench [--smoke | --walk | --multi | --stream] [--jobs N] [--json PATH]";
   let t0 = Unix.gettimeofday () in
-  if not (!smoke || !walk_only || !multi || !serve || !stream) then begin
+  if not (!smoke || !walk_only || !multi || !stream) then begin
     experiments ();
     run_benchmarks ()
   end;
   (* The walk benchmark always runs; the shared-plan comparison and the
-     parallel-lookahead arms ride along in every mode except walk-only,
-     serve-only and stream-only; the service load and stream benchmarks
-     ride along only in the full run (each also has its own CI-sized
-     mode). *)
+     parallel-lookahead arms ride along in every mode except walk-only and
+     stream-only; the stream benchmark rides along only in the full run
+     (it also has its own CI-sized mode). *)
   let fragments, identical =
     if !walk_only then ([ paper_scale_bench () ], true)
-    else if !serve then begin
-      let serve_fragment, ok = serve_bench () in
-      ([ serve_fragment ], ok)
-    end
     else if !stream then begin
       let stream_fragment, ok = stream_bench ~smoke:true () in
       ([ stream_fragment ], ok)
@@ -1289,18 +1213,17 @@ let () =
       let parallel_fragment, identical = parallel_bench ~smoke:!smoke ~max_jobs () in
       if !smoke || !multi then ([ multi_fragment; parallel_fragment ], identical)
       else begin
-        let serve_fragment, serve_ok = serve_bench () in
         let stream_fragment, stream_ok = stream_bench ~smoke:false () in
-        ( [ multi_fragment; parallel_fragment; serve_fragment; stream_fragment ],
-          identical && serve_ok && stream_ok )
+        ( [ multi_fragment; parallel_fragment; stream_fragment ],
+          identical && stream_ok )
       end
     end
   in
-  walk_bench ~smoke:(!smoke || !serve || !stream) ~json_path:!json_path ~fragments ();
+  walk_bench ~smoke:(!smoke || !stream) ~json_path:!json_path ~fragments ();
   Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
   if not identical then begin
     prerr_endline
-      "FATAL: a benchmark safety property failed (lookahead arms diverged, ledger \
-       overspend, recovery mismatch, stream overspend, or warm start losing to cold)";
+      "FATAL: a benchmark safety property failed (lookahead arms diverged, stream \
+       overspend, or warm start losing to cold)";
     exit 1
   end

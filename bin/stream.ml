@@ -8,8 +8,8 @@
    a second interrupts the walk itself, leaving the epoch durable and
    resumable: re-running the same command continues bit-identically.
 
-   Exit status: 0 clean; 1 if the schedule's books show any overspend —
-   so CI can gate on the invariant. *)
+   Exit status: 0 clean; 1 if the budget ledger under DIR/budget shows any
+   overspend — so CI can gate on the invariant. *)
 
 open Cmdliner
 module Sup = Wpinq_stream.Supervisor
@@ -101,8 +101,7 @@ let run dir epochs cadence per_epoch schedule_epochs policy steps pow deadline r
       let overspend = Sup.overspend sup in
       Printf.printf
         "books: granted %.4f, spent %.4f, carried %.4f, forfeited %.4f, outstanding %.4f\n"
-        b.Sup.Schedule.granted b.Sup.Schedule.spent b.Sup.Schedule.carried
-        b.Sup.Schedule.forfeited b.Sup.Schedule.outstanding;
+        b.Sup.granted b.Sup.spent b.Sup.carried b.Sup.forfeited b.Sup.outstanding;
       Printf.printf "stream: %d acknowledged, %d committed, %d pending%s\n" (Sup.head sup)
         (Sup.consumed sup) (Sup.pending sup)
         (if !interrupted then " (one epoch in flight)" else "");
@@ -118,7 +117,7 @@ let cmd =
       & opt (some string) None
       & info [ "dir"; "d" ] ~docv:"DIR"
           ~doc:
-            "Supervisor directory (event journal, epoch ledger, fit checkpoints). \
+            "Supervisor directory (event and epoch journals, budget ledger, fit checkpoints). \
              Created if missing; an existing one is recovered and continued.")
   in
   let epochs =

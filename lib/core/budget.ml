@@ -132,228 +132,3 @@ let load r =
       r
   in
   { name; total; spent; log = List.rev log_oldest_first; kind = Root }
-
-module Schedule = struct
-  type policy = Roll_forward | Forfeit
-  type refusal = { name : string; epoch : int; epochs : int }
-
-  type entry =
-    | Completed of { epoch : int; granted : float; spent : float }
-    | Degraded of {
-        epoch : int;
-        granted : float;
-        spent : float;
-        rolled : float;
-        forfeited : float;
-      }
-    | Refused of { epoch : int }
-
-  type books = {
-    granted : float;
-    spent : float;
-    carried : float;
-    forfeited : float;
-    outstanding : float;
-  }
-
-  type t = {
-    name : string;
-    per_epoch : float;
-    epochs : int;
-    policy : policy;
-    mutable granted_epochs : int;
-    mutable carried : float;
-    mutable granted : float; (* fresh ε issued: per_epoch × granted_epochs *)
-    mutable spent : float;
-    mutable forfeited : float;
-    mutable outstanding : (int * float) option; (* epoch, unsettled allowance *)
-    mutable entries : entry list; (* newest first *)
-  }
-
-  let create ~name ~per_epoch ~epochs ~policy =
-    if not (Float.is_finite per_epoch) then
-      invalid_arg "Budget.Schedule.create: per-epoch epsilon must be finite";
-    if per_epoch < 0.0 then invalid_arg "Budget.Schedule.create: negative per-epoch epsilon";
-    if epochs < 0 then invalid_arg "Budget.Schedule.create: negative epoch count";
-    {
-      name;
-      per_epoch;
-      epochs;
-      policy;
-      granted_epochs = 0;
-      carried = 0.0;
-      granted = 0.0;
-      spent = 0.0;
-      forfeited = 0.0;
-      outstanding = None;
-      entries = [];
-    }
-
-  let name t = t.name
-  let per_epoch t = t.per_epoch
-  let epochs t = t.epochs
-  let policy t = t.policy
-  let granted_epochs t = t.granted_epochs
-  let log t = List.rev t.entries
-
-  let books t =
-    {
-      granted = t.granted;
-      spent = t.spent;
-      carried = t.carried;
-      forfeited = t.forfeited;
-      outstanding = (match t.outstanding with None -> 0.0 | Some (_, a) -> a);
-    }
-
-  let overspend t = Float.max 0.0 (t.spent -. t.granted)
-
-  let next t ~epoch =
-    (match t.outstanding with
-    | Some (e, _) ->
-        invalid_arg
-          (Printf.sprintf "Budget.Schedule.next: epoch %d is still outstanding" e)
-    | None -> ());
-    if t.granted_epochs >= t.epochs then
-      Error { name = t.name; epoch; epochs = t.epochs }
-    else begin
-      let allowance = t.per_epoch +. t.carried in
-      t.carried <- 0.0;
-      t.granted <- t.granted +. t.per_epoch;
-      t.granted_epochs <- t.granted_epochs + 1;
-      t.outstanding <- Some (epoch, allowance);
-      Ok allowance
-    end
-
-  let settle fn t ~epoch ~spent =
-    check_epsilon fn spent;
-    match t.outstanding with
-    | None -> invalid_arg (fn ^ ": no outstanding epoch to settle")
-    | Some (e, allowance) ->
-        if e <> epoch then
-          invalid_arg
-            (Printf.sprintf "%s: settling epoch %d but epoch %d is outstanding" fn epoch e);
-        if spent > allowance +. slack then
-          invalid_arg
-            (Printf.sprintf "%s: epoch %d spent %.17g over its allowance %.17g" fn epoch
-               spent allowance);
-        t.outstanding <- None;
-        t.spent <- t.spent +. spent;
-        let unspent = Float.max 0.0 (allowance -. spent) in
-        let rolled, forfeited =
-          match t.policy with
-          | Roll_forward -> (unspent, 0.0)
-          | Forfeit -> (0.0, unspent)
-        in
-        t.carried <- t.carried +. rolled;
-        t.forfeited <- t.forfeited +. forfeited;
-        (allowance, rolled, forfeited)
-
-  let complete t ~epoch ~spent =
-    let granted, _, _ = settle "Budget.Schedule.complete" t ~epoch ~spent in
-    t.entries <- Completed { epoch; granted; spent } :: t.entries
-
-  let degrade t ~epoch ~spent =
-    let granted, rolled, forfeited = settle "Budget.Schedule.degrade" t ~epoch ~spent in
-    t.entries <- Degraded { epoch; granted; spent; rolled; forfeited } :: t.entries
-
-  let refuse t ~epoch =
-    (match t.outstanding with
-    | Some (e, _) ->
-        invalid_arg
-          (Printf.sprintf "Budget.Schedule.refuse: epoch %d is still outstanding" e)
-    | None -> ());
-    t.entries <- Refused { epoch } :: t.entries
-
-  let save t buf =
-    Codec.write_string buf t.name;
-    Codec.write_float buf t.per_epoch;
-    Codec.write_int buf t.epochs;
-    Codec.write_bool buf (t.policy = Roll_forward);
-    Codec.write_int buf t.granted_epochs;
-    Codec.write_float buf t.carried;
-    Codec.write_float buf t.granted;
-    Codec.write_float buf t.spent;
-    Codec.write_float buf t.forfeited;
-    (match t.outstanding with
-    | None -> Codec.write_bool buf false
-    | Some (e, a) ->
-        Codec.write_bool buf true;
-        Codec.write_int buf e;
-        Codec.write_float buf a);
-    Codec.write_list
-      (fun buf entry ->
-        match entry with
-        | Completed { epoch; granted; spent } ->
-            Codec.write_int buf 0;
-            Codec.write_int buf epoch;
-            Codec.write_float buf granted;
-            Codec.write_float buf spent
-        | Degraded { epoch; granted; spent; rolled; forfeited } ->
-            Codec.write_int buf 1;
-            Codec.write_int buf epoch;
-            Codec.write_float buf granted;
-            Codec.write_float buf spent;
-            Codec.write_float buf rolled;
-            Codec.write_float buf forfeited
-        | Refused { epoch } ->
-            Codec.write_int buf 2;
-            Codec.write_int buf epoch)
-      buf (List.rev t.entries)
-
-  let load r =
-    let name = Codec.read_string r in
-    let per_epoch = Codec.read_float r in
-    let epochs = Codec.read_int r in
-    let policy = if Codec.read_bool r then Roll_forward else Forfeit in
-    let granted_epochs = Codec.read_int r in
-    let carried = Codec.read_float r in
-    let granted = Codec.read_float r in
-    let spent = Codec.read_float r in
-    let forfeited = Codec.read_float r in
-    let outstanding =
-      if Codec.read_bool r then begin
-        let e = Codec.read_int r in
-        let a = Codec.read_float r in
-        Some (e, a)
-      end
-      else None
-    in
-    let entries_oldest_first =
-      Codec.read_list
-        (fun r ->
-          match Codec.read_int r with
-          | 0 ->
-              let epoch = Codec.read_int r in
-              let granted = Codec.read_float r in
-              let spent = Codec.read_float r in
-              Completed { epoch; granted; spent }
-          | 1 ->
-              let epoch = Codec.read_int r in
-              let granted = Codec.read_float r in
-              let spent = Codec.read_float r in
-              let rolled = Codec.read_float r in
-              let forfeited = Codec.read_float r in
-              Degraded { epoch; granted; spent; rolled; forfeited }
-          | 2 ->
-              let epoch = Codec.read_int r in
-              Refused { epoch }
-          | tag ->
-              raise
-                (Wpinq_persist.Persist.Codec.Decode_error
-                   (Printf.sprintf "Budget.Schedule: unknown entry tag %d" tag)))
-        r
-    in
-    {
-      name;
-      per_epoch;
-      epochs;
-      policy;
-      granted_epochs;
-      carried;
-      granted;
-      spent;
-      forfeited;
-      outstanding;
-      entries = List.rev entries_oldest_first;
-    }
-end

@@ -78,103 +78,3 @@ val parallel_child : ?allocation:float -> group -> name:string -> t
     infinite, or negative values raise [Invalid_argument] instead of
     constructing an account whose every later charge decision is
     silently poisoned. *)
-
-(** {1 Epoch schedules}
-
-    Continual observation re-releases measurements on a cadence: each
-    re-release epoch gets a fixed ε allowance, and the stream's total
-    exposure is bounded by [per_epoch × epochs] (sequential composition
-    across epochs).  A {!Schedule.t} is the accounting object for that
-    cadence: it grants one allowance per epoch, refuses further grants
-    once the schedule is exhausted (a typed refusal, not an exception —
-    the stream keeps running, it just stops releasing), and records how
-    each epoch settled.  A degraded epoch — skipped for lateness or
-    merged after repeated failure — settles its unspent allowance per
-    {!Schedule.policy}: rolled forward into the next epoch's allowance,
-    or forfeited outright.  Both are typed and logged, so the books
-    always satisfy
-    [spent + carried + forfeited + outstanding = granted]. *)
-
-module Schedule : sig
-  type t
-
-  type policy = Roll_forward | Forfeit
-      (** What happens to the unspent part of a settled allowance:
-          [Roll_forward] adds it to the next grant, [Forfeit] burns it.
-          Forfeit gives the tighter per-epoch exposure bound ([per_epoch]
-          per release, always); roll-forward preserves total utility
-          across degraded epochs at the cost of a lumpier release. *)
-
-  type refusal = { name : string; epoch : int; epochs : int }
-      (** A typed refusal: the schedule's [epochs] grants are all
-          issued, so [epoch] gets no allowance. *)
-
-  type entry =
-    | Completed of { epoch : int; granted : float; spent : float }
-    | Degraded of {
-        epoch : int;
-        granted : float;
-        spent : float;
-        rolled : float;
-        forfeited : float;
-      }
-    | Refused of { epoch : int }
-        (** One settled epoch in the audit log.  [Degraded] records both
-            dispositions of the unspent allowance — exactly one is
-            nonzero, per the schedule's policy. *)
-
-  type books = {
-    granted : float;  (** fresh ε issued: [per_epoch × granted epochs] *)
-    spent : float;  (** settled spend across all epochs *)
-    carried : float;  (** unspent ε rolled into the next grant *)
-    forfeited : float;  (** unspent ε burned by policy *)
-    outstanding : float;  (** granted but not yet settled *)
-  }
-
-  val create : name:string -> per_epoch:float -> epochs:int -> policy:policy -> t
-  (** [per_epoch] must be finite and non-negative; [epochs] non-negative. *)
-
-  val next : t -> epoch:int -> (float, refusal) result
-  (** Grant epoch [epoch] its allowance ([per_epoch] plus any carried
-      remainder), or refuse if all [epochs] grants are issued.  The grant
-      is outstanding until settled by {!complete} or {!degrade}; granting
-      over an outstanding epoch raises [Invalid_argument] (a supervisor
-      bug, not an operational condition). *)
-
-  val complete : t -> epoch:int -> spent:float -> unit
-  (** Settle the outstanding epoch as completed, having spent [spent] of
-      its allowance (≤ allowance, up to rounding slack — more raises
-      [Invalid_argument]).  The unspent remainder follows the policy. *)
-
-  val degrade : t -> epoch:int -> spent:float -> unit
-  (** Settle the outstanding epoch as degraded (late, or failed after
-      retries): [spent] was already released (measurement noise is spent
-      the moment it is drawn, even if the fit never finished) and the
-      remainder rolls or is forfeited per policy. *)
-
-  val refuse : t -> epoch:int -> unit
-  (** Record a {!type-refusal} in the log (no allowance is outstanding). *)
-
-  val name : t -> string
-  val per_epoch : t -> float
-  val epochs : t -> int
-  val policy : t -> policy
-  val granted_epochs : t -> int
-
-  val books : t -> books
-
-  val overspend : t -> float
-  (** [max 0 (spent − granted)] — the zero-overspend safety check the
-      fault matrix and bench assert after every recovery. *)
-
-  val log : t -> entry list
-  (** Settled epochs, oldest first. *)
-
-  val save : t -> Buffer.t -> unit
-  (** Full serialization (configuration, counters, audit log) for the
-      supervisor's durable state. *)
-
-  val load : Wpinq_persist.Persist.Codec.reader -> t
-  (** Rebuilds a schedule written by {!save}.  Raises
-      [Wpinq_persist.Persist.Codec.Decode_error] on malformed input. *)
-end

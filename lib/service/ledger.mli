@@ -1,4 +1,7 @@
-(** A concurrency-safe, crash-recoverable multi-tenant ε-budget ledger.
+(** A concurrency-safe, crash-recoverable multi-tenant ε-budget ledger:
+    the one durable ε authority.  The continual-observation supervisor
+    books every epoch here ([Wpinq_stream.Supervisor]: a root account
+    per stream, one delegated child per epoch).
 
     Each tenant owns an account with the escrow invariant
 

@@ -1,4 +1,4 @@
-type degrade = Wpinq_core.Budget.Schedule.policy = Roll_forward | Forfeit
+type degrade = Roll_forward | Forfeit
 
 let degrade_to_string = function Roll_forward -> "roll-forward" | Forfeit -> "forfeit"
 

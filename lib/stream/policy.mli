@@ -1,13 +1,15 @@
 (** Degradation policy for the continual-observation supervisor.
 
-    Two questions have typed answers here: what happens to a degraded
-    epoch's budget (re-exported from {!Wpinq_core.Budget.Schedule}), and
-    what counts as a transient failure worth a bounded retry versus a
-    reason to degrade the epoch immediately. *)
+    Two questions have typed answers here: what happens to a settled
+    epoch's unspent budget, and what counts as a transient failure worth
+    a bounded retry versus a reason to degrade the epoch immediately. *)
 
-type degrade = Wpinq_core.Budget.Schedule.policy = Roll_forward | Forfeit
-(** Disposition of a degraded (or completed-under-budget) epoch's unspent
-    allowance — see {!Wpinq_core.Budget.Schedule.policy}. *)
+type degrade = Roll_forward | Forfeit
+(** What happens to the unspent part of a settled epoch's allowance:
+    [Roll_forward] adds it to the next epoch's allowance, [Forfeit] burns
+    it.  Forfeit gives the tighter per-epoch exposure bound ([per_epoch]
+    per release, always); roll-forward preserves total utility across
+    degraded epochs at the cost of a lumpier release. *)
 
 val degrade_to_string : degrade -> string
 val degrade_of_string : string -> degrade option

@@ -1,19 +1,17 @@
 module Journal = Wpinq_persist.Journal
 module Persist = Wpinq_persist.Persist
 module Codec = Persist.Codec
-module Schedule = Wpinq_core.Budget.Schedule
 module Budget = Wpinq_core.Budget
 module Batch = Wpinq_core.Batch
 module Prng = Wpinq_prng.Prng
 module Graph = Wpinq_graph.Graph
 module Workflow = Wpinq_infer.Workflow
 module Shutdown = Wpinq_infer.Shutdown
-module Dataflow = Wpinq_dataflow.Dataflow
-module Wdata = Wpinq_weighted.Wdata
+module Ledger = Wpinq_service.Ledger
 
 let magic = "WPQEPO1\x00"
 let snapshot_magic = "wPINQEPO"
-let snapshot_version = 1
+let snapshot_version = 2
 
 exception Chaos of string
 
@@ -40,6 +38,9 @@ let config ?(queries = [ Workflow.Tbi ]) ?(steps = 2000) ?(pow = 100.0) ?(jobs =
     ?trace_every ?(audit_every = 0) ?(checkpoint_every = 500) ?(keep = 3) ?(fsync = true) ?(retries = 2) ?(backoff = 0.0)
     ?(deadline = 0.0) ?(policy = Policy.Roll_forward) ?(seed = 1) ~per_epoch ~epochs () =
   if queries = [] then invalid_arg "Supervisor.config: queries must be non-empty";
+  if not (Float.is_finite per_epoch && per_epoch >= 0.0) then
+    invalid_arg "Supervisor.config: per-epoch epsilon must be finite and non-negative";
+  if epochs < 0 then invalid_arg "Supervisor.config: negative epoch count";
   {
     queries;
     steps;
@@ -58,6 +59,14 @@ let config ?(queries = [ Workflow.Tbi ]) ?(steps = 2000) ?(pow = 100.0) ?(jobs =
     policy;
     seed;
   }
+
+type books = {
+  granted : float;
+  spent : float;
+  carried : float;
+  forfeited : float;
+  outstanding : float;
+}
 
 type completed = {
   epoch : int;
@@ -95,7 +104,7 @@ let outcome_to_string = function
         "epoch %d merged (%s): spent %.4g, rolled %.4g, forfeited %.4g, %d deferred"
         m_epoch reason m_spent rolled forfeited deferred
   | Refused { r_epoch; r_deferred } ->
-      Printf.sprintf "epoch %d refused: budget schedule exhausted, %d pending" r_epoch
+      Printf.sprintf "epoch %d refused: every epoch granted, %d pending" r_epoch
         r_deferred
 
 type recovery = {
@@ -111,18 +120,18 @@ type t = {
   dir : string;
   ingest : Ingest.t;
   epochs_j : Journal.t;
-  sched : Schedule.t;
-  engine : Dataflow.Engine.t;
-  input : (int * int) Dataflow.Input.t;
+  ledger : Ledger.t;
+  edges : (int * int, unit) Hashtbl.t;  (* the live secret, [u < v] *)
   chaos : (epoch:int -> attempt:int -> string option) option;
   mutable jseq : int;
   mutable next_epoch : int;
   mutable consumed_seq : int;  (* stream position committed by completed epochs *)
-  mutable fed_seq : int;  (* events already applied to the live input (>= consumed) *)
+  mutable fed_seq : int;  (* events already applied to [edges] (>= consumed) *)
   mutable committed : (int * int) list;  (* secret edges at consumed_seq *)
   mutable synthetic : Graph.t option;
   mutable outcomes : outcome list;  (* newest first *)
   mutable in_flight : (int * float * int) option;  (* epoch, allowance, head *)
+  mutable escrow : int option;  (* the in-flight epoch's open measurement escrow *)
   mutable recent : (int * string) list;  (* (jseq, payload), newest first *)
 }
 
@@ -225,7 +234,7 @@ let decode_outcome r =
       Refused { r_epoch; r_deferred }
   | tag -> raise (Codec.Decode_error (Printf.sprintf "supervisor: outcome tag %d" tag))
 
-(* Epoch-ledger records.  Every record leads with its jseq so replay and
+(* Epoch-journal records.  Every record leads with its jseq so replay and
    retention can order them without knowing the variant. *)
 type record =
   | Rec_start of { epoch : int; allowance : float; head : int }
@@ -286,44 +295,31 @@ let encode_snapshot t =
   | Some g ->
       Codec.write_bool buf true;
       encode_graph buf g);
-  Schedule.save t.sched buf;
   Codec.write_list (fun buf o -> encode_outcome buf o) buf (List.rev t.outcomes);
   Buffer.contents buf
 
 (* ---- The live secret -------------------------------------------------- *)
 
-(* The protected graph lives as a dataflow input of directed edges: each
-   undirected edge contributes both orientations at weight 1, matching the
-   symmetric source the one-shot workflow measures.  Arrivals of present
-   edges and departures of absent ones are counted no-ops, so at-least-once
-   replay converges. *)
-let apply_event input (e : Event.t) =
-  let present = Wdata.mem (Dataflow.Input.current input) (e.u, e.v) in
+(* The protected graph is a plain set of undirected edges.  Arrivals of
+   present edges and departures of absent ones are no-ops, so
+   at-least-once replay converges. *)
+let apply_event edges (e : Event.t) =
   match e.op with
-  | Event.Arrive when present -> false
-  | Event.Depart when not present -> false
-  | Event.Arrive ->
-      Dataflow.Input.feed input [ ((e.u, e.v), 1.0); ((e.v, e.u), 1.0) ];
-      true
-  | Event.Depart ->
-      Dataflow.Input.feed input [ ((e.u, e.v), -1.0); ((e.v, e.u), -1.0) ];
-      true
+  | Event.Arrive -> Hashtbl.replace edges (e.u, e.v) ()
+  | Event.Depart -> Hashtbl.remove edges (e.u, e.v)
 
-(* Feed every acknowledged event up to [upto] that the live input has not
+(* Feed every acknowledged event up to [upto] that the live secret has not
    absorbed yet.  Merged epochs leave their events fed-but-uncommitted;
    [fed_seq] keeps them from being applied twice. *)
 let feed_to t ~upto =
   if upto > t.fed_seq then begin
     List.iter
-      (fun (seq, e) -> if seq <= upto then ignore (apply_event t.input e))
+      (fun (seq, e) -> if seq <= upto then apply_event t.edges e)
       (Ingest.events_after t.ingest t.fed_seq);
     t.fed_seq <- upto
   end
 
-let current_edges t =
-  List.filter_map
-    (fun ((u, v), _w) -> if u < v then Some (u, v) else None)
-    (Wdata.to_sorted_list (Dataflow.Input.current t.input))
+let current_edges t = List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) t.edges [])
 
 (* ---- Warm start ------------------------------------------------------- *)
 
@@ -418,6 +414,57 @@ let checkpoint_state t =
   if t.consumed_seq > fst (Ingest.base t.ingest) then
     Ingest.compact t.ingest ~upto:t.consumed_seq ~edges:t.committed
 
+(* ---- The ε books ------------------------------------------------------ *)
+
+(* Every epoch is booked in the durable ledger under [DIR/budget]: the root
+   account holds [per_epoch × epochs]; each granted epoch is a delegated
+   child ["epoch-<k>"] whose allocation is its allowance, retired (its
+   spend rolled up, the rest returned) when the epoch settles.  The
+   supervisor's snapshot holds no ε state of its own. *)
+let root = "stream"
+let epoch_tenant epoch = Printf.sprintf "epoch-%d" epoch
+
+let booked = function
+  | Ok x -> x
+  | Error r -> failwith ("Supervisor: budget ledger refused: " ^ Ledger.refusal_to_string r)
+
+(* The granted epochs' accounts, oldest first. *)
+let epoch_children ledger =
+  List.filter_map
+    (fun (name, (v : Ledger.view)) ->
+      if v.v_parent = Some root then
+        Option.map (fun e -> (e, v)) (Scanf.sscanf_opt name "epoch-%d%!" Fun.id)
+      else None)
+    (Ledger.dump ledger)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* What a settled epoch's unspent allowance becomes under the policy:
+   (rolled into the next allowance, forfeited). *)
+let split policy unspent =
+  match policy with
+  | Policy.Roll_forward -> (unspent, 0.0)
+  | Policy.Forfeit -> (0.0, unspent)
+
+let next_allowance ledger ~per_epoch ~epochs ~policy =
+  let children = epoch_children ledger in
+  if List.length children >= epochs then None
+  else
+    match List.rev children with
+    | (_, (last : Ledger.view)) :: _ ->
+        let rolled, _ = split policy (Float.max 0.0 (last.v_allocated -. last.v_spent)) in
+        Some (per_epoch +. rolled)
+    | [] -> Some per_epoch
+
+let books_of ledger ~per_epoch ~policy =
+  match Ledger.view ledger ~tenant:root with
+  | None -> { granted = 0.0; spent = 0.0; carried = 0.0; forfeited = 0.0; outstanding = 0.0 }
+  | Some (r : Ledger.view) ->
+      let granted = per_epoch *. float_of_int (List.length (epoch_children ledger)) in
+      let carried, forfeited =
+        split policy (Float.max 0.0 (granted -. r.v_spent -. r.v_committed))
+      in
+      { granted; spent = r.v_spent; carried; forfeited; outstanding = r.v_committed }
+
 (* ---- Epoch execution -------------------------------------------------- *)
 
 (* Per-use ε from the epoch allowance: seed measurements cost 3 uses, each
@@ -429,15 +476,51 @@ let per_use_epsilon cfg ~allowance =
   in
   allowance /. uses
 
+(* The ε [measure] debits, summed in the order it charges (three seed
+   measurements, then each query), so it equals the fit's [total_epsilon]
+   bit for bit. *)
+let measurement_cost cfg ~allowance =
+  let e = per_use_epsilon cfg ~allowance in
+  List.fold_left (fun acc q -> acc +. Workflow.query_cost q e) (e +. e +. e) cfg.queries
+
 let measure t ~rng ~allowance =
   let per_use = per_use_epsilon t.cfg ~allowance in
   let budget = Budget.create ~name:"stream-secret" allowance in
-  let rows = Wdata.to_sorted_list (Dataflow.Input.current t.input) in
+  let rows =
+    Hashtbl.fold (fun (u, v) () acc -> (u, v) :: (v, u) :: acc) t.edges []
+    |> List.sort compare
+    |> List.map (fun e -> (e, 1.0))
+  in
   let sym = Batch.source ~budget rows in
   let seed_ms = Workflow.measure_seed ~rng ~epsilon:per_use ~sym in
   let degrees = Workflow.fit_degrees seed_ms in
   let qms = Workflow.measure_queries ~rng ~epsilon:per_use ~sym t.cfg.queries in
   (budget, per_use, degrees, qms)
+
+(* Book the in-flight epoch: its child account, then an escrow of its
+   measurement cost, before any noise is drawn.  Idempotent, keyed by the
+   child's name, so recovery calls it too: a child whose escrow recovery
+   charged on doubt already carries the epoch's spend and gets no second
+   one. *)
+let open_epoch t ~epoch ~allowance =
+  let tenant = epoch_tenant epoch in
+  if Ledger.view t.ledger ~tenant = None then
+    booked (Ledger.delegate t.ledger ~parent:root ~tenant ~allocated:allowance);
+  match Ledger.view t.ledger ~tenant with
+  | Some { Ledger.v_spent = 0.0; v_committed = 0.0; _ } ->
+      let cost = measurement_cost t.cfg ~allowance in
+      t.escrow <- Some (booked (Ledger.escrow t.ledger ~tenant ~cost ~label:"measurements"))
+  | _ -> ()
+
+(* Commit (noise was released) or release (it never left the process)
+   the in-flight escrow.  [execute] calls this before the outcome is
+   journalled: a kill between the two resumes the epoch with its spend
+   already booked, or re-escrows it if released. *)
+let settle_escrow t ~released =
+  Option.iter
+    (fun id -> booked (if released then Ledger.commit t.ledger id else Ledger.release t.ledger id))
+    t.escrow;
+  t.escrow <- None
 
 (* ε already released by a failed epoch: noise recorded in a durable fit
    snapshot is out in the world whether or not the epoch completed, so a
@@ -498,36 +581,49 @@ let failure_of_exn = function
   | Chaos reason -> Some (Policy.Chaos reason)
   | _ -> None
 
-let settle t outcome ~synthetic =
-  journal_record t (Rec_outcome { outcome; synthetic });
+(* Apply one settled outcome to the in-memory state and the ledger: the
+   live settle and recovery's replay both come through here.  Retiring
+   the epoch's child is keyed by its name, so replaying an outcome whose
+   child is already retired changes nothing. *)
+let apply_outcome t outcome ~synthetic =
+  let retire epoch =
+    let tenant = epoch_tenant epoch in
+    match Ledger.view t.ledger ~tenant with
+    | Some { Ledger.v_retired = false; _ } -> booked (Ledger.retire t.ledger ~tenant)
+    | _ -> ()
+  in
   (match outcome with
-  | Completed { epoch; spent; stream_seq; _ } ->
-      Schedule.complete t.sched ~epoch ~spent;
+  | Completed { epoch; stream_seq; _ } ->
+      retire epoch;
       t.consumed_seq <- stream_seq;
       t.committed <- current_edges t;
-      (match synthetic with Some g -> t.synthetic <- Some g | None -> ());
+      Option.iter (fun g -> t.synthetic <- Some g) synthetic;
       t.next_epoch <- epoch + 1
-  | Merged { m_epoch; m_spent; _ } ->
-      Schedule.degrade t.sched ~epoch:m_epoch ~spent:m_spent;
+  | Merged { m_epoch; _ } ->
+      retire m_epoch;
       t.next_epoch <- m_epoch + 1
-  | Refused { r_epoch; _ } ->
-      Schedule.refuse t.sched ~epoch:r_epoch;
-      t.next_epoch <- r_epoch + 1);
+  | Refused { r_epoch; _ } -> t.next_epoch <- r_epoch + 1);
   t.in_flight <- None;
-  t.outcomes <- outcome :: t.outcomes;
+  t.outcomes <- outcome :: t.outcomes
+
+let settle t outcome ~synthetic =
+  journal_record t (Rec_outcome { outcome; synthetic });
+  apply_outcome t outcome ~synthetic;
   checkpoint_state t;
   sweep_fit_dirs t;
   outcome
 
 let execute t ~epoch ~allowance ~head =
   let cfg = t.cfg in
-  let merged ~spent ~retries failure =
-    let unspent = Float.max 0.0 (allowance -. spent) in
-    let rolled, forfeited =
-      match cfg.policy with
-      | Policy.Roll_forward -> (unspent, 0.0)
-      | Policy.Forfeit -> (0.0, unspent)
+  let merged ~retries failure =
+    (* With no open escrow, recovery charged it on doubt: that is the
+       epoch's spend. *)
+    let spent =
+      if Option.is_some t.escrow then durable_spent t epoch
+      else Option.value ~default:0.0 (Ledger.spent t.ledger ~tenant:(epoch_tenant epoch))
     in
+    settle_escrow t ~released:(spent > 0.0);
+    let rolled, forfeited = split cfg.policy (Float.max 0.0 (allowance -. spent)) in
     Merged
       {
         m_epoch = epoch;
@@ -552,18 +648,15 @@ let execute t ~epoch ~allowance ~head =
         | None -> raise exn)
   in
   match attempt 0 with
-  | Error (failure, retries) ->
-      let spent = durable_spent t epoch in
-      Some (settle t (merged ~spent ~retries failure) ~synthetic:None)
+  | Error (failure, retries) -> Some (settle t (merged ~retries failure) ~synthetic:None)
   | Ok (result, retries) ->
       if result.Workflow.stats.Wpinq_infer.Mcmc.interrupted then
         if Shutdown.requested () then None
           (* graceful stop: the fit wrote its final snapshot; the epoch
              stays in flight for a later tick or process to resume *)
-        else
-          let spent = durable_spent t epoch in
-          Some (settle t (merged ~spent ~retries Policy.Deadline) ~synthetic:None)
+        else Some (settle t (merged ~retries Policy.Deadline) ~synthetic:None)
       else begin
+        settle_escrow t ~released:true;
         let initial_energy =
           match result.Workflow.trace with
           | first :: _ -> first.Workflow.energy
@@ -596,15 +689,19 @@ let tick t =
   | Some (epoch, allowance, head) -> execute t ~epoch ~allowance ~head
   | None -> (
       let epoch = t.next_epoch in
-      match Schedule.next t.sched ~epoch with
-      | Error _refusal ->
+      let cfg = t.cfg in
+      match
+        next_allowance t.ledger ~per_epoch:cfg.per_epoch ~epochs:cfg.epochs ~policy:cfg.policy
+      with
+      | None ->
           let outcome = Refused { r_epoch = epoch; r_deferred = pending t } in
           Some (settle t outcome ~synthetic:None)
-      | Ok allowance ->
+      | Some allowance ->
           let head = Ingest.head t.ingest in
           journal_record t (Rec_start { epoch; allowance; head });
           feed_to t ~upto:head;
           t.in_flight <- Some (epoch, allowance, head);
+          open_epoch t ~epoch ~allowance;
           execute t ~epoch ~allowance ~head)
 
 let run ?(cadence = 0.0) t ~epochs =
@@ -622,9 +719,11 @@ let run ?(cadence = 0.0) t ~epochs =
 
 let outcomes t = List.rev t.outcomes
 let synthetic t = t.synthetic
-let books t = Schedule.books t.sched
-let overspend t = Schedule.overspend t.sched
-let schedule_log t = Schedule.log t.sched
+let books t = books_of t.ledger ~per_epoch:t.cfg.per_epoch ~policy:t.cfg.policy
+
+let overspend t =
+  List.fold_left (fun acc (_, excess) -> acc +. excess) 0.0 (Ledger.overspend t.ledger)
+
 let consumed t = t.consumed_seq
 let head t = Ingest.head t.ingest
 let protected_edges t = current_edges t
@@ -632,7 +731,8 @@ let dir t = t.dir
 
 let close t =
   Ingest.close t.ingest;
-  Journal.close t.epochs_j
+  Journal.close t.epochs_j;
+  Ledger.close t.ledger
 
 (* ---- Open / recovery -------------------------------------------------- *)
 
@@ -644,46 +744,49 @@ let decode_snapshot payload =
   let fed_seq = Codec.read_int r in
   let committed = Codec.read_list read_edge r in
   let synthetic = if Codec.read_bool r then Some (decode_graph r) else None in
-  let sched = Schedule.load r in
   (* oldest first, as written; the caller flips to the internal
      newest-first order *)
   let outcomes = Codec.read_list decode_outcome r in
-  (jseq, next_epoch, consumed_seq, fed_seq, committed, synthetic, sched, outcomes)
+  (jseq, next_epoch, consumed_seq, fed_seq, committed, synthetic, outcomes)
 
 let open_dir ?chaos ~config:cfg dirname =
   let ingest, ingest_rec =
     Ingest.open_dir ~keep:cfg.keep ~fsync:cfg.fsync (Filename.concat dirname "events")
   in
+  (* The ledger directory is created before the epoch journal's, so an
+     epoch journal without one predates the ledger (or lost its books). *)
+  let budget_dir = Filename.concat dirname "budget" in
+  if Sys.file_exists (Filename.concat dirname "epochs") && not (Sys.file_exists budget_dir) then
+    invalid_arg
+      ("Supervisor.open_dir: " ^ dirname ^ " has an epoch journal but no budget ledger");
+  let ledger, ledger_rec = Ledger.open_dir ~keep:cfg.keep ~fsync:cfg.fsync budget_dir in
+  let allocated = cfg.per_epoch *. float_of_int cfg.epochs in
+  (match Ledger.allocated ledger ~tenant:root with
+  | None -> booked (Ledger.create_root ledger ~tenant:root ~allocated)
+  | Some a when a = allocated -> ()
+  | Some a ->
+      invalid_arg
+        (Printf.sprintf
+           "Supervisor.open_dir: the budget ledger grants the stream %g, the config %g" a
+           allocated));
   let epochs_j, epochs_rec =
     Journal.open_dir ~keep:cfg.keep ~fsync:cfg.fsync ~sites:"epoch" ~magic
       ~snapshot_magic ~snapshot_version
       (Filename.concat dirname "epochs")
   in
-  let jseq0, next_epoch, consumed_seq, fed_seq, committed, synthetic, sched, outcomes =
+  let jseq0, next_epoch, consumed_seq, fed_seq, committed, synthetic, outcomes =
     match epochs_rec.Journal.snapshot with
     | Some (payload, _) -> decode_snapshot payload
-    | None ->
-        ( 0,
-          0,
-          0,
-          0,
-          [],
-          None,
-          Schedule.create ~name:"stream" ~per_epoch:cfg.per_epoch ~epochs:cfg.epochs
-            ~policy:cfg.policy,
-          [] )
+    | None -> (0, 0, 0, 0, [], None, [])
   in
-  let engine = Dataflow.Engine.create () in
-  let input = Dataflow.Input.create engine in
   let t =
     {
       cfg;
       dir = dirname;
       ingest;
       epochs_j;
-      sched;
-      engine;
-      input;
+      ledger;
+      edges = Hashtbl.create (2 * List.length committed);
       chaos;
       jseq = jseq0;
       next_epoch;
@@ -693,17 +796,16 @@ let open_dir ?chaos ~config:cfg dirname =
       synthetic;
       outcomes = List.rev outcomes;
       in_flight = None;
+      escrow = None;
       recent = [];
     }
   in
   (* Rebuild the live secret: the committed edge set, then the events a
      merged or in-flight epoch had already fed when the snapshot was
      written. *)
-  if committed <> [] then
-    Dataflow.Input.feed input
-      (List.concat_map (fun (u, v) -> [ ((u, v), 1.0); ((v, u), 1.0) ]) committed);
+  List.iter (fun e -> Hashtbl.replace t.edges e ()) committed;
   feed_to t ~upto:fed_seq;
-  (* Replay epoch-ledger records past the snapshot; keep every surviving
+  (* Replay epoch-journal records past the snapshot; keep every surviving
      record (including pre-snapshot ones retained for older generations)
      for the next compaction's retain closure. *)
   t.recent <- List.rev_map (fun payload -> (record_jseq payload, payload)) epochs_rec.records;
@@ -716,38 +818,20 @@ let open_dir ?chaos ~config:cfg dirname =
         t.jseq <- max t.jseq jseq;
         match record with
         | Rec_start { epoch; allowance; head } ->
-            (match Schedule.next t.sched ~epoch with
-            | Ok _ -> ()
-            | Error _ ->
-                raise
-                  (Codec.Decode_error
-                     (Printf.sprintf
-                        "supervisor: replayed epoch %d start but schedule is exhausted"
-                        epoch)));
             feed_to t ~upto:head;
             t.in_flight <- Some (epoch, allowance, head)
-        | Rec_outcome { outcome; synthetic } ->
-            (match outcome with
-            | Completed { epoch; spent; stream_seq; _ } ->
-                Schedule.complete t.sched ~epoch ~spent;
-                t.consumed_seq <- stream_seq;
-                t.committed <- current_edges t;
-                (match synthetic with Some g -> t.synthetic <- Some g | None -> ());
-                t.next_epoch <- epoch + 1
-            | Merged { m_epoch; m_spent; _ } ->
-                Schedule.degrade t.sched ~epoch:m_epoch ~spent:m_spent;
-                t.next_epoch <- m_epoch + 1
-            | Refused { r_epoch; _ } ->
-                Schedule.refuse t.sched ~epoch:r_epoch;
-                t.next_epoch <- r_epoch + 1);
-            t.in_flight <- None;
-            t.outcomes <- outcome :: t.outcomes
+        | Rec_outcome { outcome; synthetic } -> apply_outcome t outcome ~synthetic
       end)
     epochs_rec.records;
+  (* Bring the ledger into line with the journal: an epoch in flight is
+     booked (child and escrow) whatever the kill left undone. *)
+  Option.iter (fun (epoch, allowance, _) -> open_epoch t ~epoch ~allowance) t.in_flight;
   sweep_fit_dirs t;
   let recovery =
     {
-      torn_bytes = ingest_rec.Ingest.torn_bytes + epochs_rec.Journal.torn_bytes;
+      torn_bytes =
+        ingest_rec.Ingest.torn_bytes + ledger_rec.Ledger.torn_bytes
+        + epochs_rec.Journal.torn_bytes;
       replayed_events = List.length ingest_rec.Ingest.replayed;
       replayed_records = !replayed;
       resumed_epoch = (match t.in_flight with Some (e, _, _) -> Some e | None -> None);

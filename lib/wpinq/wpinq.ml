@@ -30,5 +30,3 @@ module Pinq = Wpinq_baselines.Pinq
 module Smooth = Wpinq_baselines.Smooth
 module Wal = Wpinq_service.Wal
 module Ledger = Wpinq_service.Ledger
-module Admit = Wpinq_service.Admit
-module Loadgen = Wpinq_service.Loadgen

@@ -395,15 +395,17 @@ let ledger_matrix st ~rounds =
 (* ---------------- the continual-observation arm ----------------
 
    A scripted three-epoch stream (arrivals building a clustered secret,
-   then two rounds of churn) killed at every journal, checkpoint, and
-   walk fault site mid-stream, then recovered and re-run.  The harness
-   plays an at-least-once client: a submit whose acknowledgment the kill
+   then two rounds of churn) killed at every journal, budget-ledger WAL,
+   checkpoint, and walk fault site mid-stream, then recovered and re-run.
+   The harness plays an at-least-once client that also restarts the
+   supervisor between epochs (so the ledger's replay and compaction on
+   open are kill points too): a submit whose acknowledgment the kill
    swallowed is re-submitted only if it provably never became durable
    (the head sequence did not advance), and a tick whose settle was
    already journalled is not repeated.  After every round the recovered
    stream's outcomes, released graphs, protected edge set, and budget
    books must be bit-identical to the uninterrupted reference — and the
-   schedule must show zero overspend. *)
+   ledger must show zero overspend. *)
 
 let rec remove_tree path =
   if Sys.file_exists path then
@@ -445,7 +447,7 @@ type stream_state = {
   s_outcomes : Sup.outcome list;
   s_synthetic : (int * int) list option;
   s_edges : (int * int) list;
-  s_books : Sup.Schedule.books;
+  s_books : Sup.books;
   s_consumed : int;
   s_overspend : float;
 }
@@ -483,15 +485,16 @@ let stream_reference () =
 let stream_armed_round st r site reference =
   with_tree_dir (fun dir ->
       let cfg = stream_cfg () in
+      let killed = ref false in
       let rec reopen () =
         match Sup.open_dir ~config:cfg dir with
         | sup, _ -> sup
         | exception Fault.Injected _ ->
+            killed := true;
             Fault.disarm ();
             reopen ()
       in
       let sup = ref (reopen ()) in
-      let killed = ref false in
       let submit_safe e =
         let h0 = Sup.head !sup in
         try ignore (Sup.submit !sup e)
@@ -523,11 +526,18 @@ let stream_armed_round st r site reference =
         | "mcmc.step" -> 50 + Random.State.int st 500
         | "epoch.append" | "epoch.fsync" | "epoch.compact" | "epoch.reset" ->
             1 + Random.State.int st 5
+        | "wal.append" | "wal.fsync" | "wal.replay" -> 1 + Random.State.int st 12
+        | "wal.compact" | "wal.reset" -> 1 + Random.State.int st 2
         | _ -> 1 + Random.State.int st 12 (* atomic.*: fire on every durable write *)
       in
+      let restart () =
+        Sup.close !sup;
+        sup := reopen ()
+      in
       Fault.arm ~site ~after;
-      List.iter
-        (fun phase ->
+      List.iteri
+        (fun i phase ->
+          if i > 0 then restart ();
           List.iter submit_safe phase;
           tick_safe ())
         (Lazy.force stream_phases);
@@ -545,16 +555,22 @@ let stream_armed_round st r site reference =
 let stream_corrupt_round st r reference =
   with_tree_dir (fun dir ->
       let cfg = stream_cfg () in
-      let sup, _ = Sup.open_dir ~config:cfg dir in
+      let sup = ref (fst (Sup.open_dir ~config:cfg dir)) in
       let phases = Lazy.force stream_phases in
-      (* Two clean epochs, then a kill mid-walk in the third. *)
+      (* Two clean epochs with a restart between them (so the budget
+         ledger, which snapshots on open, has two generations), then a
+         kill mid-walk in the third. *)
       List.iteri
         (fun i phase ->
-          List.iter (fun e -> ignore (Sup.submit sup e)) phase;
-          if i < 2 then ignore (Sup.tick sup))
+          if i = 1 then begin
+            Sup.close !sup;
+            sup := fst (Sup.open_dir ~config:cfg dir)
+          end;
+          List.iter (fun e -> ignore (Sup.submit !sup e)) phase;
+          if i < 2 then ignore (Sup.tick !sup))
         phases;
       Fault.arm ~site:"mcmc.step" ~after:(50 + Random.State.int st 200);
-      (match Sup.tick sup with
+      (match Sup.tick !sup with
       | exception Fault.Injected _ -> ()
       | _ -> check (Printf.sprintf "stream corrupt round %d: kill fired" r) false);
       Fault.disarm ();
@@ -588,11 +604,13 @@ let stream_corrupt_round st r reference =
       let n_fit = corrupt_subset ~strict:false (Filename.concat dir "fit-2") in
       let n_epochs = corrupt_subset ~strict:true (Filename.concat dir "epochs") in
       let n_events = corrupt_subset ~strict:true (Filename.concat dir "events") in
+      let n_budget = corrupt_subset ~strict:true (Filename.concat dir "budget") in
       let sup', _ = Sup.open_dir ~config:cfg dir in
       ignore (Sup.tick sup');
       let name =
-        Printf.sprintf "stream corrupt round %d (%d fit, %d epoch, %d event snapshots)" r
-          n_fit n_epochs n_events
+        Printf.sprintf
+          "stream corrupt round %d (%d fit, %d epoch, %d event, %d budget snapshots)" r n_fit
+          n_epochs n_events n_budget
       in
       check_stream_state name reference (stream_state sup');
       Sup.close sup';
@@ -606,6 +624,11 @@ let stream_sites =
     "epoch.fsync";
     "epoch.compact";
     "epoch.reset";
+    "wal.append";
+    "wal.fsync";
+    "wal.compact";
+    "wal.reset";
+    "wal.replay";
     "mcmc.step";
     "atomic.write";
     "atomic.rename";

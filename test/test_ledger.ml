@@ -1,5 +1,4 @@
 module Ledger = Wpinq_service.Ledger
-module Admit = Wpinq_service.Admit
 module Prng = Wpinq_prng.Prng
 
 let with_temp_dir f =
@@ -347,99 +346,6 @@ let test_concurrent_interleavings () =
     (fun seed -> with_temp_dir (concurrent_round ~domains:4 ~ops:50 ~seed))
     [ 3; 17; 52 ]
 
-(* ---- admission control ---- *)
-
-let test_admit_commit_and_failure () =
-  let l = Ledger.create_in_memory () in
-  ok "create_root" (Ledger.create_root l ~tenant:"d" ~allocated:1.0);
-  let a = Admit.create l in
-  (match Admit.submit a ~tenant:"d" ~cost:0.3 ~label:"q" (fun () -> 41 + 1) with
-  | Ok v -> Alcotest.(check int) "answer delivered" 42 v
-  | Error r -> Alcotest.failf "refused: %s" (Admit.refusal_to_string r));
-  check_close "delivered answer charged" 0.3 (get "d" (Ledger.spent l ~tenant:"d"));
-  (* A crashing evaluation releases its escrow: the failure costs no ε. *)
-  (match Admit.submit a ~tenant:"d" ~cost:0.3 ~label:"boom" (fun () -> failwith "boom") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  check_close "failed evaluation refunded" 0.3 (get "d" (Ledger.spent l ~tenant:"d"));
-  check_close "no dangling escrow" 0.0 (get "d" (Ledger.committed l ~tenant:"d"));
-  (* Refusals surface typed. *)
-  (match Admit.submit a ~tenant:"d" ~cost:5.0 ~label:"q" (fun () -> ()) with
-  | Error (Admit.Insufficient_budget _) -> ()
-  | _ -> Alcotest.fail "overdraw admitted");
-  (match Admit.submit a ~tenant:"ghost" ~cost:0.1 ~label:"q" (fun () -> ()) with
-  | Error (Admit.Rejected (Ledger.Unknown_tenant _)) -> ()
-  | _ -> Alcotest.fail "unknown tenant admitted");
-  let s = Admit.stats a in
-  Alcotest.(check int) "committed" 1 s.Admit.committed;
-  Alcotest.(check int) "released" 1 s.Admit.released;
-  Alcotest.(check int) "refused on budget" 1 s.Admit.refused_budget
-
-let test_admit_deadline_discards_late_answer () =
-  let l = Ledger.create_in_memory () in
-  ok "create_root" (Ledger.create_root l ~tenant:"d" ~allocated:1.0);
-  let a = Admit.create l in
-  (match
-     Admit.submit a ~tenant:"d" ~cost:0.4 ~timeout:0.02 ~label:"slow" (fun () ->
-         Unix.sleepf 0.08;
-         "too late")
-   with
-  | Error (Admit.Timeout { after }) ->
-      Alcotest.(check bool) "deadline honoured" true (after >= 0.02)
-  | Ok _ -> Alcotest.fail "late answer delivered"
-  | Error r -> Alcotest.failf "wrong refusal: %s" (Admit.refusal_to_string r));
-  (* The discarded answer never escaped: its escrow returned. *)
-  check_close "no ε for an undelivered answer" 0.0 (get "d" (Ledger.spent l ~tenant:"d"));
-  check_close "escrow released" 0.0 (get "d" (Ledger.committed l ~tenant:"d"));
-  Alcotest.(check int) "counted as timeout" 1 (Admit.stats a).Admit.refused_timeout
-
-let test_admit_backpressure () =
-  let l = Ledger.create_in_memory () in
-  ok "create_root" (Ledger.create_root l ~tenant:"d" ~allocated:10.0;);
-  (* One evaluation slot, no queue: a second concurrent submission must
-     be refused with backpressure, not blocked forever. *)
-  let a = Admit.create ~max_per_tenant:1 ~queue_limit:0 l in
-  let gate = Stdlib.Atomic.make false in
-  let blocker =
-    Domain.spawn (fun () ->
-        Admit.submit a ~tenant:"d" ~cost:0.1 ~label:"hold" (fun () ->
-            while not (Stdlib.Atomic.get gate) do
-              Unix.sleepf 0.001
-            done;
-            "held"))
-  in
-  let rec wait_in_flight n =
-    if Admit.in_flight a < 1 then begin
-      if n > 5000 then Alcotest.fail "blocker never admitted";
-      Unix.sleepf 0.001;
-      wait_in_flight (n + 1)
-    end
-  in
-  wait_in_flight 0;
-  (match Admit.submit a ~tenant:"d" ~cost:0.1 ~label:"q" (fun () -> ()) with
-  | Error (Admit.Overloaded { limit; _ }) -> Alcotest.(check int) "limit reported" 0 limit
-  | _ -> Alcotest.fail "expected backpressure refusal");
-  Stdlib.Atomic.set gate true;
-  (match Domain.join blocker with
-  | Ok "held" -> ()
-  | _ -> Alcotest.fail "holder did not settle");
-  Alcotest.(check int) "slot freed" 0 (Admit.in_flight a);
-  assert_no_overspend l
-
-let test_admit_drain () =
-  let l = Ledger.create_in_memory () in
-  ok "create_root" (Ledger.create_root l ~tenant:"d" ~allocated:1.0);
-  let a = Admit.create l in
-  Admit.drain a;
-  Alcotest.(check bool) "draining" true (Admit.draining a);
-  (match Admit.submit a ~tenant:"d" ~cost:0.1 ~label:"q" (fun () -> ()) with
-  | Error Admit.Shutting_down -> ()
-  | _ -> Alcotest.fail "admitted during drain");
-  Alcotest.(check int) "refusal counted" 1 (Admit.stats a).Admit.refused_shutdown;
-  (* Drain is idempotent. *)
-  Admit.drain a;
-  check_close "nothing spent" 0.0 (get "d" (Ledger.spent l ~tenant:"d"))
-
 let suite =
   [
     Alcotest.test_case "escrow lifecycle" `Quick test_escrow_lifecycle;
@@ -451,9 +357,4 @@ let suite =
     Alcotest.test_case "torn tail trimmed" `Quick test_torn_tail_trimmed;
     prop_serial_invariant;
     Alcotest.test_case "concurrent interleavings" `Quick test_concurrent_interleavings;
-    Alcotest.test_case "admit commit and failure" `Quick test_admit_commit_and_failure;
-    Alcotest.test_case "admit deadline discards late answer" `Quick
-      test_admit_deadline_discards_late_answer;
-    Alcotest.test_case "admit backpressure" `Quick test_admit_backpressure;
-    Alcotest.test_case "admit drain" `Quick test_admit_drain;
   ]

@@ -8,7 +8,7 @@ module Io = Wpinq_graph.Io
 module Persist = Wpinq_persist.Persist
 module Journal = Wpinq_persist.Journal
 module Fault = Persist.Fault
-module Schedule = Wpinq_core.Budget.Schedule
+module Ledger = Wpinq_service.Ledger
 module W = Wpinq_infer.Workflow
 module Shutdown = Wpinq_infer.Shutdown
 module Event = Wpinq_stream.Event
@@ -124,74 +124,98 @@ let test_ingest_compaction () =
       Alcotest.(check int) "head survives compaction" 6 (Ingest.head j');
       Ingest.close j')
 
-(* ---- budget schedule ---- *)
+(* ---- the epoch books in the ledger ---- *)
 
-let test_schedule_arithmetic () =
-  let s = Schedule.create ~name:"s" ~per_epoch:1.0 ~epochs:3 ~policy:Schedule.Roll_forward in
-  (match Schedule.next s ~epoch:0 with
-  | Ok a -> check_close "first allowance" 1.0 a
-  | Error _ -> Alcotest.fail "first epoch refused");
-  Schedule.complete s ~epoch:0 ~spent:0.75;
+let ok what = function
+  | Ok v -> v
+  | Error r -> Alcotest.failf "%s refused: %s" what (Ledger.refusal_to_string r)
+
+(* One epoch booked as the supervisor books it: a child of the "stream"
+   root funded with the allowance, an escrow committed for what was
+   released (or released when nothing was), the child retired. *)
+let book_epoch l ~epoch ~allowance ~spent =
+  let tenant = Printf.sprintf "epoch-%d" epoch in
+  ok "grant" (Ledger.delegate l ~parent:"stream" ~tenant ~allocated:allowance);
+  let cost = if spent > 0.0 then spent else allowance in
+  let id = ok "escrow" (Ledger.escrow l ~tenant ~cost ~label:"measurements") in
+  ok "settle" (if spent > 0.0 then Ledger.commit l id else Ledger.release l id);
+  ok "retire" (Ledger.retire l ~tenant)
+
+let check_allowance what expected got =
+  match got with
+  | Some a -> check_close what expected a
+  | None -> Alcotest.failf "%s: refused" what
+
+let test_epoch_ledger_arithmetic () =
+  let l = Ledger.create_in_memory () in
+  ok "root" (Ledger.create_root l ~tenant:"stream" ~allocated:3.0);
+  let next () = Sup.next_allowance l ~per_epoch:1.0 ~epochs:3 ~policy:Policy.Roll_forward in
+  check_allowance "first allowance" 1.0 (next ());
+  book_epoch l ~epoch:0 ~allowance:1.0 ~spent:0.75;
   (* Roll-forward: the unspent quarter joins the next grant. *)
-  (match Schedule.next s ~epoch:1 with
-  | Ok a -> check_close "carried allowance" 1.25 a
-  | Error _ -> Alcotest.fail "second epoch refused");
-  Schedule.degrade s ~epoch:1 ~spent:0.0;
-  (match Schedule.next s ~epoch:2 with
-  | Ok a -> check_close "degraded epoch rolls everything" 2.25 a
-  | Error _ -> Alcotest.fail "third epoch refused");
-  Schedule.complete s ~epoch:2 ~spent:2.25;
-  (match Schedule.next s ~epoch:3 with
-  | Ok _ -> Alcotest.fail "exhausted schedule granted a fourth epoch"
-  | Error r -> Alcotest.(check int) "refusal names the cap" 3 r.Schedule.epochs);
-  Schedule.refuse s ~epoch:3;
-  let b = Schedule.books s in
-  check_close "granted = 3 fresh epochs" 3.0 b.Schedule.granted;
-  check_close "all spent" 3.0 b.Schedule.spent;
-  check_close "nothing left carried" 0.0 b.Schedule.carried;
-  check_close "nothing forfeited" 0.0 b.Schedule.forfeited;
-  check_close "overspend is zero" 0.0 (Schedule.overspend s);
-  Alcotest.(check int) "log records every disposition" 4 (List.length (Schedule.log s))
+  check_allowance "carried allowance" 1.25 (next ());
+  book_epoch l ~epoch:1 ~allowance:1.25 ~spent:0.0;
+  check_allowance "degraded epoch rolls everything" 2.25 (next ());
+  book_epoch l ~epoch:2 ~allowance:2.25 ~spent:2.25;
+  Alcotest.(check bool) "three children exhaust the grants" true (next () = None);
+  let b = Sup.books_of l ~per_epoch:1.0 ~policy:Policy.Roll_forward in
+  check_close "granted = 3 fresh epochs" 3.0 b.Sup.granted;
+  check_close "all spent" 3.0 b.Sup.spent;
+  check_close "nothing left carried" 0.0 b.Sup.carried;
+  check_close "nothing forfeited" 0.0 b.Sup.forfeited;
+  check_close "nothing outstanding" 0.0 b.Sup.outstanding;
+  Alcotest.(check int) "overspend is zero" 0 (List.length (Ledger.overspend l))
 
-let test_schedule_forfeit () =
-  let s = Schedule.create ~name:"s" ~per_epoch:1.0 ~epochs:2 ~policy:Schedule.Forfeit in
-  (match Schedule.next s ~epoch:0 with Ok _ -> () | Error _ -> Alcotest.fail "refused");
-  Schedule.degrade s ~epoch:0 ~spent:0.25;
-  (match Schedule.next s ~epoch:1 with
-  | Ok a -> check_close "forfeit carries nothing" 1.0 a
-  | Error _ -> Alcotest.fail "refused");
-  Schedule.complete s ~epoch:1 ~spent:1.0;
-  let b = Schedule.books s in
-  check_close "unspent was destroyed" 0.75 b.Schedule.forfeited;
-  check_close "overspend still zero" 0.0 (Schedule.overspend s)
+let test_epoch_ledger_forfeit () =
+  let l = Ledger.create_in_memory () in
+  ok "root" (Ledger.create_root l ~tenant:"stream" ~allocated:2.0);
+  let next () = Sup.next_allowance l ~per_epoch:1.0 ~epochs:2 ~policy:Policy.Forfeit in
+  check_allowance "first allowance" 1.0 (next ());
+  book_epoch l ~epoch:0 ~allowance:1.0 ~spent:0.25;
+  check_allowance "forfeit carries nothing" 1.0 (next ());
+  book_epoch l ~epoch:1 ~allowance:1.0 ~spent:1.0;
+  let b = Sup.books_of l ~per_epoch:1.0 ~policy:Policy.Forfeit in
+  check_close "unspent was destroyed" 0.75 b.Sup.forfeited;
+  check_close "nothing carried" 0.0 b.Sup.carried;
+  Alcotest.(check int) "overspend still zero" 0 (List.length (Ledger.overspend l))
 
-let test_schedule_guards () =
-  let s = Schedule.create ~name:"s" ~per_epoch:1.0 ~epochs:2 ~policy:Schedule.Roll_forward in
-  (match Schedule.next s ~epoch:0 with Ok _ -> () | Error _ -> Alcotest.fail "refused");
-  (* A second grant with one outstanding is a programming error. *)
-  (match Schedule.next s ~epoch:1 with
-  | exception Invalid_argument _ -> ()
+let test_epoch_ledger_guards () =
+  let l = Ledger.create_in_memory () in
+  ok "root" (Ledger.create_root l ~tenant:"stream" ~allocated:2.0);
+  ok "grant" (Ledger.delegate l ~parent:"stream" ~tenant:"epoch-0" ~allocated:1.0);
+  (* A second grant of the same epoch is refused: the child is its key. *)
+  (match Ledger.delegate l ~parent:"stream" ~tenant:"epoch-0" ~allocated:1.0 with
+  | Error (Ledger.Duplicate_tenant _) -> ()
   | _ -> Alcotest.fail "double grant accepted");
-  (* Settling over the allowance is refused: the schedule is the spend cap. *)
-  (match Schedule.complete s ~epoch:0 ~spent:1.5 with
-  | exception Invalid_argument _ -> ()
+  (* A grant beyond what the root still holds is refused. *)
+  (match Ledger.delegate l ~parent:"stream" ~tenant:"epoch-1" ~allocated:1.5 with
+  | Error (Ledger.Insufficient_budget _) -> ()
+  | _ -> Alcotest.fail "grant beyond the root accepted");
+  (* Escrow over the allowance is refused: the child is the spend cap. *)
+  (match Ledger.escrow l ~tenant:"epoch-0" ~cost:1.5 ~label:"measurements" with
+  | Error (Ledger.Insufficient_budget _) -> ()
   | _ -> Alcotest.fail "overspend accepted");
-  Schedule.complete s ~epoch:0 ~spent:0.5
+  let id = ok "escrow" (Ledger.escrow l ~tenant:"epoch-0" ~cost:0.5 ~label:"measurements") in
+  ok "commit" (Ledger.commit l id);
+  ok "retire" (Ledger.retire l ~tenant:"epoch-0")
 
-let test_schedule_save_load () =
-  let s = Schedule.create ~name:"s" ~per_epoch:0.5 ~epochs:4 ~policy:Schedule.Forfeit in
-  (match Schedule.next s ~epoch:0 with Ok _ -> () | Error _ -> Alcotest.fail "refused");
-  Schedule.complete s ~epoch:0 ~spent:0.25;
-  (match Schedule.next s ~epoch:1 with Ok _ -> () | Error _ -> Alcotest.fail "refused");
-  Schedule.degrade s ~epoch:1 ~spent:0.0;
-  Schedule.refuse s ~epoch:2;
-  let buf = Buffer.create 128 in
-  Schedule.save s buf;
-  let s' = Schedule.load (Persist.Codec.reader (Buffer.contents buf)) in
-  Alcotest.(check bool) "books round-trip" true (Schedule.books s = Schedule.books s');
-  Alcotest.(check bool) "log round-trips" true (Schedule.log s = Schedule.log s');
-  Alcotest.(check bool) "policy round-trips" true
-    (Schedule.policy s' = Schedule.Forfeit)
+let test_epoch_ledger_reopen () =
+  with_temp_dir (fun dir ->
+      let l, _ = Ledger.open_dir dir in
+      ok "root" (Ledger.create_root l ~tenant:"stream" ~allocated:2.0);
+      book_epoch l ~epoch:0 ~allowance:0.5 ~spent:0.25;
+      book_epoch l ~epoch:1 ~allowance:0.5 ~spent:0.0;
+      let books = Sup.books_of l ~per_epoch:0.5 ~policy:Policy.Forfeit in
+      let next = Sup.next_allowance l ~per_epoch:0.5 ~epochs:4 ~policy:Policy.Forfeit in
+      Ledger.close l;
+      let l', recovery = Ledger.open_dir dir in
+      Alcotest.(check int) "nothing in doubt" 0 recovery.Ledger.charged_on_doubt;
+      Alcotest.(check bool) "books survive reopen" true
+        (Sup.books_of l' ~per_epoch:0.5 ~policy:Policy.Forfeit = books);
+      Alcotest.(check bool) "the next grant survives reopen" true
+        (Sup.next_allowance l' ~per_epoch:0.5 ~epochs:4 ~policy:Policy.Forfeit = next);
+      check_close "forfeits booked" 0.75 books.Sup.forfeited;
+      Ledger.close l')
 
 (* ---- supervisor ---- *)
 
@@ -247,6 +271,13 @@ let test_supervisor_epochs () =
       Alcotest.(check bool) "departed edge gone" false
         (List.mem (List.nth (Graph.edges (Lazy.force base_graph)) 0) edges);
       Alcotest.(check bool) "arrived edge present" true (List.mem (0, 23) edges);
+      let released =
+        List.fold_left
+          (fun acc -> function Sup.Completed c -> acc +. c.Sup.spent | _ -> acc)
+          0.0 (Sup.outcomes sup)
+      in
+      Alcotest.(check (float 0.0)) "the ledger books the fits' spend bit for bit" released
+        (Sup.books sup).Sup.spent;
       check_close "no overspend" 0.0 (Sup.overspend sup);
       Sup.close sup)
 
@@ -367,7 +398,35 @@ let test_forfeit_policy () =
       | Some (Sup.Completed c) -> check_close "no carry under forfeit" 2.0 c.allowance
       | _ -> Alcotest.fail "epoch 1 did not complete");
       let b = Sup.books sup in
-      check_close "books record the forfeit" 2.0 b.Schedule.forfeited;
+      check_close "books record the forfeit" 2.0 b.Sup.forfeited;
+      check_close "no overspend" 0.0 (Sup.overspend sup);
+      Sup.close sup)
+
+(* A kill after the epoch's escrow but before its first durable fit
+   snapshot: recovery charges the escrow on doubt, and when the epoch
+   then degrades, that charge is its spend (nothing is refunded). *)
+let test_doubt_charge_is_the_spend () =
+  with_temp_dir (fun dir ->
+      let cfg = small_config ~retries:0 () in
+      let sup, _ = Sup.open_dir ~config:cfg dir in
+      feed_all sup (base_events ());
+      Fault.arm ~site:"atomic.write" ~after:1;
+      (match Sup.tick sup with
+      | exception Fault.Injected _ -> Fault.disarm ()
+      | _ -> Alcotest.fail "the kill before the first fit snapshot did not fire");
+      Alcotest.(check bool) "no durable fit snapshot" true
+        (not (Sys.file_exists (Filename.concat dir "fit-0"))
+        || Persist.Store.generations (Persist.Store.open_dir (Filename.concat dir "fit-0"))
+           = []);
+      let chaos ~epoch ~attempt:_ = if epoch = 0 then Some "dead disk" else None in
+      let sup, recovery = Sup.open_dir ~chaos ~config:cfg dir in
+      Alcotest.(check (option int)) "epoch 0 in flight" (Some 0) recovery.Sup.resumed_epoch;
+      (match Sup.tick sup with
+      | Some (Sup.Merged m) ->
+          Alcotest.(check bool) "the doubt charge is spent" true (m.Sup.m_spent > 0.0);
+          Alcotest.(check (float 0.0)) "books hold it" m.Sup.m_spent (Sup.books sup).Sup.spent;
+          check_close "only the rest rolls" (2.0 -. m.Sup.m_spent) m.Sup.rolled
+      | _ -> Alcotest.fail "epoch 0 did not merge");
       check_close "no overspend" 0.0 (Sup.overspend sup);
       Sup.close sup)
 
@@ -519,10 +578,10 @@ let suite =
     Alcotest.test_case "ingest roundtrip" `Quick test_ingest_roundtrip;
     Alcotest.test_case "ingest torn tail" `Quick test_ingest_torn_tail;
     Alcotest.test_case "ingest compaction" `Quick test_ingest_compaction;
-    Alcotest.test_case "schedule arithmetic" `Quick test_schedule_arithmetic;
-    Alcotest.test_case "schedule forfeit" `Quick test_schedule_forfeit;
-    Alcotest.test_case "schedule guards" `Quick test_schedule_guards;
-    Alcotest.test_case "schedule save/load" `Quick test_schedule_save_load;
+    Alcotest.test_case "epoch ledger arithmetic" `Quick test_epoch_ledger_arithmetic;
+    Alcotest.test_case "epoch ledger forfeit" `Quick test_epoch_ledger_forfeit;
+    Alcotest.test_case "epoch ledger guards" `Quick test_epoch_ledger_guards;
+    Alcotest.test_case "epoch ledger reopen" `Quick test_epoch_ledger_reopen;
     Alcotest.test_case "supervisor epochs" `Slow test_supervisor_epochs;
     Alcotest.test_case "kill/resume: epoch journal" `Slow test_kill_resume_epoch_journal;
     Alcotest.test_case "kill/resume: mid-walk" `Slow test_kill_resume_mcmc;
@@ -531,6 +590,8 @@ let suite =
     Alcotest.test_case "chaos: exhausted degrades" `Slow test_chaos_exhausted_degrades;
     Alcotest.test_case "forfeit policy" `Slow test_forfeit_policy;
     Alcotest.test_case "refusal when exhausted" `Slow test_refusal_when_exhausted;
+    Alcotest.test_case "kill before a fit snapshot: doubt charge is the spend" `Slow
+      test_doubt_charge_is_the_spend;
     Alcotest.test_case "warm seed respects degrees" `Quick test_warm_seed_respects_degrees;
     Alcotest.test_case "shutdown: double signal counter" `Quick
       test_shutdown_double_signal_counter;
