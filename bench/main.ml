@@ -61,16 +61,17 @@ open Toolkit
 
 let grqc_small = lazy (Datasets.load ~scale:0.4 Datasets.grqc)
 
-let make_fit ~tbd scale =
-  let secret = Datasets.load ~scale Datasets.grqc in
+let fit_of ~query secret =
   let rng = Prng.create 7 in
   let budget = Budget.create ~name:"bench" 1e9 in
   let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-  let query = if tbd then Workflow.Tbd 4 else Workflow.Tbi in
   let source, measured =
     Workflow.shared_measured (Workflow.measure_queries ~rng ~epsilon:0.1 ~sym [ query ])
   in
   Fit.create_shared ~rng ~seed_graph:secret ~source ~measured ()
+
+let make_fit ~tbd scale =
+  fit_of ~query:(if tbd then Workflow.Tbd 4 else Workflow.Tbi) (Datasets.load ~scale Datasets.grqc)
 
 let bench_tests () =
   let rng = Prng.create 13 in
@@ -1048,10 +1049,38 @@ let post_build_json scale =
       "    },";
     ]
 
+(* A JDD walk on a heavy-tailed graph: every swap re-derives the degree
+   part (a GroupBy part) of each endpoint it touches, which the TbI walk,
+   having no GroupBy, never measures. *)
+let jdd_walk_json () =
+  let n, m, warmup, steps = (1_000, 10_000, 200, 2_000) in
+  let fit = fit_of ~query:Workflow.Jdd (Gen.epinions_like ~n ~m (Prng.create 0xe919)) in
+  ignore (Fit.run fit ~steps:warmup ~pow:10_000.0 ());
+  let minor0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  ignore (Fit.run fit ~steps ~pow:10_000.0 ());
+  let wall = Unix.gettimeofday () -. t0 and minor = Gc.minor_words () -. minor0 in
+  let us = 1e6 *. wall /. float steps and words = minor /. float steps in
+  Printf.printf
+    "jdd walk (epinions-like, %d nodes, %d edges): %.1f us/step, %.1f minor words/step\n%!" n m
+    us words;
+  String.concat "\n"
+    [
+      "    \"jdd\": {";
+      "      \"dataset\": \"Epinions-like (Gen.epinions_like)\",";
+      Printf.sprintf "      \"nodes\": %d," n;
+      Printf.sprintf "      \"edges\": %d," m;
+      Printf.sprintf "      \"warmup_steps\": %d," warmup;
+      Printf.sprintf "      \"measured_steps\": %d," steps;
+      Printf.sprintf "      \"us_per_step\": %.3f," us;
+      Printf.sprintf "      \"minor_words_per_step\": %.1f" words;
+      "    },";
+    ]
+
 let walk_bench ~smoke ~json_path ?(fragments = []) () =
   banner "Part 3: speculative-walk benchmark (machine-readable)";
   let scale, warmup, steps = if smoke then (0.15, 500, 3_000) else (0.4, 2_000, 20_000) in
   let post_build = post_build_json scale in
+  let jdd = jdd_walk_json () in
   Printf.printf "(ca-GrQc at scale %.2f, %d warmup + %d measured steps)\n%!" scale warmup
     steps;
   let fit = make_fit ~tbd:false scale in
@@ -1147,6 +1176,7 @@ let walk_bench ~smoke ~json_path ?(fragments = []) () =
     (List.length audit_report.Dataflow.Audit.divergences);
   Printf.fprintf oc "    \"audit_ms\": %.3f,\n" audit_ms;
   Printf.fprintf oc "%s\n" post_build;
+  Printf.fprintf oc "%s\n" jdd;
   Printf.fprintf oc "%s\n" (memory_json 4);
   (match fragments with
   | [] -> Printf.fprintf oc "  }\n"

@@ -244,7 +244,8 @@ end
    the undo log: an id assigned during an aborted speculation stays
    assigned, which is unobservable because no emission or iteration order
    anywhere follows id order (state tables iterate in committed insertion
-   order; measurement/grouping emissions sort canonically).  Keeping
+   order, GroupBy parts in canonical order by weight and record, and
+   measurement emissions sort canonically).  Keeping
    interning monotone is what lets every other structure be plain int
    arrays.  An intern built here counts towards the engine's
    [interned_ids] and [intern_stats]. *)
@@ -740,17 +741,19 @@ let intersect a b = merge_node ~kind:"intersect" (fun x y -> if x <= y then x el
 (* Keyed-operator side state (Join inputs, GroupBy), fully
    struct-of-arrays.  Every record belongs to exactly one key (the key
    function is pure), so weights live in one flat [Itbl] per side and
-   each key's part is an insertion-ordered array of member record ids
-   ([members.(kid)], its first [mlen.(kid)] entries): no record per key.
-   [key_of] caches the interned key per record so re-deliveries of a
-   known record never hash its key again, and [mpos] gives O(1) swap-last
-   removal with exact structural undo — the same abort-residue guarantee
-   the old record-keyed tables gave.  [norm] is Join's Σ|w| per key;
-   [emitted] GroupBy's current emissions per key, as flattened (output
-   id, grid weight) pairs.  A key first touched in an aborted speculation
+   each key's part is an array of member record ids ([members.(kid)],
+   its first [mlen.(kid)] entries): no record per key.  [key_of] caches
+   the interned key per record so re-deliveries of a known record never
+   hash its key again.  A Join side keeps its parts in insertion order,
+   with [mpos] giving O(1) swap-last removal; a GroupBy part is kept in
+   [Ops.member_order] and finds a member by binary search ([mpos] stays
+   empty).
+   Either way every mutation logs its exact structural inverse, the same
+   abort-residue guarantee the old record-keyed tables gave.  [norm] is
+   Join's Σ|w| per key.  A key first touched in an aborted speculation
    keeps its (empty) slots, which behave as an absent key.  The rid- and
-   kid-indexed arrays grow by [Room]'s rule and [kside_fill] sizes them
-   by it, as [Itbl]'s are. *)
+   kid-indexed arrays grow by [Room]'s rule and [kside_fill] sizes them by
+   it, as [Itbl]'s are. *)
 type 'r kside = {
   ri : 'r Intern.t;
   w : Itbl.t;
@@ -759,11 +762,10 @@ type 'r kside = {
   mutable members : int array array; (* kid -> member rids *)
   mutable mlen : int array; (* kid -> live members *)
   mutable norm : int array;
-  mutable emitted : int array array;
 }
 
 let kside_create engine ri =
-  { ri; w = Itbl.create engine; key_of = [||]; mpos = [||]; members = [||]; mlen = [||]; norm = [||]; emitted = [||] }
+  { ri; w = Itbl.create engine; key_of = [||]; mpos = [||]; members = [||]; mlen = [||]; norm = [||] }
 
 let kside_ensure_rid side rid =
   side.key_of <- Room.grow side.key_of (rid + 1) (-1);
@@ -773,8 +775,7 @@ let kside_ensure_rid side rid =
 let kside_keys side n =
   side.members <- Room.grow side.members n [||];
   side.mlen <- Room.grow side.mlen n 0;
-  side.norm <- Room.grow side.norm n 0;
-  side.emitted <- Room.grow side.emitted n [||]
+  side.norm <- Room.grow side.norm n 0
 
 let part_len side kid = if kid < Array.length side.mlen then side.mlen.(kid) else 0
 let part_norm side kid = if kid < Array.length side.norm then side.norm.(kid) else 0
@@ -782,21 +783,25 @@ let part_norm side kid = if kid < Array.length side.norm then side.norm.(kid) el
 (* Fills an empty side from a bulk-built dataset [w] over its intern,
    grouped by [Ops.index] into [p]; [kmap] maps [p]'s key ids to the
    operator's (the identity when [p]'s keys are the operator's), below
-   [nkeys]. *)
-let kside_fill side w (p : _ Ops.parts) ?kmap ~nkeys ~norms () =
+   [nkeys].  With [order], each part is sorted by it once instead of
+   indexed by [mpos]. *)
+let kside_fill side w (p : _ Ops.parts) ?kmap ?order ~nkeys ~norms () =
   let n = Wdata.support_size w in
   Itbl.fill side.w w;
   side.key_of <- Array.make (Room.cap n) (-1);
   Array.iteri (fun i k -> side.key_of.(i) <- (match kmap with Some m -> m.(k) | None -> k)) p.kid;
-  side.mpos <- Array.make (Room.cap n) (-1);
+  if order = None then side.mpos <- Array.make (Room.cap n) (-1);
   kside_keys side nkeys;
   for k = 0 to Array.length p.start - 2 do
     let lo = p.start.(k) and len = p.start.(k + 1) - p.start.(k) in
     let kid = match kmap with Some m -> m.(k) | None -> k in
     let members = Array.sub p.src lo len in
-    for j = 0 to len - 1 do
-      side.mpos.(members.(j)) <- j
-    done;
+    (match order with
+    | Some cmp -> Array.stable_sort cmp members
+    | None ->
+        for j = 0 to len - 1 do
+          side.mpos.(members.(j)) <- j
+        done);
     side.members.(kid) <- members;
     side.mlen.(kid) <- len;
     if norms then side.norm.(kid) <- Ops.part_norm p k
@@ -845,6 +850,74 @@ let kside_set (engine : Engine.t) side kid rid w =
   let now = Itbl.mem side.w rid in
   if now && not was then member_add engine side kid rid
   else if was && not now then member_remove engine side kid rid
+
+(* GroupBy's ordered parts.  [member_cmp] is [Ops.member_order] over
+   record ids, on the weights the side holds. *)
+let member_cmp side a b =
+  Ops.member_order (Itbl.get side.w a) (Intern.value side.ri a) (Itbl.get side.w b)
+    (Intern.value side.ri b)
+
+(* The first slot of part [kid] whose member does not sort before a
+   member of weight [w] and record [x]. *)
+let ordered_slot side kid w x =
+  let members = side.members.(kid) in
+  let lo = ref 0 and hi = ref side.mlen.(kid) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let r = members.(mid) in
+    if Ops.member_order (Itbl.get side.w r) (Intern.value side.ri r) w x < 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* Shifts of one part's members; each is the others' inverse, and an undo
+   acts on the part's current array (a later insert may have grown it). *)
+let slot_insert side kid i rid =
+  let len = side.mlen.(kid) in
+  side.members.(kid) <- Room.grow side.members.(kid) (len + 1) 0;
+  let m = side.members.(kid) in
+  Array.blit m i m (i + 1) (len - i);
+  m.(i) <- rid;
+  side.mlen.(kid) <- len + 1
+
+let slot_remove side kid i =
+  let m = side.members.(kid) and len = side.mlen.(kid) in
+  Array.blit m (i + 1) m i (len - i - 1);
+  side.mlen.(kid) <- len - 1
+
+let slot_move side kid i j =
+  let m = side.members.(kid) in
+  let rid = m.(i) in
+  if i < j then Array.blit m (i + 1) m i (j - i) else Array.blit m j m (j + 1) (i - j);
+  m.(j) <- rid
+
+(* Absolute set of one record's weight within its ordered part ([kid],
+   whose slots exist): a binary search for its old and new slots, then one
+   shift, undo-logged as the inverse shift. *)
+let ordered_set (engine : Engine.t) side kid rid w =
+  let w0 = Itbl.get side.w rid and x = Intern.value side.ri rid in
+  if w <> w0 then begin
+    let i = if w0 <> 0 then ordered_slot side kid w0 x else -1 in
+    let j = if w <> 0 then ordered_slot side kid w x else -1 in
+    Itbl.set side.w rid w;
+    let undo = engine.Engine.speculating in
+    if w0 = 0 then begin
+      slot_insert side kid j rid;
+      if undo then Engine.log_undo engine (fun () -> slot_remove side kid j)
+    end
+    else if w = 0 then begin
+      slot_remove side kid i;
+      if undo then Engine.log_undo engine (fun () -> slot_insert side kid i rid)
+    end
+    else begin
+      (* [j] counted the member itself when it sorts before its new slot. *)
+      let j = if j > i then j - 1 else j in
+      if i <> j then begin
+        slot_move side kid i j;
+        if undo then Engine.log_undo engine (fun () -> slot_move side kid j i)
+      end
+    end
+  end
 
 let part_add_norm (engine : Engine.t) side kid dn =
   if dn <> 0 then begin
@@ -1138,40 +1211,61 @@ let group_by ~key ~reduce up =
   let engine = up.engine in
   let parts = Option.map (Ops.index ~key ~keep:(fun _ -> true)) up.contents in
   let side = kside_create engine (intern_for engine up.contents) in
-  table_cell engine ~kind:"group_by" ~op:(Engine.fresh_op_id engine) side.ri side.w;
+  let op = Engine.fresh_op_id engine in
+  table_cell engine ~kind:"group_by" ~op side.ri side.w;
   let kintern = match parts with Some p -> register engine p.Ops.keys | None -> tracked engine in
+  (* The parts' member order, which the weights alone do not show: per
+     part a polynomial over its members' hashes, in order. *)
+  Engine.register_cell engine ~kind:"group_by" ~part:".order" ~op (fun () ->
+      Intern.digest kintern (fun kid ->
+          let h = ref 0 in
+          for j = 0 to part_len side kid - 1 do
+            h := (!h * 0x9E3779B1) + Intern.hash_of side.ri side.members.(kid).(j)
+          done;
+          !h));
   let scratch = Scratch.create engine (tracked engine) in
-  (* [Ops.group_emissions] sorts canonically, so a part's emissions are a
-     function of its members' weights.  A part keeps its current ones
-     ([emitted]): a change retracts exactly those, and a part whose
-     emissions come out the same emits nothing. *)
+  (* Parts are in canonical order, so a part's emissions are a function of
+     its members' weights.  A part keeps its current ones ([emitted.(kid)],
+     as flattened (output id, grid weight) pairs): a change retracts
+     exactly those, and a part whose emissions come out the same emits
+     nothing.  [derive] writes a part's emissions to [now]. *)
+  let emitted = ref [||] and now = ref [||] and now_len = ref 0 in
+  let push v =
+    now := Room.grow !now (!now_len + 1) 0;
+    !now.(!now_len) <- v;
+    incr now_len
+  in
   let derive kid =
     let k = Intern.value kintern kid and members = side.members.(kid) in
-    let positive = ref [] in
-    for i = side.mlen.(kid) - 1 downto 0 do
-      let rid = members.(i) in
-      let w = Itbl.get side.w rid in
-      if w > 0 then positive := (Intern.value side.ri rid, Grid.to_float w) :: !positive
-    done;
-    Array.of_list
-      (List.concat_map
-         (fun (members, w) ->
-           [ Intern.intern scratch.Scratch.intern (k, reduce members); Grid.of_float w ])
-         (Ops.group_emissions !positive))
+    now_len := 0;
+    Ops.group_part ~len:side.mlen.(kid)
+      ~weight:(fun j -> Itbl.get side.w members.(j))
+      ~record:(fun j -> Intern.value side.ri members.(j))
+      ~reduce
+      (fun r w ->
+        push (Intern.intern scratch.Scratch.intern (k, r));
+        push w)
   in
-  (* A bulk build derives every part's emissions once, as the first
-     delivery would. *)
+  let same old =
+    Array.length old = !now_len
+    &&
+    let rec go i = i < 0 || (old.(i) = !now.(i) && go (i - 1)) in
+    go (!now_len - 1)
+  in
+  (* A bulk build orders each part once and derives its emissions, as the
+     first delivery would. *)
   let contents =
     match (up.contents, parts) with
     | Some w, Some p ->
         let nkeys = Intern.size kintern in
-        kside_fill side w p ~nkeys ~norms:false ();
+        kside_fill side w p ~order:(member_cmp side) ~nkeys ~norms:false ();
+        emitted := Array.make (Room.cap nkeys) [||];
         let out_ws = ref [||] in
         for kid = 0 to nkeys - 1 do
-          let now = derive kid in
-          side.emitted.(kid) <- now;
-          for i = 0 to (Array.length now / 2) - 1 do
-            bulk_add out_ws now.(2 * i) now.((2 * i) + 1)
+          derive kid;
+          !emitted.(kid) <- Array.sub !now 0 !now_len;
+          for i = 0 to (!now_len / 2) - 1 do
+            bulk_add out_ws !now.(2 * i) !now.((2 * i) + 1)
           done
         done;
         Some (bulk_output scratch out_ws)
@@ -1184,7 +1278,7 @@ let group_by ~key ~reduce up =
       for i = 0 to len - 1 do
         let x = xs.(i) in
         let rid = Intern.intern side.ri x in
-        kside_ensure_rid side rid;
+        side.key_of <- Room.grow side.key_of (rid + 1) (-1);
         let kid =
           let k = side.key_of.(rid) in
           if k >= 0 then k
@@ -1199,22 +1293,25 @@ let group_by ~key ~reduce up =
       for ki = 0 to gb.klen - 1 do
         let kid = gb.keys.(ki) in
         kside_keys side (kid + 1);
+        emitted := Room.grow !emitted (kid + 1) [||];
         let node = ref gb.khead.(kid) in
         while !node >= 0 do
           let rid = gb.crid.(!node) in
-          kside_set engine side kid rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
+          ordered_set engine side kid rid (Grid.add (Itbl.get side.w rid) gb.cdw.(!node));
           node := gb.cnext.(!node)
         done;
-        let old = side.emitted.(kid) and now = derive kid in
-        if old <> now then begin
+        derive kid;
+        let old = !emitted.(kid) in
+        if not (same old) then begin
           for i = 0 to (Array.length old / 2) - 1 do
             Scratch.push_id scratch old.(2 * i) (-old.((2 * i) + 1))
           done;
-          for i = 0 to (Array.length now / 2) - 1 do
-            Scratch.push_id scratch now.(2 * i) now.((2 * i) + 1)
+          for i = 0 to (!now_len / 2) - 1 do
+            Scratch.push_id scratch !now.(2 * i) !now.((2 * i) + 1)
           done;
-          side.emitted.(kid) <- now;
-          if engine.Engine.speculating then Engine.log_undo engine (fun () -> side.emitted.(kid) <- old)
+          !emitted.(kid) <- Array.sub !now 0 !now_len;
+          if engine.Engine.speculating then
+            Engine.log_undo engine (fun () -> !emitted.(kid) <- old)
         end
       done;
       gbatch_reset gb;

@@ -108,10 +108,44 @@ let iter_triangles g f =
       Array.iter (fun v -> if u < v then iter_common_above g u v v (fun w -> f u v w)) nbrs)
     g.adj
 
-let triangle_count g =
-  let c = ref 0 in
-  iter_triangles g (fun _ _ _ -> incr c);
+(* Triangles of an edge set of [m] edges over vertices below [n] of degrees
+   [deg], where [iter_edges f] calls [f u v] once per edge.  Each edge is
+   oriented towards its endpoint of higher (degree, id) rank, so no vertex
+   has more than √(2m) out-neighbours, and each triangle is found once,
+   from its lowest-ranked vertex, which marks its out-neighbours and looks
+   for them among theirs. *)
+let oriented_triangles ~n ~m ~deg iter_edges =
+  let above u v = deg.(u) < deg.(v) || (deg.(u) = deg.(v) && u < v) in
+  let start = Array.make (n + 1) 0 in
+  iter_edges (fun u v ->
+      let low = if above u v then u else v in
+      start.(low + 1) <- start.(low + 1) + 1);
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let out = Array.make (max m 1) 0 and fill = Array.sub start 0 (max n 1) in
+  iter_edges (fun u v ->
+      let low, high = if above u v then (u, v) else (v, u) in
+      out.(fill.(low)) <- high;
+      fill.(low) <- fill.(low) + 1);
+  let mark = Array.make (max n 1) (-1) and c = ref 0 in
+  for u = 0 to n - 1 do
+    for i = start.(u) to start.(u + 1) - 1 do
+      mark.(out.(i)) <- u
+    done;
+    for i = start.(u) to start.(u + 1) - 1 do
+      let v = out.(i) in
+      for j = start.(v) to start.(v + 1) - 1 do
+        if mark.(out.(j)) = u then incr c
+      done
+    done
+  done;
   !c
+
+let iter_undirected g f =
+  Array.iteri (fun u nbrs -> Array.iter (fun v -> if u < v then f u v) nbrs) g.adj
+
+let triangle_count g = oriented_triangles ~n:g.n ~m:g.m ~deg:(degrees g) (iter_undirected g)
 
 let sort3 (a, b, c) =
   let x = min a (min b c) and z = max a (max b c) in
@@ -206,28 +240,25 @@ let joint_degree_counts g =
     g.adj;
   Hashtbl.fold (fun k c acc -> (k, c) :: acc) counts []
 
-let assortativity g =
-  (* Newman's r over directed edge endpoints (j, k): both orientations. *)
-  let sum_jk = ref 0.0 and sum_j = ref 0.0 and sum_j2 = ref 0.0 and cnt = ref 0 in
-  Array.iteri
-    (fun u nbrs ->
-      let du = float_of_int (degree g u) in
-      Array.iter
-        (fun v ->
-          let dv = float_of_int (degree g v) in
-          sum_jk := !sum_jk +. (du *. dv);
-          sum_j := !sum_j +. du;
-          sum_j2 := !sum_j2 +. (du *. du);
-          incr cnt)
-        nbrs)
-    g.adj;
+(* Newman's r over directed edge endpoints (j, k): both orientations of
+   each edge [iter_edges] gives.  The sums are exact ints, converted once. *)
+let assortativity_of ~deg iter_edges =
+  let sum_jk = ref 0 and sum_j = ref 0 and sum_j2 = ref 0 and cnt = ref 0 in
+  iter_edges (fun u v ->
+      let du = deg.(u) and dv = deg.(v) in
+      sum_jk := !sum_jk + (2 * du * dv);
+      sum_j := !sum_j + du + dv;
+      sum_j2 := !sum_j2 + (du * du) + (dv * dv);
+      cnt := !cnt + 2);
   let c = float_of_int !cnt in
   if c = 0.0 then Float.nan
   else
-    let mean = !sum_j /. c in
-    let num = (!sum_jk /. c) -. (mean *. mean) in
-    let den = (!sum_j2 /. c) -. (mean *. mean) in
+    let mean = float_of_int !sum_j /. c in
+    let num = (float_of_int !sum_jk /. c) -. (mean *. mean) in
+    let den = (float_of_int !sum_j2 /. c) -. (mean *. mean) in
     if Float.abs den < 1e-12 then Float.nan else num /. den
+
+let assortativity g = assortativity_of ~deg:(degrees g) (iter_undirected g)
 
 let clustering_coefficient g =
   let open_paths =
@@ -376,6 +407,14 @@ module Mutable = struct
     done;
     Array.iter (Array.sort Int.compare) adj;
     { n = t.n; adj; m = t.m }
+
+  let iter_edges t f =
+    for i = 0 to t.m - 1 do
+      f t.eu.(i) t.ev.(i)
+    done
+
+  let triangle_count t = oriented_triangles ~n:t.n ~m:t.m ~deg:t.deg (iter_edges t)
+  let assortativity t = assortativity_of ~deg:t.deg (iter_edges t)
 
   let copy t =
     {

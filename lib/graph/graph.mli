@@ -49,7 +49,9 @@ val degree_ccdf : t -> int array
     {!degree_sequence_desc}. *)
 
 val triangle_count : t -> int
-(** Exact number of triangles (the paper's Δ). *)
+(** Exact number of triangles (the paper's Δ), counted degree-ordered in
+    [O(m √m)]: each edge points to its endpoint of higher (degree, id)
+    rank, and a triangle is found once, from its lowest-ranked vertex. *)
 
 val triangles_by_degree : t -> ((int * int * int) * int) list
 (** Exact TbD ground truth: for each sorted degree triple [(x ≤ y ≤ z)],
@@ -70,7 +72,8 @@ val joint_degree_counts : t -> ((int * int) * int) list
 val assortativity : t -> float
 (** Newman's degree assortativity [r]: the Pearson correlation of the
     degrees at the two ends of a uniformly random edge.  Returns [nan] on
-    degree-regular graphs (zero variance). *)
+    degree-regular graphs (zero variance).  Its three sums are exact
+    integer sums, converted to floats once. *)
 
 val clustering_coefficient : t -> float
 (** Global clustering coefficient: [3·Δ / #(open length-2 paths)]. *)
@@ -114,6 +117,11 @@ module Mutable : sig
   val m : t -> int
   val has_edge : t -> int -> int -> bool
   val degree : t -> int -> int
+
+  val triangle_count : t -> int
+  val assortativity : t -> float
+  (** {!Graph.triangle_count} and {!Graph.assortativity} of [to_graph t],
+      read from the edge arrays without building it. *)
 
   val propose_swap : t -> Wpinq_prng.Prng.t -> swap option
   (** Draws two distinct random edges and a random re-pairing; [None] if the

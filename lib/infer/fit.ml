@@ -171,6 +171,8 @@ let grown t = Dataflow.Engine.interned_ids t.engine >= 2 * max t.built_ids compa
 let compact t = if grown t then rebuild_own t
 
 let graph t = Graph.Mutable.to_graph t.graph
+let triangle_count t = Graph.Mutable.triangle_count t.graph
+let assortativity t = Graph.Mutable.assortativity t.graph
 let edge_array t = Graph.Mutable.edge_array t.graph
 let nodes t = Graph.Mutable.n t.graph
 let rng t = t.rng

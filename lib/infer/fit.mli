@@ -108,6 +108,11 @@ val compaction_floor : int
 val graph : t -> Wpinq_graph.Graph.t
 (** A snapshot of the current synthetic graph (public; inspect freely). *)
 
+val triangle_count : t -> int
+val assortativity : t -> float
+(** The current synthetic graph's triangle count and assortativity, equal
+    to those of {!graph}, read without building it. *)
+
 val edge_array : t -> (int * int) array
 (** The current edge array in walk order — what a checkpoint must persist
     (see {!Wpinq_graph.Graph.Mutable.edge_array}). *)

@@ -427,7 +427,9 @@ let continue_fit ?(initial_snapshot = false) ~fit ~rng ~ck ~sink ?should_stop ?w
   let trace = ref ck.ck_trace in
   let on_step ~step ~energy =
     if step mod ck.ck_trace_every = 0 then
-      trace := trace_of ~step ~energy (Fit.graph fit) :: !trace
+      trace :=
+        { step; triangles = Fit.triangle_count fit; assortativity = Fit.assortativity fit; energy }
+        :: !trace
   in
   (* [ck.ck_qms] are the measurements the fit's targets draw into, so the
      snapshot carries every lazy draw made so far. *)

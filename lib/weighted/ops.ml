@@ -19,19 +19,26 @@ let select_many_list f a = select_many (fun x -> List.map (fun y -> (y, 1.0)) (f
    (about 1.1 grid units), in both interpreters. *)
 let dust = 1e-12
 
-(* Prefix emissions of one GroupBy part: records ordered by non-increasing
-   weight (record order breaking ties, for determinism), each prefix emitted
-   with half the drop in weight at its boundary. *)
-let group_emissions part =
-  let rec go prefix = function
-    | [] -> []
-    | (x, w) :: rest ->
-        let prefix = x :: prefix in
-        let w_next = match rest with (_, w') :: _ -> w' | [] -> 0.0 in
-        let emitted = (w -. w_next) /. 2.0 and tail = go prefix rest in
-        if emitted > dust then (List.rev prefix, emitted) :: tail else tail
-  in
-  go [] (List.sort (fun (x, wx) (y, wy) -> match compare wy wx with 0 -> compare x y | c -> c) part)
+(* GroupBy's canonical member order: grid weight descending, then record
+   ascending by [compare]. *)
+let member_order wx x wy y = if wx <> wy then Int.compare wy wx else compare x y
+
+(* [record 0 :: ... :: record j :: acc]. *)
+let rec prefix record j acc = if j < 0 then acc else prefix record (j - 1) (record j :: acc)
+
+(* Prefix emissions of one GroupBy part in canonical order, over its
+   positive prefix: each prefix is emitted with half the drop in weight at
+   its boundary, in float arithmetic rounded to the grid once.  Each
+   weight is read once. *)
+let group_part ~len ~weight ~record ~reduce emit =
+  let j = ref 0 and w = ref (if len > 0 then weight 0 else 0) in
+  while !w > 0 do
+    let next = if !j + 1 < len then weight (!j + 1) else 0 in
+    let emitted = (Grid.to_float !w -. Grid.to_float (Int.max next 0)) /. 2.0 in
+    if emitted > dust then emit (reduce (prefix record !j [])) (Grid.of_float emitted);
+    incr j;
+    w := next
+  done
 
 (* The records of [d] kept by [keep w], grouped by [key]: part [k] (key
    [Intern.value keys k], in first-sight order) is entries [start.(k)] to
@@ -86,16 +93,20 @@ let part_norm p k =
   done;
   !s
 
+(* Each part is put in canonical order once, then emitted by [group_part]. *)
 let group_by ~key ~reduce a =
   let p = index ~key ~keep:(fun w -> w > 0) a in
   Wdata.build (Intern.size p.keys) (fun emit ->
       for k = 0 to Intern.size p.keys - 1 do
-        let first = p.start.(k) in
-        let member j = (p.xs.(first + j), Grid.to_float p.ws.(first + j)) in
-        let part = List.init (p.start.(k + 1) - first) member in
-        List.iter
-          (fun (members, w) -> emit (Intern.value p.keys k, reduce members) (Grid.of_float w))
-          (group_emissions part)
+        let first = p.start.(k) and len = p.start.(k + 1) - p.start.(k) in
+        let part = Array.init len (fun j -> first + j) in
+        Array.stable_sort (fun i j -> member_order p.ws.(i) p.xs.(i) p.ws.(j) p.xs.(j)) part;
+        let key = Intern.value p.keys k in
+        group_part ~len
+          ~weight:(fun j -> p.ws.(part.(j)))
+          ~record:(fun j -> p.xs.(part.(j)))
+          ~reduce
+          (fun r w -> emit (key, r) w)
       done)
 
 let union a b = Wdata.merge_grid Int.max a b

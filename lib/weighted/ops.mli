@@ -107,12 +107,25 @@ val produced_norm : ('b * float) list -> float
 val capper : float -> int -> int
 (** Distinct's cap of a grid weight into [[0, q(bound)]]. *)
 
-val group_emissions : ('a * float) list -> ('a list * float) list
-(** [group_emissions part] lists the prefix emissions of one GroupBy part:
-    members ordered by non-increasing weight (ties broken by record order),
-    each prefix paired with half the weight drop at its boundary; an
-    emission of at most [1e-12] (about one grid unit) is dropped.  Only
-    positive-weight input records belong in [part]. *)
+val member_order : int -> 'a -> int -> 'a -> int
+(** [member_order wx x wy y] orders GroupBy members canonically: grid
+    weight descending, then record ascending by [compare]. *)
+
+val group_part :
+  len:int ->
+  weight:(int -> int) ->
+  record:(int -> 'a) ->
+  reduce:('a list -> 'r) ->
+  ('r -> int -> unit) ->
+  unit
+(** [group_part ~len ~weight ~record ~reduce emit] emits the prefixes of one
+    GroupBy part whose [len] members (member [j] is [record j], of grid
+    weight [weight j]) are in {!member_order}.  Only the positive prefix
+    counts: for each of its members [j], [emit (reduce [record 0; ...;
+    record j]) q(d / 2)] where [d] is the drop in weight to member [j + 1]
+    (to [0] past the positive prefix), in floats; an emission of at most
+    [1e-12] (about one grid unit) is dropped.  It reads each weight in
+    O(1) and builds one list per emission. *)
 
 val shave_emissions : float Seq.t -> float -> (int * float) list
 (** [shave_emissions seq w] lists the [(index, weight)] slabs Shave emits

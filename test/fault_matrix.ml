@@ -482,75 +482,102 @@ let stream_reference () =
       Sup.close sup;
       state)
 
-let stream_armed_round st r site reference =
+(* The armed round's drive over [dir]: the three phases with a restart
+   between them, recovering from every injected kill as a crashed process
+   would (reopen, then resume the client's work).  Returns the live
+   supervisor and whether a kill fired. *)
+let stream_drive cfg dir =
+  let killed = ref false in
+  let rec reopen () =
+    match Sup.open_dir ~config:cfg dir with
+    | sup, _ -> sup
+    | exception Fault.Injected _ ->
+        killed := true;
+        Fault.disarm ();
+        reopen ()
+  in
+  let sup = ref (reopen ()) in
+  let submit_safe e =
+    let h0 = Sup.head !sup in
+    try ignore (Sup.submit !sup e)
+    with Fault.Injected _ ->
+      killed := true;
+      Fault.disarm ();
+      sup := reopen ();
+      (* At-least-once client: re-submit only if the acknowledgment
+         provably never became durable. *)
+      if Sup.head !sup = h0 then ignore (Sup.submit !sup e)
+  in
+  let tick_safe () =
+    let before = List.length (Sup.outcomes !sup) in
+    let rec go () =
+      try ignore (Sup.tick !sup)
+      with Fault.Injected _ ->
+        killed := true;
+        Fault.disarm ();
+        sup := reopen ();
+        (* A kill in the settle window can land after the outcome is
+           durable; only an unsettled epoch is ticked again. *)
+        if List.length (Sup.outcomes !sup) <= before then go ()
+    in
+    go ()
+  in
+  let restart () =
+    Sup.close !sup;
+    sup := reopen ()
+  in
+  List.iteri
+    (fun i phase ->
+      if i > 0 then restart ();
+      List.iter submit_safe phase;
+      tick_safe ())
+    (Lazy.force stream_phases);
+  (!sup, !killed)
+
+(* How often a clean drive passes [site]: a hook that re-arms itself
+   counts every pass. *)
+let stream_hits site =
+  with_tree_dir (fun dir ->
+      let hits = ref 0 in
+      let rec count () =
+        incr hits;
+        Fault.arm_action ~site ~after:1 count
+      in
+      Fault.arm_action ~site ~after:1 count;
+      let sup, _ = stream_drive (stream_cfg ()) dir in
+      Fault.disarm ();
+      Sup.close sup;
+      !hits)
+
+(* A kill at a pass the clean drive makes, drawn within [hits], must fire:
+   the drive is deterministic up to the kill. *)
+let stream_armed_round st r site ~hits reference =
   with_tree_dir (fun dir ->
       let cfg = stream_cfg () in
-      let killed = ref false in
-      let rec reopen () =
-        match Sup.open_dir ~config:cfg dir with
-        | sup, _ -> sup
-        | exception Fault.Injected _ ->
-            killed := true;
-            Fault.disarm ();
-            reopen ()
-      in
-      let sup = ref (reopen ()) in
-      let submit_safe e =
-        let h0 = Sup.head !sup in
-        try ignore (Sup.submit !sup e)
-        with Fault.Injected _ ->
-          killed := true;
-          Fault.disarm ();
-          sup := reopen ();
-          (* At-least-once client: re-submit only if the acknowledgment
-             provably never became durable. *)
-          if Sup.head !sup = h0 then ignore (Sup.submit !sup e)
-      in
-      let tick_safe () =
-        let before = List.length (Sup.outcomes !sup) in
-        let rec go () =
-          try ignore (Sup.tick !sup)
-          with Fault.Injected _ ->
-            killed := true;
-            Fault.disarm ();
-            sup := reopen ();
-            (* A kill in the settle window can land after the outcome is
-               durable; only an unsettled epoch is ticked again. *)
-            if List.length (Sup.outcomes !sup) <= before then go ()
-        in
-        go ()
-      in
-      let after =
+      let range =
         match site with
-        | "stream.append" | "stream.fsync" -> 1 + Random.State.int st 40
-        | "mcmc.step" -> 50 + Random.State.int st 500
-        | "epoch.append" | "epoch.fsync" | "epoch.compact" | "epoch.reset" ->
-            1 + Random.State.int st 5
-        | "wal.append" | "wal.fsync" | "wal.replay" -> 1 + Random.State.int st 12
-        | "wal.compact" | "wal.reset" -> 1 + Random.State.int st 2
-        | _ -> 1 + Random.State.int st 12 (* atomic.*: fire on every durable write *)
+        | "stream.append" | "stream.fsync" -> 40
+        | "mcmc.step" -> 550
+        | "epoch.append" | "epoch.fsync" | "epoch.compact" | "epoch.reset" -> 5
+        | "wal.append" | "wal.fsync" | "wal.replay" -> 12
+        | "wal.compact" | "wal.reset" -> 2
+        | _ -> 12 (* atomic.*: fire on every durable write *)
       in
-      let restart () =
-        Sup.close !sup;
-        sup := reopen ()
-      in
+      let low = if site = "mcmc.step" then min 50 hits else 1 in
+      let after = low + Random.State.int st (max 1 (min range hits - low + 1)) in
       Fault.arm ~site ~after;
-      List.iteri
-        (fun i phase ->
-          if i > 0 then restart ();
-          List.iter submit_safe phase;
-          tick_safe ())
-        (Lazy.force stream_phases);
+      let sup, killed = stream_drive cfg dir in
       Fault.disarm ();
       (* Read the final state through a fresh open: recovery of the
          recovered state must be the identity. *)
-      Sup.close !sup;
+      Sup.close sup;
       let sup', _ = Sup.open_dir ~config:cfg dir in
-      let name = Printf.sprintf "stream round %d [%s after %d]" r site after in
+      let name = Printf.sprintf "stream round %d [%s after %d of %d]" r site after hits in
+      check (name ^ ": fault fired") killed;
       check_stream_state name reference (stream_state sup');
       Sup.close sup';
       Printf.printf "%s: %s — stream bit-identical\n%!" name
-        (if !killed then "killed and recovered" else "fault never fired (clean finish)"))
+        (if killed then "killed and recovered" else "fault never fired (clean finish)"))
 
 let stream_corrupt_round st r reference =
   with_tree_dir (fun dir ->
@@ -638,8 +665,10 @@ let stream_matrix st ~rounds =
   let reference = stream_reference () in
   List.iteri
     (fun i site ->
+      let hits = stream_hits site in
+      check (Printf.sprintf "%s: passed in a clean stream" site) (hits > 0);
       for k = 1 to rounds do
-        stream_armed_round st ((i * rounds) + k) site reference
+        stream_armed_round st ((i * rounds) + k) site ~hits reference
       done)
     stream_sites;
   for r = 1 to rounds do

@@ -312,6 +312,72 @@ let test_group_by_reordering () =
   in
   check_wdata pp "reordered group" expected (Dataflow.Sink.current sink)
 
+(* GroupBy's ordered parts under random weighted feeds — tied weights,
+   nonzero-to-nonzero reweights, negative weights — fed plain or inside a
+   committed or aborted speculation, on an engine fed from empty and on
+   one bulk-built at a random first dataset.  [reduce] keeps the member
+   list, so the order a part hands it shows in the output.  After every
+   feed or commit both sinks equal [Ops.group_by] bit for bit, and both
+   engines' digests (which cover each part's member order) equal a fresh
+   bulk build's, whose parts are sorted canonically; after every abort
+   they equal the pre-speculation digests. *)
+let test_group_by_ordered_parts =
+  let gen_weight =
+    QCheck.Gen.(
+      oneof
+        [ return 1.0; return 1.0; return 0.5; return 2.0; return (-1.0); return (-0.5);
+          float_range (-2.0) 2.0 ])
+  in
+  let gen_delta = QCheck.Gen.(list_size (int_range 1 6) (pair (int_bound 11) gen_weight)) in
+  let gen =
+    QCheck.Gen.(pair gen_delta (list_size (int_range 1 15) (pair (int_bound 2) gen_delta)))
+  in
+  let key x = x mod 3 and reduce l = l in
+  let bits d =
+    List.sort compare (List.map (fun (x, w) -> (x, Int64.bits_of_float w)) (Wdata.to_list d))
+  in
+  let build ?init () =
+    let engine = Dataflow.Engine.create () in
+    let input = Dataflow.Input.create ?init engine in
+    let sink = Dataflow.Sink.attach (Dataflow.group_by ~key ~reduce (Dataflow.Input.node input)) in
+    Dataflow.Engine.end_build engine;
+    (engine, input, sink)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"group_by ordered parts: batch, canonical, abort-clean"
+       (QCheck.make gen) (fun (first, steps) ->
+         let fed = build () in
+         let (_, fed_input, _) = fed in
+         Dataflow.Input.feed fed_input first;
+         let bulk = build ~init:(Dataflow.Input.current fed_input) () in
+         let canonical (engine, input, sink) =
+           let current = Dataflow.Input.current input in
+           let fresh, _, _ = build ~init:current () in
+           bits (Dataflow.Sink.current sink) = bits (Ops.group_by ~key ~reduce current)
+           && Dataflow.Engine.digests engine = Dataflow.Engine.digests fresh
+         in
+         let step (outcome, delta) (engine, input, _) =
+           if outcome = 0 then begin
+             Dataflow.Input.feed input delta;
+             true
+           end
+           else begin
+             let before = Dataflow.Engine.digests engine in
+             Dataflow.Engine.begin_speculation engine;
+             Dataflow.Input.feed input delta;
+             if outcome = 1 then (Dataflow.Engine.commit engine; true)
+             else (Dataflow.Engine.abort engine; Dataflow.Engine.digests engine = before)
+           end
+         in
+         let (fed_engine, _, _) = fed and (bulk_engine, _, _) = bulk in
+         canonical fed && canonical bulk
+         && List.for_all
+              (fun s ->
+                let a = step s fed and b = step s bulk in
+                a && b && canonical fed && canonical bulk
+                && Dataflow.Engine.digests fed_engine = Dataflow.Engine.digests bulk_engine)
+              steps))
+
 let suite =
   [
     Alcotest.test_case "coalesce" `Quick test_coalesce;
@@ -323,5 +389,6 @@ let suite =
     Alcotest.test_case "sink on_change" `Quick test_sink_on_change_sequence;
     Alcotest.test_case "engine mismatch rejected" `Quick test_different_engines_rejected;
     Alcotest.test_case "group_by reordering" `Quick test_group_by_reordering;
+    test_group_by_ordered_parts;
   ]
   @ equivalence_suite @ two_input_suite

@@ -240,6 +240,73 @@ let test_mutable_to_graph =
          && Graph.m got = Graph.m want
          && List.for_all (fun v -> Graph.adj got v = Graph.adj want v) (List.init n Fun.id)))
 
+(* The sorted-intersection triangle count and float-summed assortativity
+   the degree-ordered count and exact sums replaced, as references. *)
+let ref_triangles g =
+  let c = ref 0 in
+  for u = 0 to Graph.n g - 1 do
+    Array.iter
+      (fun v ->
+        if u < v then
+          Array.iter (fun w -> if w > v && Graph.has_edge g u w then incr c) (Graph.adj g v))
+      (Graph.adj g u)
+  done;
+  !c
+
+let ref_assortativity g =
+  let sum_jk = ref 0.0 and sum_j = ref 0.0 and sum_j2 = ref 0.0 and cnt = ref 0 in
+  for u = 0 to Graph.n g - 1 do
+    let du = float_of_int (Graph.degree g u) in
+    Array.iter
+      (fun v ->
+        let dv = float_of_int (Graph.degree g v) in
+        sum_jk := !sum_jk +. (du *. dv);
+        sum_j := !sum_j +. du;
+        sum_j2 := !sum_j2 +. (du *. du);
+        incr cnt)
+      (Graph.adj g u)
+  done;
+  let c = float_of_int !cnt in
+  if c = 0.0 then Float.nan
+  else
+    let mean = !sum_j /. c in
+    let num = (!sum_jk /. c) -. (mean *. mean) in
+    let den = (!sum_j2 /. c) -. (mean *. mean) in
+    if Float.abs den < 1e-12 then Float.nan else num /. den
+
+(* Random graphs, stars and cliques (each with a random graph's edges laid
+   over it), walked by swaps: the graph's and the edge arrays' counts and
+   assortativity bits equal the references. *)
+let test_trace_stats =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"degree-ordered triangles and exact assortativity"
+       QCheck.(quad (int_range 0 2) (int_range 2 30) (int_range 0 90) (int_range 0 50))
+       (fun (shape, n, m, swaps) ->
+         let rng = Prng.create ((shape * 100_000) + (n * 1000) + m + swaps) in
+         let base =
+           match shape with
+           | 0 -> []
+           | 1 -> List.init (n - 1) (fun i -> (0, i + 1))
+           | _ -> List.concat (List.init n (fun u -> List.init u (fun v -> (v, u))))
+         in
+         let extra = Graph.edges (Gen.erdos_renyi ~n ~m:(min m (n * (n - 1) / 2)) rng) in
+         let mg = Graph.Mutable.of_graph (Graph.of_edges ~n (base @ extra)) in
+         let bits = Int64.bits_of_float in
+         let agree () =
+           let g = Graph.Mutable.to_graph mg in
+           let t = ref_triangles g and r = bits (ref_assortativity g) in
+           Graph.triangle_count g = t
+           && Graph.Mutable.triangle_count mg = t
+           && bits (Graph.assortativity g) = r
+           && bits (Graph.Mutable.assortativity mg) = r
+         in
+         agree ()
+         && List.for_all
+              (fun _ ->
+                Option.iter (Graph.Mutable.apply mg) (Graph.Mutable.propose_swap mg rng);
+                agree ())
+              (List.init swaps Fun.id)))
+
 let test_mutable_swap_delta () =
   let s =
     Graph.Mutable.{ remove = ((1, 2), (3, 4)); add = ((1, 4), (3, 2)) }
@@ -289,5 +356,6 @@ let suite =
     Alcotest.test_case "mutable swap roundtrip" `Quick test_mutable_swap_roundtrip;
     Alcotest.test_case "mutable swap delta" `Quick test_mutable_swap_delta;
     test_mutable_to_graph;
+    test_trace_stats;
     Alcotest.test_case "io roundtrip" `Quick test_io_roundtrip;
   ]

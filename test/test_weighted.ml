@@ -307,13 +307,27 @@ let parts key a =
     (grid a);
   Hashtbl.fold (fun k part acc -> (k, part) :: acc) parts []
 
+(* GroupBy's prefix emissions over a list: sort by non-increasing weight
+   (record order breaking ties), emit each prefix with half the drop in
+   weight at its boundary. *)
+let ref_group_emissions part =
+  let rec go prefix = function
+    | [] -> []
+    | (x, w) :: rest ->
+        let prefix = x :: prefix in
+        let w_next = match rest with (_, w') :: _ -> w' | [] -> 0.0 in
+        let emitted = (w -. w_next) /. 2.0 and tail = go prefix rest in
+        if emitted > 1e-12 then (List.rev prefix, emitted) :: tail else tail
+  in
+  go [] (List.sort (fun (x, wx) (y, wy) -> match compare wy wx with 0 -> compare x y | c -> c) part)
+
 let ref_group_by ~key ~reduce a =
   List.concat_map
     (fun (k, part) ->
       let part = List.filter_map (fun (x, w) -> if w > 0 then Some (x, fl w) else None) part in
       List.map
         (fun (members, w) -> ((k, reduce members), Grid.of_float w))
-        (Ops.group_emissions part))
+        (ref_group_emissions part))
     (parts key a)
 
 let ref_merge f a b =
