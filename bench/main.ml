@@ -578,28 +578,32 @@ let multi_bench ~smoke () =
 (* ---------------- Part 5: parallel speculative lookahead -----------------
 
    The same shared-plan multi-query fit driven through [Fit.run ~jobs]: one
-   arm per (jobs, width-policy) point, every arm reconstructing an
-   identical fit (same secret, same measurement seed, same walk seed).
-   The realized chain is bit-identical across every arm by construction —
-   the arms cross-check accepted/invalid counts, final energies (bit
-   patterns) and final edge arrays, and [identical_walks] records the
-   verdict (the process exits nonzero if it ever goes false, which is what
-   the CI multicore job asserts).  Speedups are honest wall-clock ratios
-   on this host.
+   arm per (jobs, width) point, every arm reconstructing an identical fit
+   (same secret, same measurement seed, same walk seed).  The arms run
+   twice: from the seed graph, where about a fifth of the proposals are
+   accepted, and from a converged start — the edge array one [jobs = 1]
+   fit reached after a warmup walk, restored over copies of its
+   measurements — where a few percent are.  The realized chain is
+   bit-identical across the arms of each set by construction — the arms
+   cross-check accepted/invalid counts, final energies (bit patterns) and
+   final edge arrays, and [identical_walks] records the verdict (the
+   process exits nonzero if it ever goes false, which is what the CI
+   multicore job asserts).  Speedups are honest wall-clock ratios on this
+   host, against the [jobs = 1] arm of the same set.
 
    On a single-core host (recommended_domain_count = 1) a jobs sweep only
    measures domain time-slicing overhead — every "speedup" is a slowdown
    by construction and says nothing about the scheduler.  The sweep is
    therefore skipped there ([sweep_status = "skipped_single_core"]) and
-   only the jobs = 1 arms run: the serial reference and the adaptive-width
-   policy driven inline, which still cross-checks width-invariance and
+   only jobs = 1 arms run: the serial reference and a 4-wide batch the
+   owner evaluates alone, which still cross-checks width-invariance and
    records the per-phase counters. *)
 
 type parallel_arm = { arm_label : string; arm_jobs : int; arm_width : Mcmc.width }
 
 let parallel_bench ~smoke ~max_jobs () =
   banner "Part 5: parallel speculative lookahead benchmark";
-  let scale, steps = if smoke then (0.12, 2_000) else (0.25, 8_000) in
+  let scale, steps, warmup = if smoke then (0.12, 2_000, 5_000) else (0.25, 8_000, 30_000) in
   let host_parallelism = Domain.recommended_domain_count () in
   let single_core = host_parallelism < 2 in
   let sweep_status = if single_core then "skipped_single_core" else "run" in
@@ -607,49 +611,53 @@ let parallel_bench ~smoke ~max_jobs () =
     if single_core then
       [
         { arm_label = "fixed1"; arm_jobs = 1; arm_width = Mcmc.Fixed 1 };
-        { arm_label = "adaptive1"; arm_jobs = 1; arm_width = Mcmc.Adaptive { max_width = 4 } };
+        { arm_label = "wide1"; arm_jobs = 1; arm_width = Mcmc.Fixed 4 };
       ]
     else
-      let fixed =
-        List.filter (fun k -> k <= max_jobs) [ 1; 2; 4 ]
-        |> fun ks ->
-        (if List.mem max_jobs ks then ks else ks @ [ max_jobs ])
-        |> List.map (fun k ->
-               { arm_label = Printf.sprintf "fixed%d" k; arm_jobs = k; arm_width = Mcmc.Fixed k })
-      in
-      fixed
-      @ [
-          {
-            arm_label = Printf.sprintf "adaptive%d" max_jobs;
-            arm_jobs = max_jobs;
-            arm_width = Mcmc.Adaptive { max_width = 4 * max_jobs };
-          };
-        ]
+      List.filter (fun k -> k <= max_jobs) [ 1; 2; 4 ]
+      |> (fun ks -> if List.mem max_jobs ks then ks else ks @ [ max_jobs ])
+      |> List.map (fun k ->
+             { arm_label = Printf.sprintf "fixed%d" k; arm_jobs = k; arm_width = Mcmc.Fixed k })
   in
   Printf.printf
-    "(ca-GrQc at scale %.2f: degree CCDF + JDD + TbD shared fit, %d steps, host \
-     parallelism %d, sweep %s, arms {%s})\n%!"
-    scale steps host_parallelism sweep_status
+    "(ca-GrQc at scale %.2f: degree CCDF + JDD + TbD shared fit, %d steps from the seed graph \
+     and from a %d-step converged start, host parallelism %d, sweep %s, arms {%s})\n%!"
+    scale steps warmup host_parallelism sweep_status
     (String.concat ", " (List.map (fun a -> a.arm_label) arms));
   let secret = Datasets.load ~scale Datasets.grqc in
-  let make () =
-    let rng = Prng.create 7 in
-    let budget = Budget.create ~name:"bench" 1e9 in
-    let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
-    let mc = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.degree_ccdf sym) in
-    let mj = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.jdd sym) in
-    let mt = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.tbd sym) in
-    let source = Plan.source ~name:"sym" () in
-    let measured =
-      [
-        Fit.Measured (Qp.degree_ccdf source, mc);
-        Fit.Measured (Qp.jdd source, mj);
-        Fit.Measured (Qp.tbd source, mt);
-      ]
-    in
-    Fit.create_shared ~rng:(Prng.create 11) ~seed_graph:secret ~source ~measured ()
+  let rng = Prng.create 7 in
+  let budget = Budget.create ~name:"bench" 1e9 in
+  let sym = Batch.source_records ~budget (Graph.directed_edges secret) in
+  let mc = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.degree_ccdf sym) in
+  let mj = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.jdd sym) in
+  let mt = Batch.noisy_count ~rng ~epsilon:0.1 (Qb.tbd sym) in
+  let source = Plan.source ~name:"sym" () in
+  let measured =
+    [
+      Fit.Measured (Qp.degree_ccdf source, mc);
+      Fit.Measured (Qp.jdd source, mj);
+      Fit.Measured (Qp.tbd source, mt);
+    ]
   in
-  let run_arm arm =
+  let copies =
+    List.map (fun (Fit.Measured (p, m)) -> Fit.Measured (p, Wpinq_core.Measurement.copy m))
+  in
+  let from_seed () =
+    Fit.create_shared ~rng:(Prng.create 11) ~seed_graph:secret ~source ~measured:(copies measured)
+      ()
+  in
+  (* The warm walk's lazy draws land in its own measurement copies; each
+     converged arm restores over copies of those. *)
+  let warm_measured = copies measured in
+  let warm =
+    Fit.create_shared ~rng:(Prng.create 11) ~seed_graph:secret ~source ~measured:warm_measured ()
+  in
+  ignore (Fit.run warm ~steps:warmup ~pow:10_000.0 ());
+  let converged () =
+    Fit.restore_shared ~rng:(Prng.create 13) ~n:(Fit.nodes warm) ~edges:(Fit.edge_array warm)
+      ~source ~measured:(copies warm_measured) ()
+  in
+  let run_arm make prefix arm =
     let fit = make () in
     let batches = ref 0 and dispatched = ref 0 and consumed = ref 0 in
     let counters = Mcmc.counters () in
@@ -663,25 +671,38 @@ let parallel_bench ~smoke ~max_jobs () =
         ()
     in
     let wall = Unix.gettimeofday () -. t0 in
-    (arm, stats, wall, !batches, !dispatched, !consumed, counters, Fit.edge_array fit)
+    (prefix ^ arm.arm_label, arm, stats, wall, !batches, !dispatched, !consumed, counters,
+     Fit.edge_array fit)
   in
-  let results = List.map run_arm arms in
-  let _, ref_stats, ref_wall, _, _, _, _, ref_edges = List.hd results in
-  let same (_, (s : Mcmc.stats), _, _, _, _, _, edges) =
-    s.Mcmc.accepted = ref_stats.Mcmc.accepted
-    && s.Mcmc.invalid = ref_stats.Mcmc.invalid
-    && Int64.bits_of_float s.Mcmc.final_energy = Int64.bits_of_float ref_stats.Mcmc.final_energy
-    && edges = ref_edges
+  (* One set of arms from one start; the first arm is the set's jobs = 1
+     reference for both the walk and the speedup. *)
+  let run_set make prefix =
+    let results = List.map (run_arm make prefix) arms in
+    let _, _, ref_stats, ref_wall, _, _, _, _, ref_edges = List.hd results in
+    let same (_, _, (s : Mcmc.stats), _, _, _, _, _, edges) =
+      s.Mcmc.accepted = ref_stats.Mcmc.accepted
+      && s.Mcmc.invalid = ref_stats.Mcmc.invalid
+      && Int64.bits_of_float s.Mcmc.final_energy
+         = Int64.bits_of_float ref_stats.Mcmc.final_energy
+      && edges = ref_edges
+    in
+    (List.map (fun r -> (r, ref_wall)) results, List.for_all same results)
   in
-  let identical = List.for_all same results in
+  let seed_results, seed_identical = run_set from_seed "" in
+  let converged_results, converged_identical = run_set converged "converged-" in
+  let results = seed_results @ converged_results in
+  let identical = seed_identical && converged_identical in
   List.iter
-    (fun (arm, (s : Mcmc.stats), wall, batches, dispatched, consumed, (c : Mcmc.counters), _) ->
+    (fun ( (label, arm, (s : Mcmc.stats), wall, batches, dispatched, consumed, (c : Mcmc.counters), _),
+           ref_wall ) ->
       Printf.printf
-        "%s (jobs=%d): %.1f steps/s (%.3fs), %d accepted, %d batches, efficiency %.3f, \
+        "%s (jobs=%d): %.1f steps/s (%.3fs), %d accepted (%.3f), %d batches, efficiency %.3f, \
          speedup %.2fx\n"
-        arm.arm_label arm.arm_jobs
+        label arm.arm_jobs
         (float steps /. wall)
-        wall s.Mcmc.accepted batches
+        wall s.Mcmc.accepted
+        (float s.Mcmc.accepted /. float steps)
+        batches
         (float consumed /. float (max 1 dispatched))
         (ref_wall /. wall);
       Printf.printf
@@ -695,17 +716,17 @@ let parallel_bench ~smoke ~max_jobs () =
   if identical then Printf.printf "all arms walked bit-identically\n%!"
   else Printf.printf "ERROR: arms diverged — the lookahead walk is not width-invariant\n%!";
   let arm_json
-      (arm, (s : Mcmc.stats), wall, batches, dispatched, consumed, (c : Mcmc.counters), _) =
+      ( (label, arm, (s : Mcmc.stats), wall, batches, dispatched, consumed, (c : Mcmc.counters), _),
+        ref_wall ) =
     let width_desc =
       match arm.arm_width with
       | Mcmc.Fixed k -> Printf.sprintf "fixed:%d" k
-      | Mcmc.Adaptive { max_width } -> Printf.sprintf "adaptive:%d" max_width
       | Mcmc.Schedule _ -> "schedule"
     in
     String.concat "\n"
       [
         "      {";
-        Printf.sprintf "        \"label\": %S," arm.arm_label;
+        Printf.sprintf "        \"label\": %S," label;
         Printf.sprintf "        \"jobs\": %d," arm.arm_jobs;
         Printf.sprintf "        \"width\": %S," width_desc;
         Printf.sprintf "        \"accepted_steps\": %d," s.Mcmc.accepted;
@@ -747,6 +768,7 @@ let parallel_bench ~smoke ~max_jobs () =
         Printf.sprintf "    \"scale\": %.2f," scale;
         "    \"queries\": [\"degree_ccdf\", \"jdd\", \"tbd\"],";
         Printf.sprintf "    \"steps\": %d," steps;
+        Printf.sprintf "    \"converged_warmup_steps\": %d," warmup;
         Printf.sprintf "    \"host_parallelism\": %d," host_parallelism;
         Printf.sprintf "    \"sweep_status\": %S," sweep_status;
         Printf.sprintf "    \"identical_walks\": %b," identical;
@@ -1214,8 +1236,9 @@ let () =
       ( "--jobs",
         Arg.Set_int jobs,
         "N Widest lookahead arm for the parallel benchmark (default: 4, or 2 in smoke \
-         mode; arms are {1, 2, 4} capped at N plus an adaptive-width arm at N; on a \
-         single-core host the sweep is skipped and only the jobs=1 arms run)." );
+         mode; arms are {1, 2, 4} capped at N, plus N itself, each run from the seed \
+         graph and from a converged start; on a single-core host the sweep is skipped \
+         and only jobs=1 arms run)." );
       ("--json", Arg.Set_string json_path, "PATH Where to write the benchmark JSON.");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))

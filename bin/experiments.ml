@@ -108,22 +108,21 @@ let synthesize_cmd =
     Arg.(value & opt (some int) None
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:"Parallel speculative-lookahead width for phase 2: up to $(docv) \
-                   consecutive proposals are evaluated concurrently, one replica engine \
-                   per domain ($(docv) = 1 evaluates on the fit's own engine, with no \
-                   replica).  The realized walk (and every checkpoint byte) is \
-                   bit-identical for every width; only wall-clock time changes.  \
-                   Defaults to the machine's recommended domain count.")
+                   consecutive proposals are evaluated concurrently, the first on the \
+                   fit's own engine and the rest on $(docv) - 1 replica engines, one \
+                   per extra domain ($(docv) = 1 has no replica).  The realized walk \
+                   (and every checkpoint byte) is bit-identical for every width; only \
+                   wall-clock time changes.  Defaults to the machine's recommended \
+                   domain count.")
   in
   let lookahead =
-    Arg.(value & opt (some string) None
-         & info [ "lookahead" ] ~docv:"POLICY"
-             ~doc:"Lookahead batch-width policy for phase 2: an integer dispatches \
-                   exactly that many speculative proposals per batch (spread across \
-                   the $(b,--jobs) workers); $(b,adaptive) (or $(b,adaptive:MAX)) \
-                   deepens the lookahead while batches run accept-free and shrinks \
-                   it on acceptance, up to MAX (default 8 times $(b,--jobs)).  \
-                   Defaults to a fixed width of $(b,--jobs).  The realized walk is \
-                   bit-identical under every policy; only wall-clock changes.")
+    Arg.(value & opt (some int) None
+         & info [ "lookahead" ] ~docv:"K"
+             ~doc:"Lookahead batch width for phase 2: each batch dispatches exactly \
+                   $(docv) speculative proposals, a positive integer, split into \
+                   contiguous slices over the $(b,--jobs) evaluators.  Defaults to \
+                   $(b,--jobs).  The realized walk is bit-identical at every width; \
+                   only wall-clock changes.")
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -164,25 +163,8 @@ let synthesize_cmd =
     let width =
       match lookahead with
       | None -> None
-      | Some s -> (
-          let module M = Wpinq_infer.Mcmc in
-          match String.lowercase_ascii s with
-          | "adaptive" -> Some (M.Adaptive { max_width = 8 * jobs })
-          | s when String.length s > 9 && String.sub s 0 9 = "adaptive:" -> (
-              match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
-              | Some m when m >= 1 -> Some (M.Adaptive { max_width = m })
-              | _ ->
-                  failwith
-                    (Printf.sprintf "--lookahead adaptive:MAX needs MAX >= 1 (got %S)" s))
-          | s -> (
-              match int_of_string_opt s with
-              | Some k when k >= 1 -> Some (M.Fixed k)
-              | _ ->
-                  failwith
-                    (Printf.sprintf
-                       "--lookahead must be a positive integer, 'adaptive', or \
-                        'adaptive:MAX' (got %S)"
-                       s)))
+      | Some k when k >= 1 -> Some (Wpinq_infer.Mcmc.Fixed k)
+      | Some k -> failwith (Printf.sprintf "--lookahead must be a positive integer (got %d)" k)
     in
     let store () =
       match checkpoint_dir with

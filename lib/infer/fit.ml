@@ -243,21 +243,22 @@ let audit t =
   let cells_checked = Array.length fresh + List.length distances in
   { Dataflow.Audit.cells_checked; divergences = List.rev !divs }
 
-(* ---- The lookahead pool: owner evaluation, or replicas per domain ---- *)
+(* ---- The lookahead pool: the owner is worker 0 ---- *)
 
 module Pool = struct
   type fit = t
 
-  (* With [jobs = 1] the pool evaluates on the owner fit itself: no
-     domain, no replica, no measurement copy.  With [jobs > 1] one worker
-     owns one replica and is the only domain that ever touches it; the
-     scheduler (main domain) hands closures across a mutex/condition
-     mailbox, so every access is ordered by a happens-before edge.  The
-     mailbox carries a whole batch slice per publication — one lock
-     acquisition (and at most one futex wakeup) per worker per batch,
-     however deep the lookahead — and completion is collected the same
-     way, so the handshake cost is amortized over the slice instead of
-     paid per proposal. *)
+  (* At [jobs = K] the owner fit evaluates slice 0 of every batch on the
+     calling domain, and [K - 1] replicas evaluate the other slices, one
+     per worker domain; [jobs = 1] is the case with no replica, no domain
+     and no measurement copy.  A worker owns one replica and is the only
+     domain that ever touches it; the scheduler hands it closures across a
+     mutex/condition mailbox, so every access is ordered by a
+     happens-before edge.  The mailbox carries a whole batch slice per
+     publication — one lock acquisition (and at most one futex wakeup) per
+     worker per batch, however deep the lookahead — and completion is
+     collected the same way, so the handshake cost is amortized over the
+     slice instead of paid per proposal. *)
   type worker = {
     mutex : Mutex.t;
     has_job : Condition.t;
@@ -271,21 +272,21 @@ module Pool = struct
   type t = {
     owner : fit;
     jobs : int;
-    replicas : fit array; (* one per worker; empty when jobs = 1 *)
-    workers : worker array;
+    replicas : fit array; (* [jobs - 1]; replica [i] evaluates slice [i + 1] *)
+    workers : worker array; (* worker [i] owns replica [i] *)
     domains : unit Domain.t array;
     counters : Mcmc.counters option;
-    (* The committed-delta log ([jobs > 1] only): every winning swap, in
-       commit order, with its post-commit energy.  The owner applies a
-       winning swap immediately (it is the canonical state checkpoints and
-       audits read); each replica absorbs its backlog lazily, piggybacked
-       on the next batch publication to its worker — so a commit costs the
-       scheduler exactly one O(delta) owner feed and {e zero} worker
-       handshakes.  [applied.(i)] counts the log prefix replica [i] has
-       absorbed; the log is compacted once every replica has caught up.
-       Happens-before: a worker only touches the log inside a posted job,
-       and the scheduler only appends/compacts between [await]s, so every
-       access is ordered by the mailbox mutexes. *)
+    (* The committed-delta log (empty without replicas): every winning
+       swap, in commit order, with its post-commit energy.  The owner
+       commits a winner immediately (it is the canonical state checkpoints
+       and audits read); each replica absorbs its backlog lazily,
+       piggybacked on the next batch publication to its worker, so a commit
+       costs the scheduler no worker handshake.  [applied.(i)] counts the
+       log prefix replica [i] has absorbed; the log is compacted once every
+       replica has caught up.  Happens-before: a worker only touches the
+       log inside a posted job, and the scheduler only appends/compacts
+       between [await]s, so every access is ordered by the mailbox
+       mutexes. *)
     mutable log : (Graph.Mutable.swap * float) array;
     mutable log_len : int;
     applied : int array;
@@ -371,8 +372,9 @@ module Pool = struct
 
   let create ?counters owner ~jobs =
     if jobs < 1 then invalid_arg "Fit.Pool.create: jobs must be at least 1";
+    let replicas = jobs - 1 in
     let workers =
-      Array.init (if jobs = 1 then 0 else jobs) (fun _ ->
+      Array.init replicas (fun _ ->
           {
             mutex = Mutex.create ();
             has_job = Condition.create ();
@@ -383,7 +385,6 @@ module Pool = struct
             failed = None;
           })
     in
-    let replicas = Array.length workers in
     let domains = Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) workers in
     let pool =
       {
@@ -417,8 +418,9 @@ module Pool = struct
 
   (* Absorb replica [i]'s backlog of committed deltas: apply every log
      entry it has not yet seen, in commit order, through the same
-     non-speculative feed the owner used — byte-identical state, O(delta)
-     per entry.  Runs on the replica's owning worker domain. *)
+     non-speculative feed the owner's delta commits use — byte-identical
+     state, O(delta) per entry.  Runs on the replica's owning worker
+     domain. *)
   let flush_replica pool i =
     let upto = pool.log_len in
     if pool.applied.(i) < upto then begin
@@ -430,10 +432,10 @@ module Pool = struct
       pool.applied.(i) <- upto
     end
 
-  (* Contiguous balanced slice of a [k]-wide batch owned by worker [j]:
-     the first [k mod jobs] workers take one extra stream.  Sequential
-     multi-eval on one replica is equivalent to separate replicas because
-     every evaluation aborts residue-free before the next begins. *)
+  (* Contiguous balanced slice [lo, hi) of a [k]-wide batch owned by
+     evaluator [j] (0 the owner, [i + 1] replica [i]): the first
+     [k mod jobs] evaluators take one extra stream, so the owner always
+     holds the batch's first positions. *)
   let slice pool k j =
     let q = k / pool.jobs and r = k mod pool.jobs in
     let lo = (j * q) + min j r in
@@ -443,8 +445,8 @@ module Pool = struct
      state.  A loser is aborted — rollback includes the undo-logged lazy
      measurement draws — so the fit is back at the base state.  A winner
      is left open when [keep] (the owner: [commit] keeps it in place), and
-     aborted otherwise (a replica: the scheduler commits it through the
-     owner and the log). *)
+     aborted otherwise (a replica: [commit] feeds it to the owner as a
+     committed delta). *)
   let eval_one ~keep r stream ~pow ~energy =
     match Graph.Mutable.propose_swap r.graph stream with
     | None -> Mcmc.Invalid
@@ -472,45 +474,21 @@ module Pool = struct
           Mcmc.Nonfinite
         end
 
-  (* [jobs = 1]: evaluate the batch in order on the owner and stop at the
-     first winner or non-finite reading.  The scheduler consumes exactly
-     that prefix, so the positions after it are never read: evaluating
-     them would be wasted work. *)
-  let eval_owner pool ~pow ~energy streams verdicts =
+  (* The one slice loop, run by every evaluator: evaluate positions
+     [lo, hi) in order and stop at the first winner or non-finite reading.
+     The scheduler consumes the batch only up to its first such position,
+     so the positions after it are never read: evaluating them would be
+     wasted work.  Verdict writes are disjoint by index. *)
+  let eval_slice ~keep r ~pow ~energy streams verdicts lo hi =
     let rec go i =
-      if i < Array.length streams then
-        match eval_one ~keep:true pool.owner streams.(i) ~pow ~energy with
+      if i < hi then
+        match eval_one ~keep r streams.(i) ~pow ~energy with
         | (Mcmc.Invalid | Mcmc.Rejected) as v ->
             verdicts.(i) <- v;
             go (i + 1)
         | (Mcmc.Accepted _ | Mcmc.Nonfinite) as v -> verdicts.(i) <- v
     in
-    go 0
-
-  (* [jobs > 1]: one publication per worker — its contiguous slice of the
-     batch, prefixed by its backlog flush.  Workers whose slice is empty
-     (k < jobs) are not woken; their backlog waits for a wider batch.
-     Verdict writes are disjoint by index, and each is ordered before the
-     scheduler's read by the worker's own completion handshake.  Returns
-     the time the last publication went out. *)
-  let eval_replicas pool ~pow ~energy streams verdicts =
-    let k = Array.length streams in
-    for j = 0 to pool.jobs - 1 do
-      let lo, hi = slice pool k j in
-      if hi > lo then
-        post pool.workers.(j) (fun () ->
-            flush_replica pool j;
-            let r = pool.replicas.(j) in
-            for i = lo to hi - 1 do
-              verdicts.(i) <- eval_one ~keep:false r streams.(i) ~pow ~energy
-            done)
-    done;
-    let t1 = match pool.counters with Some _ -> now () | None -> 0.0 in
-    for j = 0 to pool.jobs - 1 do
-      let lo, hi = slice pool k j in
-      if hi > lo then await pool.workers.(j)
-    done;
-    t1
+    go lo
 
   (* After an audit found the owner's state corrupt, or when the replicas'
      interns have grown: rebuild every replica from the owner's
@@ -524,23 +502,40 @@ module Pool = struct
     on_replicas pool (fun i -> pool.replicas.(i) <- fresh_replica ~measured:copies.(i) pool.owner);
     energy pool
 
-  (* A batch boundary: every fit is quiescent.  Replicas grow by their
-     speculations, the owner (at jobs > 1) by committed deltas only. *)
+  (* A batch boundary: every fit is quiescent.  Every fit grows by its
+     speculations, the owner also by committed deltas. *)
   let compact_pool pool =
     compact pool.owner;
     if Array.exists grown pool.replicas then ignore (resync pool)
 
+  (* One publication per replica whose slice is non-empty — its slice,
+     prefixed by its backlog flush — then the owner evaluates slice 0 on
+     this domain while the replicas run, then the scheduler awaits them.
+     Evaluator [j]'s slice is non-empty exactly when [j < k]; replicas
+     with an empty slice (k < jobs) are not woken, and their backlog waits
+     for a wider batch.  The owner evaluating during dispatch races with
+     nothing: it touches only its own fit and its own verdict positions,
+     the replicas touch only theirs and the log, and the log is written
+     only by [commit], after every [await]. *)
   let eval pool ~pow ~energy streams =
     compact_pool pool;
-    let verdicts = Array.make (Array.length streams) Mcmc.Invalid in
-    let t0 = match pool.counters with Some _ -> now () | None -> 0.0 in
-    let t1 =
-      if pool.jobs = 1 then begin
-        eval_owner pool ~pow ~energy streams verdicts;
-        t0
-      end
-      else eval_replicas pool ~pow ~energy streams verdicts
-    in
+    let k = Array.length streams in
+    let verdicts = Array.make k Mcmc.Invalid in
+    let busy = min (k - 1) (Array.length pool.replicas) in
+    let timed = Option.is_some pool.counters in
+    let t0 = if timed then now () else 0.0 in
+    for i = 0 to busy - 1 do
+      let lo, hi = slice pool k (i + 1) in
+      post pool.workers.(i) (fun () ->
+          flush_replica pool i;
+          eval_slice ~keep:false pool.replicas.(i) ~pow ~energy streams verdicts lo hi)
+    done;
+    let t1 = if timed && busy > 0 then now () else t0 in
+    let lo, hi = slice pool k 0 in
+    eval_slice ~keep:true pool.owner ~pow ~energy streams verdicts lo hi;
+    for i = 0 to busy - 1 do
+      await pool.workers.(i)
+    done;
     (match pool.counters with
     | Some c ->
         c.Mcmc.dispatch_us <- c.Mcmc.dispatch_us +. (1e6 *. (t1 -. t0));
@@ -548,32 +543,31 @@ module Pool = struct
     | None -> ());
     verdicts
 
-  (* Commit a winning swap.  [jobs = 1]: the owner still holds the winner's
-     speculation open from [eval]; re-apply the graph edit and keep the
-     engine state in place ([Engine.commit] discards the undo log).
-     [jobs > 1]: the owner — the canonical fit checkpoints and audits read
-     — absorbs it immediately as an O(delta) committed delta; replicas only
-     get a log entry to absorb at their next dispatch.  No worker
-     handshake, no speculative re-evaluation, no undo log. *)
+  (* Commit a winning swap.  A winner the owner found is still held open
+     from [eval]: re-apply the graph edit and keep the engine state in
+     place ([Engine.commit] discards the undo log).  A winner a replica
+     found is fed to the owner — the canonical fit checkpoints and audits
+     read — as an O(delta) committed delta.  Either way the replicas only
+     get a log entry to absorb at their next dispatch. *)
   let commit pool swap ~proposed =
     let owner = pool.owner in
-    if pool.jobs = 1 then begin
-      Graph.Mutable.apply owner.graph swap;
-      commit_swap owner;
-      owner.energy <- proposed
-    end
-    else begin
+    if Array.length pool.replicas > 0 then begin
       (* Compact once every replica has caught up — between batches the
          log is usually empty again, so it stays a few entries long. *)
       if pool.log_len > 0 && Array.for_all (fun a -> a = pool.log_len) pool.applied then begin
         pool.log_len <- 0;
-        Array.fill pool.applied 0 pool.jobs 0
+        Array.fill pool.applied 0 (Array.length pool.applied) 0
       end;
       pool.log <- Wpinq_weighted.Room.grow pool.log (pool.log_len + 1) (swap, proposed);
       pool.log.(pool.log_len) <- (swap, proposed);
-      pool.log_len <- pool.log_len + 1;
-      delta_commit owner swap ~proposed
+      pool.log_len <- pool.log_len + 1
+    end;
+    if Dataflow.Engine.speculating owner.engine then begin
+      Graph.Mutable.apply owner.graph swap;
+      commit_swap owner;
+      owner.energy <- proposed
     end
+    else delta_commit owner swap ~proposed
 
   let refresh_pool pool =
     on_replicas pool (fun i ->
@@ -596,12 +590,12 @@ end
 let run t ~steps ?start ?(pow = 1.0) ?audit_every ?should_stop ?checkpoint_every ?on_checkpoint
     ?on_step ?(jobs = 1) ?on_batch ?width ?counters () =
   let audit () = List.length (audit t).Dataflow.Audit.divergences in
-  (* Speculative lookahead.  At jobs = 1 every proposal is evaluated on
-     [t] itself and the first winner kept in place; at jobs = K the
-     replicas evaluate and [t] — the canonical state that checkpoints,
-     audits and callers read — only replays committed moves.  Both start
-     from the same attach-built state, so they walk the same chain
-     (DESIGN.md, "Parallel speculative lookahead"). *)
+  (* Speculative lookahead.  [t] evaluates the first slice of every batch
+     and keeps its winner in place; at jobs = K, K - 1 replicas evaluate
+     the rest, and [t] — the canonical state that checkpoints, audits and
+     callers read — replays their winners as committed deltas.  Every
+     evaluator starts from the same attach-built state, so every width
+     walks the same chain (DESIGN.md, "Parallel speculative lookahead"). *)
   let pool = Pool.create ?counters t ~jobs in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)

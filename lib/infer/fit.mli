@@ -158,8 +158,8 @@ val run :
     iterations [start + 1 .. steps] (default [start] 0, [pow] 1.0; the
     paper's experiments use 10⁴).  [audit_every] (default off) runs
     {!audit} at that cadence, feeding divergence counts into
-    {!Mcmc.stats}; at [jobs > 1] the replicas are rebuilt from this fit
-    only after a divergence.  [should_stop], [checkpoint_every],
+    {!Mcmc.stats}; any replicas are rebuilt from this fit only after a
+    divergence.  [should_stop], [checkpoint_every],
     [on_checkpoint] and [on_step] pass through to {!Mcmc.run_lookahead}.
 
     Between lookahead batches the fit compacts itself: once the engine's
@@ -169,22 +169,24 @@ val run :
     move.  So the engine never holds more than [2 × max (b,
     compaction_floor)] interned ids plus one batch's growth: twice the
     post-build footprint, or, for a small fit, a fixed 2{^19} ids (a few
-    tens of megabytes of interns, tables and pair caches).  At [jobs > 1]
-    the replicas are rebuilt from this fit when any of them has grown.
+    tens of megabytes of interns, tables and pair caches).  Any replicas
+    are rebuilt from this fit when one of them has grown.
 
-    [jobs] (default 1) is the worker count.  With [jobs = 1] every
-    proposal is evaluated speculatively on this fit's own engine and the
-    first winner of each batch kept in place: no replica, no measurement
-    copy.  With [jobs > 1] a pool of [jobs] replica engines evaluates, one
-    per domain, and this fit absorbs the winners.  The pool is torn down
-    (worker domains joined, an open winner aborted) on every exit path,
-    including exceptions raised by hooks or pool construction.  The
-    realized chain is bit-identical for every [jobs] {e and} every [width]
-    policy (the per-step split-stream discipline; default width
-    [Fixed jobs]).  [on_batch] reports each batch's dispatched width and
-    consumed prefix, for throughput/efficiency accounting.  [counters]
+    [jobs] (default 1) is the evaluator count, this fit included.  Each
+    batch is split into [jobs] contiguous slices: this fit evaluates
+    slice 0 on the calling domain, and [jobs - 1] replica engines, one
+    per extra domain, evaluate the others ([jobs = 1]: no replica, no
+    domain, no measurement copy).  Every evaluator stops at its slice's
+    first winner.  This fit keeps its own winner open and commits it in
+    place; a replica's winner reaches it as an O(delta) committed delta.
+    The pool is torn down (worker domains joined, an open winner aborted)
+    on every exit path, including exceptions raised by hooks or pool
+    construction.  The realized chain is bit-identical for every [jobs]
+    {e and} every [width] (the per-step split-stream discipline; default
+    width [Fixed jobs]).  [on_batch] reports each batch's dispatched width
+    and consumed prefix, for throughput/efficiency accounting.  [counters]
     accumulates per-phase wall time — dispatch/eval in the pool,
-    resolve/commit in the driver — and the realized width trajectory.  At
-    [jobs = 1] nothing is dispatched, [eval_us] covers propose, speculate
-    and abort on this fit, and [commit_us] the in-place commit of each
-    winner. *)
+    resolve/commit in the scheduler — and the realized width trajectory:
+    [dispatch_us] is 0 when no replica is posted, [eval_us] covers this
+    fit's own slice and the wait for the replicas, and [commit_us] the
+    in-place or delta commit of each winner. *)

@@ -44,18 +44,14 @@ type 'swap lookahead = {
   la_resync : unit -> float;
 }
 
-(* How wide each lookahead batch is allowed to be.  The realized chain is
-   invariant to the policy (each step's streams are dealt by absolute step
-   index and the master cursor advances only by consumed steps), so the
-   policy is purely a throughput knob — which is what makes online
-   adaptation safe. *)
-type width =
-  | Fixed of int
-  | Adaptive of { max_width : int }
-  | Schedule of (int -> int)
+(* How wide each lookahead batch is.  The realized chain is invariant to
+   the policy (each step's streams are dealt by absolute step index and
+   the master cursor advances only by consumed steps), so the policy only
+   moves wall-clock time. *)
+type width = Fixed of int | Schedule of (int -> int)
 
 (* Per-phase accounting for one lookahead run, accumulated by both the
-   scheduler (resolve/commit, realized width trajectory) and the replica
+   scheduler (resolve/commit, realized width trajectory) and the evaluation
    pool (dispatch/eval — see [Fit.Pool]).  All wall-clock, in
    microseconds. *)
 type counters = {
@@ -93,14 +89,11 @@ let counters () =
    acceptance decisions, same final edge arrays.
 
    The batch width is chosen by [width]: [Fixed k] dispatches k streams
-   per batch; [Adaptive] grows the width multiplicatively while batches
-   run accept-free (deep lookahead is nearly free when almost everything
-   is rejected) and halves it when an acceptance cuts a batch short;
-   [Schedule] is the test hook — any width sequence whatsoever.  All
-   widths are clamped to cadence boundaries (audit / checkpoint), and the
-   stop poll and fault-injection points fire once per batch, so
-   interrupts, kills and snapshots only ever observe committed,
-   batch-aligned state. *)
+   per batch; [Schedule] is the test hook — any width sequence
+   whatsoever.  All widths are clamped to cadence boundaries (audit /
+   checkpoint), and the stop poll and fault-injection points fire once
+   per batch, so interrupts, kills and snapshots only ever observe
+   committed, batch-aligned state. *)
 let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(audit_every = 0)
     ?should_stop ?checkpoint_every ?on_checkpoint ?on_batch ?on_step ?width ?counters:ctrs () =
   if start < 0 || start > steps then
@@ -110,8 +103,6 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
   let width = match width with Some w -> w | None -> Fixed la.la_jobs in
   (match width with
   | Fixed k when k < 1 -> invalid_arg "Mcmc.run_lookahead: Fixed width must be at least 1"
-  | Adaptive { max_width } when max_width < 1 ->
-      invalid_arg "Mcmc.run_lookahead: Adaptive max_width must be at least 1"
   | _ -> ());
   let accepted = ref 0 and invalid = ref 0 and nonfinite = ref 0 in
   let audits = ref 0 and diverged = ref 0 in
@@ -135,9 +126,6 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
   (* Steps until the next multiple of cadence [c] strictly after [base]:
      a batch may touch a boundary only with its last consumed step. *)
   let until_boundary base c = if c <= 0 then max_int else c - (base mod c) in
-  (* Adaptive width state: start at the worker count (narrower wastes
-     domains), never exceed [max_width]. *)
-  let adaptive_k = ref la.la_jobs in
   let batch_index = ref 0 in
   let now () = Unix.gettimeofday () in
   while (not !stopped) && !step < steps do
@@ -146,12 +134,7 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
     | Some f when f () -> stopped := true
     | _ ->
         let base = !step in
-        let intent =
-          match width with
-          | Fixed k -> k
-          | Adaptive { max_width } -> min max_width !adaptive_k
-          | Schedule f -> max 1 (f !batch_index)
-        in
+        let intent = match width with Fixed k -> k | Schedule f -> max 1 (f !batch_index) in
         incr batch_index;
         let k = min intent (steps - base) in
         let k = min k (until_boundary base audit_every) in
@@ -172,22 +155,6 @@ let run_lookahead ~rng ~lookahead:la ~steps ?(start = 0) ?(pow = 1.0) ?audit ?(a
           in
           scan 0
         in
-        (* Did an acceptance (or a nonfinite reading) cut this batch?  The
-           adaptive policy reads the verdicts, not the clamps: cadence
-           clamping says nothing about the acceptance structure. *)
-        let cut =
-          consumed > 0
-          &&
-          match verdicts.(consumed - 1) with
-          | Accepted _ | Nonfinite -> true
-          | Invalid | Rejected -> false
-        in
-        (match width with
-        | Adaptive { max_width } ->
-            adaptive_k :=
-              if cut then max la.la_jobs (!adaptive_k / 2)
-              else min max_width (2 * !adaptive_k)
-        | Fixed _ | Schedule _ -> ());
         Prng.advance rng consumed;
         (match ctrs with
         | Some c ->

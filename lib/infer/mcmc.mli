@@ -49,26 +49,24 @@ type 'swap lookahead = {
           stays at the base, except that an evaluator may hold the first
           winner open for [la_commit] *)
   la_commit : 'swap -> proposed:float -> unit;
-      (** commit an accepted swap to the canonical fit (and, with replicas,
-          queue it for them) *)
+      (** commit an accepted swap to the canonical fit: in place when the
+          canonical fit holds it open, as a committed delta otherwise (and,
+          with replicas, queue it for them) *)
   la_refresh : unit -> float;
       (** recompute maintained state from scratch everywhere (the
           nonfinite guard); returns the refreshed energy *)
   la_resync : unit -> float;
-      (** rebuild any replicas from the canonical fit (after an audit
-          found divergences); returns the pool energy *)
+      (** rebuild every replica from the canonical fit (after an audit
+          found divergences; a no-op without replicas); returns the pool
+          energy *)
 }
 (** The evaluation-pool interface {!run_lookahead} drives — implemented by
     [Fit.Pool]. *)
 
 type width =
-  | Fixed of int  (** every batch dispatches exactly this many streams *)
-  | Adaptive of { max_width : int }
-      (** start at [la_jobs]; double the width after every accept-free
-          batch, halve it (floored at [la_jobs]) when an acceptance cuts a
-          batch short; never exceed [max_width].  With low acceptance
-          rates the walk settles into deep lookahead, where speculative
-          evaluation is almost never discarded. *)
+  | Fixed of int
+      (** every batch dispatches exactly this many streams (more than
+          [la_jobs] gives each evaluator a multi-stream slice) *)
   | Schedule of (int -> int)
       (** arbitrary width per batch index (clamped to at least 1) — the
           property-test hook for schedule-invariance *)
@@ -79,23 +77,25 @@ type width =
 
 type counters = {
   mutable dispatch_us : float;
-      (** publishing batches to the worker mailboxes (scheduler side) *)
+      (** publishing slices to the replicas' mailboxes (scheduler side; 0
+          when no replica is posted, as always at [jobs = 1]) *)
   mutable eval_us : float;
-      (** waiting for the workers' verdicts (at [jobs = 1]: propose,
-          speculate and abort on the canonical fit) *)
+      (** the canonical fit evaluating its own slice (propose, speculate,
+          abort) and then waiting for the replicas' verdicts *)
   mutable resolve_us : float;
       (** verdict prefix scan, rng advance, cadence hooks *)
   mutable commit_us : float;
-      (** committing winning swaps to the canonical fit (the owner's
-          O(delta) feed, replicas absorbing theirs into the next dispatch;
-          at [jobs = 1] the in-place commit of the open winner) *)
+      (** committing winning swaps to the canonical fit: the in-place
+          commit of a winner it holds open, or the O(delta) feed of a
+          replica's winner (replicas absorb theirs into the next
+          dispatch) *)
   mutable batches : int;
   mutable k_min : int;  (** narrowest realized batch ([max_int] if none) *)
   mutable k_max : int;  (** widest realized batch *)
   mutable k_sum : int;  (** total dispatched width, for the mean *)
 }
 (** Per-phase wall-clock attribution and the realized width trajectory of
-    one lookahead run.  Passed to both {!run_lookahead} and the replica
+    one lookahead run.  Passed to both {!run_lookahead} and the evaluation
     pool, each of which accumulates the phases it owns. *)
 
 val counters : unit -> counters
@@ -168,7 +168,7 @@ val run_lookahead :
 
     [width] (default [Fixed la_jobs]) chooses how many streams each batch
     dispatches; widths beyond [la_jobs] are evaluated by giving each
-    worker a slice of the batch.  Batches are clamped to audit / checkpoint
+    evaluator a multi-stream slice of the batch.  Batches are clamped to audit / checkpoint
     cadence boundaries, and the stop poll and fault-injection
     points ("mcmc.signal", "mcmc.step") fire once per batch, so
     interrupts, kills and snapshots only ever observe committed,

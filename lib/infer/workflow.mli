@@ -182,14 +182,14 @@ val synthesize :
     persisted in checkpoints), and divergent state is rebuilt from batch
     before the walk continues.  A clean audit is bit-neutral.
 
-    [jobs] (default 1) is the parallel speculative-lookahead worker count:
-    Phase 2 evaluates batches of consecutive proposals concurrently, one
-    replica engine per domain ({!Fit.run}'s lookahead walk).  [width] (default
-    [Mcmc.Fixed jobs]) is the batch-width policy — [Mcmc.Adaptive] lets
-    the walk deepen its lookahead when acceptances are rare.  The realized
-    chain, the trace, the final graph and the checkpoint bytes are
-    bit-identical for every [jobs] value {e and} every [width] policy;
-    only wall-clock time changes.  [jobs] is recorded in checkpoints as
+    [jobs] (default 1) is the parallel speculative-lookahead evaluator
+    count: Phase 2 evaluates batches of consecutive proposals
+    concurrently, on the fit's own engine and [jobs - 1] replica engines,
+    one per extra domain ({!Fit.run}'s lookahead walk).  [width] (default
+    [Mcmc.Fixed jobs]) is the batch width.  The realized chain, the
+    trace, the final graph and the checkpoint bytes are bit-identical for
+    every [jobs] value {e and} every [width]; only wall-clock time
+    changes.  [jobs] is recorded in checkpoints as
     the resume default; [width] and [counters] (per-phase timing) are
     runtime-only and never persisted.
 

@@ -43,8 +43,8 @@ let split_nth t i =
 (* Deal the first [n] lookahead streams in one call: [deal t n] equals
    [Array.init n (split_nth t)] but walks the lattice with one running
    cursor instead of recomputing the offset product per stream.  The
-   scheduler re-deals per batch with a batch-dependent [n] (adaptive
-   lookahead width), so this is on the dispatch hot path. *)
+   scheduler re-deals per batch with a batch-dependent [n] (the width,
+   clamped to cadence boundaries), so this is on the dispatch hot path. *)
 let deal t n =
   if n < 0 then invalid_arg "Prng.deal: negative count";
   let cursor = ref t.state in

@@ -141,14 +141,14 @@ let round st round =
    still be bit-identical to the *serial* uninterrupted reference.  Faults
    only fire at lookahead-batch boundaries, and the "mcmc.step" site fires
    once per batch: a batch consumes between 1 and [max_consumed] steps
-   (2 for fixed jobs=2; the max_width for an adaptive policy), so over
-   [steps] steps the site fires at least [steps / max_consumed] times —
-   the kill budget.  Each firing also completes at least one step, so any
-   kill past [every] firings lands after the first checkpoint generation.
-   The adaptive variant ([width = Adaptive]) kills mid-walk while the
-   realized K is swinging between 1 and max_width, which exercises
-   batch-aligned snapshots under every batch shape the controller can
-   produce. *)
+   (its fixed width), so over [steps] steps the site fires at least
+   [steps / max_consumed] times — the kill budget.  Each firing also
+   completes at least one step, so any kill past [every] firings lands
+   after the first checkpoint generation.  The wide variant
+   ([width = Fixed 4] at jobs=2) kills mid-walk while the owner and the
+   replica each evaluate a two-stream slice, so a batch's winner may be
+   held open on the owner or fed to it from the replica, and its consumed
+   prefix is anything from 1 to 4 steps. *)
 let multicore_round ?width ~max_consumed ~label st round =
   with_store_dir (fun dir ->
       let store = Persist.Store.open_dir ~keep dir in
@@ -701,9 +701,8 @@ let () =
       check_result (!rounds + 1) reference
         (multicore_round ~max_consumed:2 ~label:"jobs=2 fixed" st (!rounds + 1));
       check_result (!rounds + 2) reference
-        (multicore_round
-           ~width:(Mcmc.Adaptive { max_width = 4 })
-           ~max_consumed:4 ~label:"jobs=2 adaptive" st (!rounds + 2))
+        (multicore_round ~width:(Mcmc.Fixed 4) ~max_consumed:4 ~label:"jobs=2 fixed4" st
+           (!rounds + 2))
     end;
     if not !mcmc_only then ledger_matrix st ~rounds:!rounds;
     if not !ledger_only && not !mcmc_only then stream_matrix st ~rounds:!rounds
@@ -716,7 +715,7 @@ let () =
     (if !ledger_only || !stream_only then ""
      else
        Printf.sprintf
-         ": %d synthesis rounds (plus 2 multicore: fixed + adaptive) bit-identical"
+         ": %d synthesis rounds (plus 2 multicore: fixed 2 + fixed 4) bit-identical"
          !rounds)
     (if !mcmc_only || !stream_only then ""
      else

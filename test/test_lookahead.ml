@@ -77,7 +77,8 @@ type arm = {
   counters : Mcmc.counters;
 }
 
-let run_arm ?(steps = 200) ?audit_every ?pow ?width ~jobs fit =
+let run_arm ?(steps = 200) ?audit_every ?pow ?width ?(on_batch = fun ~dispatched:_ ~consumed:_ -> ())
+    ~jobs fit =
   let energies = ref [] in
   let batches = ref 0 and dispatched = ref 0 and consumed = ref 0 in
   let counters = Mcmc.counters () in
@@ -86,6 +87,7 @@ let run_arm ?(steps = 200) ?audit_every ?pow ?width ~jobs fit =
       ~on_step:(fun ~step ~energy ->
         energies := (step, Int64.bits_of_float energy) :: !energies)
       ~on_batch:(fun ~dispatched:d ~consumed:c ->
+        on_batch ~dispatched:d ~consumed:c;
         incr batches;
         dispatched := !dispatched + d;
         consumed := !consumed + c)
@@ -215,9 +217,9 @@ let test_resume_across_widths () =
         in
         let partial = synth ~jobs:2 ~stop p in
         Alcotest.(check bool) "stopped early" true partial.W.stats.Mcmc.interrupted;
-        (* Resume wider AND under a different width policy: the chain is
-           invariant to both. *)
-        W.resume ~jobs:4 ~width:(Mcmc.Adaptive { max_width = 16 }) ~path:p ())
+        (* Resume wider AND under a width that changes every batch, up to
+           four-stream slices: the chain is invariant to both. *)
+        W.resume ~jobs:4 ~width:(Mcmc.Schedule (fun i -> 1 + (i mod 16))) ~path:p ())
   in
   Alcotest.(check int) "accepted" expect.W.stats.Mcmc.accepted
     resumed.W.stats.Mcmc.accepted;
@@ -228,28 +230,22 @@ let test_resume_across_widths () =
     "synthetic edges"
     (Graph.edges expect.W.synthetic) (Graph.edges resumed.W.synthetic)
 
-(* The adaptive-width policy must leave the chain untouched: only
-   wall-clock (and the batch structure) may differ from the serial
-   reference.  The counters prove the policy actually adapted — the
-   realized width grew past the worker count. *)
-let test_adaptive_invariance () =
+(* A width wider than the evaluator count gives each evaluator a
+   multi-stream slice (8 streams on the owner alone, or 4 on the owner and
+   4 on the replica).  Only wall-clock and the batch structure may differ
+   from the serial reference. *)
+let test_wide_slices_invariance () =
   let seed, ms = problem () in
   let serial = run_arm ~steps:200 ~jobs:1 (shared_fit ~rng_seed:7 ~seed_graph:seed ms) in
-  let adaptive jobs =
-    run_arm ~steps:200 ~jobs
-      ~width:(Mcmc.Adaptive { max_width = 8 })
-      (shared_fit ~rng_seed:7 ~seed_graph:seed ms)
+  let wide jobs =
+    run_arm ~steps:200 ~jobs ~width:(Mcmc.Fixed 8) (shared_fit ~rng_seed:7 ~seed_graph:seed ms)
   in
-  let a1 = adaptive 1 and a2 = adaptive 2 in
-  check_same_walk "serial vs adaptive jobs=1" serial a1;
-  check_same_walk "serial vs adaptive jobs=2" serial a2;
+  let a1 = wide 1 and a2 = wide 2 in
+  check_same_walk "serial vs Fixed 8 at jobs=1" serial a1;
+  check_same_walk "serial vs Fixed 8 at jobs=2" serial a2;
+  Alcotest.(check int) "batches run at width 8" 8 a2.counters.Mcmc.k_max;
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive width grew past jobs (k_max %d)" a2.counters.Mcmc.k_max)
-    true
-    (a2.counters.Mcmc.k_max > 2);
-  Alcotest.(check bool) "adaptive width bounded" true (a2.counters.Mcmc.k_max <= 8);
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive takes fewer batches (%d < %d)" a2.batches serial.batches)
+    (Printf.sprintf "wide batches are fewer (%d < %d)" a2.batches serial.batches)
     true
     (a2.batches < serial.batches)
 
@@ -280,9 +276,10 @@ let test_schedule_invariance () =
 
 (* Counters sanity: phases accumulate, the width trajectory is recorded,
    and the accepted-swap commit path is cheap relative to a full
-   speculative evaluation (per-event, commit must not dwarf eval).  At
-   jobs = 1 nothing is dispatched: eval is propose + speculate + abort on
-   the owner, and commit is the in-place [Engine.commit] of the winner. *)
+   speculative evaluation (per-event, commit must not dwarf eval).  The
+   width changes every batch.  At jobs = 1 no replica is posted, so
+   dispatch time is 0: eval is propose + speculate + abort on the owner,
+   and commit is the in-place [Engine.commit] of the winner. *)
 let test_counters_recorded () =
   let seed, ms = problem () in
   List.iter
@@ -290,14 +287,14 @@ let test_counters_recorded () =
       let name fmt = Printf.sprintf ("jobs=%d: " ^^ fmt) jobs in
       let a =
         run_arm ~steps:200 ~jobs
-          ~width:(Mcmc.Adaptive { max_width = 8 })
+          ~width:(Mcmc.Schedule (fun i -> 1 + (i mod 8)))
           (shared_fit ~rng_seed:7 ~seed_graph:seed ms)
       in
       let c = a.counters in
       Alcotest.(check int) (name "batches counted") a.batches c.Mcmc.batches;
       Alcotest.(check int) (name "k_sum = dispatched") a.dispatched c.Mcmc.k_sum;
       Alcotest.(check bool) (name "k_min >= 1") true (c.Mcmc.k_min >= 1);
-      Alcotest.(check bool) (name "k_min <= k_max") true (c.Mcmc.k_min <= c.Mcmc.k_max);
+      Alcotest.(check bool) (name "k_min < k_max") true (c.Mcmc.k_min < c.Mcmc.k_max);
       Alcotest.(check bool) (name "eval time recorded") true (c.Mcmc.eval_us > 0.0);
       Alcotest.(check bool) (name "resolve time recorded") true (c.Mcmc.resolve_us > 0.0);
       if jobs = 1 then
@@ -312,8 +309,10 @@ let test_counters_recorded () =
          drain, and Metropolis bookkeeping).  Give it 3x headroom against
          timer noise. *)
       let commit_per_event = c.Mcmc.commit_us /. float (max 1 a.stats.Mcmc.accepted) in
-      (* Every dispatched position is evaluated on replicas; on the owner,
-         evaluation stops at the consumed prefix. *)
+      (* Every evaluator stops at its slice's first winner.  At jobs = 1
+         the owner's one slice is the whole batch, so exactly the consumed
+         prefix is evaluated; at jobs = 2 the replica's slice may run past
+         it, up to the dispatched width. *)
       let evaluated = if jobs = 1 then a.consumed else a.dispatched in
       let eval_per_event = c.Mcmc.eval_us /. float (max 1 evaluated) in
       Alcotest.(check bool)
@@ -335,7 +334,7 @@ let test_hook_exception_joins_workers () =
     try
       ignore
         (Fit.run fit ~steps:200 ~jobs:2
-           ~width:(Mcmc.Adaptive { max_width = 8 })
+           ~width:(Mcmc.Fixed 8)
            ~on_step:(fun ~step ~energy:_ -> if step = 57 then raise Boom)
            ());
       false
@@ -348,15 +347,27 @@ let test_hook_exception_joins_workers () =
   Alcotest.(check bool) "fit usable after teardown" true
     (Float.is_finite again.stats.Mcmc.final_energy)
 
-(* At jobs = 1 the walk runs on the owner fit's own engine: no replica is
-   built, every valid proposal is one speculation on that engine, and each
-   accepted one is kept in place by a commit.  At jobs = 2 the owner only
-   absorbs committed deltas and never speculates. *)
-let test_one_engine_at_jobs_1 () =
+(* The owner is worker 0.  At jobs = 1 the walk runs on the owner fit's
+   own engine: no replica is built, every valid proposal is one
+   speculation on that engine, and each accepted one is kept in place by a
+   commit.  At jobs = 2 under [Fixed 2] the owner evaluates position 0 of
+   every batch and the replica position 1, so the owner's engine commits
+   exactly the winners dealt to position 0; a replica's winner reaches the
+   owner as a committed delta, which is no [Engine.commit]. *)
+let test_owner_commits_its_winners () =
   let seed, ms = problem () in
   let fit = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
   let engine = Fit.engine fit in
-  let a = run_arm ~steps:200 ~jobs:1 fit in
+  (* At jobs = 1 every batch is one step, and [on_batch] fires after its
+     evaluation and before its commit: the commit count there is the
+     number of steps accepted before this one. *)
+  let before = ref [] in
+  let a =
+    run_arm ~steps:200 ~jobs:1 fit ~on_batch:(fun ~dispatched:_ ~consumed:_ ->
+        before := Dataflow.Engine.commits engine :: !before)
+  in
+  let commits = Array.of_list (List.rev (Dataflow.Engine.commits engine :: !before)) in
+  let accepted step = commits.(step) > commits.(step - 1) in
   Alcotest.(check bool) "same engine after the walk" true (Fit.engine fit == engine);
   Alcotest.(check int) "commits = accepted" a.stats.Mcmc.accepted
     (Dataflow.Engine.commits engine);
@@ -366,10 +377,23 @@ let test_one_engine_at_jobs_1 () =
   Alcotest.(check bool) "walk accepted and rejected" true
     (a.stats.Mcmc.accepted > 0 && Dataflow.Engine.aborts engine > 0);
   let fit2 = shared_fit ~rng_seed:7 ~seed_graph:seed ms in
-  let a2 = run_arm ~steps:200 ~jobs:2 fit2 in
-  check_same_walk "owner vs replicas" a a2;
-  Alcotest.(check int) "jobs=2 owner commits" 0 (Dataflow.Engine.commits (Fit.engine fit2));
-  Alcotest.(check int) "jobs=2 owner aborts" 0 (Dataflow.Engine.aborts (Fit.engine fit2))
+  let taken = ref 0 and at_zero = ref 0 in
+  let a2 =
+    run_arm ~steps:200 ~jobs:2 ~width:(Mcmc.Fixed 2) fit2 ~on_batch:(fun ~dispatched:_ ~consumed ->
+        if accepted (!taken + 1) then incr at_zero;
+        taken := !taken + consumed)
+  in
+  check_same_walk "jobs 1 vs 2" a a2;
+  Alcotest.(check int) "no non-finite reading" 0 a2.stats.Mcmc.refreshed_on_nonfinite;
+  Alcotest.(check bool)
+    (Printf.sprintf "both evaluators won (%d of %d at position 0)" !at_zero
+       a2.stats.Mcmc.accepted)
+    true
+    (!at_zero > 0 && !at_zero < a2.stats.Mcmc.accepted);
+  Alcotest.(check int) "jobs=2 owner commits = position-0 winners" !at_zero
+    (Dataflow.Engine.commits (Fit.engine fit2));
+  Alcotest.(check bool) "jobs=2 owner speculates" true
+    (Dataflow.Engine.aborts (Fit.engine fit2) > 0)
 
 (* [create_shared] builds through the same edge-array path as
    [restore_shared], so a fresh fit and one restored at its edge array read
@@ -460,7 +484,8 @@ let test_hook_exception_at_jobs_1 () =
 
 (* Hooks for the steps before a batch's winner read the pre-batch graph:
    a trace sampled at every step is the same whether the owner evaluates
-   wide batches (jobs = 1, adaptive width) or the replicas do (jobs = 2). *)
+   16-wide batches alone (jobs = 1) or shares each batch with a replica
+   (jobs = 2). *)
 let test_trace_inside_wide_batches () =
   let secret = Gen.clustered ~n:40 ~community:8 ~p_in:0.7 ~extra:20 (Prng.create 5) in
   let run ~jobs ?width () =
@@ -471,7 +496,7 @@ let test_trace_inside_wide_batches () =
     (p.W.step, p.W.triangles, Int64.bits_of_float p.W.assortativity,
      Int64.bits_of_float p.W.energy)
   in
-  let owner = run ~jobs:1 ~width:(Mcmc.Adaptive { max_width = 16 }) () in
+  let owner = run ~jobs:1 ~width:(Mcmc.Fixed 16) () in
   let replicas = run ~jobs:2 () in
   Alcotest.(check int) "trace length" 301 (List.length owner.W.trace);
   Alcotest.(check bool) "identical traces" true
@@ -483,8 +508,8 @@ let suite =
       test_width_invariance;
     Alcotest.test_case "width invariance under self-audits" `Quick
       test_width_invariance_with_audits;
-    Alcotest.test_case "adaptive width invariance + actually adapts" `Quick
-      test_adaptive_invariance;
+    Alcotest.test_case "wide multi-stream slices invariance" `Quick
+      test_wide_slices_invariance;
     Alcotest.test_case "schedule invariance (shrink-to-1, regrow, audits)" `Quick
       test_schedule_invariance;
     Alcotest.test_case "phase counters + O(delta) commit" `Quick test_counters_recorded;
@@ -493,7 +518,8 @@ let suite =
     Alcotest.test_case "workflow width invariance + snapshot reproducibility" `Quick
       test_workflow_width_invariance;
     Alcotest.test_case "resume at a different width" `Quick test_resume_across_widths;
-    Alcotest.test_case "one engine at jobs = 1" `Quick test_one_engine_at_jobs_1;
+    Alcotest.test_case "owner commits exactly its winners" `Quick
+      test_owner_commits_its_winners;
     Alcotest.test_case "create = restore at the seed edge array" `Quick
       test_create_matches_restore;
     Alcotest.test_case "energy baseline ignores lazy draws" `Quick
